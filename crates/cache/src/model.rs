@@ -1,6 +1,13 @@
 //! LRU set-associative cache model.
 
+use crate::set_vector::SetVector;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`Cache::take_touched_sets`] tokens, unique process-wide so a
+/// token never matches a different cache's record.  Only uniqueness
+/// matters, so `Relaxed` suffices.
+static NEXT_LOOK: AtomicU64 = AtomicU64::new(1);
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,18 +55,71 @@ struct Line {
 ///
 /// Addresses are mapped to sets by `(addr / line_size) % sets`; the tag is
 /// the full line address, so distinct addresses never alias incorrectly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Besides its contents the cache records which sets the generic paths
+/// ([`access`](Cache::access), [`probe_access`](Cache::probe_access),
+/// [`flush`](Cache::flush), [`flush_all`](Cache::flush_all)) touched since a
+/// side channel last looked ([`take_touched_sets`](Cache::take_touched_sets)).
+/// That record is bookkeeping, not cache state: equality ignores it, and a
+/// new, cloned or deserialized cache counts every set as touched.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
     accesses: u64,
     misses: u64,
+    /// Bit `s` set: set `s` was not touched since the last
+    /// [`take_touched_sets`](Cache::take_touched_sets).  Zero — every set
+    /// touched — is the safe default.
+    #[serde(skip)]
+    untouched: u64,
+    /// Token of the last [`take_touched_sets`](Cache::take_touched_sets);
+    /// 0 before the first.
+    #[serde(skip)]
+    look: u64,
+    /// [`prime_set`](Cache::prime_set)'s replay list, kept to reuse its
+    /// allocation.
+    #[serde(skip)]
+    scratch: Vec<(u64, u32, Option<u32>)>,
 }
+
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        Cache {
+            config: self.config,
+            sets: self.sets.clone(),
+            accesses: self.accesses,
+            misses: self.misses,
+            untouched: 0,
+            look: 0,
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl PartialEq for Cache {
+    fn eq(&self, other: &Cache) -> bool {
+        self.config == other.config
+            && self.sets == other.sets
+            && self.accesses == other.accesses
+            && self.misses == other.misses
+    }
+}
+
+impl Eq for Cache {}
 
 impl Cache {
     /// Create an empty cache.
     pub fn new(config: CacheConfig) -> Cache {
-        Cache { config, sets: vec![Vec::new(); config.sets], accesses: 0, misses: 0 }
+        Cache {
+            config,
+            sets: vec![Vec::new(); config.sets],
+            accesses: 0,
+            misses: 0,
+            untouched: 0,
+            look: 0,
+            scratch: Vec::new(),
+        }
     }
 
     /// The cache geometry.
@@ -79,12 +139,44 @@ impl Cache {
         (self.tag_of(addr) as usize) % self.config.sets
     }
 
+    /// Record a generic-path touch of `set`.  Geometries with more than 64
+    /// sets always report every set as touched, so the aliased bit is moot.
+    #[inline]
+    fn touch(&mut self, set: usize) {
+        self.untouched &= !(1u64 << (set % SetVector::SETS));
+    }
+
+    /// The sets touched through the generic paths since the caller's
+    /// previous look at this cache, and start a new record.
+    ///
+    /// `token` identifies that previous look: pass the value this call left
+    /// in it last time (any value for a first look).  If another caller
+    /// looked at this cache in between, or the token came from a different
+    /// cache, every set counts as touched.  So does every set of a new,
+    /// cloned or [`flush_all`](Cache::flush_all)ed cache, and of a geometry
+    /// with more than [`SetVector::SETS`] sets.  The bulk side-channel paths
+    /// ([`prime_set`](Cache::prime_set), [`probe_set`](Cache::probe_set) and
+    /// their `*_resident` forms) do not count as touches: their caller knows
+    /// what they left behind.
+    pub fn take_touched_sets(&mut self, token: &mut u64) -> SetVector {
+        let untouched = std::mem::replace(&mut self.untouched, u64::MAX);
+        let same_reader = *token == self.look && self.look != 0;
+        self.look = NEXT_LOOK.fetch_add(1, Ordering::Relaxed);
+        *token = self.look;
+        if same_reader && self.config.sets <= SetVector::SETS {
+            SetVector::from_bits(!untouched)
+        } else {
+            SetVector::from_bits(u64::MAX)
+        }
+    }
+
     /// Access (load or store) the line containing `addr`, filling it on a
     /// miss and updating LRU state.  Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         let tag = self.tag_of(addr);
         let set_idx = self.set_of(addr);
+        self.touch(set_idx);
         let ways = self.config.ways;
         let set = &mut self.sets[set_idx];
         // Age everything, then handle hit/miss.
@@ -115,6 +207,7 @@ impl Cache {
     pub fn probe_access(&mut self, addr: u64) -> bool {
         let tag = self.tag_of(addr);
         let set_idx = self.set_of(addr);
+        self.touch(set_idx);
         if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.tag == tag) {
             line.age = 0;
             true
@@ -123,36 +216,41 @@ impl Cache {
         }
     }
 
+    /// Does `set` hold exactly the lines `tags`, in that order?
+    fn holds_in_order(&self, set: usize, tags: &[u64]) -> bool {
+        let lines = &self.sets[set];
+        lines.len() == tags.len() && lines.iter().map(|l| l.tag).eq(tags.iter().copied())
+    }
+
     /// Bulk-fill one set with the given lines, exactly as if the `tags`
     /// (distinct) had been [`access`](Cache::access)ed in order: hits
     /// refresh in place, misses evict the LRU victim, survivors age, and
     /// the access/miss counters advance — the resulting set (line order
-    /// included) is bit-identical to the sequential walk's.
+    /// included) is bit-identical to the sequential walk's.  Returns whether
+    /// the set now holds exactly `tags`, in walk order — the layout
+    /// [`prime_resident`](Cache::prime_resident) relies on.
     ///
     /// This is the executor's priming fast path: a Prime+Probe prepare
     /// walks `sets × ways` attacker lines, and replaying that walk through
     /// the generic access path costs `O(ways²)` aging *writes* per set;
     /// here the ages are reconstructed once at the end.
-    pub fn prime_set(&mut self, set: usize, tags: &[u64]) {
+    pub fn prime_set(&mut self, set: usize, tags: &[u64]) -> bool {
         if tags.is_empty() {
-            return;
+            return self.sets[set].is_empty();
         }
         self.accesses += tags.len() as u64;
-        let ways = self.config.ways;
-        let lines = &mut self.sets[set];
-        let walk_len = tags.len() as u32;
-
         // Steady-state fast path: the set already holds exactly the walk's
         // lines in walk order (true for every set the victim left alone
         // since the previous prime — misses append in walk order and hits
-        // refresh in place, so a full prime always leaves this layout).
-        // Every access hits; only the ages move.
-        if lines.len() == tags.len() && lines.iter().map(|l| l.tag).eq(tags.iter().copied()) {
-            for (i, line) in lines.iter_mut().enumerate() {
-                line.age = walk_len - 1 - i as u32;
-            }
-            return;
+        // refresh in place, so a full prime from a cold set always leaves
+        // this layout).  Every access hits; only the ages move.
+        if self.holds_in_order(set, tags) {
+            Self::age_as_walked(&mut self.sets[set]);
+            return true;
         }
+        let ways = self.config.ways;
+        let lines = &mut self.sets[set];
+        let walk_len = tags.len() as u32;
 
         // Replay the walk on a scratch list mirroring the real line order,
         // without the per-access aging writes.  `Some(i)` marks a line
@@ -163,8 +261,9 @@ impl Cache {
         // reorder).  Only once no stale occupant is left (more tags than
         // ways) does the oldest fresh line — the smallest walk index — get
         // evicted.
-        let mut scratch: Vec<(u64, u32, Option<u32>)> =
-            lines.iter().map(|l| (l.tag, l.age, None)).collect();
+        let scratch = &mut self.scratch;
+        scratch.clear();
+        scratch.extend(lines.iter().map(|l| (l.tag, l.age, None)));
         for (walk_idx, &tag) in tags.iter().enumerate() {
             if let Some(entry) = scratch.iter_mut().find(|e| e.0 == tag) {
                 entry.2 = Some(walk_idx as u32);
@@ -195,13 +294,36 @@ impl Cache {
         }
 
         lines.clear();
-        lines.extend(scratch.into_iter().map(|(tag, age, fresh)| match fresh {
+        lines.extend(scratch.iter().map(|&(tag, age, fresh)| match fresh {
             // Fresh lines: accessed at walk index `i`, then aged once per
             // later access.
             Some(i) => Line { tag, age: walk_len - 1 - i },
             // Stale survivors (partial fill): aged once per access.
             None => Line { tag, age: age.saturating_add(walk_len) },
         }));
+        self.holds_in_order(set, tags)
+    }
+
+    /// Ages of a set whose lines were all just accessed, in line order.
+    fn age_as_walked(lines: &mut [Line]) {
+        let n = lines.len() as u32;
+        for (i, line) in lines.iter_mut().enumerate() {
+            line.age = n - 1 - i as u32;
+        }
+    }
+
+    /// [`prime_set`](Cache::prime_set) on every set in `sets`, each of which
+    /// the caller knows to hold exactly its walk's lines in walk order — a
+    /// set `prime_set` last reported in that layout, with no touch since
+    /// ([`take_touched_sets`](Cache::take_touched_sets)).  Every access
+    /// hits, so only the ages move and the access counter advances; no tag
+    /// is read.
+    pub fn prime_resident(&mut self, sets: SetVector) {
+        for set in sets.iter() {
+            let lines = &mut self.sets[set];
+            self.accesses += lines.len() as u64;
+            Self::age_as_walked(lines);
+        }
     }
 
     /// Probe one set for the given lines: returns how many of the `tags`
@@ -209,6 +331,13 @@ impl Cache {
     /// like [`probe_access`](Cache::probe_access) — but in a single pass
     /// over the set instead of one lookup per tag.
     pub fn probe_set(&mut self, set: usize, tags: &[u64]) -> usize {
+        // Steady-state fast path, as in `prime_set`: every line hits.
+        if self.holds_in_order(set, tags) {
+            for line in self.sets[set].iter_mut() {
+                line.age = 0;
+            }
+            return tags.len();
+        }
         let mut hits = 0;
         for line in self.sets[set].iter_mut() {
             if tags.contains(&line.tag) {
@@ -217,6 +346,17 @@ impl Cache {
             }
         }
         hits
+    }
+
+    /// [`probe_set`](Cache::probe_set) on every set in `sets`, each holding
+    /// exactly its probe's lines (see [`prime_resident`](Cache::prime_resident)):
+    /// every line hits, so every age drops to 0.
+    pub fn probe_resident(&mut self, sets: SetVector) {
+        for set in sets.iter() {
+            for line in self.sets[set].iter_mut() {
+                line.age = 0;
+            }
+        }
     }
 
     /// Is the line containing `addr` currently cached?
@@ -229,6 +369,7 @@ impl Cache {
     pub fn flush(&mut self, addr: u64) {
         let tag = self.tag_of(addr);
         let set_idx = self.set_of(addr);
+        self.touch(set_idx);
         self.sets[set_idx].retain(|l| l.tag != tag);
     }
 
@@ -237,6 +378,7 @@ impl Cache {
         for set in &mut self.sets {
             set.clear();
         }
+        self.untouched = 0;
     }
 
     /// Number of valid lines in a set.

@@ -46,6 +46,15 @@ pub trait SideChannel: std::fmt::Debug {
 /// This is the paper's default threat model; the executor uses the L1D miss
 /// counter while re-probing, which is modelled by missing probes of the
 /// attacker's lines.
+///
+/// A measurement pays only for the sets the victim touched.  The channel
+/// remembers which sets it left holding exactly its attacker lines in walk
+/// order ("steady"); a steady set the cache reports untouched since the
+/// channel's previous look ([`Cache::take_touched_sets`]) is still in that
+/// layout, so walking it again would hit on every line.  Such sets get that
+/// walk's outcome in bulk ([`Cache::prime_resident`] /
+/// [`Cache::probe_resident`]); every other set takes the per-set path.  The
+/// cache ends up bit-identical to the full sequential walk either way.
 #[derive(Debug, Clone, Default)]
 pub struct PrimeProbe {
     /// Geometry the cached tag table was built for.
@@ -53,7 +62,11 @@ pub struct PrimeProbe {
     /// Attacker line tags, `ways` consecutive entries per set, in the order
     /// the sequential prime walk would access them.
     tags: Vec<u64>,
-    primed: bool,
+    /// Sets left holding exactly their attacker lines, in walk order, at
+    /// the channel's last look.
+    steady: SetVector,
+    /// The cache's token for that look.
+    look: u64,
 }
 
 impl PrimeProbe {
@@ -86,6 +99,13 @@ impl PrimeProbe {
     fn set_tags(&self, cfg: CacheConfig, set: usize) -> &[u64] {
         &self.tags[set * cfg.ways..(set + 1) * cfg.ways]
     }
+
+    /// Steady sets nothing touched since the channel's previous look: they
+    /// still hold exactly their attacker lines in walk order.
+    fn resident_sets(&mut self, cache: &mut Cache) -> SetVector {
+        self.ensure_geometry(cache.config());
+        self.steady.difference(cache.take_touched_sets(&mut self.look))
+    }
 }
 
 impl SideChannel for PrimeProbe {
@@ -95,30 +115,38 @@ impl SideChannel for PrimeProbe {
 
     fn prepare(&mut self, cache: &mut Cache) {
         let cfg = cache.config();
-        self.ensure_geometry(cfg);
+        let resident = self.resident_sets(cache);
+        cache.prime_resident(resident);
         // The sequential walk (way-major over all sets) touches each set's
         // lines in way order and never mixes sets, so bulk-filling one set
         // at a time leaves the cache in the identical state.
-        for set in 0..cfg.sets {
-            cache.prime_set(set, self.set_tags(cfg, set));
+        let mut steady = resident;
+        for set in (0..cfg.sets).filter(|&set| !resident.contains(set)) {
+            if cache.prime_set(set, self.set_tags(cfg, set)) && set < SetVector::SETS {
+                steady.insert(set);
+            }
         }
-        self.primed = true;
+        self.steady = steady;
     }
 
     fn measure(&mut self, cache: &mut Cache) -> SetVector {
         let cfg = cache.config();
-        self.ensure_geometry(cfg);
+        let resident = self.resident_sets(cache);
+        cache.probe_resident(resident);
         let mut v = SetVector::EMPTY;
-        for set in 0..cfg.sets.min(SetVector::SETS) {
+        for set in (0..cfg.sets.min(SetVector::SETS)).filter(|&set| !resident.contains(set)) {
             if cache.probe_set(set, self.set_tags(cfg, set)) < cfg.ways {
                 v.insert(set);
             }
         }
+        // Probing moves no line, but the touched sets' layout is unknown
+        // here; the next prime finds out.
+        self.steady = resident;
         v
     }
 
     fn reset(&mut self) {
-        self.primed = false;
+        self.steady = SetVector::EMPTY;
     }
 }
 
@@ -270,10 +298,12 @@ mod tests {
         let mut cache = Cache::new(CacheConfig::l1d());
         let mut pp = PrimeProbe::new();
         pp.prepare(&mut cache);
-        assert!(pp.primed);
+        assert_eq!(pp.steady.count(), 64, "a cold prime leaves every set steady");
+        let tags = pp.tags.clone();
         pp.reset();
-        assert!(!pp.primed);
-        assert!(pp.geometry.is_some(), "per-geometry cache survives reset");
+        assert!(pp.steady.is_empty(), "reset forgets the steady sets");
+        assert_eq!(pp.geometry, Some(CacheConfig::l1d()), "per-geometry cache survives reset");
+        assert_eq!(pp.tags, tags);
         // The channel is immediately reusable.
         pp.prepare(&mut cache);
         victim_touch(&mut cache, &[0x10_0080]);

@@ -89,7 +89,12 @@ impl SetVector {
 
     /// Iterate over marked set indices in ascending order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..Self::SETS).filter(move |&s| self.contains(s))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let set = (bits != 0).then(|| bits.trailing_zeros() as usize);
+            bits &= bits.wrapping_sub(1);
+            set
+        })
     }
 }
 
