@@ -5,6 +5,29 @@ use rvz_model::CTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a [`CTrace`] to its cached digest, which is already a well-mixed
+/// 64-bit hash: re-hashing it would cost more than the class lookup.  The
+/// traces are the contract model's output, not outside input.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
 
 /// A group of inputs that share the same contract trace (an equivalence
 /// class of contract-trace equality, §4).
@@ -115,19 +138,22 @@ impl Analyzer {
     }
 
     /// Group inputs into classes by contract-trace equality, preserving
-    /// priming order within each class.
+    /// priming order within each class; classes come in order of first
+    /// appearance.  The key is the trace itself (hashed by its cached
+    /// digest, compared observation by observation), so two traces whose
+    /// digests collide still form two classes.
     pub fn input_classes(&self, ctraces: &[CTrace]) -> Vec<InputClass> {
-        let mut by_digest: HashMap<u64, InputClass> = HashMap::new();
-        let mut order: Vec<u64> = Vec::new();
+        let mut index: HashMap<&CTrace, usize, BuildHasherDefault<DigestHasher>> =
+            HashMap::default();
+        let mut classes: Vec<InputClass> = Vec::new();
         for (i, ct) in ctraces.iter().enumerate() {
-            let digest = ct.digest();
-            let entry = by_digest.entry(digest).or_insert_with(|| {
-                order.push(digest);
-                InputClass { ctrace_digest: digest, members: Vec::new() }
+            let class = *index.entry(ct).or_insert_with(|| {
+                classes.push(InputClass { ctrace_digest: ct.digest(), members: Vec::new() });
+                classes.len() - 1
             });
-            entry.members.push(i);
+            classes[class].members.push(i);
         }
-        order.into_iter().map(|d| by_digest.remove(&d).expect("inserted above")).collect()
+        classes
     }
 
     /// Compute effectiveness statistics for a set of classes.
@@ -187,6 +213,21 @@ mod tests {
 
     fn ht(sets: &[usize]) -> HTrace {
         HTrace::from_sets(SetVector::from_sets(sets.iter().copied()))
+    }
+
+    #[test]
+    fn class_members_have_equal_traces() {
+        let a = Analyzer::new();
+        let traces: Vec<CTrace> = (0..40u64).map(|i| ct(&[i % 7, i % 3])).collect();
+        let classes = a.input_classes(&traces);
+        assert_eq!(classes.len(), 21, "one class per distinct trace");
+        for class in &classes {
+            let first = &traces[class.members[0]];
+            assert_eq!(class.ctrace_digest, first.digest());
+            assert!(class.members.iter().all(|&m| traces[m] == *first));
+        }
+        let firsts: Vec<usize> = classes.iter().map(|c| c.members[0]).collect();
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "first-appearance order");
     }
 
     #[test]

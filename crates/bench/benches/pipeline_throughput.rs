@@ -1,11 +1,12 @@
 //! Criterion benches for the individual MRT pipeline stages: test-case
 //! generation, contract-trace collection (model), hardware-trace collection
-//! (executor) and relational analysis.  Together these determine the §6.5
-//! fuzzing speed.
+//! (executor) and its Prime+Probe side channel, and relational analysis.
+//! Together these determine the §6.5 fuzzing speed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revizor::gadgets;
 use rvz_analyzer::Analyzer;
+use rvz_cache::{Cache, CacheConfig, PrimeProbe, SideChannel};
 use rvz_executor::{Executor, ExecutorConfig, MeasurementMode};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::IsaSubset;
@@ -122,6 +123,31 @@ fn bench_executor_batch(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_side_channel(c: &mut Criterion) {
+    // One Prime+Probe measurement (prepare + measure) on an L1D the victim
+    // left untouched, or touched in 1 or 4 sets: the cost grows with the
+    // touched sets, not with the cache's 64 sets x 8 ways.
+    let mut group = c.benchmark_group("side_channel");
+    group.sample_size(20_000);
+    let cfg = CacheConfig::l1d();
+    for touched in [0u64, 1, 4] {
+        let id = BenchmarkId::new("prime_probe_touched_sets", touched);
+        group.bench_with_input(id, &touched, |b, &n| {
+            let mut cache = Cache::new(cfg);
+            let mut pp = PrimeProbe::new();
+            pp.prepare(&mut cache);
+            b.iter(|| {
+                pp.prepare(&mut cache);
+                for set in 0..n {
+                    cache.access(0x10_0000 + set * 16 * cfg.line_size);
+                }
+                pp.measure(&mut cache)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_analyzer(c: &mut Criterion) {
     let mut group = c.benchmark_group("analyzer");
     let tc = gadgets::spectre_v1();
@@ -157,6 +183,7 @@ criterion_group!(
     bench_model,
     bench_executor,
     bench_executor_batch,
+    bench_side_channel,
     bench_analyzer,
     bench_uarch
 );

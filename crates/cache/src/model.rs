@@ -62,12 +62,23 @@ struct Line {
 /// side channel last looked ([`take_touched_sets`](Cache::take_touched_sets)).
 /// That record is bookkeeping, not cache state: equality ignores it, and a
 /// new, cloned or deserialized cache counts every set as touched.
-#[derive(Debug, Serialize, Deserialize)]
+///
+/// The bulk paths ([`prime_resident`](Cache::prime_resident),
+/// [`probe_resident`](Cache::probe_resident)) write no line: they mark the
+/// set's ages as pending a rewrite the set's line order alone determines,
+/// and every path that reads or changes a set's ages or lines settles the
+/// set first.  Equality, cloning and `Debug` see the settled ages.
+#[derive(Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
     accesses: u64,
     misses: u64,
+    /// Bit `s` set: set `s` is due the as-walked ages of a prime
+    /// (`len - 1` down to 0 in line order).  Sets past the 64th never pend.
+    pending_walked: u64,
+    /// Bit `s` set: set `s` is due the all-zero ages of a probe.
+    pending_zero: u64,
     /// Bit `s` set: set `s` was not touched since the last
     /// [`take_touched_sets`](Cache::take_touched_sets).  Zero — every set
     /// touched — is the safe default.
@@ -90,6 +101,8 @@ impl Clone for Cache {
             sets: self.sets.clone(),
             accesses: self.accesses,
             misses: self.misses,
+            pending_walked: self.pending_walked,
+            pending_zero: self.pending_zero,
             untouched: 0,
             look: 0,
             scratch: Vec::new(),
@@ -100,9 +113,22 @@ impl Clone for Cache {
 impl PartialEq for Cache {
     fn eq(&self, other: &Cache) -> bool {
         self.config == other.config
-            && self.sets == other.sets
             && self.accesses == other.accesses
             && self.misses == other.misses
+            && (0..self.sets.len()).all(|s| self.settled(s).eq(other.settled(s)))
+    }
+}
+
+impl std::fmt::Debug for Cache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let sets: Vec<Vec<Line>> =
+            (0..self.sets.len()).map(|s| self.settled(s).collect()).collect();
+        f.debug_struct("Cache")
+            .field("config", &self.config)
+            .field("sets", &sets)
+            .field("accesses", &self.accesses)
+            .field("misses", &self.misses)
+            .finish_non_exhaustive()
     }
 }
 
@@ -116,6 +142,8 @@ impl Cache {
             sets: vec![Vec::new(); config.sets],
             accesses: 0,
             misses: 0,
+            pending_walked: 0,
+            pending_zero: 0,
             untouched: 0,
             look: 0,
             scratch: Vec::new(),
@@ -137,6 +165,49 @@ impl Cache {
     #[inline]
     pub fn set_of(&self, addr: u64) -> usize {
         (self.tag_of(addr) as usize) % self.config.sets
+    }
+
+    /// The bit of `set` in the pending-age masks; 0 past the 64th set.
+    #[inline]
+    fn pending_bit(set: usize) -> u64 {
+        1u64.checked_shl(set as u32).unwrap_or(0)
+    }
+
+    /// Apply `set`'s pending bulk age rewrite, if any.  Every path that
+    /// reads or changes a set's ages or line list calls this first; the
+    /// rewrite depends on line order, so it must land before a line moves.
+    #[inline]
+    fn settle(&mut self, set: usize) {
+        let bit = Self::pending_bit(set);
+        if (self.pending_walked | self.pending_zero) & bit == 0 {
+            return;
+        }
+        let walked = self.pending_walked & bit != 0;
+        self.pending_walked &= !bit;
+        self.pending_zero &= !bit;
+        let lines = &mut self.sets[set];
+        if walked {
+            Self::age_as_walked(lines);
+        } else {
+            lines.iter_mut().for_each(|l| l.age = 0);
+        }
+    }
+
+    /// The lines of `set` as [`settle`](Cache::settle) would leave them.
+    fn settled(&self, set: usize) -> impl Iterator<Item = Line> + '_ {
+        let bit = Self::pending_bit(set);
+        let (walked, zero) = (self.pending_walked & bit != 0, self.pending_zero & bit != 0);
+        let lines = &self.sets[set];
+        lines.iter().enumerate().map(move |(i, l)| Line {
+            tag: l.tag,
+            age: if walked {
+                Self::walked_age(lines.len(), i)
+            } else if zero {
+                0
+            } else {
+                l.age
+            },
+        })
     }
 
     /// Record a generic-path touch of `set`.  Geometries with more than 64
@@ -177,6 +248,7 @@ impl Cache {
         let tag = self.tag_of(addr);
         let set_idx = self.set_of(addr);
         self.touch(set_idx);
+        self.settle(set_idx);
         let ways = self.config.ways;
         let set = &mut self.sets[set_idx];
         // Age everything, then handle hit/miss.
@@ -208,6 +280,7 @@ impl Cache {
         let tag = self.tag_of(addr);
         let set_idx = self.set_of(addr);
         self.touch(set_idx);
+        self.settle(set_idx);
         if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.tag == tag) {
             line.age = 0;
             true
@@ -238,6 +311,7 @@ impl Cache {
         if tags.is_empty() {
             return self.sets[set].is_empty();
         }
+        self.settle(set);
         self.accesses += tags.len() as u64;
         // Steady-state fast path: the set already holds exactly the walk's
         // lines in walk order (true for every set the victim left alone
@@ -250,6 +324,15 @@ impl Cache {
         }
         let ways = self.config.ways;
         let lines = &mut self.sets[set];
+        // Cold fast path (every set after a `flush_all`): the walk fills an
+        // empty set in order, missing on every access and evicting nothing.
+        if lines.is_empty() && tags.len() <= ways {
+            self.misses += tags.len() as u64;
+            let len = tags.len();
+            let walked = tags.iter().enumerate();
+            lines.extend(walked.map(|(i, &tag)| Line { tag, age: Self::walked_age(len, i) }));
+            return true;
+        }
         let walk_len = tags.len() as u32;
 
         // Replay the walk on a scratch list mirroring the real line order,
@@ -304,26 +387,31 @@ impl Cache {
         self.holds_in_order(set, tags)
     }
 
+    /// Age of line `i` of `len` once all were just accessed in line order.
+    #[inline]
+    fn walked_age(len: usize, i: usize) -> u32 {
+        (len - 1 - i) as u32
+    }
+
     /// Ages of a set whose lines were all just accessed, in line order.
     fn age_as_walked(lines: &mut [Line]) {
-        let n = lines.len() as u32;
+        let len = lines.len();
         for (i, line) in lines.iter_mut().enumerate() {
-            line.age = n - 1 - i as u32;
+            line.age = Self::walked_age(len, i);
         }
     }
 
     /// [`prime_set`](Cache::prime_set) on every set in `sets`, each of which
-    /// the caller knows to hold exactly its walk's lines in walk order — a
-    /// set `prime_set` last reported in that layout, with no touch since
-    /// ([`take_touched_sets`](Cache::take_touched_sets)).  Every access
-    /// hits, so only the ages move and the access counter advances; no tag
-    /// is read.
+    /// the caller knows to hold exactly its walk's `ways` lines in walk
+    /// order — a set `prime_set` last reported in that layout, with no touch
+    /// since ([`take_touched_sets`](Cache::take_touched_sets)).  Every
+    /// access hits, so only the ages move and the access counter advances.
+    /// No line is read or written: the sets' as-walked ages pend until a
+    /// path that looks at them settles the set.
     pub fn prime_resident(&mut self, sets: SetVector) {
-        for set in sets.iter() {
-            let lines = &mut self.sets[set];
-            self.accesses += lines.len() as u64;
-            Self::age_as_walked(lines);
-        }
+        self.accesses += u64::from(sets.count()) * self.config.ways as u64;
+        self.pending_walked |= sets.bits();
+        self.pending_zero &= !sets.bits();
     }
 
     /// Probe one set for the given lines: returns how many of the `tags`
@@ -331,6 +419,7 @@ impl Cache {
     /// like [`probe_access`](Cache::probe_access) — but in a single pass
     /// over the set instead of one lookup per tag.
     pub fn probe_set(&mut self, set: usize, tags: &[u64]) -> usize {
+        self.settle(set);
         // Steady-state fast path, as in `prime_set`: every line hits.
         if self.holds_in_order(set, tags) {
             for line in self.sets[set].iter_mut() {
@@ -350,13 +439,11 @@ impl Cache {
 
     /// [`probe_set`](Cache::probe_set) on every set in `sets`, each holding
     /// exactly its probe's lines (see [`prime_resident`](Cache::prime_resident)):
-    /// every line hits, so every age drops to 0.
+    /// every line hits, so every age drops to 0 — pending, like the ages
+    /// of a bulk prime, which the zeros supersede.
     pub fn probe_resident(&mut self, sets: SetVector) {
-        for set in sets.iter() {
-            for line in self.sets[set].iter_mut() {
-                line.age = 0;
-            }
-        }
+        self.pending_zero |= sets.bits();
+        self.pending_walked &= !sets.bits();
     }
 
     /// Is the line containing `addr` currently cached?
@@ -370,6 +457,8 @@ impl Cache {
         let tag = self.tag_of(addr);
         let set_idx = self.set_of(addr);
         self.touch(set_idx);
+        // The as-walked ages follow line position, which removal shifts.
+        self.settle(set_idx);
         self.sets[set_idx].retain(|l| l.tag != tag);
     }
 
@@ -378,6 +467,8 @@ impl Cache {
         for set in &mut self.sets {
             set.clear();
         }
+        self.pending_walked = 0;
+        self.pending_zero = 0;
         self.untouched = 0;
     }
 

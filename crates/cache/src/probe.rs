@@ -53,8 +53,9 @@ pub trait SideChannel: std::fmt::Debug {
 /// channel's previous look ([`Cache::take_touched_sets`]) is still in that
 /// layout, so walking it again would hit on every line.  Such sets get that
 /// walk's outcome in bulk ([`Cache::prime_resident`] /
-/// [`Cache::probe_resident`]); every other set takes the per-set path.  The
-/// cache ends up bit-identical to the full sequential walk either way.
+/// [`Cache::probe_resident`]), which only marks their ages pending; every
+/// other set takes the per-set path.  The cache ends up bit-identical to the
+/// full sequential walk either way.
 #[derive(Debug, Clone, Default)]
 pub struct PrimeProbe {
     /// Geometry the cached tag table was built for.
@@ -108,6 +109,13 @@ impl PrimeProbe {
     }
 }
 
+/// The sets below `sets` outside `resident`, ascending, found bit by bit:
+/// a measurement costs what the victim touched, not the cache's size.
+fn non_resident(resident: SetVector, sets: usize) -> impl Iterator<Item = usize> {
+    let low = 1u64.checked_shl(sets as u32).map_or(u64::MAX, |b| b - 1);
+    SetVector::from_bits(low & !resident.bits()).iter().chain(SetVector::SETS..sets)
+}
+
 impl SideChannel for PrimeProbe {
     fn name(&self) -> &'static str {
         "P+P"
@@ -121,7 +129,7 @@ impl SideChannel for PrimeProbe {
         // lines in way order and never mixes sets, so bulk-filling one set
         // at a time leaves the cache in the identical state.
         let mut steady = resident;
-        for set in (0..cfg.sets).filter(|&set| !resident.contains(set)) {
+        for set in non_resident(resident, cfg.sets) {
             if cache.prime_set(set, self.set_tags(cfg, set)) && set < SetVector::SETS {
                 steady.insert(set);
             }
@@ -134,7 +142,7 @@ impl SideChannel for PrimeProbe {
         let resident = self.resident_sets(cache);
         cache.probe_resident(resident);
         let mut v = SetVector::EMPTY;
-        for set in (0..cfg.sets.min(SetVector::SETS)).filter(|&set| !resident.contains(set)) {
+        for set in non_resident(resident, cfg.sets.min(SetVector::SETS)) {
             if cache.probe_set(set, self.set_tags(cfg, set)) < cfg.ways {
                 v.insert(set);
             }

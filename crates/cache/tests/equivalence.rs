@@ -1,15 +1,17 @@
 //! The side channels' bulk paths against a plain sequential walk.
 //!
 //! `PrimeProbe` (and `EvictReload`, which primes through it) skips the sets
-//! the victim left alone and rewrites their ages in bulk.  Over random
-//! interleavings of primes, victim accesses, probes, flushes, full flushes,
-//! counter resets and channel resets, every measurement must equal the one
-//! a walk over `Cache::access` / `Cache::probe_access` takes, and the cache
-//! must stay bit-identical to the walked one: tags, line order, LRU ages,
-//! access and miss counters.
+//! the victim left alone and leaves their ages pending a bulk rewrite.  Over
+//! random interleavings of primes, victim accesses and non-filling loads,
+//! probes, flushes (single lines and a Flush+Reload prepare), full flushes,
+//! counter resets, channel resets and clones of the channel-driven caches,
+//! every measurement must equal the one a walk over `Cache::access` /
+//! `Cache::probe_access` takes, and the cache must stay bit-identical to the
+//! walked one: tags, line order, LRU ages, access and miss counters, and
+//! what `is_cached`, `set_tags` and `set_occupancy` report.
 
 use proptest::prelude::*;
-use rvz_cache::{Cache, CacheConfig, EvictReload, PrimeProbe, SetVector, SideChannel};
+use rvz_cache::{Cache, CacheConfig, EvictReload, FlushReload, PrimeProbe, SetVector, SideChannel};
 
 const VICTIM_BASE: u64 = 0x10_0000;
 const VICTIM_LEN: u64 = 4096;
@@ -59,6 +61,29 @@ fn walk_reload(cache: &Cache) -> SetVector {
         .collect()
 }
 
+/// Flush+Reload's prepare, one `flush` per victim line.
+fn walk_flush(cache: &mut Cache) {
+    let line = cache.config().line_size;
+    for l in VICTIM_BASE / line..(VICTIM_BASE + VICTIM_LEN) / line {
+        cache.flush(l * line);
+    }
+}
+
+/// Do the read-only views of `a` and `b` agree, for `addr` and every set?
+fn same_view(a: &Cache, b: &Cache, addr: u64) -> bool {
+    a.is_cached(addr) == b.is_cached(addr)
+        && (0..a.config().sets)
+            .all(|s| a.set_tags(s) == b.set_tags(s) && a.set_occupancy(s) == b.set_occupancy(s))
+}
+
+/// Number of op kinds [`check`] decodes from `x % OPS`.
+const OPS: u64 = 20;
+
+/// An op of the given kind carrying `payload`'s higher bits.
+fn op(kind: u64, payload: u64) -> u64 {
+    payload - payload % OPS + kind
+}
+
 /// An address for a victim access or flush: mostly victim lines spread
 /// over every set, sometimes one of the attacker's own lines (or the line
 /// just past a set's attacker ways).
@@ -77,19 +102,23 @@ fn addr_of(cfg: CacheConfig, x: u64) -> u64 {
 fn check(cfg: CacheConfig, ops: &[u64]) -> Result<(), String> {
     let mut pp = PrimeProbe::new();
     let mut er = EvictReload::new(VICTIM_BASE, VICTIM_LEN);
+    let mut fr = FlushReload::new(VICTIM_BASE, VICTIM_LEN);
     let (mut pp_cache, mut pp_ref) = (Cache::new(cfg), Cache::new(cfg));
     let (mut er_cache, mut er_ref) = (Cache::new(cfg), Cache::new(cfg));
     for (step, &x) in ops.iter().enumerate() {
         let caches = [&mut pp_cache, &mut pp_ref, &mut er_cache, &mut er_ref];
-        match x % 16 {
+        match x % OPS {
             0..=3 => {
                 pp.prepare(&mut pp_cache);
                 walk_prime(&mut pp_ref);
                 er.prepare(&mut er_cache);
                 walk_prime(&mut er_ref);
             }
-            4..=8 => caches.into_iter().for_each(|c| {
+            4..=7 => caches.into_iter().for_each(|c| {
                 c.access(addr_of(cfg, x));
+            }),
+            8 => caches.into_iter().for_each(|c| {
+                c.probe_access(addr_of(cfg, x));
             }),
             9..=11 => {
                 prop_assert_eq!(pp.measure(&mut pp_cache), walk_probe(&mut pp_ref));
@@ -97,14 +126,27 @@ fn check(cfg: CacheConfig, ops: &[u64]) -> Result<(), String> {
             }
             12 | 13 => caches.into_iter().for_each(|c| c.flush(addr_of(cfg, x))),
             14 => caches.into_iter().for_each(Cache::reset_counters),
-            _ if (x >> 8).is_multiple_of(2) => caches.into_iter().for_each(Cache::flush_all),
-            _ => {
+            15 if (x >> 8).is_multiple_of(2) => caches.into_iter().for_each(Cache::flush_all),
+            15 => {
                 pp.reset();
                 er.reset();
+            }
+            16 | 17 => {
+                pp_cache = pp_cache.clone();
+                er_cache = er_cache.clone();
+            }
+            _ => {
+                fr.prepare(&mut pp_cache);
+                fr.prepare(&mut er_cache);
+                walk_flush(&mut pp_ref);
+                walk_flush(&mut er_ref);
             }
         }
         prop_assert!(pp_cache == pp_ref, "P+P cache diverged at step {step} ({:?})", cfg);
         prop_assert!(er_cache == er_ref, "E+R cache diverged at step {step} ({:?})", cfg);
+        let addr = addr_of(cfg, x);
+        prop_assert!(same_view(&pp_cache, &pp_ref, addr), "P+P view diverged at step {step}");
+        prop_assert!(same_view(&er_cache, &er_ref, addr), "E+R view diverged at step {step}");
     }
     Ok(())
 }
@@ -127,10 +169,27 @@ fn steady_prime_probe_cycles_match_the_sequential_walk() {
     for cfg in geometries() {
         let mut ops = Vec::new();
         for round in 0..20u64 {
-            ops.push(0); // prime
-            ops.push(4 | 1 << 4 | (round * 97) << 8); // victim access
-            ops.push(9); // probe
+            ops.push(op(0, 0)); // prime
+            ops.push(op(4, 1 << 4 | (round * 97) << 8)); // victim access
+            ops.push(op(9, 0)); // probe
         }
+        check(cfg, &ops).unwrap();
+    }
+}
+
+#[test]
+fn flushes_and_clones_of_pending_sets_match_the_sequential_walk() {
+    // Back-to-back primes and probes leave steady sets' ages pending.  A
+    // Flush+Reload prepare flushes around them, a single flush removes an
+    // attacker line from the middle of one (shifting the positions the
+    // as-walked ages follow), and a clone must carry the pending ages over.
+    let (prime, probe, clone, flush) = (op(0, 0), op(9, 0), op(16, 0), op(18, 0));
+    let evict = op(12, 3 << 20); // attacker line: set 0, way 3
+    for cfg in geometries() {
+        let ops = [
+            prime, prime, evict, probe, prime, prime, flush, probe, prime, probe, probe, evict,
+            prime, prime, clone, evict, probe, prime, prime, clone, probe, flush, prime,
+        ];
         check(cfg, &ops).unwrap();
     }
 }

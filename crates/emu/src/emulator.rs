@@ -79,6 +79,15 @@ impl Emulator {
         Emulator { state: ArchState::from_input(sandbox, input), journal: Vec::new(), spec_depth: 0 }
     }
 
+    /// Re-initialize this emulator in place to what
+    /// [`new`](Emulator::new) builds, keeping the sandbox buffer's and the
+    /// journal's allocations.
+    pub fn reset(&mut self, sandbox: SandboxLayout, input: &Input) {
+        self.state.reset_from_input(sandbox, input);
+        self.journal.clear();
+        self.spec_depth = 0;
+    }
+
     /// Create an emulator from an existing state (e.g. a checkpoint).
     pub fn from_state(state: ArchState) -> Emulator {
         Emulator { state, journal: Vec::new(), spec_depth: 0 }
@@ -1089,6 +1098,19 @@ mod tests {
         assert_ne!(e.state().digest(), before.digest());
         e.rollback(cp);
         assert_eq!(e.state(), &before);
+    }
+
+    #[test]
+    fn reset_abandons_open_windows_and_matches_a_fresh_emulator() {
+        let mut e = emu_with(|i| i.write_mem_u64(0, 0x11));
+        let base = e.state().sandbox().base;
+        let _cp = e.begin_speculation();
+        e.write_mem(base, Width::Qword, 0xdead).unwrap();
+        e.state_mut().set_reg(Reg::Rax, 99);
+        let sb = e.state().sandbox();
+        e.reset(sb, &Input::zeroed(sb));
+        assert_eq!(e.state(), emu().state());
+        assert!(e.journal.is_empty() && e.spec_depth == 0, "no window stays open");
     }
 
     #[test]

@@ -23,12 +23,24 @@ impl ArchState {
     /// then forces the reserved registers (`R14` = sandbox base, `RSP` =
     /// top of the in-sandbox stack).
     pub fn from_input(sandbox: SandboxLayout, input: &Input) -> ArchState {
-        let mut mem = input.mem.clone();
-        mem.resize(sandbox.size() as usize, 0);
-        let mut s = ArchState { regs: input.regs, flags: input.flags, mem, sandbox };
-        s.set_reg(Reg::R14, sandbox.base);
-        s.set_reg(Reg::Rsp, sandbox.initial_rsp());
+        let mem = Vec::with_capacity(sandbox.size() as usize);
+        let mut s = ArchState { regs: [0; 16], flags: FlagSet::default(), mem, sandbox };
+        s.reset_from_input(sandbox, input);
         s
+    }
+
+    /// Re-initialize this state in place to what
+    /// [`from_input`](ArchState::from_input) builds, reusing the memory
+    /// buffer's allocation.
+    pub fn reset_from_input(&mut self, sandbox: SandboxLayout, input: &Input) {
+        self.regs = input.regs;
+        self.flags = input.flags;
+        self.mem.clear();
+        self.mem.extend_from_slice(&input.mem);
+        self.mem.resize(sandbox.size() as usize, 0);
+        self.sandbox = sandbox;
+        self.set_reg(Reg::R14, sandbox.base);
+        self.set_reg(Reg::Rsp, sandbox.initial_rsp());
     }
 
     /// The sandbox layout this state was created with.
@@ -201,6 +213,22 @@ mod tests {
         let s = ArchState::from_input(sb, &input);
         assert_eq!(s.reg(Reg::R14), sb.base);
         assert_eq!(s.reg(Reg::Rsp), sb.initial_rsp());
+    }
+
+    #[test]
+    fn reset_from_input_matches_a_fresh_state() {
+        let mut s = state();
+        s.set_reg(Reg::Rax, 5);
+        s.write_mem(s.sandbox().base + 8, Width::Qword, 11).unwrap();
+        let two = SandboxLayout::two_pages();
+        let mut input = Input::zeroed(two);
+        input.set_reg(Reg::Rbx, 7);
+        input.write_mem_u64(4096 + 16, 9);
+        s.reset_from_input(two, &input);
+        assert_eq!(s, ArchState::from_input(two, &input));
+        let one = SandboxLayout::one_page();
+        s.reset_from_input(one, &Input::zeroed(one));
+        assert_eq!(s, state(), "shrinking back drops the second page");
     }
 
     #[test]

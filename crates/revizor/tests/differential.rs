@@ -143,6 +143,7 @@ proptest! {
             let d = dec_cpu.run(&tc, input, &opts);
             let r = ref_cpu.run_reference(&tc, input, &opts);
             prop_assert_eq!(d, r);
+            prop_assert!(dec_cpu.final_state() == ref_cpu.final_state(), "final state differs");
         }
         prop_assert!(dec_cpu.cache() == ref_cpu.cache(), "cache state differs");
 

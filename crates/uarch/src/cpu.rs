@@ -6,10 +6,10 @@ use crate::store_buffer::{StoreBuffer, StoreBufferEntry};
 use crate::timing::Timing;
 use crate::CpuUnderTest;
 use rvz_cache::{Cache, CacheConfig};
-use rvz_emu::{Emulator, EventBuf, Fault, MemEventKind};
+use rvz_emu::{ArchState, Emulator, EventBuf, Fault, MemEventKind};
 use rvz_isa::{
-    BlockId, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, Input, Instr, Reg, SrcOp,
-    Terminator, TestCase, Width,
+    BlockId, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, Input, Instr, Reg,
+    SandboxLayout, SrcOp, Terminator, TestCase, Width,
 };
 use serde::{Deserialize, Serialize};
 
@@ -44,8 +44,6 @@ pub struct RunOutcome {
     pub store_bypasses: usize,
     /// Microcode assists triggered.
     pub assists: usize,
-    /// Digest of the final architectural state (for determinism checks).
-    pub final_state_digest: u64,
 }
 
 /// Maximum architecturally executed instructions per run.
@@ -83,6 +81,13 @@ pub struct SpecCpu {
     /// Last data value moved through the memory subsystem — the stale
     /// line-fill-buffer content forwarded by MDS-vulnerable parts.
     fill_buffer: u64,
+    /// The emulator of the last run, holding its final architectural state.
+    /// [`CpuUnderTest::run_decoded`] re-initializes it in place from each
+    /// input, so a run allocates nothing for the sandbox.
+    emu: Option<Emulator>,
+    /// The store buffer, drained at the start of each decoded run and kept
+    /// for its allocation.
+    store_buffer: StoreBuffer,
 }
 
 /// Per-run mutable bookkeeping.
@@ -101,7 +106,16 @@ impl SpecCpu {
         let branch_predictor = config.predictors.build_direction();
         let btb = config.predictors.build_target();
         let rsb = config.predictors.build_return();
-        SpecCpu { config, cache: Cache::new(CacheConfig::l1d()), branch_predictor, btb, rsb, fill_buffer: 0 }
+        SpecCpu {
+            config,
+            cache: Cache::new(CacheConfig::l1d()),
+            branch_predictor,
+            btb,
+            rsb,
+            fill_buffer: 0,
+            emu: None,
+            store_buffer: StoreBuffer::new(),
+        }
     }
 
     /// The micro-architecture configuration.
@@ -112,6 +126,13 @@ impl SpecCpu {
     /// Immutable access to the cache.
     pub fn cache(&self) -> &Cache {
         &self.cache
+    }
+
+    /// The architectural state the last [`run_decoded`](CpuUnderTest::run_decoded)
+    /// or [`run_reference`](SpecCpu::run_reference) ended in (where it
+    /// faulted, for a faulting run); `None` before the first run.
+    pub fn final_state(&self) -> Option<&ArchState> {
+        self.emu.as_ref().map(Emulator::state)
     }
 
     /// Conditional-branch predictor statistics `(predictions, mispredictions)`.
@@ -574,7 +595,10 @@ impl SpecCpu {
 
     /// [`SpecCpu::speculate`] over a pre-decoded program, rolling back with a
     /// delta checkpoint (register snapshot + memory undo journal) instead of
-    /// a full architectural-state clone.
+    /// a full architectural-state clone.  The store buffer needs no
+    /// checkpoint: only committed stores enter it
+    /// ([`SpecCpu::exec_arch_instr_decoded`]), and a speculative path only
+    /// reads it.
     #[allow(clippy::too_many_arguments)]
     fn speculate_decoded(
         &mut self,
@@ -593,7 +617,6 @@ impl SpecCpu {
         ctx.outcome.speculation_episodes += 1;
         let emu_cp = emu.begin_speculation();
         let timing_cp = timing.clone();
-        let sb_cp = ctx.store_buffer.clone();
 
         // Apply the transient value injection through the journaled write so
         // the rollback undoes it.
@@ -698,7 +721,6 @@ impl SpecCpu {
 
         emu.rollback(emu_cp);
         *timing = timing_cp;
-        ctx.store_buffer = sb_cp;
     }
 
     /// [`SpecCpu::maybe_nested_speculation`] over a pre-decoded program.
@@ -984,18 +1006,24 @@ impl SpecCpu {
         opts: &RunOptions,
     ) -> Result<RunOutcome, Fault> {
         let mut emu = Emulator::new(tc.sandbox(), input);
-        let mut timing = Timing::new();
-        let assist_armed = if opts.enable_assists {
-            Some(tc.sandbox().assist_page.unwrap_or(0))
-        } else {
-            None
-        };
         let mut ctx = RunCtx {
             store_buffer: StoreBuffer::new(),
             outcome: RunOutcome::default(),
-            assist_armed,
+            assist_armed: assist_page(tc.sandbox(), opts),
         };
+        let result = self.arch_loop_reference(&mut emu, &mut ctx, tc);
+        self.emu = Some(emu);
+        result.map(|()| ctx.outcome)
+    }
 
+    /// [`SpecCpu::run_reference`]'s architectural loop.
+    fn arch_loop_reference(
+        &mut self,
+        emu: &mut Emulator,
+        ctx: &mut RunCtx,
+        tc: &TestCase,
+    ) -> Result<(), Fault> {
+        let mut timing = Timing::new();
         let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
         loop {
             if ctx.outcome.executed_instructions >= MAX_ARCH_STEPS {
@@ -1004,18 +1032,49 @@ impl SpecCpu {
             let block = tc.block(pos.block).expect("valid block id");
             if pos.idx < block.instrs.len() {
                 let instr = block.instrs[pos.idx].clone();
-                self.exec_arch_instr(&mut emu, &mut timing, &mut ctx, tc, pos, &instr)?;
+                self.exec_arch_instr(emu, &mut timing, ctx, tc, pos, &instr)?;
                 pos.idx += 1;
             } else {
-                match self.exec_arch_terminator(&mut emu, &mut timing, &mut ctx, tc, pos)? {
+                match self.exec_arch_terminator(emu, &mut timing, ctx, tc, pos)? {
                     Some(next) => pos = Pos { block: next, idx: 0 },
-                    None => break,
+                    None => return Ok(()),
                 }
             }
         }
-        ctx.outcome.final_state_digest = emu.state().digest();
-        Ok(ctx.outcome)
     }
+
+    /// [`CpuUnderTest::run_decoded`]'s architectural loop.
+    fn arch_loop_decoded(
+        &mut self,
+        emu: &mut Emulator,
+        ctx: &mut RunCtx,
+        prog: &DecodedProgram,
+    ) -> Result<(), Fault> {
+        let mut timing = Timing::new();
+        let mut buf = EventBuf::new();
+        let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
+        loop {
+            if ctx.outcome.executed_instructions >= MAX_ARCH_STEPS {
+                return Err(Fault::StepLimitExceeded);
+            }
+            let body = prog.body(pos.block);
+            if pos.idx < body.len() {
+                let d = &body[pos.idx];
+                self.exec_arch_instr_decoded(emu, &mut timing, ctx, prog, pos, d, &mut buf)?;
+                pos.idx += 1;
+            } else {
+                match self.exec_arch_terminator_decoded(emu, &mut timing, ctx, prog, pos)? {
+                    Some(next) => pos = Pos { block: next, idx: 0 },
+                    None => return Ok(()),
+                }
+            }
+        }
+    }
+}
+
+/// The page whose accessed bit starts clear, if the run enables assists.
+fn assist_page(sandbox: SandboxLayout, opts: &RunOptions) -> Option<u64> {
+    opts.enable_assists.then(|| sandbox.assist_page.unwrap_or(0))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1041,39 +1100,24 @@ impl CpuUnderTest for SpecCpu {
         input: &Input,
         opts: &RunOptions,
     ) -> Result<RunOutcome, Fault> {
-        let mut emu = Emulator::new(prog.sandbox(), input);
-        let mut timing = Timing::new();
-        let assist_armed = if opts.enable_assists {
-            Some(prog.sandbox().assist_page.unwrap_or(0))
-        } else {
-            None
+        let mut emu = match self.emu.take() {
+            Some(mut emu) => {
+                emu.reset(prog.sandbox(), input);
+                emu
+            }
+            None => Emulator::new(prog.sandbox(), input),
         };
+        let mut store_buffer = std::mem::take(&mut self.store_buffer);
+        store_buffer.drain();
         let mut ctx = RunCtx {
-            store_buffer: StoreBuffer::new(),
+            store_buffer,
             outcome: RunOutcome::default(),
-            assist_armed,
+            assist_armed: assist_page(prog.sandbox(), opts),
         };
-
-        let mut buf = EventBuf::new();
-        let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
-        loop {
-            if ctx.outcome.executed_instructions >= MAX_ARCH_STEPS {
-                return Err(Fault::StepLimitExceeded);
-            }
-            let body = prog.body(pos.block);
-            if pos.idx < body.len() {
-                let d = &body[pos.idx];
-                self.exec_arch_instr_decoded(&mut emu, &mut timing, &mut ctx, prog, pos, d, &mut buf)?;
-                pos.idx += 1;
-            } else {
-                match self.exec_arch_terminator_decoded(&mut emu, &mut timing, &mut ctx, prog, pos)? {
-                    Some(next) => pos = Pos { block: next, idx: 0 },
-                    None => break,
-                }
-            }
-        }
-        ctx.outcome.final_state_digest = emu.state().digest();
-        Ok(ctx.outcome)
+        let result = self.arch_loop_decoded(&mut emu, &mut ctx, prog);
+        self.emu = Some(emu);
+        self.store_buffer = ctx.store_buffer;
+        result.map(|()| ctx.outcome)
     }
 
     fn cache_mut(&mut self) -> &mut Cache {
@@ -1152,6 +1196,8 @@ mod tests {
         let o2 = run_cpu(&mut cpu2, &tc, &input);
         assert_eq!(o1, o2);
         assert_eq!(cpu1.cache(), cpu2.cache());
+        assert!(cpu1.final_state().is_some());
+        assert_eq!(cpu1.final_state(), cpu2.final_state());
     }
 
     #[test]
@@ -1186,6 +1232,12 @@ mod tests {
                     let od = dec.run(&tc, &input, &opts).unwrap();
                     let or = reference.run_reference(&tc, &input, &opts).unwrap();
                     assert_eq!(od, or, "{} outcome differs (iter {i})", config.name);
+                    assert_eq!(
+                        dec.final_state(),
+                        reference.final_state(),
+                        "{} final state differs (iter {i})",
+                        config.name
+                    );
                     assert_eq!(dec.cache(), reference.cache(), "{} cache differs", config.name);
                     assert_eq!(
                         dec.predictor_stats(),
@@ -1530,7 +1582,26 @@ mod tests {
         let o = run_cpu(&mut cpu, &tc, &i);
         // entry: cmp, jcc; in_bounds: and, load, jmp; done: exit = 6.
         assert_eq!(o.executed_instructions, 6);
-        assert_ne!(o.final_state_digest, 0);
+        let arch = rvz_emu::Runner::new(&tc).run(&i).unwrap().final_state;
+        assert_eq!(cpu.final_state(), Some(&arch), "speculation leaves no architectural trace");
+    }
+
+    #[test]
+    fn reused_run_state_matches_the_architectural_result() {
+        // One CPU runs test cases with different sandboxes back to back;
+        // the in-place re-initialization must leave nothing of the
+        // previous run behind.
+        let mut cpu = SpecCpu::new(UarchConfig::skylake());
+        assert_eq!(cpu.final_state(), None);
+        for tc in [v1_gadget(), assist_gadget(), v4_gadget(), v1_gadget()] {
+            let mut input = Input::zeroed(tc.sandbox());
+            input.set_reg(Reg::Rax, 100);
+            input.set_reg(Reg::Rdx, 0x100);
+            input.write_mem_u64(0x100, 0xd40);
+            cpu.run(&tc, &input, &RunOptions::with_assists()).unwrap();
+            let arch = rvz_emu::Runner::new(&tc).run(&input).unwrap().final_state;
+            assert_eq!(cpu.final_state(), Some(&arch), "{}", tc.origin());
+        }
     }
 
     #[test]
