@@ -7,13 +7,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hashes a [`CTrace`] to its cached digest, which is already a well-mixed
+/// Hashes a [`CTrace`] to its class key, which is already a well-mixed
 /// 64-bit hash: re-hashing it would cost more than the class lookup.  The
 /// traces are the contract model's output, not outside input.
 #[derive(Default)]
-struct DigestHasher(u64);
+struct ClassKeyHasher(u64);
 
-impl Hasher for DigestHasher {
+impl Hasher for ClassKeyHasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -24,8 +24,8 @@ impl Hasher for DigestHasher {
         }
     }
 
-    fn write_u64(&mut self, digest: u64) {
-        self.0 = digest;
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
     }
 }
 
@@ -33,8 +33,6 @@ impl Hasher for DigestHasher {
 /// class of contract-trace equality, §4).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InputClass {
-    /// Digest of the shared contract trace.
-    pub ctrace_digest: u64,
     /// Indices (into the input vector) of the members, in priming order.
     pub members: Vec<usize>,
 }
@@ -95,7 +93,7 @@ pub struct Violation {
     pub htrace_a: HTrace,
     /// Hardware trace of the second input.
     pub htrace_b: HTrace,
-    /// Digest of the shared contract trace.
+    /// [`CTrace::digest`] of the shared contract trace.
     pub ctrace_digest: u64,
 }
 
@@ -139,16 +137,16 @@ impl Analyzer {
 
     /// Group inputs into classes by contract-trace equality, preserving
     /// priming order within each class; classes come in order of first
-    /// appearance.  The key is the trace itself (hashed by its cached
-    /// digest, compared observation by observation), so two traces whose
-    /// digests collide still form two classes.
+    /// appearance.  The key is the trace itself (hashed by its class key,
+    /// compared observation by observation), so two traces whose keys
+    /// collide still form two classes.
     pub fn input_classes(&self, ctraces: &[CTrace]) -> Vec<InputClass> {
-        let mut index: HashMap<&CTrace, usize, BuildHasherDefault<DigestHasher>> =
+        let mut index: HashMap<&CTrace, usize, BuildHasherDefault<ClassKeyHasher>> =
             HashMap::default();
         let mut classes: Vec<InputClass> = Vec::new();
         for (i, ct) in ctraces.iter().enumerate() {
             let class = *index.entry(ct).or_insert_with(|| {
-                classes.push(InputClass { ctrace_digest: ct.digest(), members: Vec::new() });
+                classes.push(InputClass { members: Vec::new() });
                 classes.len() - 1
             });
             classes[class].members.push(i);
@@ -175,9 +173,25 @@ impl Analyzer {
     /// # Panics
     /// Panics if the two vectors have different lengths.
     pub fn check(&self, ctraces: &[CTrace], htraces: &[HTrace]) -> AnalysisResult {
-        assert_eq!(ctraces.len(), htraces.len(), "one hardware trace per contract trace");
         let classes = self.input_classes(ctraces);
-        let stats = self.effectiveness(&classes, ctraces.len());
+        self.check_classes(ctraces, &classes, htraces)
+    }
+
+    /// [`Analyzer::check`] over classes the caller already grouped with
+    /// [`Analyzer::input_classes`] from the same `ctraces`, for callers
+    /// that need the classes too.  Only a reported violation pays for its
+    /// trace's [`CTrace::digest`].
+    ///
+    /// # Panics
+    /// Panics if the two trace vectors have different lengths.
+    pub fn check_classes(
+        &self,
+        ctraces: &[CTrace],
+        classes: &[InputClass],
+        htraces: &[HTrace],
+    ) -> AnalysisResult {
+        assert_eq!(ctraces.len(), htraces.len(), "one hardware trace per contract trace");
+        let stats = self.effectiveness(classes, ctraces.len());
         let mut violations = Vec::new();
         for class in classes.iter().filter(|c| c.is_effective()) {
             'class: for (k, &a) in class.members.iter().enumerate() {
@@ -188,7 +202,7 @@ impl Analyzer {
                             input_b: b,
                             htrace_a: htraces[a],
                             htrace_b: htraces[b],
-                            ctrace_digest: class.ctrace_digest,
+                            ctrace_digest: ctraces[a].digest(),
                         });
                         if self.first_violation_per_class {
                             break 'class;
@@ -223,11 +237,72 @@ mod tests {
         assert_eq!(classes.len(), 21, "one class per distinct trace");
         for class in &classes {
             let first = &traces[class.members[0]];
-            assert_eq!(class.ctrace_digest, first.digest());
             assert!(class.members.iter().all(|&m| traces[m] == *first));
         }
         let firsts: Vec<usize> = classes.iter().map(|c| c.members[0]).collect();
         assert!(firsts.windows(2).all(|w| w[0] < w[1]), "first-appearance order");
+    }
+
+    /// Random traces over a small alphabet, so that many repeat: lengths
+    /// 0..=3, every observation kind, four values per kind.
+    fn random_traces(seed: u64, n: usize) -> Vec<CTrace> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 29)
+        };
+        (0..n)
+            .map(|_| {
+                let len = next() % 4;
+                (0..len)
+                    .map(|_| {
+                        let v = 0x100 * (next() % 4);
+                        match next() % 3 {
+                            0 => Observation::MemAddr(v),
+                            1 => Observation::Pc(v),
+                            _ => Observation::LoadValue(v),
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn input_classes_match_naive_grouping_by_observations() {
+        let a = Analyzer::new();
+        for seed in 0..20 {
+            let traces = random_traces(seed, 60);
+            let mut naive: Vec<Vec<usize>> = Vec::new();
+            for (i, t) in traces.iter().enumerate() {
+                match naive
+                    .iter_mut()
+                    .find(|m| traces[m[0]].observations() == t.observations())
+                {
+                    Some(members) => members.push(i),
+                    None => naive.push(vec![i]),
+                }
+            }
+            let classes: Vec<Vec<usize>> =
+                a.input_classes(&traces).into_iter().map(|c| c.members).collect();
+            assert_eq!(classes, naive, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn violations_carry_the_digest_of_their_shared_trace() {
+        let a = Analyzer { first_violation_per_class: false };
+        let traces = random_traces(7, 60);
+        let htraces: Vec<HTrace> = (0..traces.len()).map(|i| ht(&[i % 5])).collect();
+        let r = a.check(&traces, &htraces);
+        assert!(r.violations.len() > 10);
+        for v in &r.violations {
+            assert_eq!(traces[v.input_a], traces[v.input_b]);
+            assert_eq!(v.ctrace_digest, traces[v.input_a].digest());
+        }
+        let classes = a.input_classes(&traces);
+        assert_eq!(a.check_classes(&traces, &classes, &htraces), r);
     }
 
     #[test]

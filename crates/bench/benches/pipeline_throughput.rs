@@ -9,7 +9,7 @@ use rvz_analyzer::Analyzer;
 use rvz_cache::{Cache, CacheConfig, PrimeProbe, SideChannel};
 use rvz_executor::{Executor, ExecutorConfig, MeasurementMode};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
-use rvz_isa::IsaSubset;
+use rvz_isa::{DecodedProgram, IsaSubset};
 use rvz_model::{Contract, ContractModel};
 use rvz_uarch::{CpuUnderTest, SpecCpu, UarchConfig};
 
@@ -44,6 +44,20 @@ fn bench_model(c: &mut Criterion) {
             b.iter(|| m.collect(&tc, &input).unwrap())
         });
     }
+    // The campaign's model stage: one architectural pass per input shared
+    // by the Table 3 contract slate, over a decoded generated program.
+    let contracts = Contract::table3_contracts();
+    let tc = ProgramGenerator::new(GeneratorConfig::paper_initial()).generate(7);
+    let prog = DecodedProgram::decode(&tc).unwrap();
+    let inputs = InputGenerator::new(2).generate(&tc, 7, 20);
+    group.bench_function("collect_many_ct_slate", |b| {
+        b.iter(|| {
+            inputs
+                .iter()
+                .map(|input| ContractModel::collect_many_decoded(&contracts, &prog, input).unwrap())
+                .collect::<Vec<_>>()
+        })
+    });
     group.finish();
 }
 

@@ -29,45 +29,59 @@ impl fmt::Display for Observation {
 /// permits an attacker to make during one execution (`CTrace` in §2.2).
 ///
 /// Equality of contract traces defines the *input classes* of the relational
-/// analysis, so `CTrace` implements `Eq`/`Hash` and caches a digest for fast
-/// grouping of the large input sets used during fuzzing.
+/// analysis, so `CTrace` implements `Eq`/`Hash`.  Both use a class key
+/// computed once at construction: one multiply per observation, cheap
+/// enough for the large input sets of fuzzing.  The key is private and
+/// unstable; the stable value that violation reports carry is
+/// [`CTrace::digest`], computed on demand.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CTrace {
     observations: Vec<Observation>,
-    digest: u64,
+    key: u64,
+}
+
+/// Multiplier of the class-key mix (odd, so each step is invertible).
+const KEY_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Per-kind salts, so equal values of different observation kinds mix as
+/// different words.
+const KEY_SALT: [u64; 3] = [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0];
+
+impl Observation {
+    /// The kind tag and value of the observation (the digest's encoding).
+    fn tag_value(self) -> (u8, u64) {
+        match self {
+            Observation::MemAddr(a) => (1, a),
+            Observation::Pc(a) => (2, a),
+            Observation::LoadValue(a) => (3, a),
+        }
+    }
+}
+
+/// One step of the class-key mix: fold in one salted observation word.
+fn key_step(h: u64, o: Observation) -> u64 {
+    let (tag, v) = o.tag_value();
+    (h.rotate_left(23) ^ v ^ KEY_SALT[usize::from(tag - 1)]).wrapping_mul(KEY_MUL)
+}
+
+/// The class key: seeded with the length, one [`key_step`] per observation,
+/// and a final fold that brings the multiply's well-mixed high bits down to
+/// the low bits a hash table indexes by.
+fn class_key(observations: &[Observation]) -> u64 {
+    let h = observations.iter().fold(observations.len() as u64, |h, &o| key_step(h, o));
+    h ^ (h >> 32)
 }
 
 impl CTrace {
     /// Build a trace from observations.
     pub fn new(observations: Vec<Observation>) -> CTrace {
-        let digest = Self::compute_digest(&observations);
-        CTrace { observations, digest }
+        let key = class_key(&observations);
+        CTrace { observations, key }
     }
 
     /// The empty trace.
     pub fn empty() -> CTrace {
         CTrace::new(Vec::new())
-    }
-
-    fn compute_digest(observations: &[Observation]) -> u64 {
-        // FNV-1a over a canonical byte encoding of the observations.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for o in observations {
-            let (tag, v) = match o {
-                Observation::MemAddr(a) => (1u8, *a),
-                Observation::Pc(a) => (2u8, *a),
-                Observation::LoadValue(a) => (3u8, *a),
-            };
-            mix(tag);
-            for b in v.to_le_bytes() {
-                mix(b);
-            }
-        }
-        h
     }
 
     /// The observations in order.
@@ -85,9 +99,30 @@ impl CTrace {
         self.observations.is_empty()
     }
 
-    /// Cached digest of the trace (used as the input-class key).
+    /// The stable digest of the trace, as recorded in violation reports
+    /// (`ctrace_digest`).  Computed on demand, byte by byte, so call it for
+    /// reported traces only.
+    ///
+    /// The algorithm is FNV-1a-shaped (offset basis `0xcbf29ce484222325`,
+    /// xor-then-multiply per byte of a tag byte plus the little-endian
+    /// value of each observation), but its multiplier is
+    /// `0x1000_0000_01b3` (2^44 + 0x1b3), not the FNV prime
+    /// `0x100_0000_01b3` (2^40 + 0x1b3).  It is kept as is because the
+    /// `ctrace_digest` of stored and reported violations depends on it.
     pub fn digest(&self) -> u64 {
-        self.digest
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |b: u8| {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        };
+        for &o in &self.observations {
+            let (tag, v) = o.tag_value();
+            mix(tag);
+            for b in v.to_le_bytes() {
+                mix(b);
+            }
+        }
+        h
     }
 
     /// Memory-address observations only.
@@ -104,7 +139,7 @@ impl CTrace {
 
 impl PartialEq for CTrace {
     fn eq(&self, other: &Self) -> bool {
-        self.digest == other.digest && self.observations == other.observations
+        self.key == other.key && self.observations == other.observations
     }
 }
 
@@ -112,7 +147,7 @@ impl Eq for CTrace {}
 
 impl Hash for CTrace {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.digest.hash(state);
+        state.write_u64(self.key);
     }
 }
 
@@ -200,5 +235,27 @@ mod tests {
         let a = CTrace::new(vec![Observation::MemAddr(42)]);
         let b = CTrace::new(vec![Observation::MemAddr(42)]);
         assert_eq!(a.digest(), b.digest());
+        // Violation reports carry the digest: pin its values.
+        let t = CTrace::new(vec![Observation::MemAddr(0x110), Observation::Pc(0x4000)]);
+        assert_eq!(t.digest(), 0xd4e0_e590_16bf_fa4f);
+        assert_eq!(CTrace::empty().digest(), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn equal_class_keys_do_not_make_traces_equal() {
+        // Pick the second step's value of `y` so that it cancels the
+        // difference the first step left in the mix state: both traces
+        // then reach the same state, so the same key.
+        let (a0, b0) = (Observation::MemAddr(0x110), Observation::MemAddr(0x220));
+        let a1 = Observation::MemAddr(0x340);
+        let (ha, hb) = (key_step(2, a0), key_step(2, b0));
+        let b1 = Observation::MemAddr(0x340 ^ ha.rotate_left(23) ^ hb.rotate_left(23));
+        let x = CTrace::new(vec![a0, a1]);
+        let y = CTrace::new(vec![b0, b1]);
+        assert_eq!(x.key, y.key, "constructed collision");
+        assert_ne!(x, y);
+        assert_ne!(x.digest(), y.digest());
+        let set: HashSet<CTrace> = [x, y].into_iter().collect();
+        assert_eq!(set.len(), 2);
     }
 }

@@ -8,6 +8,7 @@ use rvz_isa::{
     RegSet, Terminator, TestCase,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Base virtual address of the (synthetic) code layout used for program-
 /// counter observations.
@@ -100,9 +101,8 @@ impl MemAddrs {
 /// Record of one architecturally executed instruction.
 ///
 /// Deliberately `Copy`: one record is produced per executed instruction on
-/// the measurement hot path (and cloned per contract by
-/// [`ContractModel::collect_many`]), so the register sets are bitmasks and
-/// the access addresses are stored inline.
+/// the measurement hot path, so the register sets are bitmasks and the
+/// access addresses are stored inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutedInstr {
     /// Block containing the instruction.
@@ -127,8 +127,11 @@ pub struct ExecutedInstr {
 /// pattern-coverage analysis.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutionInfo {
-    /// Architecturally executed instructions, in order.
-    pub executed: Vec<ExecutedInstr>,
+    /// Architecturally executed instructions, in order.  The architectural
+    /// pass is contract-independent, so the record is shared: every output
+    /// of one [`ContractModel::collect_many`] call, and every clone of an
+    /// info, points at the same slice.
+    pub executed: Arc<[ExecutedInstr]>,
     /// Number of speculative paths explored by the execution clause.
     pub speculative_paths: usize,
     /// Number of observations recorded on speculative paths.
@@ -208,6 +211,7 @@ impl ContractModel {
         let mut emu = Emulator::new(prog.sandbox(), input);
         let mut obs = Vec::new();
         let mut info = ExecutionInfo::default();
+        let mut executed = Vec::new();
         let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
         let mut steps = 0usize;
         let mut buf = EventBuf::new();
@@ -243,7 +247,7 @@ impl ContractModel {
                 buf.clear();
                 emu.exec_decoded(&d.op, &mut buf)?;
                 record_mem_events(&self.contract, buf.events(), true, &mut obs);
-                info.executed.push(Self::record_decoded_instr(pos, d, buf.events()));
+                executed.push(Self::record_decoded_instr(pos, d, buf.events()));
                 pos.idx += 1;
             } else {
                 if self.contract.observation.exposes_pc() {
@@ -273,7 +277,7 @@ impl ContractModel {
                 events.clear();
                 let next = Runner::next_block_decoded(&mut emu, prog, pos.block, &mut events)?;
                 record_mem_events(&self.contract, &events, true, &mut obs);
-                info.executed.push(Self::record_decoded_terminator(pos, term, &events));
+                executed.push(Self::record_decoded_terminator(pos, term, &events));
                 match next {
                     Some(b) => pos = Pos { block: b, idx: 0 },
                     None => break,
@@ -281,6 +285,7 @@ impl ContractModel {
             }
         }
 
+        info.executed = executed.into();
         Ok(ModelOutput { trace: CTrace::new(obs), info })
     }
 
@@ -297,6 +302,7 @@ impl ContractModel {
         let mut emu = Emulator::new(tc.sandbox(), input);
         let mut obs = Vec::new();
         let mut info = ExecutionInfo::default();
+        let mut executed = Vec::new();
         let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
         let mut steps = 0usize;
 
@@ -320,7 +326,7 @@ impl ContractModel {
                 }
                 let fx = emu.exec_instr(instr)?;
                 record_mem_events(&self.contract, &fx.mem_events, true, &mut obs);
-                info.executed.push(Self::record_instr(pos, instr, &fx.mem_events));
+                executed.push(Self::record_instr(pos, instr, &fx.mem_events));
                 pos.idx += 1;
             } else {
                 if self.contract.observation.exposes_pc() {
@@ -349,7 +355,7 @@ impl ContractModel {
                 let mut events = Vec::new();
                 let next = Runner::next_block(&mut emu, tc, pos.block, &mut events)?;
                 record_mem_events(&self.contract, &events, true, &mut obs);
-                info.executed.push(Self::record_terminator(pos, &block.terminator, &events));
+                executed.push(Self::record_terminator(pos, &block.terminator, &events));
                 match next {
                     Some(b) => pos = Pos { block: b, idx: 0 },
                     None => break,
@@ -357,6 +363,7 @@ impl ContractModel {
             }
         }
 
+        info.executed = executed.into();
         Ok(ModelOutput { trace: CTrace::new(obs), info })
     }
 
@@ -406,6 +413,7 @@ impl ContractModel {
         let mut emu = Emulator::new(prog.sandbox(), input);
         let mut obs: Vec<Vec<Observation>> = (0..contracts.len()).map(|_| Vec::new()).collect();
         let mut infos: Vec<ExecutionInfo> = vec![ExecutionInfo::default(); contracts.len()];
+        let mut executed = Vec::new();
         let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
         let mut steps = 0usize;
         let mut buf = EventBuf::new();
@@ -430,13 +438,13 @@ impl ContractModel {
                         obs[k].push(Observation::Pc(instr_pc(pos.block, pos.idx)));
                     }
                 }
-                // The architectural step itself runs once for all contracts.
+                // The architectural step itself runs once for all contracts,
+                // and so is recorded once.
                 buf.clear();
                 emu.exec_decoded(&d.op, &mut buf)?;
-                let record = Self::record_decoded_instr(pos, d, buf.events());
+                executed.push(Self::record_decoded_instr(pos, d, buf.events()));
                 for (k, c) in contracts.iter().enumerate() {
                     record_mem_events(c, buf.events(), true, &mut obs[k]);
-                    infos[k].executed.push(record);
                 }
                 pos.idx += 1;
             } else {
@@ -464,10 +472,9 @@ impl ContractModel {
                 }
                 events.clear();
                 let next = Runner::next_block_decoded(&mut emu, prog, pos.block, &mut events)?;
-                let record = Self::record_decoded_terminator(pos, term, &events);
+                executed.push(Self::record_decoded_terminator(pos, term, &events));
                 for (k, c) in contracts.iter().enumerate() {
                     record_mem_events(c, &events, true, &mut obs[k]);
-                    infos[k].executed.push(record);
                 }
                 match next {
                     Some(b) => pos = Pos { block: b, idx: 0 },
@@ -476,10 +483,14 @@ impl ContractModel {
             }
         }
 
+        let executed: Arc<[ExecutedInstr]> = executed.into();
         Ok(obs
             .into_iter()
             .zip(infos)
-            .map(|(o, info)| ModelOutput { trace: CTrace::new(o), info })
+            .map(|(o, info)| ModelOutput {
+                trace: CTrace::new(o),
+                info: ExecutionInfo { executed: Arc::clone(&executed), ..info },
+            })
             .collect())
     }
 
@@ -1116,6 +1127,24 @@ mod tests {
                     assert_eq!(out.info, solo.info, "{} info differs", c.name());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn collect_many_shares_one_executed_record() {
+        // The architectural pass is recorded once per input: every
+        // contract's info points at the same slice, and cloning an info
+        // (as the campaign's class grouping does) copies no record.
+        let contracts = Contract::table3_contracts();
+        for tc in [figure1(), bpas_gadget()] {
+            let outs =
+                ContractModel::collect_many(&contracts, &tc, &input_xy(&tc, 0x100, 5)).unwrap();
+            assert!(!outs[0].info.executed.is_empty());
+            for out in &outs {
+                assert!(Arc::ptr_eq(&out.info.executed, &outs[0].info.executed));
+            }
+            let copy = outs[1].info.clone();
+            assert!(Arc::ptr_eq(&copy.executed, &outs[0].info.executed));
         }
     }
 

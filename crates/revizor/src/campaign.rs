@@ -137,11 +137,11 @@ pub fn evaluate_slate<C: CpuUnderTest>(
     let mut outcomes = Vec::with_capacity(contracts.len());
     for (k, contract) in contracts.iter().enumerate() {
         executor.restore_noise_checkpoint(&noise_mark);
-        let analysis = analyzer.check(&ctraces[k], &htraces);
+        let classes = analyzer.input_classes(&ctraces[k]);
+        let analysis = analyzer.check_classes(&ctraces[k], &classes, &htraces);
 
         // Execution metadata grouped by effective input class, for the
-        // diversity analysis.
-        let classes = analyzer.input_classes(&ctraces[k]);
+        // diversity analysis (each clone shares the input's record).
         let class_members: Vec<Vec<ExecutionInfo>> = classes
             .iter()
             .filter(|c| c.is_effective())

@@ -261,7 +261,11 @@ mod tests {
     }
 
     fn info(executed: Vec<ExecutedInstr>) -> ExecutionInfo {
-        ExecutionInfo { executed, speculative_paths: 0, speculative_observations: 0 }
+        ExecutionInfo {
+            executed: executed.into(),
+            speculative_paths: 0,
+            speculative_observations: 0,
+        }
     }
 
     #[test]
