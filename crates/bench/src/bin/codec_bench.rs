@@ -1,37 +1,27 @@
 //! codec-bench: the machine-readable codec comparison, written to
-//! `BENCH_codec.json` so CI can gate the binary wire format's two
-//! promises — decode at least 5x faster than the JSON codec, and frames
-//! at least 3x smaller on the wire — on real payloads, not synthetic
-//! ones.
+//! `BENCH_codec.json` so CI can gate the binary format's two promises —
+//! decode at least 5x faster than the JSON codec, and frames at least 3x
+//! smaller — on a real payload, not a synthetic one.
 //!
 //! ```text
 //! codec_bench [--out=BENCH_codec.json] [--iters=N]
 //! ```
 //!
-//! Two payload shapes, both produced by real campaign runs:
-//!
-//! * `checkpoint` — a mid-run checkpoint of Target 5 against the four
-//!   Table 3 contracts with 20 measurement repetitions (the
-//!   fleet-replication payload: what every wave ships to the spool).
-//! * `violation` — the CT-SEQ V1 violation report, counterexample and
-//!   traces included (the result-payload shape the store indexes).
+//! The payload is the one that has both codecs: the CT-SEQ V1 violation
+//! report of a real campaign run, counterexample and traces included (the
+//! result-payload shape the store indexes as binary and results carry as
+//! JSON).  Checkpoints have only the binary codec, so there is nothing to
+//! compare them against.
 //!
 //! Exits non-zero when either ratio falls below its floor, so a CI step
 //! running this bin *is* the regression gate.
 
-use revizor::campaign::NoopObserver;
 use revizor::orchestrator::CampaignMatrix;
 use revizor::fuzzer::ViolationReport;
 use revizor::targets::Target;
-use rvz_bench::binfmt::{
-    matrix_checkpoint_from_binary, matrix_checkpoint_to_binary, violation_report_from_binary,
-    violation_report_to_binary,
-};
+use rvz_bench::binfmt::{violation_report_from_binary, violation_report_to_binary};
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{
-    matrix_checkpoint_from_json, matrix_checkpoint_to_json, violation_report_from_json,
-    violation_report_to_json,
-};
+use rvz_bench::report::{violation_report_from_json, violation_report_to_json};
 use rvz_bench::{flag_from_args, flag_value_from_args};
 use rvz_model::Contract;
 use std::time::Instant;
@@ -59,59 +49,6 @@ fn time_us(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
-/// Benchmark one payload given its four codec closures; returns the
-/// section document and whether both floors held.
-#[allow(clippy::too_many_arguments)]
-fn section(
-    name: &str,
-    iters: usize,
-    json_bytes: usize,
-    binary_bytes: usize,
-    json_encode: impl FnMut(),
-    json_decode: impl FnMut(),
-    binary_encode: impl FnMut(),
-    binary_decode: impl FnMut(),
-) -> (Json, bool) {
-    let json_encode_us = time_us(iters, json_encode);
-    let json_decode_us = time_us(iters, json_decode);
-    let binary_encode_us = time_us(iters, binary_encode);
-    let binary_decode_us = time_us(iters, binary_decode);
-    let decode_speedup = json_decode_us / binary_decode_us;
-    let size_ratio = json_bytes as f64 / binary_bytes as f64;
-    let ok = decode_speedup >= DECODE_SPEEDUP_FLOOR && size_ratio >= SIZE_RATIO_FLOOR;
-    eprintln!(
-        "codec-bench: {name}: decode {json_decode_us:.1}us -> {binary_decode_us:.1}us \
-         ({decode_speedup:.1}x), size {json_bytes}B -> {binary_bytes}B ({size_ratio:.1}x) \
-         [{}]",
-        if ok { "ok" } else { "BELOW FLOOR" },
-    );
-    let doc = Json::obj()
-        .field("payload", name)
-        .field("json_bytes", json_bytes as u64)
-        .field("binary_bytes", binary_bytes as u64)
-        .field("size_ratio", size_ratio)
-        .field("json_encode_us", json_encode_us)
-        .field("json_decode_us", json_decode_us)
-        .field("binary_encode_us", binary_encode_us)
-        .field("binary_decode_us", binary_decode_us)
-        .field("decode_speedup", decode_speedup)
-        .field("ok", ok);
-    (doc, ok)
-}
-
-/// The fleet-replication payload: a checkpoint two waves into a
-/// four-contract Target 5 matrix with 20 measurement repetitions.
-fn reps20_checkpoint() -> revizor::orchestrator::MatrixCheckpoint {
-    let matrix = CampaignMatrix::new(7)
-        .with_budget(40)
-        .with_repetitions(20)
-        .add_cells(Target::target5(), Contract::table3_contracts());
-    let mut run = matrix.start();
-    run.step(&mut NoopObserver);
-    run.step(&mut NoopObserver);
-    run.checkpoint()
-}
-
 /// The result payload the store indexes: the seed-7 CT-SEQ V1 violation.
 fn v1_violation() -> ViolationReport {
     let report = CampaignMatrix::new(7)
@@ -130,34 +67,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_codec.json".to_string());
     let iters = flag_value_from_args::<usize>("--iters").unwrap_or(200);
 
-    eprintln!("codec-bench: generating the reps-20 checkpoint and the V1 report...");
-    let cp = reps20_checkpoint();
-    let cp_json = matrix_checkpoint_to_json(&cp).render();
-    let cp_bin = matrix_checkpoint_to_binary(&cp);
-    assert_eq!(
-        matrix_checkpoint_from_binary(&cp_bin).expect("checkpoint decodes"),
-        cp,
-        "codec must round-trip before it is worth timing"
-    );
-    let (cp_doc, cp_ok) = section(
-        "checkpoint",
-        iters,
-        cp_json.len(),
-        cp_bin.len(),
-        || {
-            matrix_checkpoint_to_json(&cp).render();
-        },
-        || {
-            matrix_checkpoint_from_json(&parse(&cp_json).expect("parses")).expect("decodes");
-        },
-        || {
-            matrix_checkpoint_to_binary(&cp);
-        },
-        || {
-            matrix_checkpoint_from_binary(&cp_bin).expect("decodes");
-        },
-    );
-
+    eprintln!("codec-bench: generating the V1 report...");
     let report = v1_violation();
     let report_json = violation_report_to_json(&report).render();
     let report_bin = violation_report_to_binary(&report);
@@ -166,36 +76,49 @@ fn main() {
         report,
         "codec must round-trip before it is worth timing"
     );
-    let (report_doc, report_ok) = section(
-        "violation",
-        iters,
-        report_json.len(),
-        report_bin.len(),
-        || {
-            violation_report_to_json(&report).render();
-        },
-        || {
-            violation_report_from_json(&parse(&report_json).expect("parses")).expect("decodes");
-        },
-        || {
-            violation_report_to_binary(&report);
-        },
-        || {
-            violation_report_from_binary(&report_bin).expect("decodes");
-        },
+    let json_encode_us = time_us(iters, || {
+        violation_report_to_json(&report).render();
+    });
+    let json_decode_us = time_us(iters, || {
+        violation_report_from_json(&parse(&report_json).expect("parses")).expect("decodes");
+    });
+    let binary_encode_us = time_us(iters, || {
+        violation_report_to_binary(&report);
+    });
+    let binary_decode_us = time_us(iters, || {
+        violation_report_from_binary(&report_bin).expect("decodes");
+    });
+    let (json_bytes, binary_bytes) = (report_json.len(), report_bin.len());
+    let decode_speedup = json_decode_us / binary_decode_us;
+    let size_ratio = json_bytes as f64 / binary_bytes as f64;
+    let ok = decode_speedup >= DECODE_SPEEDUP_FLOOR && size_ratio >= SIZE_RATIO_FLOOR;
+    eprintln!(
+        "codec-bench: violation: decode {json_decode_us:.1}us -> {binary_decode_us:.1}us \
+         ({decode_speedup:.1}x), size {json_bytes}B -> {binary_bytes}B ({size_ratio:.1}x) \
+         [{}]",
+        if ok { "ok" } else { "BELOW FLOOR" },
     );
-
+    let violation = Json::obj()
+        .field("payload", "violation")
+        .field("json_bytes", json_bytes as u64)
+        .field("binary_bytes", binary_bytes as u64)
+        .field("size_ratio", size_ratio)
+        .field("json_encode_us", json_encode_us)
+        .field("json_decode_us", json_decode_us)
+        .field("binary_encode_us", binary_encode_us)
+        .field("binary_decode_us", binary_decode_us)
+        .field("decode_speedup", decode_speedup)
+        .field("ok", ok);
     let doc = Json::obj()
         .field("bench", "codec")
         .field("iters", iters as u64)
         .field("decode_speedup_floor", DECODE_SPEEDUP_FLOOR)
         .field("size_ratio_floor", SIZE_RATIO_FLOOR)
-        .field("checkpoint", cp_doc)
-        .field("violation", report_doc);
+        .field("violation", violation);
     std::fs::write(&out, format!("{}\n", doc.render_pretty())).expect("bench file written");
     eprintln!("codec-bench: wrote {out}");
     println!("{}", doc.render_pretty());
-    if !(cp_ok && report_ok) {
+    if !ok {
         eprintln!(
             "codec-bench: FAILED — a ratio fell below its floor \
              (decode >= {DECODE_SPEEDUP_FLOOR}x, size >= {SIZE_RATIO_FLOOR}x)"

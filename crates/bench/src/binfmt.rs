@@ -1,12 +1,11 @@
 //! The compact binary frame format for checkpoints, reports and spool
-//! records — the hot-path alternative to the JSON codecs in
-//! [`crate::report`].
+//! records.
 //!
-//! JSON remains the debug/interop form (and the client-port wire format);
-//! this module exists because checkpoint transfer is the coordinator's hot
-//! path: at fleet scale every wave of every job crosses the worker wire and
-//! the spool, and a 180 KB JSON checkpoint costs both parse time and
-//! bandwidth that a length-prefixed binary frame does not.
+//! Checkpoints have exactly one encoding, this one: at fleet scale every
+//! wave of every job crosses the worker wire and the spool, so they move
+//! and rest as length-prefixed binary frames.  JSON ([`crate::report`]) is
+//! kept for what people and scripts read — result payloads, violation
+//! reports and the client-port protocol.
 //!
 //! # Frame layout
 //!
@@ -50,7 +49,7 @@
 //! input: every reader returns a [`DecodeError`].  The digest-validation
 //! contract is unchanged — [`CheckpointTransfer::validates`] compares the
 //! sender's pre-encode digest against the digest of the decoded snapshot,
-//! so a codec regression (in either format) is caught end to end.
+//! so a codec regression is caught end to end.
 
 use crate::json::Json;
 use crate::report::{CheckpointTransfer, DecodeError};
@@ -1383,8 +1382,7 @@ pub fn violation_report_from_binary(buf: &[u8]) -> Result<ViolationReport, Decod
 }
 
 /// Serialize one checkpoint transfer as a binary frame: the digest is
-/// computed **before** encoding (exactly like the JSON form), `meta`
-/// carries the service's routing fields (op, target, lease, events).
+/// computed **before** encoding, `meta` carries the service's routing fields (op, target, lease, events).
 pub fn checkpoint_transfer_to_binary(job: &str, cp: &MatrixCheckpoint, meta: &Json) -> Vec<u8> {
     FrameBuilder::new(KIND_TRANSFER)
         .str_section(TAG_JOB, job)
@@ -1404,9 +1402,9 @@ pub struct BinaryTransfer {
     pub meta: Json,
 }
 
-/// Decode a frame written by [`checkpoint_transfer_to_binary`].  Like the
-/// JSON codec this rejects a wave header that disagrees with the payload,
-/// and does **not** verify the digest — callers decide.
+/// Decode a frame written by [`checkpoint_transfer_to_binary`].  This
+/// rejects a wave header that disagrees with the payload, and does **not**
+/// verify the digest — callers decide.
 pub fn checkpoint_transfer_from_binary(buf: &[u8]) -> Result<BinaryTransfer, DecodeError> {
     let frame = parse_frame(buf)?;
     if frame.kind != KIND_TRANSFER {
@@ -1429,9 +1427,7 @@ pub fn checkpoint_transfer_from_binary(buf: &[u8]) -> Result<BinaryTransfer, Dec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{
-        checkpoint_transfer_to_json, matrix_checkpoint_to_json, violation_report_to_json,
-    };
+    use crate::report::violation_report_to_json;
     use revizor::campaign::NoopObserver;
     use revizor::orchestrator::CampaignMatrix;
     use revizor::targets::Target;
@@ -1489,9 +1485,7 @@ mod tests {
         assert_eq!(decoded.transfer.checkpoint, cp);
         assert!(decoded.transfer.validates());
         assert_eq!(decoded.meta.get("lease").and_then(Json::as_u64), Some(77));
-        // The JSON transfer of the same snapshot carries the same digest.
-        let json_doc = checkpoint_transfer_to_json("j-bin-1", &cp);
-        assert_eq!(json_doc.get("digest").and_then(Json::as_u64), Some(decoded.transfer.digest));
+        assert_eq!(decoded.transfer.digest, cp.digest());
         // A frame whose wave header disagrees with its payload is rejected.
         let bad = FrameBuilder::new(KIND_TRANSFER)
             .str_section(TAG_JOB, "j")
@@ -1505,12 +1499,12 @@ mod tests {
 
     #[test]
     fn binary_is_smaller_than_json() {
-        let cp = mid_run_checkpoint();
-        let bin = matrix_checkpoint_to_binary(&cp).len();
-        let json = matrix_checkpoint_to_json(&cp).render().len();
+        let report = v1_report();
+        let bin = violation_report_to_binary(&report).len();
+        let json = violation_report_to_json(&report).render().len();
         assert!(
             bin * 3 <= json,
-            "binary checkpoint ({bin} B) must be at least 3x smaller than JSON ({json} B)"
+            "binary violation report ({bin} B) must be at least 3x smaller than JSON ({json} B)"
         );
     }
 

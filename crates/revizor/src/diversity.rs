@@ -66,14 +66,6 @@ impl Pattern {
     }
 }
 
-impl Pattern {
-    /// Parse the [`fmt::Display`] label back into a pattern (the inverse of
-    /// `to_string`, used by report deserialization).
-    pub fn from_name(name: &str) -> Option<Pattern> {
-        Pattern::ALL.into_iter().find(|p| p.to_string() == name)
-    }
-}
-
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -43,13 +43,11 @@
 //! * `--watermark` — queued-unit backpressure threshold: at or above
 //!   this backlog, `submit` defers with a retry-after hint instead of
 //!   queueing more work (default 1024).
-//! * `--worker-addr` — **deprecated** alias for `--fleet-addr` (workers
-//!   have registered at runtime since the fleet refactor, so the flag
-//!   no longer pins anything); accepted for compatibility.
 //!
-//! The wire protocol (newline-delimited JSON) is documented in
+//! The client protocol (newline-delimited JSON) is documented in
 //! `rvz_service::server`; submit with `revizor-submit` or any line-based
-//! TCP client.
+//! TCP client.  The fleet protocol (JSON control lines, binary grant and
+//! checkpoint frames) is documented in `rvz_service::coordinator`.
 
 use rvz_bench::{flag_from_args, flag_value_from_args};
 use rvz_service::{ServiceConfig, ServiceHandle};
@@ -81,8 +79,6 @@ usage: revizor-serve [options]
                           idle worker (default 30)
   --watermark=N           queued-unit backlog at which `submit` defers with a
                           retry-after hint (default 1024)
-  --worker-addr=HOST:PORT DEPRECATED alias for --fleet-addr: workers register
-                          at runtime now, nothing is pinned at launch
   -h, --help              this text
 ";
 
@@ -96,15 +92,7 @@ fn main() {
     let spool = flag_value_from_args::<String>("--spool").map(PathBuf::from);
     let shards = flag_value_from_args::<usize>("--shards").unwrap_or(2);
     let checkpoint_every = flag_value_from_args::<usize>("--checkpoint-every").unwrap_or(1);
-    let deprecated_worker_addr = flag_value_from_args::<String>("--worker-addr");
-    if deprecated_worker_addr.is_some() {
-        eprintln!(
-            "revizor-serve: --worker-addr is deprecated (workers register at runtime now); \
-             use --fleet-addr"
-        );
-    }
     let worker_listen = flag_value_from_args::<String>("--fleet-addr")
-        .or(deprecated_worker_addr)
         .or_else(|| flag_from_args("--coordinator").then(|| "127.0.0.1:15791".to_string()));
 
     let mut config = ServiceConfig {

@@ -13,10 +13,9 @@
 //! * `--retry-secs` — how long to keep retrying a failed connect before
 //!   exiting (default 30; lets workers start before the coordinator and
 //!   ride out coordinator restarts).
-//! * `--wire-format` — `binary` (default) or `json`: whether to advertise
-//!   binary checkpoint framing at registration.  Forcing `json` is for
-//!   older coordinators and for exercising mixed-format fleets; verdicts
-//!   are format-independent either way.
+//!
+//! Checkpoints travel as binary frames in both directions; control
+//! frames are JSON lines (see `rvz_service::coordinator`).
 //!
 //! Workers are stateless and elastic: they join and leave at any time,
 //! leasing one unit (one target group of a job's matrix) at a time.
@@ -38,7 +37,6 @@ usage: revizor-worker --coordinator=HOST:PORT [options]
                           --fleet-addr), where workers register at runtime
   --name=NAME             registration name (default worker-<pid>)
   --retry-secs=SECS       connect retry window (default 30)
-  --wire-format=FORMAT    checkpoint framing: binary (default) or json
   -h, --help              this text
 ";
 
@@ -57,14 +55,6 @@ fn main() {
     }
     if let Some(secs) = flag_value_from_args::<u64>("--retry-secs") {
         config.retry_for = Duration::from_secs(secs);
-    }
-    match flag_value_from_args::<String>("--wire-format").as_deref() {
-        None | Some("binary") => {}
-        Some("json") => config.force_json = true,
-        Some(other) => {
-            eprintln!("revizor-worker: unknown --wire-format `{other}` (binary or json)");
-            std::process::exit(2);
-        }
     }
     eprintln!(
         "revizor-worker: `{}` connecting to {} (retry window {:?})",

@@ -18,6 +18,17 @@
 //!                                  └── re-lease unit to idle worker┘
 //! ```
 //!
+//! ## Wire encoding
+//!
+//! Control frames (`register`, `lease`, `heartbeat`, `unit_failed`,
+//! `ack`, `revoke`, `cancel`, `shutdown`) are JSON lines.  Everything that
+//! carries a checkpoint is a binary [`binfmt`] frame, and only one: a
+//! `grant` is a `KIND_GRANT` frame, and `wave`, `unit_done` and
+//! `unit_cancelled` are `KIND_TRANSFER` frames whose routing fields ride
+//! in the meta section.  A JSON line naming one of those transfer ops is
+//! a protocol violation, handled like a malformed frame: the connection
+//! is dropped and its unit requeued, so nothing from it is ever spooled.
+//!
 //! Jobs split into **relocatable work units** (one per target group; see
 //! [`ServiceCore::lease_unit`]).  Workers join at runtime (`register`),
 //! ask for work (`lease`), and drive one unit at a time; a job's units can
@@ -58,11 +69,9 @@
 
 use crate::core::{ServiceCore, UnitDisposition, UnitGrant};
 use crate::framing;
-use rvz_bench::binfmt;
+use rvz_bench::binfmt::{self, checkpoint_transfer_from_binary, BinaryTransfer};
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{
-    checkpoint_transfer_from_binary, checkpoint_transfer_from_json, CheckpointTransfer,
-};
+use rvz_bench::report::CheckpointTransfer;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -72,16 +81,11 @@ use std::time::{Duration, Instant};
 /// One connected worker host.
 struct WorkerConn {
     stream: TcpStream,
-    inbuf: Vec<u8>,
+    inbuf: framing::InBuf,
     outbuf: Vec<u8>,
     /// The name the worker registered under (empty until `register`).
     name: String,
     registered: bool,
-    /// Did the worker advertise binary-frame support (`"binary": true` in
-    /// its `register` frame)?  Grants to it go out as binary frames and
-    /// it answers with binary wave transfers; JSON-only workers coexist
-    /// on the same port.
-    binary: bool,
     /// Has the worker asked for work (`lease`) it has not been granted yet?
     wants_work: bool,
     /// When the connection last produced bytes, for the silent-partition
@@ -101,6 +105,14 @@ struct WorkerConn {
 impl WorkerConn {
     fn queue_line(&mut self, doc: &Json) {
         framing::queue_line(&mut self.outbuf, doc);
+    }
+
+    /// Stop tracking unit `(job, target)` if this worker drives it.
+    fn forget_unit(&mut self, job: &str, target: u8) {
+        if self.unit.as_ref().is_some_and(|(j, t, _)| j == job && *t == target) {
+            self.unit = None;
+            self.cancel_sent = false;
+        }
     }
 }
 
@@ -143,11 +155,10 @@ impl Coordinator {
                     if stream.set_nonblocking(true).is_ok() {
                         self.conns.push(WorkerConn {
                             stream,
-                            inbuf: Vec::new(),
+                            inbuf: framing::InBuf::default(),
                             outbuf: Vec::new(),
                             name: String::new(),
                             registered: false,
-                            binary: false,
                             wants_work: false,
                             last_heard: Instant::now(),
                             unit: None,
@@ -227,16 +238,16 @@ impl Coordinator {
         progress
     }
 
-    /// Read and handle every complete frame (JSON line or binary) of one
-    /// connection.
+    /// Read and handle every complete frame (JSON control line or binary
+    /// transfer) of one connection.
     fn service_conn(core: &Arc<ServiceCore>, conn: &mut WorkerConn) -> bool {
-        let (mut progress, closed) = framing::read_available(&mut conn.stream, &mut conn.inbuf);
+        let (mut progress, closed) = conn.inbuf.read_available(&mut conn.stream);
         conn.closed |= closed;
         if progress {
             conn.last_heard = Instant::now();
         }
         while !conn.closed {
-            match framing::next_frame(&mut conn.inbuf) {
+            match conn.inbuf.next_frame() {
                 Ok(None) => break,
                 Ok(Some(framing::WireFrame::Json(line))) => {
                     Self::handle_frame(core, conn, &line);
@@ -280,31 +291,31 @@ impl Coordinator {
                     .unwrap_or("anonymous")
                     .to_string();
                 conn.registered = true;
-                conn.binary = frame.get("binary").and_then(Json::as_bool) == Some(true);
                 conn.queue_line(&Json::obj().field("op", "registered"));
             }
             Some("lease") => conn.wants_work = true,
             // Any frame already refreshed `last_heard`; heartbeats exist
             // only to do that while a worker waits for a grant.
             Some("heartbeat") => {}
-            Some("wave") => Self::handle_wave(core, conn, &frame),
-            Some("unit_done") => Self::handle_unit_done(core, conn, &frame),
-            Some("unit_cancelled") => {
-                let Some((job, target, lease)) = unit_fields(&frame) else { return };
-                let transfer = checkpoint_transfer_from_json(&frame).ok();
-                Self::apply_unit_cancelled(core, conn, &job, target, lease, transfer);
+            // Checkpoint transfers are binary frames only (see the module
+            // docs); a JSON one would otherwise sit on its lease until the
+            // steal clock ran out.
+            Some(op @ ("wave" | "unit_done" | "unit_cancelled")) => {
+                eprintln!(
+                    "coordinator: `{op}` sent as a JSON line, not a binary transfer; \
+                     dropping `{}`",
+                    conn.name
+                );
+                conn.closed = true;
             }
             Some("unit_failed") => {
-                let Some((job, target, lease)) = unit_fields(&frame) else { return };
+                let Some((job, target, lease)) = framing::unit_fields(&frame) else { return };
                 let error = frame
                     .get("error")
                     .and_then(Json::as_str)
                     .unwrap_or("worker could not run the unit");
                 core.fail_unit(&job, target, lease, error);
-                if conn.unit.as_ref().is_some_and(|(j, t, _)| *j == job && *t == target) {
-                    conn.unit = None;
-                    conn.cancel_sent = false;
-                }
+                conn.forget_unit(&job, target);
             }
             _ => {}
         }
@@ -315,8 +326,8 @@ impl Coordinator {
     /// the frame's meta section.  Control frames stay JSON in both
     /// directions, so any other binary frame is a protocol violation.
     fn handle_binary_frame(core: &Arc<ServiceCore>, conn: &mut WorkerConn, bytes: &[u8]) {
-        let decoded = match checkpoint_transfer_from_binary(bytes) {
-            Ok(d) => d,
+        let BinaryTransfer { transfer, meta } = match checkpoint_transfer_from_binary(bytes) {
+            Ok(decoded) => decoded,
             Err(e) => {
                 eprintln!(
                     "coordinator: undecodable binary transfer ({e}); dropping `{}`",
@@ -326,7 +337,6 @@ impl Coordinator {
                 return;
             }
         };
-        let meta = decoded.meta;
         let (Some(target), Some(lease)) = (
             meta.get("target").and_then(Json::as_u64).and_then(|t| u8::try_from(t).ok()),
             meta.get("lease").and_then(Json::as_u64),
@@ -334,20 +344,15 @@ impl Coordinator {
             conn.closed = true;
             return;
         };
-        let job = decoded.transfer.job.clone();
         let events = meta
             .get("events")
             .and_then(Json::as_array)
             .map(<[Json]>::to_vec)
             .unwrap_or_default();
         match framing::op(&meta) {
-            Some("wave") => Self::apply_wave(core, conn, &job, target, lease, decoded.transfer, events),
-            Some("unit_done") => {
-                Self::apply_unit_done(core, conn, &job, target, lease, decoded.transfer, events);
-            }
-            Some("unit_cancelled") => {
-                Self::apply_unit_cancelled(core, conn, &job, target, lease, Some(decoded.transfer));
-            }
+            Some("wave") => Self::apply_wave(core, conn, target, lease, transfer, events),
+            Some("unit_done") => Self::apply_unit_done(core, conn, target, lease, transfer, events),
+            Some("unit_cancelled") => Self::apply_unit_cancelled(core, conn, target, lease, transfer),
             op => {
                 eprintln!(
                     "coordinator: unexpected binary op {op:?}; dropping `{}`",
@@ -359,43 +364,21 @@ impl Coordinator {
     }
 
     /// Replicate one wave sub-checkpoint (the heart of the failover and
-    /// stealing story).
-    fn handle_wave(core: &Arc<ServiceCore>, conn: &mut WorkerConn, frame: &Json) {
-        let Some((job, target, lease)) = unit_fields(frame) else {
-            conn.closed = true;
-            return;
-        };
-        let transfer = match checkpoint_transfer_from_json(frame) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("coordinator: undecodable checkpoint transfer ({e})");
-                conn.closed = true;
-                return;
-            }
-        };
-        let events = frame
-            .get("events")
-            .and_then(Json::as_array)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        Self::apply_wave(core, conn, &job, target, lease, transfer, events);
-    }
-
-    /// Format-independent core of wave replication: validate the digest,
-    /// spool the snapshot, publish events, answer the (always-JSON) ack.
+    /// stealing story): validate the digest, spool the snapshot, publish
+    /// events, answer the (JSON) ack.
     fn apply_wave(
         core: &Arc<ServiceCore>,
         conn: &mut WorkerConn,
-        job: &str,
         target: u8,
         lease: u64,
         transfer: CheckpointTransfer,
         events: Vec<Json>,
     ) {
+        let job = transfer.job.as_str();
         let wave = transfer.checkpoint.wave;
         let mut accepted = false;
         let mut revoked = false;
-        if !transfer.validates() || transfer.job != job {
+        if !transfer.validates() {
             // Never spool a snapshot that lost state in transit: resuming
             // from it could silently change verdicts.  The unit still holds
             // its previous replicated checkpoint, which resumes correctly.
@@ -414,9 +397,8 @@ impl Coordinator {
                 UnitDisposition::Ignored => {}
             }
         }
-        if revoked && conn.unit.as_ref().is_some_and(|(j, t, _)| j == job && *t == target) {
-            conn.unit = None;
-            conn.cancel_sent = false;
+        if revoked {
+            conn.forget_unit(job, target);
         }
         conn.queue_line(
             &Json::obj()
@@ -432,38 +414,16 @@ impl Coordinator {
     /// A worker finished its unit: store the final sub-checkpoint (the
     /// unit's result — the core reconstructs the job report from it once
     /// every unit is done).
-    fn handle_unit_done(core: &Arc<ServiceCore>, conn: &mut WorkerConn, frame: &Json) {
-        let Some((job, target, lease)) = unit_fields(frame) else {
-            conn.closed = true;
-            return;
-        };
-        let transfer = match checkpoint_transfer_from_json(frame) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("coordinator: undecodable final checkpoint ({e})");
-                conn.closed = true;
-                return;
-            }
-        };
-        let events = frame
-            .get("events")
-            .and_then(Json::as_array)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        Self::apply_unit_done(core, conn, &job, target, lease, transfer, events);
-    }
-
-    /// Format-independent core of unit completion.
     fn apply_unit_done(
         core: &Arc<ServiceCore>,
         conn: &mut WorkerConn,
-        job: &str,
         target: u8,
         lease: u64,
         transfer: CheckpointTransfer,
         events: Vec<Json>,
     ) {
-        if !transfer.validates() || transfer.job != job {
+        let job = transfer.job.as_str();
+        if !transfer.validates() {
             // A final snapshot that lost state in transit cannot be
             // accepted, and there is nothing older to fall back to for a
             // *finished* unit — drop the connection; the release path
@@ -478,30 +438,21 @@ impl Coordinator {
             return;
         }
         core.complete_unit(job, target, lease, transfer.checkpoint, events);
-        if conn.unit.as_ref().is_some_and(|(j, t, _)| j == job && *t == target) {
-            conn.unit = None;
-            conn.cancel_sent = false;
-        }
+        conn.forget_unit(job, target);
     }
 
-    /// Format-independent core of cooperative cancellation: the worker's
-    /// stopping point rides along as a normal checkpoint transfer; keep it
-    /// only if it validates.
+    /// Cooperative cancellation: the worker's stopping point rides along
+    /// as a normal checkpoint transfer; keep it only if it validates.
     fn apply_unit_cancelled(
         core: &Arc<ServiceCore>,
         conn: &mut WorkerConn,
-        job: &str,
         target: u8,
         lease: u64,
-        transfer: Option<CheckpointTransfer>,
+        transfer: CheckpointTransfer,
     ) {
-        let checkpoint =
-            transfer.filter(|t| t.validates() && t.job == job).map(|t| t.checkpoint);
-        core.cancel_unit(job, target, lease, checkpoint);
-        if conn.unit.as_ref().is_some_and(|(j, t, _)| j == job && *t == target) {
-            conn.unit = None;
-            conn.cancel_sent = false;
-        }
+        let valid = transfer.validates();
+        core.cancel_unit(&transfer.job, target, lease, valid.then_some(transfer.checkpoint));
+        conn.forget_unit(&transfer.job, target);
     }
 
     /// Forward pending cancellations to every worker driving one of the
@@ -547,11 +498,7 @@ impl Coordinator {
                 }
             );
             let conn = &mut self.conns[i];
-            if conn.binary {
-                framing::queue_binary(&mut conn.outbuf, &binary_grant_frame(&grant));
-            } else {
-                conn.queue_line(&grant_frame(&grant));
-            }
+            conn.outbuf.extend_from_slice(&grant_frame(&grant));
             conn.unit = Some((grant.job, grant.target, grant.lease));
             conn.wants_work = false;
             conn.cancel_sent = false;
@@ -628,32 +575,9 @@ impl Coordinator {
     }
 }
 
-/// The `(job, target, lease)` identity every unit-scoped frame carries.
-fn unit_fields(frame: &Json) -> Option<(String, u8, u64)> {
-    let job = frame.get("job").and_then(Json::as_str)?.to_string();
-    let target = u8::try_from(frame.get("target").and_then(Json::as_u64)?).ok()?;
-    let lease = frame.get("lease").and_then(Json::as_u64)?;
-    Some((job, target, lease))
-}
-
-/// The JSON wire form of a lease grant.
-fn grant_frame(grant: &UnitGrant) -> Json {
-    Json::obj()
-        .field("op", "grant")
-        .field("job", grant.job.as_str())
-        .field("target", grant.target)
-        .field("lease", grant.lease)
-        .field("spec", grant.spec.to_json())
-        .field(
-            "checkpoint",
-            grant.checkpoint.as_ref().map(rvz_bench::report::matrix_checkpoint_to_json),
-        )
-}
-
-/// The binary wire form of a lease grant (for workers that advertised
-/// binary support): routing fields as a meta section, the resume
-/// checkpoint — the bulky part — as a typed section.
-fn binary_grant_frame(grant: &UnitGrant) -> Vec<u8> {
+/// The wire form of a lease grant: routing fields as a meta section, the
+/// resume checkpoint — the bulky part — as a typed section.
+fn grant_frame(grant: &UnitGrant) -> Vec<u8> {
     let meta = Json::obj()
         .field("op", "grant")
         .field("job", grant.job.as_str())

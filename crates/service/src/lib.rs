@@ -11,7 +11,7 @@
 //! ```text
 //!  revizor-submit ──┐                       ┌─ shard 0 ─ MatrixRun(job A) ─┐
 //!  revizor-submit ──┼─► TCP reactor ─ core ─┼─ shard 1 ─ MatrixRun(job B) ─┼─► spool/
-//!  Client / watch ◄─┘   (JSON lines)   │    └─ …                           │   *.json
+//!  Client / watch ◄─┘   (JSON lines)   │    └─ …                           │   *.rvz
 //!                                      └──────── event logs ◄──────────────┘
 //! ```
 //!

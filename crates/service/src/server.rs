@@ -50,6 +50,14 @@
 //! `"watermark"`, and the client should retry after the hint
 //! ([`Client::try_submit`](crate::Client::try_submit) surfaces this as a
 //! typed variant).
+//!
+//! **Slow readers**: a connection's unsent output is bounded.  While more
+//! than 256 KiB (`OUTBUF_WATERMARK`) wait for a client, the reactor stops
+//! reading its requests and stops replaying its watch events; both
+//! resume, where they left off, once the client drains the backlog.  A
+//! watch is a cursor into the job's event log, so pausing it loses
+//! nothing and a slow watcher is never disconnected.  A request line
+//! longer than 1 MiB closes the connection.
 
 use crate::core::{ServiceCore, SubmitRejection};
 use crate::framing;
@@ -61,10 +69,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Unsent output above which a connection is paused: no new requests
+/// are read and no watch events replayed until the client catches up.
+/// A connection's output buffer therefore never exceeds this plus one
+/// line.
+const OUTBUF_WATERMARK: usize = 256 * 1024;
+
 /// One client connection of the reactor.
 struct Conn {
     stream: TcpStream,
-    inbuf: Vec<u8>,
+    inbuf: framing::InBuf,
     outbuf: Vec<u8>,
     /// Active `watch` subscriptions: (job id, next event cursor).
     watches: Vec<(String, usize)>,
@@ -115,7 +129,7 @@ impl Server {
                     if stream.set_nonblocking(true).is_ok() {
                         self.conns.push(Conn {
                             stream,
-                            inbuf: Vec::new(),
+                            inbuf: framing::InBuf::default(),
                             outbuf: Vec::new(),
                             watches: Vec::new(),
                             closed: false,
@@ -135,36 +149,53 @@ impl Server {
         progress
     }
 
-    /// Read, dispatch and write one connection; returns progress.
+    /// Read, dispatch and write one connection; returns progress.  Every
+    /// step that adds output first checks the [`OUTBUF_WATERMARK`].
     fn service_conn(core: &Arc<ServiceCore>, conn: &mut Conn) -> bool {
-        // Read whatever is available.
-        let (mut progress, closed) = framing::read_available(&mut conn.stream, &mut conn.inbuf);
-        conn.closed |= closed;
+        let mut progress = false;
+        if conn.outbuf.len() <= OUTBUF_WATERMARK {
+            let (read, closed) = conn.inbuf.read_available(&mut conn.stream);
+            conn.closed |= closed;
+            progress = read;
+        }
 
         // Dispatch complete lines.
-        while let Some(line) = framing::next_line(&mut conn.inbuf) {
-            let response = dispatch(core, &line, &mut conn.watches);
-            conn.queue_line(&response);
-            progress = true;
-        }
-
-        // Stream watch events (log replay by cursor).
-        let mut finished_watches = Vec::new();
-        for (wi, (job, cursor)) in conn.watches.iter_mut().enumerate() {
-            if let Some(events) = core.events_from(job, *cursor) {
-                for event in &events {
-                    framing::queue_line(&mut conn.outbuf, event);
-                    if event.get("event").and_then(Json::as_str) == Some("done") {
-                        finished_watches.push(wi);
-                    }
+        while conn.outbuf.len() <= OUTBUF_WATERMARK {
+            match conn.inbuf.next_line() {
+                Ok(Some(line)) => {
+                    let response = dispatch(core, &line, &mut conn.watches);
+                    conn.queue_line(&response);
                     progress = true;
                 }
-                *cursor += events.len();
+                Ok(None) => break,
+                Err(e) => {
+                    eprintln!("server: dropping a client ({e})");
+                    conn.closed = true;
+                    return true;
+                }
             }
         }
-        for wi in finished_watches.into_iter().rev() {
-            conn.watches.remove(wi);
-        }
+
+        // Stream watch events (log replay by cursor); a watch ends with
+        // its job's `done` event.
+        let outbuf = &mut conn.outbuf;
+        conn.watches.retain_mut(|(job, cursor)| {
+            if outbuf.len() > OUTBUF_WATERMARK {
+                return true;
+            }
+            for event in core.events_from(job, *cursor).unwrap_or_default() {
+                if outbuf.len() > OUTBUF_WATERMARK {
+                    break;
+                }
+                framing::queue_line(outbuf, &event);
+                *cursor += 1;
+                progress = true;
+                if event.get("event").and_then(Json::as_str) == Some("done") {
+                    return false;
+                }
+            }
+            true
+        });
 
         // Flush as much as the socket accepts.
         let (wrote, closed) = framing::flush(&mut conn.stream, &mut conn.outbuf);
@@ -391,5 +422,85 @@ impl ServerHandle {
     /// Join the reactor thread (call after [`ServiceCore::stop`]).
     pub fn join(self) {
         let _ = self.thread.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServiceConfig;
+    use std::io::Write;
+    use std::time::Instant;
+
+    /// A client that pipelines thousands of `watch` requests and never
+    /// reads a byte: the reactor pauses it at the watermark instead of
+    /// buffering, its job still finishes, and a second client is served
+    /// meanwhile.
+    #[test]
+    fn a_watcher_that_never_reads_is_paused_at_the_watermark() {
+        let core = ServiceCore::new(ServiceConfig { shards: 1, ..ServiceConfig::default() })
+            .expect("core starts");
+        let shard = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.run_worker(0))
+        };
+        let mut server = Server::bind(Arc::clone(&core), "127.0.0.1:0").expect("binds");
+        let addr = server.local_addr();
+        let job = core
+            .submit(JobSpec::new(3).with_budget(20).add_cell(1, "CT-SEQ"))
+            .expect("job accepted");
+
+        // Every `watch` replays the whole event log: far more output than
+        // the kernel's socket buffers can absorb.
+        let watch = Json::obj().field("op", "watch").field("job", job.as_str()).render();
+        let requests = format!("{watch}\n").repeat(20_000);
+        let watcher = TcpStream::connect(addr).expect("watcher connects");
+        // Writes on a clone, so the watcher stays connected after the
+        // last request went out.
+        let mut writer = watcher.try_clone().expect("clone");
+        let flooder = std::thread::spawn(move || {
+            // Blocks while the reactor is paused; fails once it is dropped.
+            let _ = writer.write_all(requests.as_bytes());
+        });
+        let other = {
+            let job = job.clone();
+            std::thread::spawn(move || {
+                let mut client = crate::Client::connect(addr).expect("second client connects");
+                loop {
+                    if let Some(result) = client.result(&job).expect("second client served") {
+                        return result;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
+
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let mut peak = 0;
+        while !(other.is_finished() && peak > OUTBUF_WATERMARK) {
+            assert!(Instant::now() < deadline, "reactor stalled (peak outbuf {peak} B)");
+            server.poll_once();
+            peak = server.conns.iter().map(|c| c.outbuf.len()).max().unwrap_or(0).max(peak);
+        }
+        let result = other.join().expect("second client thread");
+        assert!(result.get("cells").is_some(), "the job finished: {}", result.render());
+        // One line is at most the longest event (or a short response).
+        let longest = core
+            .events_from(&job, 0)
+            .expect("job known")
+            .iter()
+            .map(|e| e.render().len() + 1)
+            .max()
+            .unwrap_or(0);
+        assert!(
+            peak <= OUTBUF_WATERMARK + longest.max(256),
+            "outbuf peaked at {peak} B, over the {OUTBUF_WATERMARK} B watermark plus one line \
+             ({longest} B)"
+        );
+        drop(server);
+        let _ = flooder.join();
+        drop(watcher);
+        core.stop();
+        let _ = shard.join();
     }
 }

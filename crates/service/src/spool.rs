@@ -10,12 +10,11 @@
 //! rename) whenever a job reaches a terminal phase, the chain grows past
 //! [`COMPACT_AFTER`] records, or a restart reloads a multi-record chain.
 //!
-//! Legacy one-JSON-file-per-job records (`<job id>.json`, written by older
-//! servers) are still read, and are migrated to a binary snapshot on load.
-//! With a retention cap ([`Spool::with_retain`], `revizor-serve
-//! --spool-retain=N`) the spool also bounds its growth: once more than `N`
-//! terminal (done / cancelled) jobs sit on disk, the oldest terminal
-//! records are deleted.
+//! The chain is the only on-disk form of a job; other files in the
+//! directory are ignored.  With a retention cap ([`Spool::with_retain`],
+//! `revizor-serve --spool-retain=N`) the spool also bounds its growth:
+//! once more than `N` terminal (done / cancelled) jobs sit on disk, the
+//! oldest terminal records are deleted.
 //!
 //! On startup the server rescans the directory and re-queues every
 //! unfinished job, which then resumes from its checkpoint with
@@ -24,9 +23,8 @@
 use crate::job::JobSpec;
 use revizor::orchestrator::MatrixCheckpoint;
 use rvz_bench::binfmt;
-use rvz_bench::json::{parse, Json};
-use rvz_bench::report::matrix_checkpoint_from_json;
-use std::collections::{BTreeMap, HashMap};
+use rvz_bench::json::Json;
+use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -141,8 +139,8 @@ pub struct SpoolRecord {
     /// checkpoints below.
     pub checkpoint: Option<MatrixCheckpoint>,
     /// Per-unit state, once the job's work units have materialized (fleet
-    /// mode).  `None` for shard-mode jobs and legacy records — restore
-    /// falls back to splitting `checkpoint` by target group.
+    /// mode).  `None` for shard-mode jobs — restore falls back to
+    /// splitting `checkpoint` by target group.
     pub units: Option<Vec<UnitRecord>>,
     /// Result payload, when the job is done (or cancelled).
     pub result: Option<Json>,
@@ -202,12 +200,6 @@ impl Spool {
         self.dir.join(format!("{job}.rvz"))
     }
 
-    /// A job's legacy JSON record path (older servers; read-only here
-    /// apart from migration cleanup).
-    fn json_path(&self, job: &str) -> PathBuf {
-        self.dir.join(format!("{job}.json"))
-    }
-
     /// Persist one record: append it to the job's binary chain, or —
     /// when the job reached a terminal phase, the chain grew past
     /// [`COMPACT_AFTER`] records, or this is the first record since the
@@ -243,14 +235,11 @@ impl Spool {
         Ok(())
     }
 
-    /// Atomically replace a job's chain with one snapshot record, retiring
-    /// any legacy JSON record of the same job.
+    /// Atomically replace a job's chain with one snapshot record.
     fn write_snapshot(&self, job: &str, frame: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(format!("{job}.tmp"));
         fs::write(&tmp, frame)?;
-        fs::rename(&tmp, self.chain_path(job))?;
-        let _ = fs::remove_file(self.json_path(job));
-        Ok(())
+        fs::rename(&tmp, self.chain_path(job))
     }
 
     /// Remember a terminal job for retention pruning (oldest first).
@@ -271,50 +260,32 @@ impl Spool {
         };
         for job in pruned {
             let _ = fs::remove_file(self.chain_path(&job));
-            let _ = fs::remove_file(self.json_path(&job));
             self.chains.lock().expect("spool chains lock").remove(&job);
             eprintln!("spool: pruned terminal job {job} (past --spool-retain {retain})");
         }
     }
 
-    /// Load every readable record in the spool.  Corrupt or alien files
-    /// are skipped (reported on stderr) rather than failing the whole
-    /// scan; a `running` phase is demoted to `queued` — the server holding
-    /// it is gone.  Multi-record and torn-tail chains are compacted to one
-    /// snapshot, legacy JSON records are migrated to binary, and the
-    /// retention cap is applied.
+    /// Load every readable record in the spool.  Corrupt chains are
+    /// skipped (reported on stderr) rather than failing the whole scan,
+    /// and files other than `*.rvz` chains are ignored; a `running` phase
+    /// is demoted to `queued` — the server holding it is gone.
+    /// Multi-record and torn-tail chains are compacted to one snapshot,
+    /// and the retention cap is applied.
     pub fn load_all(&self) -> Vec<SpoolRecord> {
         let mut records = Vec::new();
         let Ok(entries) = fs::read_dir(&self.dir) else { return records };
-        // One candidate path per job, the binary chain shadowing a legacy
-        // JSON record left by an interrupted migration.
-        let mut by_job: BTreeMap<String, PathBuf> = BTreeMap::new();
-        for path in entries.flatten().map(|e| e.path()) {
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()).map(str::to_string)
-            else {
-                continue;
-            };
-            match path.extension() {
-                Some(e) if e == "rvz" => {
-                    by_job.insert(stem, path);
-                }
-                Some(e) if e == "json" => {
-                    by_job.entry(stem).or_insert(path);
-                }
-                _ => {}
-            }
-        }
-        for (job, path) in by_job {
-            let loaded = if path.extension().is_some_and(|e| e == "rvz") {
-                Self::load_chain(&path)
-            } else {
-                Self::load_json(&path).map(|record| (record, true))
-            };
-            match loaded {
+        let mut chains: Vec<(String, PathBuf)> = entries
+            .flatten()
+            .map(|e| e.path())
+            .filter(|path| path.extension().is_some_and(|e| e == "rvz"))
+            .filter_map(|path| Some((path.file_stem()?.to_str()?.to_string(), path)))
+            .collect();
+        chains.sort();
+        for (job, path) in chains {
+            match Self::load_chain(&path) {
                 Ok((record, compact)) => {
                     // Compaction on restart: collapse multi-record and
-                    // torn chains (and legacy JSON files) into one clean
-                    // binary snapshot.
+                    // torn chains into one clean snapshot.
                     if compact {
                         if let Err(e) = self.write_snapshot(&job, &record_frame(&record)) {
                             eprintln!("spool: could not compact {job}: {e}");
@@ -386,67 +357,6 @@ impl Spool {
         }
         let record = last.ok_or("empty record chain")?;
         Ok((record, torn || count > 1))
-    }
-
-    /// Read one legacy JSON record.
-    fn load_json(path: &Path) -> Result<SpoolRecord, String> {
-        let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let doc = parse(&text)?;
-        let job = doc
-            .get("job")
-            .and_then(Json::as_str)
-            .ok_or("missing `job` field")?
-            .to_string();
-        let phase = doc
-            .get("phase")
-            .and_then(Json::as_str)
-            .and_then(JobPhase::from_label)
-            .ok_or("missing or unknown `phase`")?;
-        let spec = JobSpec::from_json(doc.get("spec").ok_or("missing `spec`")?)?;
-        let checkpoint = match doc.get("checkpoint") {
-            None | Some(Json::Null) => None,
-            Some(cp) => Some(matrix_checkpoint_from_json(cp)?),
-        };
-        let units = match doc.get("units") {
-            None | Some(Json::Null) => None,
-            Some(units) => {
-                let units = units.as_array().ok_or("`units` is not an array")?;
-                let mut records = Vec::with_capacity(units.len());
-                for (i, u) in units.iter().enumerate() {
-                    let target = u
-                        .get("target")
-                        .and_then(Json::as_u64)
-                        .and_then(|t| u8::try_from(t).ok())
-                        .ok_or_else(|| format!("units[{i}] needs a target id"))?;
-                    let phase = u
-                        .get("phase")
-                        .and_then(Json::as_str)
-                        .and_then(UnitPhase::from_label)
-                        .ok_or_else(|| format!("units[{i}] has an unknown phase"))?;
-                    let checkpoint = match u.get("checkpoint") {
-                        None | Some(Json::Null) => None,
-                        Some(cp) => Some(matrix_checkpoint_from_json(cp)?),
-                    };
-                    records.push(UnitRecord { target, phase, checkpoint });
-                }
-                Some(records)
-            }
-        };
-        let result = match doc.get("result") {
-            None | Some(Json::Null) => None,
-            Some(r) => Some(r.clone()),
-        };
-        let cancel_requested =
-            doc.get("cancel_requested").and_then(Json::as_bool).unwrap_or(false);
-        Ok(demote_for_restart(SpoolRecord {
-            job,
-            spec,
-            phase,
-            checkpoint,
-            units,
-            result,
-            cancel_requested,
-        }))
     }
 }
 
@@ -774,30 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_records_load_and_migrate_to_binary() {
-        let dir = scratch_dir("legacy");
-        fs::create_dir_all(&dir).unwrap();
-        let spec = JobSpec::new(3).add_cell(1, "CT-SEQ");
-        let doc = Json::obj()
-            .field("version", 1u64)
-            .field("job", "j-legacy")
-            .field("phase", "done")
-            .field("spec", spec.to_json())
-            .field("result", Json::obj().field("cells", Json::Arr(Vec::new())))
-            .field("cancel_requested", false);
-        fs::write(dir.join("j-legacy.json"), doc.render()).unwrap();
-        let spool = Spool::open(&dir).unwrap();
-        let loaded = spool.load_all();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].job, "j-legacy");
-        assert_eq!(loaded[0].phase, JobPhase::Done);
-        assert_eq!(loaded[0].spec, spec);
-        assert!(dir.join("j-legacy.rvz").exists(), "legacy record migrates to binary");
-        assert!(!dir.join("j-legacy.json").exists(), "migrated JSON record is retired");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn retention_prunes_the_oldest_terminal_records() {
         let dir = scratch_dir("retain");
         let spool = Spool::open(&dir).unwrap().with_retain(Some(1));
@@ -850,9 +736,10 @@ mod tests {
             cancel_requested: false,
         };
         spool.save(&record).unwrap();
-        fs::write(dir.join("garbage.json"), "not json at all").unwrap();
+        fs::write(dir.join("garbage.rvz"), "not a record chain").unwrap();
+        fs::write(dir.join("notes.json"), "{}").unwrap();
         let loaded = spool.load_all();
-        assert_eq!(loaded.len(), 1, "corrupt file must be skipped");
+        assert_eq!(loaded.len(), 1, "corrupt and alien files must be skipped");
         assert_eq!(loaded[0].phase, JobPhase::Queued, "running demotes to queued");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -2,18 +2,18 @@
 //!
 //! A worker (`revizor-worker`) dials the coordinator's worker port,
 //! registers, and then pulls **work units** one at a time: it sends
-//! `lease` (heartbeating while it waits), receives a `grant` naming one
-//! target group of a job plus a lease token and an optional sub-run
-//! checkpoint, resolves the job's [`JobSpec`] into the unit's single-group
-//! [`CampaignMatrix`], and steps the resulting
+//! `lease` (heartbeating while it waits), receives a binary `grant` frame
+//! naming one target group of a job plus a lease token and an optional
+//! sub-run checkpoint, resolves the job's [`JobSpec`] into the unit's
+//! single-group [`CampaignMatrix`], and steps the resulting
 //! [`MatrixRun`](revizor::orchestrator::MatrixRun) wave by wave.  After
 //! every wave it streams the sub-checkpoint (plus digest, lease token and
-//! progress events) to the coordinator and blocks for the `ack` — so the
-//! coordinator's spool replica is never more than one wave behind, and a
-//! worker that dies mid-unit loses at most the wave it was computing.
-//! When the unit's budget is exhausted it ships the final checkpoint
-//! (`unit_done`) — the coordinator reconstructs the cell reports from it —
-//! and leases again.
+//! progress events) to the coordinator as a binary transfer frame and
+//! blocks for the JSON `ack` — so the coordinator's spool replica is
+//! never more than one wave behind, and a worker that dies mid-unit loses
+//! at most the wave it was computing.  When the unit's budget is
+//! exhausted it ships the final checkpoint (`unit_done`) — the
+//! coordinator reconstructs the cell reports from it — and leases again.
 //!
 //! An `ack` with `"revoked": true` (or a standalone `revoke` frame) means
 //! the unit was stolen: the worker abandons it immediately and leases new
@@ -38,11 +38,8 @@ use crate::core::EventCollector;
 use crate::framing;
 use crate::job::JobSpec;
 use revizor::orchestrator::MatrixCheckpoint;
-use rvz_bench::binfmt;
+use rvz_bench::binfmt::{self, checkpoint_transfer_to_binary};
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{
-    checkpoint_transfer_to_binary, checkpoint_transfer_to_json, matrix_checkpoint_from_json,
-};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -77,12 +74,6 @@ pub struct WorkerConfig {
     /// reconnect) before giving up.  Lets workers start before the
     /// coordinator and survive coordinator restarts.
     pub retry_for: Duration,
-    /// Do not advertise binary-frame support at registration
-    /// (`revizor-worker --wire-format=json`): the coordinator then sends
-    /// JSON grants and this worker replies with JSON wave transfers.
-    /// Verdicts are format-independent, so mixed fleets stay
-    /// byte-identical — the chaos harness checks exactly that.
-    pub force_json: bool,
 }
 
 impl WorkerConfig {
@@ -92,7 +83,6 @@ impl WorkerConfig {
             coordinator: coordinator.into(),
             name: format!("worker-{}", std::process::id()),
             retry_for: Duration::from_secs(10),
-            force_json: false,
         }
     }
 }
@@ -109,18 +99,17 @@ enum Flow {
 
 /// One message read off the coordinator connection.
 enum Msg {
-    /// A JSON protocol frame (grants, acks, revokes, cancels, shutdown).
+    /// A JSON control frame (acks, revokes, cancels, shutdown).
     Json(Json),
-    /// A parsed binary frame (a grant, when the coordinator speaks
-    /// binary — control frames stay JSON in both directions).
+    /// A parsed binary frame (a grant — the only binary frame the
+    /// coordinator sends).
     Binary(binfmt::Frame),
 }
 
-/// A mixed-format (JSON lines + binary frames) connection to the
-/// coordinator.
+/// A connection to the coordinator (JSON control lines + binary frames).
 struct FrameConn {
     stream: TcpStream,
-    buf: Vec<u8>,
+    buf: framing::InBuf,
 }
 
 impl FrameConn {
@@ -129,7 +118,7 @@ impl FrameConn {
         let deadline = Instant::now() + retry_for;
         loop {
             match TcpStream::connect(addr) {
-                Ok(stream) => return Ok(FrameConn { stream, buf: Vec::new() }),
+                Ok(stream) => return Ok(FrameConn { stream, buf: framing::InBuf::default() }),
                 Err(e) if Instant::now() >= deadline => return Err(e),
                 Err(_) => std::thread::sleep(Duration::from_millis(50)),
             }
@@ -143,16 +132,10 @@ impl FrameConn {
         self.stream.write_all(line.as_bytes())
     }
 
-    /// Send one pre-encoded frame (a `\n`-terminated JSON line or a
-    /// self-delimiting binary frame).
-    fn send_raw(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.stream.write_all(frame)
-    }
-
     /// Pop the next complete message already buffered, if any.
     fn pop(&mut self) -> io::Result<Option<Msg>> {
         let popped =
-            framing::next_frame(&mut self.buf).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
+            self.buf.next_frame().map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
         match popped {
             None => Ok(None),
             Some(framing::WireFrame::Json(line)) => parse(&line)
@@ -167,47 +150,29 @@ impl FrameConn {
     /// Read one message, blocking until a full frame arrives.
     fn read_frame(&mut self) -> io::Result<Msg> {
         loop {
-            if let Some(msg) = self.pop()? {
+            if let Some(msg) = self.read_frame_for(Duration::from_secs(60))? {
                 return Ok(msg);
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    continue
-                }
-                Err(e) => return Err(e),
             }
         }
     }
 
-    /// Read one message, waiting at most `wait`; `Ok(None)` on timeout
-    /// (used by the lease loop to interleave heartbeats while idle).
+    /// Read one message, waiting at most about `wait`; `Ok(None)` on
+    /// timeout (used by the lease loop to interleave heartbeats while
+    /// idle).
     fn read_frame_for(&mut self, wait: Duration) -> io::Result<Option<Msg>> {
-        if let Some(msg) = self.pop()? {
-            return Ok(Some(msg));
-        }
         let deadline = Instant::now() + wait;
         self.stream.set_read_timeout(Some(wait))?;
         let result = loop {
+            match self.pop() {
+                Ok(None) if Instant::now() < deadline => {}
+                popped => break popped,
+            }
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
-                Ok(0) => break Err(io::Error::from(ErrorKind::UnexpectedEof)),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    match self.pop() {
-                        Ok(None) => {}
-                        Ok(Some(msg)) => break Ok(Some(msg)),
-                        Err(e) => break Err(e),
-                    }
-                }
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+                Ok(0) => break Err(ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.buf.extend(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 Err(e) => break Err(e),
-            }
-            if Instant::now() >= deadline {
-                break Ok(None);
             }
         };
         self.stream.set_read_timeout(None)?;
@@ -222,25 +187,13 @@ impl FrameConn {
         }
         // Nothing complete buffered: drain whatever the socket has.
         self.stream.set_nonblocking(true)?;
-        let (_, closed) = framing::read_available(&mut self.stream, &mut self.buf);
+        let (_, closed) = self.buf.read_available(&mut self.stream);
         self.stream.set_nonblocking(false)?;
         if closed {
             return Err(ErrorKind::UnexpectedEof.into());
         }
         self.pop()
     }
-}
-
-/// One granted unit, in whichever format the coordinator spoke.
-struct Grant {
-    /// The grant's routing fields (`job`, `target`, `lease`, `spec`; JSON
-    /// grants also carry `checkpoint` here).
-    meta: Json,
-    /// The binary grant frame, when the coordinator sent one — the unit's
-    /// wave transfers then go back in binary too.  Its checkpoint section
-    /// is decoded inside [`Worker::run_unit`] so a decode failure reports
-    /// `unit_failed` exactly like an undecodable JSON checkpoint.
-    frame: Option<binfmt::Frame>,
 }
 
 /// A worker host: connects to a coordinator and drives leased work units
@@ -274,8 +227,7 @@ impl Worker {
             let mut conn = FrameConn::connect(&self.config.coordinator, self.config.retry_for)?;
             let register = Json::obj()
                 .field("op", "register")
-                .field("worker", self.config.name.as_str())
-                .field("binary", !self.config.force_json);
+                .field("worker", self.config.name.as_str());
             if conn.send(&register).is_err() {
                 continue;
             }
@@ -287,22 +239,17 @@ impl Worker {
                 }
                 let grant = loop {
                     match conn.read_frame_for(Duration::from_millis(250)) {
-                        Ok(Some(Msg::Json(frame))) => match framing::op(&frame) {
-                            Some("grant") => break Grant { meta: frame, frame: None },
-                            Some("shutdown") => return Ok(()),
-                            // `registered` acks and stragglers for units
-                            // this worker no longer holds (stale acks,
-                            // revokes, cancels) need no action.
-                            _ => {}
-                        },
-                        Ok(Some(Msg::Binary(frame))) if frame.kind == binfmt::KIND_GRANT => {
-                            match frame.json_section(binfmt::TAG_META, "grant meta") {
-                                Ok(meta) => break Grant { meta, frame: Some(frame) },
-                                // A grant whose meta does not decode is a
-                                // protocol bug; resync on a fresh
-                                // connection.
-                                Err(_) => continue 'reconnect,
+                        // Besides `shutdown`, control frames here are
+                        // `registered` acks and stragglers for units this
+                        // worker no longer holds (stale acks, revokes,
+                        // cancels), which need no action.
+                        Ok(Some(Msg::Json(frame))) => {
+                            if framing::op(&frame) == Some("shutdown") {
+                                return Ok(());
                             }
+                        }
+                        Ok(Some(Msg::Binary(frame))) if frame.kind == binfmt::KIND_GRANT => {
+                            break frame;
                         }
                         // Other binary kinds are never coordinator→worker.
                         Ok(Some(Msg::Binary(_))) => {}
@@ -324,19 +271,16 @@ impl Worker {
     }
 
     /// Drive one granted unit: step its single-group sub-run, replicate,
-    /// ack-gate, honor cancels, revokes and injected faults.
-    fn run_unit(&mut self, conn: &mut FrameConn, grant: &Grant) -> Flow {
-        let binary = grant.frame.is_some();
-        let meta = &grant.meta;
-        let Some(job) = meta.get("job").and_then(Json::as_str).map(str::to_string) else {
-            return Flow::Continue;
+    /// ack-gate, honor cancels, revokes and injected faults.  The grant
+    /// frame's checkpoint section is decoded here, so a decode failure
+    /// reports `unit_failed` like any other unrunnable unit.
+    fn run_unit(&mut self, conn: &mut FrameConn, grant: &binfmt::Frame) -> Flow {
+        // A grant whose meta does not decode is a protocol bug; resync on
+        // a fresh connection.
+        let Ok(meta) = grant.json_section(binfmt::TAG_META, "grant meta") else {
+            return Flow::Reconnect;
         };
-        let Some(target) =
-            meta.get("target").and_then(Json::as_u64).and_then(|t| u8::try_from(t).ok())
-        else {
-            return Flow::Continue;
-        };
-        let Some(lease) = meta.get("lease").and_then(Json::as_u64) else {
+        let Some((job, target, lease)) = framing::unit_fields(&meta) else {
             return Flow::Continue;
         };
         let fail = |conn: &mut FrameConn, error: &str| {
@@ -349,20 +293,11 @@ impl Worker {
                 Err(e) => return fail(conn, &e),
             },
         };
-        let checkpoint = match &grant.frame {
-            Some(frame) => match frame.section(binfmt::TAG_CHECKPOINT) {
-                None => None,
-                Some(_) => match frame.checkpoint_section(binfmt::TAG_CHECKPOINT, "checkpoint") {
-                    Ok(cp) => Some(cp),
-                    Err(e) => return fail(conn, &e),
-                },
-            },
-            None => match meta.get("checkpoint") {
-                None | Some(Json::Null) => None,
-                Some(cp) => match matrix_checkpoint_from_json(cp) {
-                    Ok(cp) => Some(cp),
-                    Err(e) => return fail(conn, &e),
-                },
+        let checkpoint = match grant.section(binfmt::TAG_CHECKPOINT) {
+            None => None,
+            Some(_) => match grant.checkpoint_section(binfmt::TAG_CHECKPOINT, "checkpoint") {
+                Ok(cp) => Some(cp),
+                Err(e) => return fail(conn, &e),
             },
         };
         let matrix = match spec.to_matrix() {
@@ -418,7 +353,6 @@ impl Worker {
             }
             if cancelled {
                 let stop = Self::transfer_frame(
-                    binary,
                     &job,
                     &run.checkpoint(),
                     "unit_cancelled",
@@ -426,7 +360,7 @@ impl Worker {
                     lease,
                     None,
                 );
-                return match conn.send_raw(&stop) {
+                return match conn.stream.write_all(&stop) {
                     Ok(()) => Flow::Continue,
                     Err(_) => Flow::Reconnect,
                 };
@@ -439,7 +373,6 @@ impl Worker {
             // spool replica stays at most one wave behind).
             let wave = run.wave();
             let transfer = Self::transfer_frame(
-                binary,
                 &job,
                 &run.checkpoint(),
                 "wave",
@@ -447,7 +380,7 @@ impl Worker {
                 lease,
                 Some(std::mem::take(&mut collector.events)),
             );
-            if conn.send_raw(&transfer).is_err() {
+            if conn.stream.write_all(&transfer).is_err() {
                 return Flow::Reconnect;
             }
             loop {
@@ -484,7 +417,6 @@ impl Worker {
         // the coordinator resumes it with zero steps to reconstruct the
         // exact cell reports, so no report is computed (or shipped) here.
         let done = Self::transfer_frame(
-            binary,
             &job,
             &run.checkpoint(),
             "unit_done",
@@ -492,16 +424,15 @@ impl Worker {
             lease,
             Some(std::mem::take(&mut collector.events)),
         );
-        match conn.send_raw(&done) {
+        match conn.stream.write_all(&done) {
             Ok(()) => Flow::Continue,
             Err(_) => Flow::Reconnect,
         }
     }
 
     /// Encode one checkpoint transfer (`wave` / `unit_done` /
-    /// `unit_cancelled`) in the unit's negotiated format, ready to write.
+    /// `unit_cancelled`) as a binary frame, ready to write.
     fn transfer_frame(
-        binary: bool,
         job: &str,
         cp: &MatrixCheckpoint,
         op: &str,
@@ -509,25 +440,11 @@ impl Worker {
         lease: u64,
         events: Option<Vec<Json>>,
     ) -> Vec<u8> {
-        if binary {
-            let mut meta =
-                Json::obj().field("op", op).field("target", target).field("lease", lease);
-            if let Some(events) = events {
-                meta = meta.field("events", Json::Arr(events));
-            }
-            checkpoint_transfer_to_binary(job, cp, &meta)
-        } else {
-            let mut doc = checkpoint_transfer_to_json(job, cp)
-                .field("op", op)
-                .field("target", target)
-                .field("lease", lease);
-            if let Some(events) = events {
-                doc = doc.field("events", Json::Arr(events));
-            }
-            let mut line = doc.render();
-            line.push('\n');
-            line.into_bytes()
+        let mut meta = Json::obj().field("op", op).field("target", target).field("lease", lease);
+        if let Some(events) = events {
+            meta = meta.field("events", Json::Arr(events));
         }
+        checkpoint_transfer_to_binary(job, cp, &meta)
     }
 
     /// Is this frame a revoke for the unit this worker is driving?

@@ -208,90 +208,6 @@ fn serve_under_plan(plan: &FaultPlan, specs: &[JobSpec]) -> Vec<String> {
     cells
 }
 
-/// A mixed-format fleet — one binary worker, one `force_json` worker
-/// (the `revizor-worker --wire-format=json` compatibility path), with a
-/// fault plan killing and delaying across both — still produces verdict
-/// sections byte-identical to in-process runs.  The wire encoding and
-/// the fault interleaving are transport concerns; neither may leak into
-/// a single verdict byte.
-#[test]
-fn mixed_format_fleet_keeps_verdicts_byte_identical() {
-    let specs = sweep_specs();
-    let baselines: Vec<String> = specs
-        .iter()
-        .map(|spec| matrix_cells_json(&spec.to_matrix().expect("spec resolves").run()).render())
-        .collect();
-
-    let dir = scratch_dir("mixed-format");
-    let handle = ServiceHandle::start(ServiceConfig {
-        shards: 1,
-        spool: Some(dir.clone()),
-        checkpoint_every: 1,
-        listen: None,
-        worker_listen: Some("127.0.0.1:0".to_string()),
-        ..ServiceConfig::default()
-    })
-    .expect("coordinator starts");
-    let addr = handle.worker_addr().expect("worker port bound").to_string();
-
-    let jobs: JobIndex = Arc::new(Mutex::new(HashMap::new()));
-    // Worker 0: immortal, binary frames (the negotiated default).
-    let immortal = {
-        let mut config = WorkerConfig::new(addr.clone());
-        config.name = "mixed-w0".to_string();
-        config.retry_for = Duration::from_secs(3);
-        std::thread::spawn(move || {
-            let _ = Worker::new(config).run();
-        })
-    };
-    // Worker 1: an old JSON-only host under a fault plan — it registers
-    // without binary support, faults mid-job, and rejoins speaking JSON
-    // while its peers stream binary.
-    let json_worker = {
-        let mut config = WorkerConfig::new(addr.clone());
-        config.name = "mixed-w1-json".to_string();
-        config.retry_for = Duration::from_secs(3);
-        config.force_json = true;
-        let plan = FaultPlan::new(5);
-        let jobs = Arc::clone(&jobs);
-        let mut consumed: HashSet<(usize, usize)> = HashSet::new();
-        let hook = Box::new(move |job: &str, wave: usize| -> FaultAction {
-            let job_idx = match jobs.lock().unwrap().get(job) {
-                Some(idx) => *idx,
-                None => return FaultAction::Continue,
-            };
-            match plan.action(1, job_idx, wave) {
-                FaultAction::Continue => FaultAction::Continue,
-                delay @ FaultAction::Delay(_) => delay,
-                disruptive if consumed.insert((job_idx, wave)) => disruptive,
-                _ => FaultAction::Continue,
-            }
-        });
-        std::thread::spawn(move || {
-            let _ = Worker::new(config).with_fault_hook(hook).run();
-        })
-    };
-
-    let mut ids = Vec::new();
-    for (idx, spec) in specs.iter().enumerate() {
-        let job = handle.submit(spec.clone()).expect("job accepted");
-        jobs.lock().unwrap().insert(job.clone(), idx);
-        ids.push(job);
-    }
-    for (job_idx, (job, baseline)) in ids.iter().zip(&baselines).enumerate() {
-        let result = handle.wait(job).expect("job completes despite faults");
-        assert_eq!(
-            result.get("cells").expect("result has cells").render(),
-            *baseline,
-            "job {job_idx}: a mixed-format fleet changed the verdicts"
-        );
-    }
-    handle.shutdown();
-    let _ = immortal.join();
-    let _ = json_worker.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The acceptance sweep: for every seeded fault plan, the coordinator's
 /// final verdict sections are byte-identical to in-process matrix runs.
 #[test]

@@ -1,21 +1,22 @@
 //! Protocol round-trip properties: arbitrary client frames (submit with
-//! priorities, status/result/watch/cancel) and worker-protocol
-//! checkpoint-transfer payloads survive `rvz_bench::json` encode → decode
-//! unchanged, and truncated or garbage frames yield clean errors — never
-//! panics, never a stalled reactor.
+//! priorities, status/result/watch/cancel) survive `rvz_bench::json`
+//! encode → decode unchanged, worker-protocol checkpoint transfers survive
+//! the binary transfer codec unchanged, and truncated, garbage, overlong
+//! or retired-encoding frames yield clean errors or a dropped peer —
+//! never panics, never a stalled reactor.
 
 use revizor::orchestrator::{CellProgress, GroupProgress, MatrixCheckpoint};
 use revizor::diversity::PatternCoverage;
 use revizor::EffectivenessStats;
-use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{
-    checkpoint_transfer_from_json, checkpoint_transfer_to_json, matrix_checkpoint_from_json,
-    matrix_checkpoint_to_json,
+use rvz_bench::binfmt::{
+    checkpoint_transfer_from_binary, checkpoint_transfer_to_binary, frame_len,
+    matrix_checkpoint_from_binary, matrix_checkpoint_to_binary, parse_frame, KIND_GRANT, TAG_META,
 };
-use rvz_service::{Client, JobSpec, ServiceConfig, ServiceHandle};
+use rvz_bench::json::{parse, Json};
+use rvz_service::{Client, JobSpec, ServiceConfig, ServiceHandle, Spool, UnitPhase};
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// An arbitrary job id-ish string (including empty and non-ASCII).
@@ -134,9 +135,10 @@ proptest! {
         prop_assert_eq!(&parse(&frame.render_ascii()).unwrap(), &frame);
     }
 
-    /// Checkpoint-transfer payloads round-trip exactly and their digests
-    /// validate end to end — for arbitrary scalar loads, group sets and
-    /// cell maps.
+    /// Checkpoint-transfer payloads round-trip exactly through the binary
+    /// transfer codec (the only one the fleet wire speaks) and their
+    /// digests validate end to end — for arbitrary scalar loads, group
+    /// sets, cell maps and job ids.
     #[test]
     fn checkpoint_transfers_round_trip_and_validate(
         s0 in any::<u64>(), s1 in any::<u64>(), s2 in any::<u64>(), s3 in any::<u64>(),
@@ -148,14 +150,15 @@ proptest! {
         let mut cp = checkpoint_from([s0, s1, s2, s3], &groups, &cells);
         // The transfer header must agree with the payload's wave.
         let job = job_string(job_bits);
-        let doc = checkpoint_transfer_to_json(&job, &cp).render();
-        let transfer = checkpoint_transfer_from_json(&parse(&doc).unwrap()).unwrap();
+        let meta = Json::obj().field("op", "wave").field("lease", job_bits);
+        let frame = checkpoint_transfer_to_binary(&job, &cp, &meta);
+        let transfer = checkpoint_transfer_from_binary(&frame).unwrap().transfer;
         prop_assert_eq!(&transfer.job, &job);
         prop_assert_eq!(&transfer.checkpoint, &cp);
         prop_assert!(transfer.validates(), "decode must preserve the digest");
         // The bare checkpoint codec agrees (the spool path).
-        let bare = matrix_checkpoint_to_json(&cp).render();
-        prop_assert_eq!(&matrix_checkpoint_from_json(&parse(&bare).unwrap()).unwrap(), &cp);
+        let bare = matrix_checkpoint_to_binary(&cp);
+        prop_assert_eq!(&matrix_checkpoint_from_binary(&bare).unwrap(), &cp);
         // Sensitivity: a mutated payload no longer validates against the
         // original digest.
         cp.wave += 1;
@@ -285,4 +288,158 @@ fn garbage_on_the_worker_port_drops_the_peer_not_the_coordinator() {
     handle.wait(&job).expect("job completes after the garbage peer");
     handle.shutdown();
     let _ = worker.join();
+}
+
+/// Wait for the peer to close `stream`: EOF or a reset, never data and
+/// never a timeout.
+fn assert_closed_by_peer(mut stream: &TcpStream, what: &str) {
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("set timeout");
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return,
+            // Control lines queued before the violation may still arrive.
+            Ok(_) => {}
+            Err(e) => {
+                assert!(
+                    !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+                    "{what}: the peer must be dropped, not left waiting"
+                );
+                return;
+            }
+        }
+    }
+}
+
+/// A newline-free stream longer than the line cap closes that connection
+/// on both ports, and both ports keep serving everyone else.
+#[test]
+fn overlong_lines_close_the_connection_on_both_ports() {
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 1,
+        spool: None,
+        listen: Some("127.0.0.1:0".to_string()),
+        worker_listen: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("coordinator starts");
+    let client_addr = handle.local_addr().expect("client port bound");
+    let worker_addr = handle.worker_addr().expect("worker port bound");
+    let flood = vec![b'x'; 2 << 20];
+    for (port, addr) in [("client port", client_addr), ("worker port", worker_addr)] {
+        let peer = TcpStream::connect(addr).expect("peer connects");
+        // The write fails part-way once the server drops the connection.
+        let _ = (&peer).write_all(&flood);
+        assert_closed_by_peer(&peer, port);
+    }
+
+    // A well-behaved client and worker are still served.
+    let mut client = Client::connect(client_addr).expect("client connects");
+    let pong = client.request(&Json::obj().field("op", "ping")).expect("ping answered");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    let mut config = rvz_service::WorkerConfig::new(worker_addr.to_string());
+    config.name = "post-flood".to_string();
+    let worker = std::thread::spawn(move || {
+        let _ = rvz_service::Worker::new(config).run();
+    });
+    let job = client
+        .submit(&JobSpec::new(3).with_budget(4).add_cell(1, "CT-SEQ"))
+        .expect("submit still works");
+    client.watch(&job, |_| {}).expect("job completes after the floods");
+    handle.shutdown();
+    let _ = worker.join();
+}
+
+/// Register and lease by hand on the worker port; returns the connection
+/// and the `(job, target, lease)` of the binary grant frame it received.
+fn lease_by_hand(addr: SocketAddr, name: &str) -> (TcpStream, String, u64, u64) {
+    let stream = TcpStream::connect(addr).expect("peer connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("set timeout");
+    let register = Json::obj().field("op", "register").field("worker", name);
+    let lease = Json::obj().field("op", "lease");
+    (&stream)
+        .write_all(format!("{}\n{}\n", register.render(), lease.render()).as_bytes())
+        .expect("write");
+    let mut buf = Vec::new();
+    loop {
+        // Skip the JSON control lines (the `registered` ack) ahead of the
+        // grant.
+        while buf.first() == Some(&b'{') {
+            let Some(end) = buf.iter().position(|&b| b == b'\n') else { break };
+            buf.drain(..=end);
+        }
+        if let Ok(Some(total)) = frame_len(&buf) {
+            if buf.len() >= total {
+                let frame = parse_frame(&buf[..total]).expect("grant frame parses");
+                assert_eq!(frame.kind, KIND_GRANT, "grants are binary frames");
+                let meta = frame.json_section(TAG_META, "meta").expect("grant meta");
+                let job = meta.get("job").and_then(Json::as_str).expect("job").to_string();
+                let target = meta.get("target").and_then(Json::as_u64).expect("target");
+                let lease = meta.get("lease").and_then(Json::as_u64).expect("lease");
+                return (stream, job, target, lease);
+            }
+        }
+        let mut chunk = [0u8; 4096];
+        let n = (&stream).read(&mut chunk).expect("grant arrives");
+        assert!(n > 0, "the coordinator closed before granting");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// A checkpoint transfer sent as a JSON line — the retired encoding —
+/// is a protocol violation: the coordinator drops the peer and requeues
+/// its unit at once, and nothing from the frame is spooled.
+#[test]
+fn json_checkpoint_transfers_are_rejected_and_never_spooled() {
+    let dir = std::env::temp_dir()
+        .join(format!("rvz-protocol-test-{}-json-transfer", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 1,
+        spool: Some(dir.clone()),
+        listen: None,
+        worker_listen: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("coordinator starts");
+    let worker_addr = handle.worker_addr().expect("worker port bound");
+    let spec = JobSpec::new(3).with_budget(40).add_cell(1, "CT-SEQ");
+    let initial = spec.to_matrix().expect("spec resolves").initial_checkpoint();
+    let job = handle.submit(spec).expect("job accepted");
+
+    for op in ["wave", "unit_done"] {
+        let (peer, granted, target, lease) = lease_by_hand(worker_addr, "json-peer");
+        assert_eq!(granted, job);
+        let frame = Json::obj()
+            .field("op", op)
+            .field("job", job.as_str())
+            .field("target", target)
+            .field("lease", lease)
+            .field("wave", 1u64)
+            .field("digest", 0u64)
+            .field("checkpoint", Json::obj())
+            .field("events", Json::Arr(vec![Json::obj().field("event", "round")]));
+        (&peer).write_all(format!("{}\n", frame.render()).as_bytes()).expect("write");
+        assert_closed_by_peer(&peer, op);
+        // The unit is back in the queue at once, with nothing replicated.
+        let status = handle.core().status(&job).expect("job known");
+        assert_eq!(status.events, 0, "{op}: no events published");
+        assert!(
+            status.units.iter().all(|u| u.phase == UnitPhase::Queued && u.wave == 0),
+            "{op}: the unit is requeued without progress: {:?}",
+            status.units
+        );
+    }
+    handle.shutdown();
+    let records = Spool::open(&dir).expect("spool opens").load_all();
+    let record = records.iter().find(|r| r.job == job).expect("job spooled");
+    assert!(
+        record.checkpoint.as_ref().is_none_or(|cp| *cp == initial),
+        "the job's spooled view is still its starting point"
+    );
+    assert!(
+        record.units.iter().flatten().all(|u| u.checkpoint.is_none()),
+        "no unit checkpoint was spooled"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
