@@ -58,6 +58,11 @@ fn bench_model(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    // The same slate through the per-test-case entry: one emulator and one
+    // set of buffers for all 20 inputs.
+    group.bench_function("collect_slate_ct_slate", |b| {
+        b.iter(|| ContractModel::collect_slate_decoded(&contracts, &prog, &inputs))
+    });
     group.finish();
 }
 

@@ -7,15 +7,20 @@
 //! emu_throughput [--out=BENCH_emu.json] [--programs=8] [--reps=N]
 //! ```
 //!
-//! Three sections, one per execution layer, each timing the retained
-//! reference interpreter (per-step AST walk, heap-allocated effect lists,
-//! full-state-clone speculation checkpoints) against the pre-decoded loop
-//! (dense instruction array decoded once per program, inline event buffers,
-//! delta checkpoints) over the same generated workload:
+//! Four sections, one per execution layer (two for the model), each timing
+//! the retained reference interpreter (per-step AST walk, heap-allocated
+//! effect lists, full-state-clone speculation checkpoints) against the
+//! pre-decoded loop (dense instruction array decoded once per program,
+//! inline event buffers, delta checkpoints) over the same generated
+//! workload:
 //!
 //! * `arch`  — the architectural runner ([`Runner`]), no speculation;
 //! * `model` — the contract model (CT-COND-BPAS with nested speculation:
 //!   the heaviest ctrace collection loop);
+//! * `model_slate` — the contract model as the campaign runs it: the
+//!   Table 3 slate through [`ContractModel::collect_slate_decoded`] (one
+//!   emulator per program, each speculative site explored once per
+//!   exploration key) against four independent reference walks per input;
 //! * `uarch` — the speculative CPU ([`SpecCpu`]) with assists enabled.
 //!
 //! Decode time is charged to the decoded side (once per program, amortized
@@ -51,13 +56,18 @@ const BLOCKS: usize = 4;
 const INSTRUCTIONS: usize = 12;
 /// Workload seed.
 const SEED: u64 = 29;
+/// Default number of generated programs.
+const PROGRAMS: usize = 8;
+/// Sum of `CTrace::digest()` over every Table 3 trace of the default
+/// workload: the `model_slate` outputs must hash to it.
+const MODEL_SLATE_CHECKSUM: u64 = 10435782227142906620;
 
 /// The generated workload: programs from the target-8 row (full instruction
 /// set, conditional branches, store bypass, microcode assists) so every
 /// speculation mechanism is on the timed path.
 fn workload() -> (Vec<(TestCase, Vec<Input>)>, revizor::targets::Target) {
     let target = revizor::targets::Target::target8();
-    let programs = flag_value_from_args::<usize>("--programs").unwrap_or(8);
+    let programs = flag_value_from_args::<usize>("--programs").unwrap_or(PROGRAMS);
     let generator = ProgramGenerator::new(
         GeneratorConfig::for_subset(target.isa)
             .with_basic_blocks(BLOCKS)
@@ -222,6 +232,74 @@ fn bench_model(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bool) {
     (section(instructions * reps as u64, reference, decoded, checksum), identical)
 }
 
+/// Contract model, slate path: the Table 3 slate through the per-test-case
+/// entry against four independent [`ContractModel::collect_reference`]
+/// walks per input.  Both sides count every contract's instructions, so
+/// the instruction rates compare the same work.  The checksum sums the
+/// trace digests of one pass, so it does not depend on `--reps`.
+fn bench_model_slate(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bool) {
+    let slate = Contract::table3_contracts();
+    let models: Vec<ContractModel> = slate.iter().cloned().map(ContractModel::new).collect();
+
+    let mut identical = true;
+    let mut instructions = 0u64;
+    let mut checksum = 0u64;
+    for (tc, inputs) in cases {
+        let prog = DecodedProgram::decode(tc).expect("generated programs decode");
+        let outs = ContractModel::collect_slate_decoded(&slate, &prog, inputs);
+        for (input, out) in inputs.iter().zip(&outs) {
+            for (k, model) in models.iter().enumerate() {
+                let reference = model.collect_reference(tc, input);
+                identical &= out.as_ref().map(|o| &o[k]) == reference.as_ref();
+            }
+            for o in out.iter().flatten() {
+                checksum = checksum.wrapping_add(o.trace.digest());
+            }
+            if let Ok(trace) = Runner::new(tc).run(input) {
+                instructions += (trace.len() * slate.len()) as u64;
+            }
+        }
+    }
+
+    let mut sink = 0usize;
+    let reference_start = Instant::now();
+    for _ in 0..reps {
+        for (tc, inputs) in cases {
+            for input in inputs {
+                for model in &models {
+                    if let Ok(out) = model.collect_reference(tc, input) {
+                        sink = sink.wrapping_add(out.trace.len());
+                    }
+                }
+            }
+        }
+    }
+    let reference = reference_start.elapsed();
+
+    let decoded_start = Instant::now();
+    let programs: Vec<DecodedProgram> = cases
+        .iter()
+        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
+        .collect();
+    for _ in 0..reps {
+        for (prog, (_, inputs)) in programs.iter().zip(cases) {
+            for outs in ContractModel::collect_slate_decoded(&slate, prog, inputs).iter().flatten()
+            {
+                sink = sink.wrapping_add(outs.iter().map(|o| o.trace.len()).sum::<usize>());
+            }
+        }
+    }
+    let decoded = decoded_start.elapsed();
+    std::hint::black_box(sink);
+    if cases.len() == PROGRAMS {
+        assert_eq!(checksum, MODEL_SLATE_CHECKSUM, "Table 3 slate traces changed");
+    }
+
+    let json = section(instructions * reps as u64, reference, decoded, checksum)
+        .field("contracts", slate.len() as u64);
+    (json, identical)
+}
+
 /// RAX of the state the CPU's last run ended in, folded into the checksum
 /// so the timed loops cannot be optimized away.
 fn final_rax(cpu: &SpecCpu) -> u64 {
@@ -311,20 +389,23 @@ fn main() {
     // per instruction than the plain runner).
     let arch_reps = reps_override.unwrap_or(400);
     let model_reps = reps_override.unwrap_or(200);
+    let slate_reps = reps_override.unwrap_or(200);
     let uarch_reps = reps_override.unwrap_or(60);
 
     eprintln!("emu_throughput: timing the architectural runner...");
     let (arch, arch_ok) = bench_arch(&cases, arch_reps);
     eprintln!("emu_throughput: timing the contract model (CT-COND-BPAS, nested)...");
     let (model, model_ok) = bench_model(&cases, model_reps);
+    eprintln!("emu_throughput: timing the contract model (Table 3 slate)...");
+    let (model_slate, slate_ok) = bench_model_slate(&cases, slate_reps);
     eprintln!("emu_throughput: timing the speculative CPU ({})...", target.cpu().name());
     let (uarch, uarch_ok) = bench_uarch(&cases, &target, uarch_reps);
 
-    let identical = arch_ok && model_ok && uarch_ok;
+    let identical = arch_ok && model_ok && slate_ok && uarch_ok;
     assert!(
         identical,
         "decoded loop diverged from the reference interpreter \
-         (arch={arch_ok} model={model_ok} uarch={uarch_ok})"
+         (arch={arch_ok} model={model_ok} model_slate={slate_ok} uarch={uarch_ok})"
     );
 
     let doc = Json::obj()
@@ -340,10 +421,12 @@ fn main() {
                 .field("target", target.cpu().name())
                 .field("arch_reps", arch_reps as u64)
                 .field("model_reps", model_reps as u64)
+                .field("model_slate_reps", slate_reps as u64)
                 .field("uarch_reps", uarch_reps as u64),
         )
         .field("arch", arch)
         .field("model", model)
+        .field("model_slate", model_slate)
         .field("uarch", uarch)
         .field("verdicts_identical", identical);
     std::fs::write(&out, format!("{}\n", doc.render_pretty())).expect("bench file written");

@@ -1,6 +1,6 @@
 //! Contract-trace collection by instrumented emulation.
 
-use crate::contract::Contract;
+use crate::contract::{Contract, ExecutionClause, ObservationClause};
 use crate::ctrace::{CTrace, Observation};
 use rvz_emu::{Emulator, EventBuf, Fault, MemEvent, MemEventKind, Runner};
 use rvz_isa::{
@@ -194,11 +194,8 @@ impl ContractModel {
         self.collect_decoded(&prog, input)
     }
 
-    /// Collect the contract trace for one input of a pre-decoded program.
-    ///
-    /// This is the hot path: the program representation is dense, operand
-    /// and metadata resolution happened once at decode time, and speculative
-    /// exploration uses delta checkpoints instead of full-state clones.
+    /// Collect the contract trace for one input of a pre-decoded program:
+    /// the one-contract slate of [`ContractModel::collect_many_decoded`].
     ///
     /// # Errors
     /// Propagates architectural faults of the sequential execution; faults
@@ -208,85 +205,9 @@ impl ContractModel {
         prog: &DecodedProgram,
         input: &Input,
     ) -> Result<ModelOutput, Fault> {
-        let mut emu = Emulator::new(prog.sandbox(), input);
-        let mut obs = Vec::new();
-        let mut info = ExecutionInfo::default();
-        let mut executed = Vec::new();
-        let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
-        let mut steps = 0usize;
-        let mut buf = EventBuf::new();
-        let mut events = Vec::new();
-
-        loop {
-            if steps >= MAX_ARCH_STEPS {
-                return Err(Fault::StepLimitExceeded);
-            }
-            steps += 1;
-            let body = prog.body(pos.block);
-            if pos.idx < body.len() {
-                let d = &body[pos.idx];
-
-                // BPAS execution clause: before committing a store, expose
-                // the observations of the path on which it is skipped.
-                if self.contract.execution.permits_bpas() && d.writes_mem {
-                    explore_decoded(
-                        &self.contract,
-                        &mut emu,
-                        prog,
-                        pos,
-                        true,
-                        &mut obs,
-                        &mut info,
-                        0,
-                    );
-                }
-
-                if self.contract.observation.exposes_pc() {
-                    obs.push(Observation::Pc(instr_pc(pos.block, pos.idx)));
-                }
-                buf.clear();
-                emu.exec_decoded(&d.op, &mut buf)?;
-                record_mem_events(&self.contract, buf.events(), true, &mut obs);
-                executed.push(Self::record_decoded_instr(pos, d, buf.events()));
-                pos.idx += 1;
-            } else {
-                if self.contract.observation.exposes_pc() {
-                    obs.push(Observation::Pc(instr_pc(pos.block, body.len())));
-                }
-
-                // COND execution clause: expose the observations of the
-                // mispredicted direction before following the correct one.
-                let term = prog.terminator(pos.block);
-                if self.contract.execution.permits_cond() {
-                    if let DecodedTerm::CondJmp { cond, taken, not_taken } = &term.term {
-                        let actual = emu.eval_cond(*cond);
-                        let wrong = if actual { *not_taken } else { *taken };
-                        explore_decoded(
-                            &self.contract,
-                            &mut emu,
-                            prog,
-                            Pos { block: wrong, idx: 0 },
-                            false,
-                            &mut obs,
-                            &mut info,
-                            0,
-                        );
-                    }
-                }
-
-                events.clear();
-                let next = Runner::next_block_decoded(&mut emu, prog, pos.block, &mut events)?;
-                record_mem_events(&self.contract, &events, true, &mut obs);
-                executed.push(Self::record_decoded_terminator(pos, term, &events));
-                match next {
-                    Some(b) => pos = Pos { block: b, idx: 0 },
-                    None => break,
-                }
-            }
-        }
-
-        info.executed = executed.into();
-        Ok(ModelOutput { trace: CTrace::new(obs), info })
+        let mut run = SlateRun::new(std::slice::from_ref(&self.contract), prog);
+        let executed = run.run(input)?;
+        Ok(run.output(0, &executed))
     }
 
     /// Reference implementation of [`ContractModel::collect`] that re-walks
@@ -325,7 +246,7 @@ impl ContractModel {
                     obs.push(Observation::Pc(instr_pc(pos.block, pos.idx)));
                 }
                 let fx = emu.exec_instr(instr)?;
-                record_mem_events(&self.contract, &fx.mem_events, true, &mut obs);
+                record_mem_events(self.contract.observation, true, &fx.mem_events, &mut obs);
                 executed.push(Self::record_instr(pos, instr, &fx.mem_events));
                 pos.idx += 1;
             } else {
@@ -354,7 +275,7 @@ impl ContractModel {
 
                 let mut events = Vec::new();
                 let next = Runner::next_block(&mut emu, tc, pos.block, &mut events)?;
-                record_mem_events(&self.contract, &events, true, &mut obs);
+                record_mem_events(self.contract.observation, true, &events, &mut obs);
                 executed.push(Self::record_terminator(pos, &block.terminator, &events));
                 match next {
                     Some(b) => pos = Pos { block: b, idx: 0 },
@@ -369,17 +290,17 @@ impl ContractModel {
 
     /// Collect the contract traces of *several* contracts for one input in a
     /// single pass: the architectural execution — which is the same for
-    /// every contract — runs once, and only the speculative exploration and
-    /// observation recording fork per contract.
+    /// every contract — runs once, and each speculative site is explored
+    /// once per distinct exploration key, not once per contract.
     ///
     /// The outputs are identical to calling [`ContractModel::collect`] once
     /// per contract (each speculative exploration checkpoints and restores
-    /// the shared emulator, so later contracts observe the same architectural
-    /// state as a fresh run would).  This is the model half of the
-    /// cross-contract sharing used by the campaign orchestrator: hardware
-    /// traces are collected once per (target, test case) and checked against
-    /// a whole contract slate, and `collect_many` keeps the model side from
-    /// re-running the architectural pass per contract.
+    /// the shared emulator, so every exploration observes the same
+    /// architectural state as a fresh run would).  This is the model half
+    /// of the cross-contract sharing used by the campaign orchestrator:
+    /// hardware traces are collected once per (target, test case) and
+    /// checked against a whole contract slate, and `collect_many` keeps the
+    /// model side from repeating contract-independent work per contract.
     ///
     /// # Errors
     /// Propagates architectural faults of the sequential execution (the
@@ -400,8 +321,7 @@ impl ContractModel {
     }
 
     /// [`ContractModel::collect_many`] over a pre-decoded program: the
-    /// campaign orchestrator decodes once per test case and reuses the
-    /// program across every input and every contract of the slate.
+    /// one-input case of [`ContractModel::collect_slate_decoded`].
     ///
     /// # Errors
     /// Same as [`ContractModel::collect_many`].
@@ -410,88 +330,24 @@ impl ContractModel {
         prog: &DecodedProgram,
         input: &Input,
     ) -> Result<Vec<ModelOutput>, Fault> {
-        let mut emu = Emulator::new(prog.sandbox(), input);
-        let mut obs: Vec<Vec<Observation>> = (0..contracts.len()).map(|_| Vec::new()).collect();
-        let mut infos: Vec<ExecutionInfo> = vec![ExecutionInfo::default(); contracts.len()];
-        let mut executed = Vec::new();
-        let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
-        let mut steps = 0usize;
-        let mut buf = EventBuf::new();
-        let mut events = Vec::new();
+        SlateRun::new(contracts, prog).collect(input)
+    }
 
-        loop {
-            if steps >= MAX_ARCH_STEPS {
-                return Err(Fault::StepLimitExceeded);
-            }
-            steps += 1;
-            let body = prog.body(pos.block);
-            if pos.idx < body.len() {
-                let d = &body[pos.idx];
-                // Per-contract prelude, in each contract's own observation
-                // order: speculative store-bypass exploration first, then
-                // the program-counter observation (exactly as in `collect`).
-                for (k, c) in contracts.iter().enumerate() {
-                    if c.execution.permits_bpas() && d.writes_mem {
-                        explore_decoded(c, &mut emu, prog, pos, true, &mut obs[k], &mut infos[k], 0);
-                    }
-                    if c.observation.exposes_pc() {
-                        obs[k].push(Observation::Pc(instr_pc(pos.block, pos.idx)));
-                    }
-                }
-                // The architectural step itself runs once for all contracts,
-                // and so is recorded once.
-                buf.clear();
-                emu.exec_decoded(&d.op, &mut buf)?;
-                executed.push(Self::record_decoded_instr(pos, d, buf.events()));
-                for (k, c) in contracts.iter().enumerate() {
-                    record_mem_events(c, buf.events(), true, &mut obs[k]);
-                }
-                pos.idx += 1;
-            } else {
-                let term = prog.terminator(pos.block);
-                for (k, c) in contracts.iter().enumerate() {
-                    if c.observation.exposes_pc() {
-                        obs[k].push(Observation::Pc(instr_pc(pos.block, body.len())));
-                    }
-                    if c.execution.permits_cond() {
-                        if let DecodedTerm::CondJmp { cond, taken, not_taken } = &term.term {
-                            let actual = emu.eval_cond(*cond);
-                            let wrong = if actual { *not_taken } else { *taken };
-                            explore_decoded(
-                                c,
-                                &mut emu,
-                                prog,
-                                Pos { block: wrong, idx: 0 },
-                                false,
-                                &mut obs[k],
-                                &mut infos[k],
-                                0,
-                            );
-                        }
-                    }
-                }
-                events.clear();
-                let next = Runner::next_block_decoded(&mut emu, prog, pos.block, &mut events)?;
-                executed.push(Self::record_decoded_terminator(pos, term, &events));
-                for (k, c) in contracts.iter().enumerate() {
-                    record_mem_events(c, &events, true, &mut obs[k]);
-                }
-                match next {
-                    Some(b) => pos = Pos { block: b, idx: 0 },
-                    None => break,
-                }
-            }
-        }
-
-        let executed: Arc<[ExecutedInstr]> = executed.into();
-        Ok(obs
-            .into_iter()
-            .zip(infos)
-            .map(|(o, info)| ModelOutput {
-                trace: CTrace::new(o),
-                info: ExecutionInfo { executed: Arc::clone(&executed), ..info },
-            })
-            .collect())
+    /// Collect a contract slate's traces for every input of one test case:
+    /// element `i` is what [`ContractModel::collect_many_decoded`] returns
+    /// for `inputs[i]`.
+    ///
+    /// This is the campaign's per-test-case entry.  One emulator serves
+    /// every input (re-initialized by [`Emulator::reset`]), and the
+    /// observation and segment buffers keep the capacity the previous
+    /// input grew them to.
+    pub fn collect_slate_decoded(
+        contracts: &[Contract],
+        prog: &DecodedProgram,
+        inputs: &[Input],
+    ) -> Vec<Result<Vec<ModelOutput>, Fault>> {
+        let mut run = SlateRun::new(contracts, prog);
+        inputs.iter().map(|input| run.collect(input)).collect()
     }
 
     /// Convenience: collect only the contract trace.
@@ -599,24 +455,348 @@ impl ContractModel {
     }
 }
 
-/// Record the observations of a batch of memory events under `contract`'s
-/// observation clause.
+/// The kind of speculative site an exploration starts at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Site {
+    /// A store the BPAS clause bypasses: the segment precedes the store's
+    /// program-counter observation.
+    Store,
+    /// A conditional branch the COND clause mispredicts: the segment
+    /// follows the branch's program-counter observation.
+    Branch,
+}
+
+/// Everything a speculative path's observations depend on besides its
+/// start.  With nesting off, contracts with equal keys observe identical
+/// segments at every site, whatever their execution clause; a nested path
+/// also forks on the execution clause, so that clause joins the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ExploreKey {
+    observation: ObservationClause,
+    window: usize,
+    expose_speculative_stores: bool,
+    nested: Option<ExecutionClause>,
+}
+
+impl ExploreKey {
+    /// The key of a contract that explores any speculative path at all.
+    fn of(c: &Contract) -> Option<ExploreKey> {
+        (c.execution != ExecutionClause::Seq && c.speculation_window > 0).then_some(ExploreKey {
+            observation: c.observation,
+            window: c.speculation_window,
+            expose_speculative_stores: c.expose_speculative_stores,
+            nested: c.nested_speculation.then_some(c.execution),
+        })
+    }
+}
+
+/// The speculative counters of [`ExecutionInfo`], as one exploration adds
+/// them.
+#[derive(Debug, Clone, Copy, Default)]
+struct SpecCounts {
+    paths: usize,
+    observations: usize,
+}
+
+/// Where one exploration's segment goes in the trace of every contract
+/// that permits its site.
+#[derive(Debug, Clone, Copy)]
+struct Splice {
+    site: Site,
+    /// Offset in the architectural stream the segment is spliced in at.
+    at: usize,
+    /// End of the segment in [`Explorer::segments`]; it starts where the
+    /// previous splice's segment ends.
+    end: usize,
+    counts: SpecCounts,
+}
+
+/// The exploration shared by every slate contract with one key: each site
+/// any of them permits is explored once per input.
+#[derive(Debug)]
+struct Explorer {
+    /// The first slate contract with this key, whose parameters drive the
+    /// exploration.
+    contract: Contract,
+    /// Index of the architectural stream of the key's observation clause.
+    stream: usize,
+    stores: bool,
+    branches: bool,
+    /// Every segment of the current input, back to back.
+    segments: Vec<Observation>,
+    splices: Vec<Splice>,
+}
+
+impl Explorer {
+    /// Explore the path starting at `start` into the segment buffer, to be
+    /// spliced in at offset `at` of the architectural stream.
+    fn explore(
+        &mut self,
+        emu: &mut Emulator,
+        prog: &DecodedProgram,
+        start: Pos,
+        site: Site,
+        at: usize,
+        events: &mut Events,
+    ) {
+        let mut counts = SpecCounts::default();
+        let skip_first_store = site == Site::Store;
+        let (contract, segments) = (&self.contract, &mut self.segments);
+        explore_decoded(contract, emu, prog, start, skip_first_store, segments, &mut counts, 0, events);
+        self.splices.push(Splice { site, at, end: segments.len(), counts });
+    }
+
+    /// The trace of a contract with this key and execution clause
+    /// `execution`: the architectural stream with the segments of the
+    /// permitted sites spliced in, built at exact capacity.
+    fn splice(
+        &self,
+        arch: &[Observation],
+        execution: ExecutionClause,
+    ) -> (Vec<Observation>, SpecCounts) {
+        let permitted = |site| match site {
+            Site::Store => execution.permits_bpas(),
+            Site::Branch => execution.permits_cond(),
+        };
+        let mut len = arch.len();
+        let mut start = 0;
+        for sp in &self.splices {
+            if permitted(sp.site) {
+                len += sp.end - start;
+            }
+            start = sp.end;
+        }
+        let mut obs = Vec::with_capacity(len);
+        let mut counts = SpecCounts::default();
+        let (mut from, mut start) = (0, 0);
+        for sp in &self.splices {
+            if permitted(sp.site) {
+                obs.extend_from_slice(&arch[from..sp.at]);
+                obs.extend_from_slice(&self.segments[start..sp.end]);
+                from = sp.at;
+                counts.paths += sp.counts.paths;
+                counts.observations += sp.counts.observations;
+            }
+            start = sp.end;
+        }
+        obs.extend_from_slice(&arch[from..]);
+        (obs, counts)
+    }
+}
+
+/// The architectural observations of one observation clause.
+#[derive(Debug)]
+struct Stream {
+    clause: ObservationClause,
+    obs: Vec<Observation>,
+}
+
+/// One contract slate over one program, reusable across inputs: the
+/// emulator and every buffer keep their allocations from input to input,
+/// and the first input's buffers are sized from the program.
+struct SlateRun<'a> {
+    contracts: &'a [Contract],
+    prog: &'a DecodedProgram,
+    /// One stream per observation clause of the slate.
+    streams: Vec<Stream>,
+    explorers: Vec<Explorer>,
+    emu: Option<Emulator>,
+    executed: Vec<ExecutedInstr>,
+    events: Events,
+}
+
+impl<'a> SlateRun<'a> {
+    fn new(contracts: &'a [Contract], prog: &'a DecodedProgram) -> SlateRun<'a> {
+        let static_len = prog.body_len() + prog.num_blocks();
+        let mut run = SlateRun {
+            contracts,
+            prog,
+            streams: Vec::new(),
+            explorers: Vec::new(),
+            emu: None,
+            // Each static instruction once: a loop-free path's upper bound.
+            executed: Vec::with_capacity(static_len),
+            events: Events::default(),
+        };
+        for c in contracts {
+            let stream = run.stream_of(c).unwrap_or_else(|| {
+                // A program counter and a memory access per static
+                // instruction.
+                let obs = Vec::with_capacity(2 * static_len);
+                run.streams.push(Stream { clause: c.observation, obs });
+                run.streams.len() - 1
+            });
+            if ExploreKey::of(c).is_some() {
+                let e = run.explorer_of(c).unwrap_or_else(|| {
+                    run.explorers.push(Explorer {
+                        contract: c.clone(),
+                        stream,
+                        stores: false,
+                        branches: false,
+                        segments: Vec::new(),
+                        splices: Vec::new(),
+                    });
+                    run.explorers.len() - 1
+                });
+                run.explorers[e].stores |= c.execution.permits_bpas();
+                run.explorers[e].branches |= c.execution.permits_cond();
+            }
+        }
+        run
+    }
+
+    /// Index of the stream of `c`'s observation clause.
+    fn stream_of(&self, c: &Contract) -> Option<usize> {
+        self.streams.iter().position(|s| s.clause == c.observation)
+    }
+
+    /// Index of the explorer of `c`'s exploration key.
+    fn explorer_of(&self, c: &Contract) -> Option<usize> {
+        let key = ExploreKey::of(c)?;
+        self.explorers.iter().position(|e| ExploreKey::of(&e.contract) == Some(key))
+    }
+
+    /// Every contract's output for one input.
+    fn collect(&mut self, input: &Input) -> Result<Vec<ModelOutput>, Fault> {
+        let executed = self.run(input)?;
+        Ok((0..self.contracts.len()).map(|k| self.output(k, &executed)).collect())
+    }
+
+    /// The shared pass over one input: one architectural execution,
+    /// recorded once per stream, and each permitted speculative site
+    /// explored once per explorer.  Returns the executed-instruction record.
+    fn run(&mut self, input: &Input) -> Result<Arc<[ExecutedInstr]>, Fault> {
+        let prog = self.prog;
+        let streams = &mut self.streams;
+        let (explorers, executed, events) =
+            (&mut self.explorers, &mut self.executed, &mut self.events);
+        match self.emu.as_mut() {
+            Some(emu) => emu.reset(prog.sandbox(), input),
+            None => self.emu = Some(Emulator::new(prog.sandbox(), input)),
+        }
+        let emu = self.emu.as_mut().expect("emulator initialized above");
+        for s in streams.iter_mut() {
+            s.obs.clear();
+        }
+        for e in explorers.iter_mut() {
+            e.segments.clear();
+            e.splices.clear();
+        }
+        executed.clear();
+
+        let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
+        let mut steps = 0usize;
+        loop {
+            if steps >= MAX_ARCH_STEPS {
+                return Err(Fault::StepLimitExceeded);
+            }
+            steps += 1;
+            let body = prog.body(pos.block);
+            if pos.idx < body.len() {
+                let d = &body[pos.idx];
+                // BPAS execution clause: before committing a store, expose
+                // the observations of the path on which it is skipped.
+                if d.writes_mem {
+                    for e in explorers.iter_mut().filter(|e| e.stores) {
+                        let at = streams[e.stream].obs.len();
+                        e.explore(emu, prog, pos, Site::Store, at, events);
+                    }
+                }
+                for s in streams.iter_mut() {
+                    if s.clause.exposes_pc() {
+                        s.obs.push(Observation::Pc(instr_pc(pos.block, pos.idx)));
+                    }
+                }
+                let buf = &mut events.instr;
+                buf.clear();
+                emu.exec_decoded(&d.op, buf)?;
+                executed.push(ContractModel::record_decoded_instr(pos, d, buf.events()));
+                for s in streams.iter_mut() {
+                    record_mem_events(s.clause, true, buf.events(), &mut s.obs);
+                }
+                pos.idx += 1;
+            } else {
+                for s in streams.iter_mut() {
+                    if s.clause.exposes_pc() {
+                        s.obs.push(Observation::Pc(instr_pc(pos.block, body.len())));
+                    }
+                }
+                // COND execution clause: expose the observations of the
+                // mispredicted direction before following the correct one.
+                let term = prog.terminator(pos.block);
+                if let DecodedTerm::CondJmp { cond, taken, not_taken } = &term.term {
+                    let wrong = if emu.eval_cond(*cond) { *not_taken } else { *taken };
+                    let start = Pos { block: wrong, idx: 0 };
+                    for e in explorers.iter_mut().filter(|e| e.branches) {
+                        let at = streams[e.stream].obs.len();
+                        e.explore(emu, prog, start, Site::Branch, at, events);
+                    }
+                }
+                let term_events = &mut events.term;
+                term_events.clear();
+                let next = Runner::next_block_decoded(emu, prog, pos.block, term_events)?;
+                executed.push(ContractModel::record_decoded_terminator(pos, term, term_events));
+                for s in streams.iter_mut() {
+                    record_mem_events(s.clause, true, term_events, &mut s.obs);
+                }
+                match next {
+                    Some(b) => pos = Pos { block: b, idx: 0 },
+                    None => break,
+                }
+            }
+        }
+        Ok(Arc::from(executed.as_slice()))
+    }
+
+    /// Contract `k`'s output for the input of the last [`SlateRun::run`].
+    fn output(&self, k: usize, executed: &Arc<[ExecutedInstr]>) -> ModelOutput {
+        let c = &self.contracts[k];
+        let stream = &self.streams[self.stream_of(c).expect("every contract has a stream")].obs;
+        let (obs, counts) = match self.explorer_of(c) {
+            Some(e) => self.explorers[e].splice(stream, c.execution),
+            None => (stream.clone(), SpecCounts::default()),
+        };
+        ModelOutput {
+            trace: CTrace::new(obs),
+            info: ExecutionInfo {
+                executed: Arc::clone(executed),
+                speculative_paths: counts.paths,
+                speculative_observations: counts.observations,
+            },
+        }
+    }
+}
+
+/// Scratch for the memory events of one step, reused by every step of a
+/// slate run, architectural or speculative: a nested exploration starts
+/// before its enclosing step fills either buffer.
+#[derive(Debug, Default)]
+struct Events {
+    /// Events of a body instruction.
+    instr: EventBuf,
+    /// Events of a terminator (the stack access of a call or return).
+    term: Vec<MemEvent>,
+}
+
+/// Record the observations of a batch of memory events under an
+/// observation clause; `expose_stores` is false only on the speculative
+/// paths of a contract that hides speculative stores (§6.4).
 fn record_mem_events(
-    contract: &Contract,
+    observation: ObservationClause,
+    expose_stores: bool,
     events: &[MemEvent],
-    architectural: bool,
     obs: &mut Vec<Observation>,
 ) {
     for ev in events {
         match ev.kind {
             MemEventKind::Read => {
                 obs.push(Observation::MemAddr(ev.addr));
-                if contract.observation.exposes_loaded_values() {
+                if observation.exposes_loaded_values() {
                     obs.push(Observation::LoadValue(ev.value));
                 }
             }
             MemEventKind::Write => {
-                if architectural || contract.expose_speculative_stores {
+                if expose_stores {
                     obs.push(Observation::MemAddr(ev.addr));
                 }
             }
@@ -629,7 +809,8 @@ fn record_mem_events(
 /// (register snapshot + memory-write undo journal) to roll back.
 /// With `skip_first_store` the first store at `start` is speculatively
 /// bypassed (the BPAS clause); otherwise the path is followed as a branch
-/// misprediction (the COND clause).
+/// misprediction (the COND clause).  `events` is scratch shared with the
+/// caller and with nested explorations.
 #[allow(clippy::too_many_arguments)]
 fn explore_decoded(
     contract: &Contract,
@@ -638,8 +819,9 @@ fn explore_decoded(
     start: Pos,
     skip_first_store: bool,
     obs: &mut Vec<Observation>,
-    info: &mut ExecutionInfo,
+    counts: &mut SpecCounts,
     depth: usize,
+    events: &mut Events,
 ) {
     if contract.speculation_window == 0 {
         return;
@@ -648,11 +830,12 @@ fn explore_decoded(
     if depth > max_depth {
         return;
     }
-    info.speculative_paths += 1;
+    counts.paths += 1;
     let checkpoint = emu.begin_speculation();
     let obs_before = obs.len();
+    let observation = contract.observation;
+    let expose_stores = contract.expose_speculative_stores;
 
-    let mut buf = EventBuf::new();
     let mut pos = start;
     let mut fuel = contract.speculation_window;
     let mut first = true;
@@ -672,21 +855,22 @@ fn explore_decoded(
             }
             // Nested BPAS inside an explored path.
             if depth < max_depth && contract.execution.permits_bpas() && d.writes_mem {
-                explore_decoded(contract, emu, prog, pos, true, obs, info, depth + 1);
+                explore_decoded(contract, emu, prog, pos, true, obs, counts, depth + 1, events);
             }
-            if contract.observation.exposes_pc() {
+            if observation.exposes_pc() {
                 obs.push(Observation::Pc(instr_pc(pos.block, pos.idx)));
             }
+            let buf = &mut events.instr;
             buf.clear();
-            match emu.exec_decoded(&d.op, &mut buf) {
-                Ok(()) => record_mem_events(contract, buf.events(), false, obs),
+            match emu.exec_decoded(&d.op, buf) {
+                Ok(()) => record_mem_events(observation, expose_stores, buf.events(), obs),
                 Err(_) => break 'path, // transient faults are suppressed
             }
             pos.idx += 1;
         } else {
             first = false;
             fuel -= 1;
-            if contract.observation.exposes_pc() {
+            if observation.exposes_pc() {
                 obs.push(Observation::Pc(instr_pc(pos.block, body.len())));
             }
             // Nested COND inside an explored path.
@@ -703,26 +887,24 @@ fn explore_decoded(
                         Pos { block: wrong, idx: 0 },
                         false,
                         obs,
-                        info,
+                        counts,
                         depth + 1,
+                        events,
                     );
                 }
             }
-            let mut events = Vec::new();
-            match Runner::next_block_decoded(emu, prog, pos.block, &mut events) {
-                Ok(Some(b)) => {
-                    record_mem_events(contract, &events, false, obs);
-                    pos = Pos { block: b, idx: 0 };
-                }
-                Ok(None) | Err(_) => {
-                    record_mem_events(contract, &events, false, obs);
-                    break 'path;
-                }
+            let term_events = &mut events.term;
+            term_events.clear();
+            let next = Runner::next_block_decoded(emu, prog, pos.block, term_events);
+            record_mem_events(observation, expose_stores, term_events, obs);
+            match next {
+                Ok(Some(b)) => pos = Pos { block: b, idx: 0 },
+                Ok(None) | Err(_) => break 'path,
             }
         }
     }
 
-    info.speculative_observations += obs.len() - obs_before;
+    counts.observations += obs.len() - obs_before;
     emu.rollback(checkpoint);
 }
 
@@ -749,6 +931,8 @@ fn explore_reference(
     info.speculative_paths += 1;
     let checkpoint = emu.checkpoint();
     let obs_before = obs.len();
+    let observation = contract.observation;
+    let expose_stores = contract.expose_speculative_stores;
 
     let mut pos = start;
     let mut fuel = contract.speculation_window;
@@ -774,18 +958,18 @@ fn explore_reference(
             if depth < max_depth && contract.execution.permits_bpas() && instr.writes_mem() {
                 explore_reference(contract, emu, tc, pos, true, obs, info, depth + 1);
             }
-            if contract.observation.exposes_pc() {
+            if observation.exposes_pc() {
                 obs.push(Observation::Pc(instr_pc(pos.block, pos.idx)));
             }
             match emu.exec_instr(instr) {
-                Ok(fx) => record_mem_events(contract, &fx.mem_events, false, obs),
+                Ok(fx) => record_mem_events(observation, expose_stores, &fx.mem_events, obs),
                 Err(_) => break 'path, // transient faults are suppressed
             }
             pos.idx += 1;
         } else {
             first = false;
             fuel -= 1;
-            if contract.observation.exposes_pc() {
+            if observation.exposes_pc() {
                 obs.push(Observation::Pc(instr_pc(pos.block, block.instrs.len())));
             }
             // Nested COND inside an explored path.
@@ -808,11 +992,11 @@ fn explore_reference(
             let mut events = Vec::new();
             match Runner::next_block(emu, tc, pos.block, &mut events) {
                 Ok(Some(b)) => {
-                    record_mem_events(contract, &events, false, obs);
+                    record_mem_events(observation, expose_stores, &events, obs);
                     pos = Pos { block: b, idx: 0 };
                 }
                 Ok(None) | Err(_) => {
-                    record_mem_events(contract, &events, false, obs);
+                    record_mem_events(observation, expose_stores, &events, obs);
                     break 'path;
                 }
             }

@@ -11,10 +11,10 @@
 //! cost across the whole slate:
 //!
 //! ```text
-//!               ┌── ContractModel::collect_many ──► ctraces per contract ──┐
-//!  test case ───┤        (one architectural pass)                          ├─► per-contract
-//!  + inputs     └── Executor::collect_htraces ────► htraces (shared) ──────┘   analysis +
-//!                                                                              filters
+//!               ┌── ContractModel::collect_slate_decoded ──► ctraces per contract ──┐
+//!  test case ───┤     (one pass per test case: shared arch + exploration)           ├─► per-contract
+//!  + inputs     └── Executor::collect_htraces ───────────► htraces (shared) ───────┘   analysis +
+//!                                                                                       filters
 //! ```
 //!
 //! Per-contract verdicts are independent of the slate's composition: the
@@ -113,16 +113,15 @@ pub fn evaluate_slate<C: CpuUnderTest>(
     let prog =
         DecodedProgram::decode(tc).unwrap_or_else(|e| panic!("malformed test case: {e}"));
 
-    // Contract traces: one architectural pass per input, forking only the
-    // per-contract speculative exploration.
+    // Contract traces: one model pass per test case — one emulator, one
+    // architectural pass per input, and each speculative site explored
+    // once for every contract that shares its exploration key.
     let mut ctraces: Vec<Vec<CTrace>> =
         (0..contracts.len()).map(|_| Vec::with_capacity(inputs.len())).collect();
     let mut infos: Vec<Vec<ExecutionInfo>> =
         (0..contracts.len()).map(|_| Vec::with_capacity(inputs.len())).collect();
-    for input in inputs {
-        for (k, out) in
-            ContractModel::collect_many_decoded(contracts, &prog, input)?.into_iter().enumerate()
-        {
+    for outs in ContractModel::collect_slate_decoded(contracts, &prog, inputs) {
+        for (k, out) in outs?.into_iter().enumerate() {
             ctraces[k].push(out.trace);
             infos[k].push(out.info);
         }

@@ -7,7 +7,9 @@
 //! interpreters (the old per-step AST walk with full-state-clone
 //! checkpoints), asserting byte-identical contract traces, hardware traces,
 //! fault outcomes and final architectural state — including nested
-//! speculation and microcode assists.
+//! speculation and microcode assists.  Contract slates run through the
+//! per-test-case model entry, whose shared exploration and reused emulator
+//! must match the reference walk of every contract alone.
 //!
 //! [`DecodedProgram`]: rvz_isa::DecodedProgram
 
@@ -17,8 +19,9 @@ use rvz_cache::Cache;
 use rvz_emu::{Fault, Runner};
 use rvz_executor::{Executor, ExecutorConfig};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
-use rvz_isa::{Input, TestCase};
-use rvz_model::{Contract, ContractModel};
+use rvz_isa::builder::TestCaseBuilder;
+use rvz_isa::{Cond, Input, Reg, TestCase};
+use rvz_model::{Contract, ContractModel, ExecutionClause, ObservationClause};
 use rvz_uarch::{CpuUnderTest, RunOptions, RunOutcome, SpecCpu};
 
 /// A CPU under test that routes everything through the reference (AST-walk)
@@ -61,6 +64,121 @@ fn target_for(choice: usize) -> Target {
         6 => Target::target11(),
         _ => Target::target12(),
     }
+}
+
+/// A slate covering every sharing case of the slate pass: duplicated
+/// contracts, MEM/CT/ARCH observation clauses, a zero and a short
+/// speculation window, a nested contract, the §6.4 variant, and a stream
+/// whose last reader splices nothing in.
+fn mixed_slate() -> Vec<Contract> {
+    vec![
+        Contract::ct_cond(),
+        Contract::mem_cond(),
+        Contract::ct_bpas(),
+        Contract::new(ObservationClause::Arch, ExecutionClause::CondBpas),
+        Contract::ct_cond(),
+        Contract::ct_cond_bpas().with_speculation_window(0),
+        Contract::ct_bpas().with_speculation_window(3),
+        Contract::ct_cond().with_speculation_window(3),
+        Contract::ct_cond().with_nesting(true),
+        Contract::ct_cond_no_spec_store(),
+        Contract::ct_seq(),
+    ]
+}
+
+/// Contract slates through the per-test-case entry: output `i` must equal
+/// every contract's reference walk on input `i` (traces, both speculative
+/// counters, faults), and a fresh single-input run — so the emulator reused
+/// across inputs carries nothing over.
+fn check_slates(tc: &TestCase, inputs: &[Input]) -> Result<(), String> {
+    let prog = rvz_isa::DecodedProgram::decode(tc).expect("test programs decode");
+    for slate in [Contract::table3_contracts(), mixed_slate()] {
+        let outs = ContractModel::collect_slate_decoded(&slate, &prog, inputs);
+        prop_assert_eq!(outs.len(), inputs.len());
+        for (input, out) in inputs.iter().zip(&outs) {
+            prop_assert_eq!(out, &ContractModel::collect_many_decoded(&slate, &prog, input));
+            for (k, c) in slate.iter().enumerate() {
+                let reference = ContractModel::new(c.clone()).collect_reference(tc, input);
+                prop_assert!(
+                    out.as_ref().map(|o| &o[k]) == reference.as_ref(),
+                    "{} differs from its reference walk",
+                    c.name()
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// An input with `x` in RAX, `y` in RCX and RDX, and a stale value at the
+/// start of the sandbox, for the hand-written gadgets below.
+fn input_xy(tc: &TestCase, x: u64, y: u64) -> Input {
+    let mut input = Input::zeroed(tc.sandbox());
+    input.set_reg(Reg::Rax, x);
+    input.set_reg(Reg::Rcx, y);
+    input.set_reg(Reg::Rdx, y);
+    input.write_mem_u64(0, 0x7c0);
+    input
+}
+
+/// The slate check on hand-written gadgets the generator rarely produces:
+/// Figure 1's bounds-check bypass and a store-bypass gadget.
+#[test]
+fn slates_match_reference_on_hand_written_gadgets() {
+    // `z = array1[x]; if (y < 10) z = array2[y]`.
+    let figure1 = TestCaseBuilder::new()
+        .block("entry", |b| {
+            b.and_imm(Reg::Rax, 0b111111000000);
+            b.load(Reg::Rbx, Reg::R14, Reg::Rax);
+            b.cmp_imm(Reg::Rcx, 10);
+            b.jcc(Cond::B, "then", "end");
+        })
+        .block("then", |b| {
+            b.and_imm(Reg::Rcx, 0b111111000000);
+            b.load(Reg::Rdx, Reg::R14, Reg::Rcx);
+            b.jmp("end");
+        })
+        .block("end", |b| b.exit())
+        .build();
+    // A store overwrites a stale value that indexes a dependent access.
+    let bpas_gadget = TestCaseBuilder::new()
+        .block("entry", |b| {
+            b.store_disp(Reg::R14, 0, Reg::Rdx);
+            b.load_disp(Reg::Rbx, Reg::R14, 0);
+            b.and_imm(Reg::Rbx, 0b111111000000);
+            b.load(Reg::Rcx, Reg::R14, Reg::Rbx);
+            b.exit();
+        })
+        .build();
+    for tc in [figure1, bpas_gadget] {
+        let inputs: Vec<Input> =
+            [(0x100, 20), (0x100, 5), (0x40, 0x80)].map(|(x, y)| input_xy(&tc, x, y)).into();
+        check_slates(&tc, &inputs).unwrap();
+    }
+}
+
+#[test]
+fn a_faulting_input_leaves_nothing_behind_in_the_slate() {
+    // An unmasked load: it faults architecturally when the branch is taken
+    // with RAX outside the sandbox, and only transiently (which is
+    // suppressed) when the branch is not taken.
+    let tc = TestCaseBuilder::new()
+        .block("entry", |b| {
+            b.store_disp(Reg::R14, 8, Reg::Rdx);
+            b.cmp_imm(Reg::Rcx, 10);
+            b.jcc(Cond::B, "then", "end");
+        })
+        .block("then", |b| {
+            b.load(Reg::Rbx, Reg::R14, Reg::Rax);
+            b.jmp("end");
+        })
+        .block("end", |b| b.exit())
+        .build();
+    let inputs = [input_xy(&tc, 1 << 40, 20), input_xy(&tc, 1 << 40, 5), input_xy(&tc, 0x40, 5)];
+    let prog = rvz_isa::DecodedProgram::decode(&tc).unwrap();
+    let outs = ContractModel::collect_slate_decoded(&mixed_slate(), &prog, &inputs);
+    assert!(outs[0].is_ok() && outs[1].is_err() && outs[2].is_ok());
+    check_slates(&tc, &inputs).unwrap();
 }
 
 proptest! {
@@ -133,6 +251,8 @@ proptest! {
                 prop_assert_eq!(m.collect(&tc, input), m.collect_reference(&tc, input));
             }
         }
+
+        check_slates(&tc, &inputs)?;
 
         // Speculative CPU: persistent predictor/cache state across the
         // priming sequence, assists on when the target's mode says so.

@@ -331,12 +331,20 @@ fn watch_surfaces_server_gone_and_the_job_resumes_on_restart() {
     let mut client = Client::connect(addr).expect("client connects");
     let job = client.submit(&spec).expect("job accepted");
 
-    // Watch on a second connection; kill the server once events flow.
+    // Watch on a second connection; kill the server once the watch is
+    // live (its first event arrived, so the server has read the watch
+    // request) and the job's rounds flow.
+    let (live_tx, live_rx) = std::sync::mpsc::channel();
     let watcher = {
         let job = job.clone();
         let mut watch_client = Client::connect(addr).expect("watcher connects");
-        std::thread::spawn(move || watch_client.watch(&job, |_| {}))
+        std::thread::spawn(move || {
+            watch_client.watch(&job, |_| {
+                let _ = live_tx.send(());
+            })
+        })
     };
+    live_rx.recv_timeout(Duration::from_secs(60)).expect("the watch goes live");
     {
         let core = first.core();
         let job = job.clone();
@@ -385,8 +393,11 @@ fn higher_priority_jobs_start_first_on_a_saturated_worker() {
     })
     .expect("service starts");
 
+    // A budget the filler cannot finish (target 1 complies with CT-SEQ,
+    // so nothing stops it early): it stays on the worker until cancelled,
+    // however fast the pipeline runs.
     let filler = handle
-        .submit(JobSpec::new(3).with_budget(40).add_cell(1, "CT-SEQ"))
+        .submit(JobSpec::new(3).with_budget(1_000_000).add_cell(1, "CT-SEQ"))
         .expect("filler accepted");
     // Saturation point: only submit the contenders once the single shard
     // worker is committed to the filler.
@@ -404,10 +415,14 @@ fn higher_priority_jobs_start_first_on_a_saturated_worker() {
         .submit(JobSpec::new(5).with_budget(4).with_priority(10).add_cell(1, "CT-SEQ"))
         .expect("high accepted");
     assert_eq!(handle.core().status(&high).unwrap().priority, 10);
+    // Both contenders are queued behind the running filler; release the
+    // worker at the filler's next wave boundary.
+    assert_eq!(handle.cancel(&filler), Ok(JobPhase::Running));
 
     for job in [&filler, &low, &high] {
         handle.wait(job).expect("job completes");
     }
+    assert_eq!(handle.core().status(&filler).unwrap().phase, JobPhase::Cancelled);
     let first_seq = |job: &str| {
         handle.core().events_from(job, 0).expect("job known")[0]
             .get("seq")
@@ -426,10 +441,10 @@ fn higher_priority_jobs_start_first_on_a_saturated_worker() {
 
 #[test]
 fn priority_is_never_inverted_by_placement_across_shard_workers() {
-    // Two shard workers: a short filler on one, a much longer filler on
-    // the other.  The worker that frees first must take the
-    // high-priority contender from the ONE global queue (and then the
-    // low one, serially — the long filler is still running), so job-id
+    // Two shard workers, each saturated by a filler.  The short filler is
+    // cancelled once both contenders are queued; the worker it frees must
+    // take the high-priority contender from the ONE global queue (and then
+    // the low one, serially — the long filler is still running), so job-id
     // hashing can never pin the high-priority job behind a busy thread.
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2,
@@ -441,12 +456,14 @@ fn priority_is_never_inverted_by_placement_across_shard_workers() {
     })
     .expect("service starts");
 
+    // Budgets neither filler can finish (target 1 complies with CT-SEQ,
+    // so nothing stops them early): both workers stay busy until a filler
+    // is cancelled, however fast the pipeline runs.
     let short_filler = handle
-        .submit(JobSpec::new(3).with_budget(40).add_cell(1, "CT-SEQ"))
+        .submit(JobSpec::new(3).with_budget(1_000_000).add_cell(1, "CT-SEQ"))
         .expect("short filler accepted");
-    // ~10x the short filler: still running while both contenders drain.
     let long_filler = handle
-        .submit(JobSpec::new(4).with_budget(400).add_cell(1, "CT-SEQ"))
+        .submit(JobSpec::new(4).with_budget(1_000_000).add_cell(1, "CT-SEQ"))
         .expect("long filler accepted");
     {
         let core = handle.core();
@@ -462,6 +479,7 @@ fn priority_is_never_inverted_by_placement_across_shard_workers() {
     let high = handle
         .submit(JobSpec::new(6).with_budget(4).with_priority(7).add_cell(1, "CT-SEQ"))
         .expect("high accepted");
+    assert_eq!(handle.cancel(&short_filler), Ok(JobPhase::Running));
     for job in [&short_filler, &low, &high] {
         handle.wait(job).expect("job completes");
     }
@@ -485,7 +503,8 @@ fn priority_is_never_inverted_by_placement_across_shard_workers() {
         JobPhase::Running,
         "the long filler must still be running, proving the contenders shared one worker"
     );
-    handle.wait(&long_filler).expect("long filler completes");
+    assert_eq!(handle.cancel(&long_filler), Ok(JobPhase::Running));
+    handle.wait(&long_filler).expect("long filler stops");
     handle.shutdown();
 }
 
