@@ -3,6 +3,7 @@
 //! traces + relational analysis) on a non-violating target.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use revizor::orchestrator::CampaignMatrix;
 use revizor::targets::Target;
 use revizor::{FuzzerConfig, Revizor};
 use rvz_executor::ExecutorConfig;
@@ -65,30 +66,31 @@ fn bench_repetition_sweep(c: &mut Criterion) {
 }
 
 fn bench_parallel_rounds(c: &mut Criterion) {
-    // Round throughput of the campaign driver at different parallelism
-    // levels (§6.5): each iteration runs a fixed-budget campaign on the
-    // non-violating baseline target so every round is processed in full.
-    // On a multi-core host the 4-thread row should show ≥ 2× the rounds/s
-    // of the 1-thread row; the campaigns are seed-for-seed identical in
-    // their results regardless of parallelism.
+    // Round throughput of a one-cell escalating campaign at different
+    // parallelism levels (§6.5): each iteration runs a fixed-budget
+    // campaign on the non-violating baseline target so every round is
+    // processed in full.  On a multi-core host the 4-thread row should show
+    // ≥ 2× the rounds/s of the 1-thread row; the campaigns are
+    // seed-for-seed identical in their results regardless of parallelism.
     let mut group = c.benchmark_group("parallel_rounds");
     group.sample_size(10);
 
     for parallelism in [1usize, 2, 4] {
-        let target = Target::target1();
-        let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-            .with_generator(GeneratorConfig::for_subset(target.isa).with_instructions(12))
-            .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2))
-            .with_inputs_per_test_case(20)
-            .with_max_test_cases(30)
-            .with_parallelism(parallelism);
+        let campaign = |seed: u64| {
+            CampaignMatrix::new(seed)
+                .with_generator_size(2, 12)
+                .with_branch_then_load_bias(false)
+                .with_inputs_per_test_case(20)
+                .with_budget(30)
+                .with_escalation(true)
+                .with_parallelism(parallelism)
+                .add_cell(Target::target1(), Contract::ct_seq())
+        };
         group.bench_function(format!("threads_{parallelism}_30_test_cases"), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                let mut fuzzer = Revizor::new(target.cpu(), config.clone().with_seed(seed))
-                    .with_target(target.clone());
-                fuzzer.run()
+                campaign(seed).run()
             })
         });
     }

@@ -29,7 +29,6 @@
 //! [noise checkpoint]: rvz_executor::NoiseCheckpoint
 
 use crate::classify::VulnClass;
-use crate::config::FuzzerConfig;
 use rvz_analyzer::{AnalysisResult, Analyzer, Violation};
 use rvz_emu::Fault;
 use rvz_executor::{Executor, ExecutorConfig};
@@ -59,15 +58,6 @@ impl SlateChecks {
 impl Default for SlateChecks {
     fn default() -> Self {
         SlateChecks::all()
-    }
-}
-
-impl From<&FuzzerConfig> for SlateChecks {
-    fn from(config: &FuzzerConfig) -> SlateChecks {
-        SlateChecks {
-            priming_swap_check: config.priming_swap_check,
-            verify_with_nesting: config.verify_with_nesting,
-        }
     }
 }
 
@@ -222,10 +212,10 @@ pub struct SlateUnit {
 }
 
 /// Derivation of the per-test-case input-generation seed from the test
-/// case's campaign seed.  Shared by the campaign round workers and the
-/// sequential [`Revizor::test_case`](crate::Revizor::test_case) replay path
-/// — the two must never diverge, or a campaign violation would not
-/// reproduce through the public API.
+/// case's campaign seed.  Shared by [`evaluate_seed`] and the sequential
+/// [`Revizor::test_case`](crate::Revizor::test_case) replay path — the two
+/// must never diverge, or a campaign violation would not reproduce through
+/// the public API.
 pub(crate) fn input_stream_seed(test_case_seed: u64) -> u64 {
     test_case_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
@@ -260,8 +250,9 @@ impl SeedEval {
 /// Evaluate one campaign seed with a fresh executor built from a clone of
 /// the CPU under test.
 ///
-/// This is the parallel scheduling building block of both the round driver
-/// and the matrix orchestrator: the result is a pure function of
+/// This is the parallel scheduling building block of the matrix
+/// orchestrator ([`MatrixRun::step`](crate::MatrixRun::step)): the result
+/// is a pure function of
 /// `(cpu_template, spec, seed)` — the generated test case, the input batch
 /// and the synthetic-noise stream all derive from `seed` alone — so units
 /// can be evaluated on any worker, in any order, with identical results.
@@ -300,27 +291,27 @@ pub fn evaluate_seed<C: CpuUnderTest + Clone>(
     }
 }
 
-/// A completed testing round, reported through [`ProgressObserver`].
+/// A completed testing round of one matrix cell group, reported through
+/// [`ProgressObserver`].
 #[derive(Debug, Clone)]
 pub struct RoundEvent {
-    /// Table 2 target id the round belongs to, when known.
+    /// Table 2 target id of the cell group (always set).
     pub target_id: Option<u8>,
-    /// 1-based round number within the campaign (or matrix cell group).
+    /// 1-based round number within the cell group.
     pub round: usize,
-    /// Test cases evaluated so far in this campaign / cell group.
+    /// Test cases evaluated so far in this cell group.
     pub test_cases: usize,
     /// Test cases discarded by the static speculation pre-filter so far in
-    /// this campaign / cell group (0 when the filter is off).
+    /// this cell group (0 when the filter is off).
     pub filtered: usize,
-    /// Generator escalations of this campaign / cell group so far (§5.6).
-    /// Matrix cell groups run a fixed generator configuration unless
+    /// Generator escalations of this cell group so far (§5.6).  Cell
+    /// groups run a fixed generator configuration unless
     /// [`CampaignMatrix::with_escalation`](crate::CampaignMatrix::with_escalation)
     /// is on, in which case this is the group's true per-target count.
     pub escalations: usize,
 }
 
-/// A finished matrix cell (or campaign), reported through
-/// [`ProgressObserver`].
+/// A finished matrix cell, reported through [`ProgressObserver`].
 #[derive(Debug, Clone)]
 pub struct CellEvent {
     /// Table 2 target id of the cell.
@@ -333,15 +324,15 @@ pub struct CellEvent {
     pub vulnerability: Option<VulnClass>,
     /// Test cases evaluated until detection (or until the budget ran out).
     pub test_cases: usize,
-    /// Wall-clock time since the campaign / matrix started.
+    /// Wall-clock time since the matrix run started.
     pub elapsed: Duration,
 }
 
-/// Live progress hook for long-running campaigns and matrix runs.
+/// Live progress hook for long-running matrix runs.
 ///
 /// All methods have empty default implementations; implement only the
 /// events of interest.  Events are delivered from the driving thread (never
-/// from round workers), in deterministic campaign order.
+/// from pool workers), in deterministic campaign order.
 pub trait ProgressObserver {
     /// A testing round completed.
     fn round_completed(&mut self, event: &RoundEvent) {

@@ -21,14 +21,16 @@
 //!
 //! Main entry points:
 //!
-//! * [`Revizor`] — the fuzzer: rounds of test-case generation, trace
-//!   collection, relational analysis and diversity feedback (§5.6);
+//! * [`orchestrator`] — [`CampaignMatrix`], the campaign driver: a matrix
+//!   of (target, contract) cells (one cell, or all of Table 3) run in rounds
+//!   of test-case generation, trace collection and relational analysis over
+//!   one shared worker pool, with cross-contract trace sharing, per-cell
+//!   early stop and optional diversity feedback (§5.6);
 //! * [`campaign`] — the reusable per-test-case pipeline: evaluate one test
 //!   case against a whole *slate* of contracts, collecting hardware traces
 //!   once (plus the [`ProgressObserver`] live-progress hook);
-//! * [`orchestrator`] — [`CampaignMatrix`]: a matrix of (target, contract)
-//!   cells (e.g. all of Table 3) over one shared worker pool with
-//!   cross-contract trace sharing and per-cell early stop;
+//! * [`Revizor`] — the single-test-case harness the postprocessor and
+//!   violation replays drive;
 //! * [`targets`] — the eight experimental setups of Table 2;
 //! * [`gadgets`] — handwritten test cases for the known vulnerabilities of
 //!   Table 5 and the paper's figures;
@@ -72,7 +74,7 @@ pub use campaign::{CellEvent, ContractOutcome, NoopObserver, ProgressObserver, R
 pub use classify::VulnClass;
 pub use config::FuzzerConfig;
 pub use diversity::{Pattern, PatternCoverage};
-pub use fuzzer::{FuzzReport, Revizor, TestCaseOutcome, ViolationReport};
+pub use fuzzer::{Revizor, TestCaseOutcome, ViolationReport};
 pub use minimize::Postprocessor;
 pub use orchestrator::{
     CampaignMatrix, CellProgress, CellReport, GroupProgress, MatrixCheckpoint, MatrixReport,

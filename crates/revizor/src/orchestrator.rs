@@ -190,10 +190,9 @@ pub struct GroupProgress {
     pub filtered: usize,
     /// Inputs executed so far.
     pub total_inputs: usize,
-    /// Per-cell summed input-effectiveness statistics, indexed like the
-    /// group's cells (discovery order); unfinished cells keep accumulating
-    /// after a resume.  Empty in checkpoints taken before this field
-    /// existed.
+    /// Per-cell summed input-effectiveness statistics, one per cell of the
+    /// group, indexed like the group's cells (discovery order); unfinished
+    /// cells keep accumulating after a resume.
     pub effectiveness: Vec<EffectivenessStats>,
     /// Completed rounds.
     pub round: usize,
@@ -495,9 +494,12 @@ impl CampaignMatrix {
         h
     }
 
-    /// The initial generator configuration of a cell group (escalation, if
-    /// enabled, grows a group-local copy of this).
-    fn base_generator(&self, target: &Target) -> GeneratorConfig {
+    /// The initial generator configuration of `target`'s cell group
+    /// (escalation, if enabled, grows a group-local copy of this).  A
+    /// violation found before any escalation replays from its
+    /// [`test_case_seed`](ViolationReport::test_case_seed) with this
+    /// generator.
+    pub fn base_generator(&self, target: &Target) -> GeneratorConfig {
         let mut generator = GeneratorConfig::for_subset(target.isa)
             .with_basic_blocks(self.basic_blocks)
             .with_instructions(self.instructions)
@@ -556,58 +558,15 @@ impl CampaignMatrix {
     /// # Errors
     /// Returns a message when the checkpoint does not match this matrix.
     pub fn resume(&self, checkpoint: &MatrixCheckpoint) -> Result<MatrixRun<'_>, String> {
-        if checkpoint.seed != self.seed {
-            return Err(format!(
-                "checkpoint seed {} does not match matrix seed {}",
-                checkpoint.seed, self.seed
-            ));
-        }
-        if checkpoint.budget != self.budget || checkpoint.round_size != self.round_size {
-            return Err("checkpoint budget/round size does not match the matrix".to_string());
-        }
-        if checkpoint.escalation != self.escalation {
-            return Err("checkpoint escalation mode does not match the matrix".to_string());
-        }
-        if checkpoint.config_digest != self.config_digest() {
-            return Err(
-                "checkpoint configuration (generator/measurement parameters or cell list) \
-                 does not match the matrix"
-                    .to_string(),
-            );
-        }
-        if checkpoint.cells.len() != self.cells.len() {
-            return Err(format!(
-                "checkpoint has {} cells, matrix has {}",
-                checkpoint.cells.len(),
-                self.cells.len()
-            ));
-        }
+        self.check_checkpoint(checkpoint)?;
         let mut groups = self.build_groups();
-        if checkpoint.groups.len() != groups.len() {
-            return Err(format!(
-                "checkpoint has {} groups, matrix has {}",
-                checkpoint.groups.len(),
-                groups.len()
-            ));
-        }
         for (group, progress) in groups.iter_mut().zip(&checkpoint.groups) {
-            if group.target.id != progress.target_id {
-                return Err(format!(
-                    "checkpoint group targets {} where the matrix has {}",
-                    progress.target_id, group.target.id
-                ));
-            }
             group.next_index = progress.next_index;
             group.test_cases = progress.test_cases;
             group.filtered = progress.filtered;
             group.total_inputs = progress.total_inputs;
-            // Per-cell effectiveness sums (empty in pre-filter checkpoints,
-            // which never carried them — the sums then restart from zero,
-            // matching what such a checkpoint's writer reported).
-            if progress.effectiveness.len() == group.cells.len() {
-                for (gc, eff) in group.cells.iter_mut().zip(&progress.effectiveness) {
-                    gc.effectiveness = *eff;
-                }
+            for (gc, eff) in group.cells.iter_mut().zip(&progress.effectiveness) {
+                gc.effectiveness = *eff;
             }
             group.round = progress.round;
             group.work = progress.work;
@@ -639,6 +598,64 @@ impl CampaignMatrix {
         let mut run = MatrixRun::with_groups(self, groups);
         run.wave = checkpoint.wave;
         Ok(run)
+    }
+
+    /// Check that `checkpoint` was taken from this matrix: same seed,
+    /// budget, round size, escalation mode and configuration digest, and
+    /// the same cell and group layout, with one effectiveness sum per cell
+    /// of each group.
+    fn check_checkpoint(&self, checkpoint: &MatrixCheckpoint) -> Result<(), String> {
+        if checkpoint.seed != self.seed {
+            return Err(format!(
+                "checkpoint seed {} does not match matrix seed {}",
+                checkpoint.seed, self.seed
+            ));
+        }
+        if checkpoint.budget != self.budget || checkpoint.round_size != self.round_size {
+            return Err("checkpoint budget/round size does not match the matrix".to_string());
+        }
+        if checkpoint.escalation != self.escalation {
+            return Err("checkpoint escalation mode does not match the matrix".to_string());
+        }
+        if checkpoint.config_digest != self.config_digest() {
+            return Err(
+                "checkpoint configuration (generator/measurement parameters or cell list) \
+                 does not match the matrix"
+                    .to_string(),
+            );
+        }
+        if checkpoint.cells.len() != self.cells.len() {
+            return Err(format!(
+                "checkpoint has {} cells, matrix has {}",
+                checkpoint.cells.len(),
+                self.cells.len()
+            ));
+        }
+        let layout = self.group_layout();
+        if checkpoint.groups.len() != layout.len() {
+            return Err(format!(
+                "checkpoint has {} groups, matrix has {}",
+                checkpoint.groups.len(),
+                layout.len()
+            ));
+        }
+        for ((target, indices), progress) in layout.iter().zip(&checkpoint.groups) {
+            if target.id != progress.target_id {
+                return Err(format!(
+                    "checkpoint group targets {} where the matrix has {}",
+                    progress.target_id, target.id
+                ));
+            }
+            if progress.effectiveness.len() != indices.len() {
+                return Err(format!(
+                    "checkpoint group for target {} has {} effectiveness sums for {} cells",
+                    target.id,
+                    progress.effectiveness.len(),
+                    indices.len()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The matrix's cell groups as full-matrix cell indices, one entry per
@@ -722,60 +739,24 @@ impl CampaignMatrix {
         &self,
         checkpoint: &MatrixCheckpoint,
     ) -> Result<Vec<MatrixCheckpoint>, String> {
-        if checkpoint.seed != self.seed {
-            return Err(format!(
-                "checkpoint seed {} does not match matrix seed {}",
-                checkpoint.seed, self.seed
-            ));
-        }
-        if checkpoint.budget != self.budget || checkpoint.round_size != self.round_size {
-            return Err("checkpoint budget/round size does not match the matrix".to_string());
-        }
-        if checkpoint.escalation != self.escalation {
-            return Err("checkpoint escalation mode does not match the matrix".to_string());
-        }
-        if checkpoint.config_digest != self.config_digest() {
-            return Err("checkpoint configuration does not match the matrix".to_string());
-        }
-        if checkpoint.cells.len() != self.cells.len() {
-            return Err(format!(
-                "checkpoint has {} cells, matrix has {}",
-                checkpoint.cells.len(),
-                self.cells.len()
-            ));
-        }
+        self.check_checkpoint(checkpoint)?;
         let layout = self.group_layout();
-        if checkpoint.groups.len() != layout.len() {
-            return Err(format!(
-                "checkpoint has {} groups, matrix has {}",
-                checkpoint.groups.len(),
-                layout.len()
-            ));
-        }
         let subs = self.group_matrices();
-        layout
+        Ok(layout
             .iter()
             .zip(&subs)
             .zip(&checkpoint.groups)
-            .map(|(((target, indices), sub), progress)| {
-                if target.id != progress.target_id {
-                    return Err(format!(
-                        "checkpoint group targets {} where the matrix has {}",
-                        progress.target_id, target.id
-                    ));
-                }
-                Ok(MatrixCheckpoint {
-                    wave: progress.round,
-                    seed: self.seed,
-                    budget: self.budget,
-                    round_size: self.round_size,
-                    escalation: self.escalation,
-                    config_digest: sub.config_digest(),
-                    cells: indices.iter().map(|&i| checkpoint.cells[i].clone()).collect(),
-                    groups: vec![progress.clone()],
-                })
+            .map(|(((_, indices), sub), progress)| MatrixCheckpoint {
+                wave: progress.round,
+                seed: self.seed,
+                budget: self.budget,
+                round_size: self.round_size,
+                escalation: self.escalation,
+                config_digest: sub.config_digest(),
+                cells: indices.iter().map(|&i| checkpoint.cells[i].clone()).collect(),
+                groups: vec![progress.clone()],
             })
-            .collect()
+            .collect())
     }
 
     /// Merge per-group sub-checkpoints (one per [`Self::group_matrices`]
@@ -804,46 +785,9 @@ impl CampaignMatrix {
         let mut groups = Vec::with_capacity(parts.len());
         let mut wave = 0usize;
         for (((target, indices), sub), part) in layout.iter().zip(&subs).zip(parts) {
-            if part.seed != self.seed
-                || part.budget != self.budget
-                || part.round_size != self.round_size
-                || part.escalation != self.escalation
-            {
-                return Err(format!(
-                    "sub-checkpoint for target {} does not match the matrix configuration",
-                    target.id
-                ));
-            }
-            if part.config_digest != sub.config_digest() {
-                return Err(format!(
-                    "sub-checkpoint configuration for target {} does not match its group",
-                    target.id
-                ));
-            }
-            match part.groups.as_slice() {
-                [group] if group.target_id == target.id => groups.push(group.clone()),
-                [group] => {
-                    return Err(format!(
-                        "sub-checkpoint targets {} where the matrix group is {}",
-                        group.target_id, target.id
-                    ));
-                }
-                _ => {
-                    return Err(format!(
-                        "sub-checkpoint for target {} has {} groups, expected exactly 1",
-                        target.id,
-                        part.groups.len()
-                    ));
-                }
-            }
-            if part.cells.len() != indices.len() {
-                return Err(format!(
-                    "sub-checkpoint for target {} has {} cells, its group has {}",
-                    target.id,
-                    part.cells.len(),
-                    indices.len()
-                ));
-            }
+            sub.check_checkpoint(part)
+                .map_err(|e| format!("sub-checkpoint for target {}: {e}", target.id))?;
+            groups.push(part.groups[0].clone());
             for (&full_idx, cell) in indices.iter().zip(&part.cells) {
                 cells[full_idx] = cell.clone();
             }
@@ -1176,9 +1120,11 @@ impl<'m> MatrixRun<'m> {
             cursor += scheduled;
             group.round += 1;
 
-            // Round boundary: diversity feedback (§5.6), mirroring the
-            // single-campaign fuzzer.  Only full rounds have a boundary; a
-            // final partial round never escalates.
+            // Round boundary: diversity feedback (§5.6).  The generator is
+            // escalated when the current coverage goal is met (all single
+            // patterns, then all pattern pairs) or when a whole round went
+            // by without improving coverage.  Only full rounds have a
+            // boundary; a final partial round never escalates.
             if matrix.escalation && group.next_index.is_multiple_of(round_size) {
                 let isa = group.target.isa;
                 let goal_met = match group.coverage_level {
@@ -1630,6 +1576,46 @@ mod tests {
                 ],
             );
         assert!(swapped_contract.resume(&snapshot).is_err());
+        // Every checkpoint carries one effectiveness sum per group cell;
+        // any other length is malformed, not an older format.
+        let mut malformed = snapshot.clone();
+        malformed.groups[0].effectiveness.pop();
+        let err = match matrix.resume(&malformed) {
+            Err(e) => e,
+            Ok(_) => panic!("a short effectiveness list must be rejected"),
+        };
+        assert!(err.contains("effectiveness"), "{err}");
+        malformed.groups[0].effectiveness.clear();
+        assert!(matrix.resume(&malformed).is_err());
+        assert!(matrix.split_checkpoint(&malformed).is_err());
+    }
+
+    #[test]
+    fn partial_final_round_is_counted_without_escalation() {
+        // Budget 10 with rounds of 4 runs rounds of 4, 4 and 2 test cases:
+        // the final partial round counts toward `round` but has no
+        // boundary, so it never escalates the generator.
+        let final_progress = |budget: usize| {
+            let matrix = CampaignMatrix::new(1)
+                .with_budget(budget)
+                .with_round_size(4)
+                .with_escalation(true)
+                .add_cell(Target::target1(), Contract::ct_seq());
+            let mut run = matrix.start();
+            while run.step(&mut NoopObserver) {}
+            run.checkpoint().groups.remove(0)
+        };
+        let full = final_progress(8);
+        let partial = final_progress(10);
+        assert_eq!(full.round, 2);
+        assert_eq!(partial.test_cases, 10);
+        assert_eq!(partial.round, 3, "the final partial round must be counted");
+        assert_eq!(
+            partial.escalations, full.escalations,
+            "a partial round has no boundary and must not escalate"
+        );
+        // A zero round size is clamped to 1, so the loop cannot stall.
+        assert_eq!(CampaignMatrix::new(1).with_round_size(0).initial_checkpoint().round_size, 1);
     }
 
     /// Observer that records the escalation counter of every round event.

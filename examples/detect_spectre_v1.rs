@@ -11,26 +11,21 @@ fn main() {
     println!("Fuzzing {target}");
     println!("Contract under test: CT-SEQ (speculation may expose nothing)\n");
 
-    let generator = GeneratorConfig::for_subset(target.isa)
-        .with_basic_blocks(4)
-        .with_instructions(14);
-    let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-        .with_generator(generator)
-        .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2))
-        .with_inputs_per_test_case(20)
-        .with_max_test_cases(200)
-        .with_seed(7);
-    let mut fuzzer = Revizor::new(target.cpu(), config).with_target(target.clone());
-    let report = fuzzer.run();
+    // A one-cell campaign matrix with the detection-tuned defaults: 4 basic
+    // blocks, 14 instructions, 20 inputs per test case, 2 repetitions.
+    let report = CampaignMatrix::new(7)
+        .with_budget(200)
+        .add_cell(target.clone(), Contract::ct_seq())
+        .run();
+    let cell = &report.cells[0];
 
-    println!("test cases executed : {}", report.test_cases);
-    println!("inputs executed     : {}", report.total_inputs);
+    println!("test cases executed : {}", cell.test_cases);
+    println!("inputs executed     : {}", cell.total_inputs);
     println!("duration            : {:?}", report.duration);
-    println!("pattern coverage    : {}", report.coverage);
-    println!("mean effectiveness  : {:.2}", report.mean_effectiveness);
+    println!("input effectiveness : {:.2}", cell.effectiveness.effectiveness());
     println!();
 
-    match report.violation {
+    match &cell.violation {
         Some(v) => {
             println!("VIOLATION of {} detected after {} test cases", v.contract, v.test_cases_until_detection);
             println!("classified as: {}", v.vulnerability);

@@ -15,8 +15,8 @@
 //! * [`executor`] (`rvz-executor`) — hardware-trace collection with priming;
 //! * [`gen`] (`rvz-gen`) — test-case and input generation;
 //! * [`analyzer`] (`rvz-analyzer`) — the relational analysis;
-//! * [`revizor`] — the fuzzer, targets, gadgets, minimizer and detection
-//!   harnesses;
+//! * [`revizor`] — the campaign matrix, the single-test-case harness,
+//!   targets, gadgets, minimizer and detection harnesses;
 //! * [`bench`] (`rvz-bench`) — experiment regeneration, the hand-rolled
 //!   JSON tree and the report export/import codecs;
 //! * [`store`] (`rvz-store`) — the indexed violation store
@@ -63,8 +63,7 @@ pub mod prelude {
     pub use revizor::targets::Target;
     pub use rvz_service::{JobPhase, JobSpec, ServiceConfig, ServiceHandle, Worker, WorkerConfig};
     pub use revizor::{
-        CellEvent, FuzzReport, FuzzerConfig, Postprocessor, ProgressObserver, Revizor, RoundEvent,
-        VulnClass,
+        CellEvent, FuzzerConfig, Postprocessor, ProgressObserver, Revizor, RoundEvent, VulnClass,
     };
     pub use rvz_analyzer::Analyzer;
     pub use rvz_emu::Runner;

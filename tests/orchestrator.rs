@@ -73,25 +73,26 @@ fn matrix_results_are_parallelism_invariant_end_to_end() {
 
 #[test]
 fn campaign_observer_reports_live_rounds() {
-    // The fuzzer's observer hook: one event per completed round, counters
-    // consistent with the final report.
+    // A one-cell campaign's observer hook: one event per completed round,
+    // counters consistent with the final checkpoint and report.
     struct Recorder(Vec<(usize, usize)>);
     impl ProgressObserver for Recorder {
         fn round_completed(&mut self, event: &RoundEvent) {
             self.0.push((event.round, event.test_cases));
         }
     }
-    let target = Target::target1();
-    let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-        .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2))
+    let matrix = CampaignMatrix::new(0)
         .with_inputs_per_test_case(10)
-        .with_max_test_cases(25);
-    let mut fuzzer = Revizor::new(target.cpu(), config).with_target(target.clone());
+        .with_budget(25)
+        .add_cell(Target::target1(), Contract::ct_seq());
     let mut recorder = Recorder(Vec::new());
-    let report = fuzzer.run_with_observer(&mut recorder);
-    assert_eq!(report.rounds, recorder.0.len());
-    assert_eq!(recorder.0.last().map(|&(r, _)| r), Some(report.rounds));
-    assert_eq!(recorder.0.last().map(|&(_, t)| t), Some(report.test_cases));
+    let mut run = matrix.start();
+    while run.step(&mut recorder) {}
+    let rounds = run.checkpoint().groups[0].round;
+    let report = run.finish(&mut recorder);
+    assert_eq!(rounds, recorder.0.len());
+    assert_eq!(recorder.0.last().map(|&(r, _)| r), Some(rounds));
+    assert_eq!(recorder.0.last().map(|&(_, t)| t), Some(report.cells[0].test_cases));
     assert!(recorder.0.windows(2).all(|w| w[0].0 + 1 == w[1].0), "rounds arrive in order");
 }
 
@@ -99,7 +100,7 @@ fn campaign_observer_reports_live_rounds() {
 fn matrix_violation_replays_through_the_sequential_api() {
     // A violation found by the orchestrator carries its test case, inputs
     // and per-test-case seed; replaying the recorded inputs through the
-    // public single-campaign API must confirm the same violation.
+    // public single-test-case harness must confirm the same violation.
     let report = CampaignMatrix::new(7)
         .with_budget(40)
         .add_cell(Target::target5(), Contract::ct_seq())
@@ -116,6 +117,43 @@ fn matrix_violation_replays_through_the_sequential_api() {
     assert_eq!((confirmed.input_a, confirmed.input_b), (v.violation.input_a, v.violation.input_b));
     assert_eq!(confirmed.htrace_a, v.violation.htrace_a);
     assert_eq!(confirmed.htrace_b, v.violation.htrace_b);
+}
+
+#[test]
+fn every_reported_violation_reproduces_from_its_report() {
+    // A reported violation must be reproducible from its report alone: the
+    // two diverging inputs give equal contract traces under the reference
+    // interpreter, and regenerating the test case from its seed with the
+    // cell's base generator confirms the same input pair.
+    let matrix = CampaignMatrix::table3(30).with_budget(40);
+    let report = matrix.run();
+    let mut found = 0;
+    for cell in report.cells.iter().filter(|c| c.found()) {
+        found += 1;
+        let label = format!("target {} x {}", cell.target.id, cell.contract.name());
+        let v = cell.violation.as_ref().unwrap();
+        let model = ContractModel::new(v.contract.clone());
+        let trace = |i: usize| model.collect_reference(&v.test_case, &v.inputs[i]).unwrap().trace;
+        assert_eq!(trace(v.violation.input_a), trace(v.violation.input_b), "{label}");
+
+        let generator = matrix.base_generator(&cell.target);
+        let tc = ProgramGenerator::new(generator.clone()).generate(v.test_case_seed);
+        assert_eq!(tc, v.test_case, "{label}: the seed regenerates the test case");
+        // The matrix measures with 2 repetitions per input sequence.
+        let config = FuzzerConfig::for_target(&cell.target, cell.contract.clone())
+            .with_generator(generator)
+            .with_executor(ExecutorConfig::fast(cell.target.mode).with_repetitions(2));
+        let mut harness = Revizor::new(cell.target.cpu(), config).with_target(cell.target.clone());
+        let outcome = harness.test_case(&tc, v.test_case_seed).unwrap();
+        assert_eq!(outcome.inputs, v.inputs, "{label}");
+        let confirmed = outcome.confirmed_violation.expect("violation must replay");
+        assert_eq!(
+            (confirmed.input_a, confirmed.input_b),
+            (v.violation.input_a, v.violation.input_b),
+            "{label}"
+        );
+    }
+    assert!(found > 0, "Table 3 at budget 40 must report violations");
 }
 
 #[test]
