@@ -106,7 +106,6 @@ fn timed_fleet_run(join_mid_job: bool, wave_delay: Duration, baseline: &str) -> 
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()

@@ -1,7 +1,7 @@
 //! The campaign server: serve Revizor fuzzing campaigns over TCP.
 //!
 //! ```text
-//! revizor-serve [--addr=127.0.0.1:15790] [--spool=DIR] [--shards=N] [--checkpoint-every=N]
+//! revizor-serve [--addr=127.0.0.1:15790] [--spool=DIR] [--shards=N]
 //!               [--coordinator] [--fleet-addr=127.0.0.1:15791] [--steal-after=SECS]
 //!               [--watermark=N]
 //! ```
@@ -21,14 +21,14 @@
 //!   ignored).  Jobs are stamped with the submitting tenant, and
 //!   `list`/`status`/`result`/`watch`/`cancel` only see the caller's
 //!   own jobs.  Without the flag the server is open (no auth).
-//! * `--shards` — long-lived worker threads, all draining one shared
-//!   queue (highest priority first, FIFO within a priority).
-//! * `--checkpoint-every` — waves between spool checkpoints (default 1).
-//!   Ignored in fleet mode, which always persists every replicated
-//!   wave (the at-most-one-wave-behind failover guarantee).
+//! * `--shards` — in-process worker threads.  Every job is split into
+//!   one work unit per target group, and each worker leases one unit at
+//!   a time from the one shared queue (highest priority first, FIFO
+//!   within a priority), so a job's units run on several workers at
+//!   once.  Every wave's checkpoint is spooled.
 //! * `--coordinator` / `--fleet-addr` — **fleet mode**: listen for
 //!   `revizor-worker` hosts (on `--fleet-addr`, default
-//!   `127.0.0.1:15791`) instead of running local shard threads.  Workers
+//!   `127.0.0.1:15791`) instead of running in-process workers.  Workers
 //!   register at runtime and *lease* relocatable work units (one per
 //!   target group of a job); checkpoints are replicated into the spool
 //!   after every wave, and the coordinator steals units back from slow
@@ -67,8 +67,9 @@ usage: revizor-serve [options]
   --token-file=FILE       require per-client tokens: one `<token> <tenant>`
                           per line; clients pass --token and only see their
                           tenant's jobs (default: open, no auth)
-  --shards=N              local shard threads (default 2; ignored in fleet mode)
-  --checkpoint-every=N    waves between spool checkpoints (default 1)
+  --shards=N              in-process workers, each leasing one work unit (one
+                          target group of a job) at a time (default 2;
+                          ignored in fleet mode)
   --coordinator           fleet mode on the default fleet address
   --fleet-addr=HOST:PORT  fleet mode: revizor-worker hosts register here at
                           runtime and lease relocatable work units
@@ -91,7 +92,6 @@ fn main() {
         flag_value_from_args::<String>("--addr").unwrap_or_else(|| "127.0.0.1:15790".to_string());
     let spool = flag_value_from_args::<String>("--spool").map(PathBuf::from);
     let shards = flag_value_from_args::<usize>("--shards").unwrap_or(2);
-    let checkpoint_every = flag_value_from_args::<usize>("--checkpoint-every").unwrap_or(1);
     let worker_listen = flag_value_from_args::<String>("--fleet-addr")
         .or_else(|| flag_from_args("--coordinator").then(|| "127.0.0.1:15791".to_string()));
 
@@ -101,7 +101,6 @@ fn main() {
         spool_retain: flag_value_from_args::<usize>("--spool-retain"),
         store: flag_value_from_args::<String>("--store").map(PathBuf::from),
         token_file: flag_value_from_args::<String>("--token-file").map(PathBuf::from),
-        checkpoint_every,
         listen: Some(addr),
         worker_listen,
         ..ServiceConfig::default()
@@ -125,7 +124,7 @@ fn main() {
     let bound = handle.local_addr().expect("listen address configured");
     let backend = match handle.worker_addr() {
         Some(fleet_addr) => format!("fleet coordinator; workers register on {fleet_addr}"),
-        None => format!("{shards} shard{}", if shards == 1 { "" } else { "s" }),
+        None => format!("{shards} in-process worker{}", if shards == 1 { "" } else { "s" }),
     };
     eprintln!(
         "revizor-serve: listening on {bound} ({backend}, spool: {})",

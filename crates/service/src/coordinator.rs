@@ -2,9 +2,11 @@
 //!
 //! A coordinator is a campaign server whose jobs run on an **elastic fleet
 //! of worker hosts** (`revizor-worker` processes) instead of in-process
-//! shard threads.  Clients see the exact same JSON-lines protocol; behind
+//! worker threads.  Clients see the exact same JSON-lines protocol; behind
 //! the core, a second listener accepts worker connections at any time and
-//! a poll reactor (same shape as [`crate::server`]) drives the unit queue:
+//! its [`Coordinator::poll_once`] — polled by the same reactor thread as
+//! the client port's [`crate::server::Server::poll_once`] — drives the
+//! unit queue:
 //!
 //! ```text
 //!            clients                          worker fleet (elastic)
@@ -29,12 +31,11 @@
 //! a protocol violation, handled like a malformed frame: the connection
 //! is dropped and its unit requeued, so nothing from it is ever spooled.
 //!
-//! Jobs split into **relocatable work units** (one per target group; see
-//! [`ServiceCore::lease_unit`]).  Workers join at runtime (`register`),
-//! ask for work (`lease`), and drive one unit at a time; a job's units can
-//! run on different hosts concurrently and the final report is
-//! reconstructed from their merged sub-checkpoints, byte-identical to an
-//! in-process run.
+//! Jobs split into **relocatable work units** (one per target group) at
+//! submit.  Workers join at runtime (`register`), ask for work (`lease`),
+//! and drive one unit at a time; a job's units can run on different hosts
+//! concurrently and the final report is reconstructed from their final
+//! sub-checkpoints, byte-identical to an in-process run.
 //!
 //! ## The replication contract
 //!
@@ -53,8 +54,8 @@
 //! ## Failure handling
 //!
 //! * **Worker dies / connection drops** — its leased unit is released
-//!   ([`ServiceCore::release_unit`]) and re-leased to the next idle
-//!   worker at the unit's last replicated sub-checkpoint.
+//!   and re-leased to the next idle worker at the unit's last replicated
+//!   sub-checkpoint.
 //! * **Worker goes slow** — an idle worker **steals**: a unit without an
 //!   accepted checkpoint for [`steal_after`](crate::ServiceConfig::steal_after)
 //!   is revoked from its owner and re-leased.  Every unit frame quotes its
@@ -65,7 +66,8 @@
 //!   of which stops at the next wave boundary and reports back its
 //!   stopping checkpoint (`unit_cancelled`).
 //! * **Priorities** — leasing picks units of the highest-priority job
-//!   (FIFO within a priority), exactly like the in-process shard workers.
+//!   (FIFO within a priority), from the same queue in-process workers
+//!   drain.
 
 use crate::core::{ServiceCore, UnitDisposition, UnitGrant};
 use crate::framing;
@@ -75,7 +77,6 @@ use rvz_bench::report::CheckpointTransfer;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One connected worker host.
@@ -207,7 +208,7 @@ impl Coordinator {
                         "coordinator: worker `{}` lost mid-job; requeueing {job} unit t{target}",
                         conn.name
                     );
-                    self.core.release_unit(&job, target, lease);
+                    self.core.release_unit(&job, target, lease, None);
                     progress = true;
                 }
             }
@@ -451,7 +452,7 @@ impl Coordinator {
         transfer: CheckpointTransfer,
     ) {
         let valid = transfer.validates();
-        core.cancel_unit(&transfer.job, target, lease, valid.then_some(transfer.checkpoint));
+        core.release_unit(&transfer.job, target, lease, valid.then_some(transfer.checkpoint));
         conn.forget_unit(&transfer.job, target);
     }
 
@@ -483,9 +484,9 @@ impl Coordinator {
                 }
             }
             let worker = self.conns[i].name.clone();
-            let grant = match self.core.lease_unit(&worker) {
+            let grant = match self.core.lease_unit(&worker, None) {
                 Some(grant) => Some(grant),
-                None => self.steal_for(i).and_then(|()| self.core.lease_unit(&worker)),
+                None => self.steal_for(i).and_then(|()| self.core.lease_unit(&worker, None)),
             };
             let Some(grant) = grant else { continue };
             eprintln!(
@@ -542,7 +543,7 @@ impl Coordinator {
         conn.queue_line(
             &Json::obj().field("op", "revoke").field("job", job.as_str()).field("target", target),
         );
-        self.core.release_unit(&job, target, lease);
+        self.core.release_unit(&job, target, lease, None);
         Some(())
     }
 
@@ -553,14 +554,9 @@ impl Coordinator {
         progress
     }
 
-    /// Drive the reactor until the core stops, then tell every worker to
-    /// shut down (best effort).
-    pub fn run(mut self) {
-        while !self.core.stopped() {
-            if !self.poll_once() {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+    /// Tell every connected worker to shut down (best effort): the
+    /// reactor's exit path once the core stops.
+    pub fn shutdown(mut self) {
         for conn in &mut self.conns {
             conn.queue_line(&Json::obj().field("op", "shutdown"));
             // The socket is non-blocking; a backed-up buffer would make
@@ -590,37 +586,4 @@ fn grant_frame(grant: &UnitGrant) -> Vec<u8> {
         frame = frame.checkpoint_section(binfmt::TAG_CHECKPOINT, cp);
     }
     frame.build()
-}
-
-/// A running coordinator: the reactor thread plus its bound worker
-/// address.
-pub struct CoordinatorHandle {
-    addr: SocketAddr,
-    thread: JoinHandle<()>,
-}
-
-impl CoordinatorHandle {
-    /// Spawn the coordinator reactor on its own thread.
-    ///
-    /// # Errors
-    /// Propagates bind failures.
-    pub fn spawn(core: Arc<ServiceCore>, listen: &str) -> io::Result<CoordinatorHandle> {
-        let coordinator = Coordinator::bind(core, listen)?;
-        let addr = coordinator.local_addr();
-        let thread = std::thread::Builder::new()
-            .name("rvz-service-coordinator".to_string())
-            .spawn(move || coordinator.run())
-            .map_err(io::Error::other)?;
-        Ok(CoordinatorHandle { addr, thread })
-    }
-
-    /// The bound worker address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Join the reactor thread (call after [`ServiceCore::stop`]).
-    pub fn join(self) {
-        let _ = self.thread.join();
-    }
 }

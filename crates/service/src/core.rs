@@ -1,16 +1,21 @@
-//! The service core: job table, sharded workers and event fan-out.
+//! The service core: job table, unit queue and event fan-out.
 //!
-//! The core is transport-agnostic — the TCP front-end ([`crate::server`])
-//! and the in-process [`ServiceHandle`](crate::ServiceHandle) both drive
-//! this API.  Jobs drain through `shards` long-lived worker threads, all
-//! pulling from one global queue (highest priority first, FIFO within a
-//! priority — never inverted by placement); each worker
-//! drives its job as an incremental
-//! [`MatrixRun`](revizor::orchestrator::MatrixRun), persisting a
-//! checkpoint to the spool between waves and publishing progress events to
-//! the job's event log.  Subscribers (watchers) replay that log from any
-//! cursor, so late subscribers see the full history and event delivery can
-//! never perturb verdicts.
+//! The core is transport-agnostic — the TCP front-end ([`crate::server`]),
+//! the fleet port ([`crate::coordinator`]) and the in-process
+//! [`ServiceHandle`](crate::ServiceHandle) all drive this API.  Every job
+//! is split at submit into its **work units**, one per target group of
+//! its matrix, and a job's durable state is exactly those units: each
+//! carries the sub-run checkpoint its last owner replicated.  Units drain
+//! through **one global queue** (highest priority first, FIFO within a
+//! priority — never inverted by placement), leased by whichever worker
+//! is idle: an in-process worker thread ([`crate::worker`]) calling the
+//! core directly, or a fleet worker host through the coordinator.  Both
+//! kinds step a unit as an incremental
+//! [`MatrixRun`](revizor::orchestrator::MatrixRun), replicate a
+//! checkpoint to the core (and the spool) after every wave and publish
+//! progress events to the job's event log.  Subscribers (watchers) replay
+//! that log from any cursor, so late subscribers see the full history and
+//! event delivery can never perturb verdicts.
 
 use crate::job::JobSpec;
 use crate::spool::{JobPhase, Spool, SpoolRecord, UnitPhase, UnitRecord};
@@ -22,15 +27,17 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Configuration of a service instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of shard worker threads.  All of them drain **one** shared
-    /// queue — highest priority first, FIFO within a priority — each
-    /// running one job at a time.
+    /// Number of in-process worker threads.  Each leases one work unit at
+    /// a time from the **one** global unit queue — highest priority
+    /// first, FIFO within a priority — exactly like a fleet worker host.
+    /// Ignored in fleet mode ([`ServiceConfig::worker_listen`]), which
+    /// runs no in-process workers.
     pub shards: usize,
     /// Spool directory for durable job state; `None` keeps everything in
     /// memory (jobs are lost when the process exits).
@@ -40,20 +47,15 @@ pub struct ServiceConfig {
     /// accretes one record per finished job forever (see
     /// [`crate::spool::Spool::with_retain`]).
     pub spool_retain: Option<usize>,
-    /// Waves between spool checkpoints (1 = checkpoint after every wave).
-    /// In-process mode only: multi-host replication always persists every
-    /// ack'd wave — the "spool replica is at most one wave behind" failover
-    /// guarantee is built on it.
-    pub checkpoint_every: usize,
     /// TCP listen address for the JSON-lines front-end (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port); `None` runs in-process only.
     pub listen: Option<String>,
-    /// Multi-host mode: TCP listen address for **worker hosts**
+    /// Fleet mode: TCP listen address for **worker hosts**
     /// (`revizor-worker`).  When set, the service runs as a *coordinator*:
-    /// no local shard threads are spawned, and jobs are dispatched to
+    /// no in-process workers are spawned, and units are leased to
     /// connected workers instead (see [`crate::coordinator`]).
     pub worker_listen: Option<String>,
-    /// Multi-host mode: how long a worker driving a work unit may go
+    /// Fleet mode: how long a worker driving a work unit may go
     /// without sending any frame before the coordinator declares it
     /// silently partitioned — the connection is dropped and its units
     /// requeued from their last replicated sub-checkpoints.  Workers
@@ -95,7 +97,6 @@ impl Default for ServiceConfig {
             shards: 2,
             spool: None,
             spool_retain: None,
-            checkpoint_every: 1,
             listen: None,
             worker_listen: None,
             worker_timeout: Duration::from_secs(120),
@@ -108,12 +109,12 @@ impl Default for ServiceConfig {
 }
 
 /// One relocatable work unit: one target group of its job's matrix,
-/// independently leasable, steppable and stealable (fleet mode).
+/// independently leasable, steppable and stealable.
 struct UnitState {
     /// The Table 2 target id whose cell group this unit drives.
     target: u8,
     phase: UnitPhase,
-    /// The worker host currently holding the lease.
+    /// The worker currently holding the lease.
     worker: Option<String>,
     /// Current lease token.  Minted fresh on every lease; every unit frame
     /// must quote it, so a stolen/released lease fences the old owner's
@@ -123,25 +124,54 @@ struct UnitState {
     checkpoint: Option<MatrixCheckpoint>,
 }
 
+impl UnitState {
+    /// A unit loaded from the spool.  It comes back leaseless (its owner
+    /// died with the server; the spool already demoted `Leased` to
+    /// `Queued`) with the lease counter reset — tokens only fence frames
+    /// within one server lifetime.
+    fn restored(record: UnitRecord) -> UnitState {
+        UnitState {
+            target: record.target,
+            phase: record.phase,
+            worker: None,
+            lease: 0,
+            checkpoint: record.checkpoint,
+        }
+    }
+}
+
+/// A fresh job's work units: one queued unit per target group, in the
+/// order [`CampaignMatrix::group_matrices`] splits the matrix.
+///
+/// [`CampaignMatrix::group_matrices`]: revizor::orchestrator::CampaignMatrix::group_matrices
+fn fresh_units(spec: &JobSpec) -> Vec<UnitState> {
+    spec.group_targets()
+        .into_iter()
+        .map(|target| UnitState {
+            target,
+            phase: UnitPhase::Queued,
+            worker: None,
+            lease: 0,
+            checkpoint: None,
+        })
+        .collect()
+}
+
 /// One job's in-memory state.
 struct JobEntry {
     spec: JobSpec,
-    shard: usize,
     phase: JobPhase,
     /// Append-only event log; watchers replay it by cursor.
     events: Vec<Json>,
-    checkpoint: Option<MatrixCheckpoint>,
-    /// The job's work units, one per target group (fleet mode; lazily
-    /// materialized at the first lease).  `None` on the shard path, where
-    /// the whole job is one unit of work.
-    units: Option<Vec<UnitState>>,
+    /// The job's work units, one per target group, split out at submit.
+    /// Their checkpoints are the job's whole durable progress.
+    units: Vec<UnitState>,
     result: Option<Json>,
-    /// A client asked for cancellation while the job was running; the
-    /// driver (shard worker or remote worker host) honors it at the next
-    /// wave boundary.
+    /// A client asked for cancellation while a unit of the job was
+    /// leased; its driver honors it at the next wave boundary.
     cancel_requested: bool,
-    /// The worker host that most recently leased part of the job
-    /// (fleet mode only; per-unit placement lives in `units`).
+    /// The worker that most recently leased part of the job (per-unit
+    /// placement lives in `units`).
     worker: Option<String>,
     /// Bumped (under the core lock) every time a durable record of this
     /// job is built; persists are ordered by it so a stale record built
@@ -149,27 +179,51 @@ struct JobEntry {
     record_version: u64,
 }
 
+impl JobEntry {
+    /// Units waiting for a lease.
+    fn queued_units(&self) -> usize {
+        self.units.iter().filter(|u| u.phase == UnitPhase::Queued).count()
+    }
+
+    /// Is any unit currently leased to a worker?
+    fn leased(&self) -> bool {
+        self.units.iter().any(|u| u.phase == UnitPhase::Leased)
+    }
+
+    /// The leased unit `(target, lease)` names, if that lease is current
+    /// and the job is still live.
+    fn leased_unit(&mut self, target: u8, lease: u64) -> Option<&mut UnitState> {
+        if self.phase.terminal() {
+            return None;
+        }
+        self.units
+            .iter_mut()
+            .find(|u| u.target == target && u.lease == lease && u.phase == UnitPhase::Leased)
+    }
+}
+
 /// Everything behind the core's one lock.
 struct CoreState {
     jobs: BTreeMap<String, JobEntry>,
-    /// Submission order (the claim scan walks it; FIFO tie-break).
+    /// Submission order (the lease scan walks it; FIFO tie-break).
     order: Vec<String>,
-    /// Jobs currently in [`JobPhase::Queued`] — maintained at every phase
-    /// transition so the idle paths (the coordinator polls for work every
-    /// 2ms, shard workers every 100ms) can skip the O(all jobs ever)
-    /// claim scan when nothing is queued.
-    queued: usize,
+    /// Units in [`UnitPhase::Queued`] across all non-terminal jobs —
+    /// maintained where units are created, leased or released and where
+    /// a job goes terminal, so the idle paths (the coordinator polls for
+    /// work every 2ms, in-process workers wake on every state change)
+    /// skip the O(all jobs ever) lease scan when nothing is queued, and
+    /// backpressure reads the backlog without a scan.
+    queued_units: usize,
 }
 
-
-/// Per-unit placement of a fleet job, for `status` responses.
+/// Per-unit placement of a job, for `status` responses.
 #[derive(Debug, Clone)]
 pub struct UnitStatus {
     /// The Table 2 target id whose cell group this unit drives.
     pub target: u8,
     /// Unit lifecycle phase.
     pub phase: UnitPhase,
-    /// The worker host currently holding the lease, if any.
+    /// The worker currently holding the lease, if any.
     pub worker: Option<String>,
     /// Last replicated sub-run wave (0 before the first checkpoint).
     pub wave: usize,
@@ -182,14 +236,10 @@ pub struct JobStatus {
     pub job: String,
     /// Lifecycle phase.
     pub phase: JobPhase,
-    /// Informational placement label (job-id hash bucket; always 0 in
-    /// fleet mode).  Scheduling is a single global priority queue —
-    /// jobs are never pinned.
-    pub shard: usize,
     /// Scheduling priority (higher drains first).
     pub priority: i64,
-    /// The worker host that most recently leased part of the job
-    /// (fleet mode only; see `units` for per-unit placement).
+    /// The worker that most recently leased part of the job (see `units`
+    /// for per-unit placement).
     pub worker: Option<String>,
     /// Number of matrix cells.
     pub cells: usize,
@@ -198,8 +248,7 @@ pub struct JobStatus {
     pub cells_finished: usize,
     /// Events published so far.
     pub events: usize,
-    /// Per-unit placement, once the job's work units have materialized
-    /// (fleet mode); empty on the shard path.
+    /// Per-unit placement, one entry per target group.
     pub units: Vec<UnitStatus>,
     /// Owning tenant (token-auth mode; see [`crate::job::JobSpec::tenant`]).
     /// `None` for tenantless jobs, which every client may see.
@@ -217,7 +266,6 @@ impl JobStatus {
             doc = doc.field("tenant", tenant.as_str());
         }
         let mut doc = doc
-            .field("shard", self.shard)
             .field("priority", rvz_bench::report::i64_to_json(self.priority))
             .field("worker", self.worker.as_deref())
             .field("cells", self.cells)
@@ -261,13 +309,13 @@ pub struct Backpressure {
 pub enum SubmitRejection {
     /// The spec does not resolve (unknown target/contract).
     Invalid(String),
-    /// The fleet's queue is at the watermark: retry later.
+    /// The unit queue is at the watermark: retry later.
     Backpressure(Backpressure),
 }
 
-/// A leased work unit, as handed to the coordinator for granting: the
-/// unit's identity (job + target + lease token), the job spec the worker
-/// resolves locally, and the sub-run checkpoint to resume from.
+/// A leased work unit, as handed to its worker: the unit's identity
+/// (job + target + lease token), the job spec the worker resolves, and
+/// the sub-run checkpoint to resume from.
 pub(crate) struct UnitGrant {
     pub(crate) job: String,
     pub(crate) target: u8,
@@ -289,6 +337,10 @@ pub(crate) enum UnitDisposition {
     Ignored,
 }
 
+/// A durable record built under the core lock, with its version, ready to
+/// persist once the lock is released (`None` without a spool).
+type PendingRecord = Option<(SpoolRecord, u64)>;
+
 /// The transport-agnostic service core (see the module docs).
 pub struct ServiceCore {
     config: ServiceConfig,
@@ -300,14 +352,15 @@ pub struct ServiceCore {
     /// the client front-end open (no auth).
     auth: Option<BTreeMap<String, String>>,
     state: Mutex<CoreState>,
-    /// Notified on every state change: submissions (wakes workers), events
-    /// and completions (wakes watchers / waiters).
+    /// Notified on every state change: submissions and released units
+    /// (wake idle in-process workers), events and completions (wake
+    /// watchers / waiters).
     changed: Condvar,
     stop: AtomicBool,
     counter: AtomicU64,
-    /// Lease tokens (fleet mode), minted fresh per lease.  Process-global
-    /// so a token can never repeat across jobs or steals — a stale frame
-    /// quoting an old token is always detectably stale.
+    /// Lease tokens, minted fresh per lease.  Process-global so a token
+    /// can never repeat across jobs or steals — a stale frame quoting an
+    /// old token is always detectably stale.
     lease_counter: AtomicU64,
     /// Global event sequence: every published event is stamped with a
     /// strictly increasing `seq`, so cross-job scheduling order (e.g.
@@ -328,13 +381,6 @@ impl ServiceCore {
     /// # Errors
     /// Propagates spool-directory creation failures.
     pub fn new(config: ServiceConfig) -> io::Result<Arc<ServiceCore>> {
-        // In fleet mode jobs are dispatched to worker hosts, not
-        // pinned to local shard threads: collapse to one nominal shard so
-        // the wire-visible `shard` field is always 0 there.
-        let mut config = config;
-        if config.worker_listen.is_some() {
-            config.shards = 1;
-        }
         let spool = match &config.spool {
             Some(dir) => Some(Spool::open(dir)?.with_retain(config.spool_retain)),
             None => None,
@@ -347,7 +393,7 @@ impl ServiceCore {
             Some(path) => Some(load_tokens(path)?),
             None => None,
         };
-        let mut state = CoreState { jobs: BTreeMap::new(), order: Vec::new(), queued: 0 };
+        let mut state = CoreState { jobs: BTreeMap::new(), order: Vec::new(), queued_units: 0 };
         let mut next_counter = 1u64;
         if let Some(spool) = &spool {
             let mut records = spool.load_all();
@@ -356,12 +402,11 @@ impl ServiceCore {
             // the unpadded hex counter itself misorders across widths).
             // Re-sort by the counter — it increases per submission — so
             // the restored `order` preserves the FIFO-within-priority
-            // claim guarantee and the event `seq` re-stamp below really is
+            // lease guarantee and the event `seq` re-stamp below really is
             // submission order.  Ids without a parseable counter sort
             // first, by name.
             records.sort_by_key(|r| (id_counter(&r.job), r.job.clone()));
             for record in records {
-                let shard = shard_of(&record.job, config.shards);
                 // Job ids end in `-<counter hex>`; keep allocating above the
                 // highest loaded one so a restarted server can never reuse
                 // (and overwrite) an existing job's id.
@@ -369,41 +414,28 @@ impl ServiceCore {
                     next_counter = next_counter.max(n + 1);
                 }
                 let events = restored_events(&record);
-                if record.phase == JobPhase::Queued {
-                    state.queued += 1;
+                // A record without units carries no progress the service
+                // can resume: its job starts over as fresh units, which
+                // yields the same verdicts.
+                let units = match record.units {
+                    Some(units) => units.into_iter().map(UnitState::restored).collect(),
+                    None => fresh_units(&record.spec),
+                };
+                let entry = JobEntry {
+                    spec: record.spec,
+                    phase: record.phase,
+                    events,
+                    units,
+                    result: record.result,
+                    cancel_requested: record.cancel_requested,
+                    worker: None,
+                    record_version: 0,
+                };
+                if !entry.phase.terminal() {
+                    state.queued_units += entry.queued_units();
                 }
-                // Restored units come back leaseless (their owners died
-                // with the server; the spool already demoted Leased to
-                // Queued) with the lease counter reset — tokens only fence
-                // frames within one server lifetime.
-                let units = record.units.map(|units| {
-                    units
-                        .into_iter()
-                        .map(|u| UnitState {
-                            target: u.target,
-                            phase: u.phase,
-                            worker: None,
-                            lease: 0,
-                            checkpoint: u.checkpoint,
-                        })
-                        .collect()
-                });
                 state.order.push(record.job.clone());
-                state.jobs.insert(
-                    record.job.clone(),
-                    JobEntry {
-                        spec: record.spec,
-                        shard,
-                        phase: record.phase,
-                        events,
-                        checkpoint: record.checkpoint,
-                        units,
-                        result: record.result,
-                        cancel_requested: record.cancel_requested,
-                        worker: None,
-                        record_version: 0,
-                    },
-                );
+                state.jobs.insert(record.job, entry);
             }
         }
         // Restored event logs are re-stamped from 0 in submission order.
@@ -432,40 +464,32 @@ impl ServiceCore {
         // A restored job whose cancel arrived just before the previous
         // server died comes back as Queued + cancel_requested; honor the
         // cancellation now instead of re-running (or stranding) the job.
-        let pending_cancels: Vec<String> = {
-            let state = core.state.lock().expect("core lock");
-            state
-                .jobs
-                .iter()
-                .filter(|(_, e)| e.phase == JobPhase::Queued && e.cancel_requested)
-                .map(|(job, _)| job.clone())
-                .collect()
-        };
-        for job in pending_cancels {
-            core.finish_cancelled(&job, None);
-        }
         // A job restored with every unit already Done died between its
         // last unit finishing and the result persisting; nothing will ever
         // lease it again, so reconstruct and complete it now.
-        let pending_done: Vec<String> = {
-            let state = core.state.lock().expect("core lock");
-            state
-                .jobs
-                .iter()
-                .filter(|(_, e)| {
-                    !e.phase.terminal()
-                        && e.units.as_ref().is_some_and(|units| {
-                            !units.is_empty()
-                                && units.iter().all(|u| u.phase == UnitPhase::Done)
-                        })
-                })
-                .map(|(job, _)| job.clone())
-                .collect()
+        let (pending_cancels, pending_done): (Vec<String>, Vec<String>) = {
+            let state = core.lock();
+            let live = || state.jobs.iter().filter(|(_, e)| !e.phase.terminal());
+            (
+                live().filter(|(_, e)| e.cancel_requested).map(|(job, _)| job.clone()).collect(),
+                live()
+                    .filter(|(_, e)| e.units.iter().all(|u| u.phase == UnitPhase::Done))
+                    .map(|(job, _)| job.clone())
+                    .collect(),
+            )
         };
+        for job in pending_cancels {
+            core.finish_cancelled(&job);
+        }
         for job in pending_done {
             core.finalize_units(&job);
         }
         Ok(core)
+    }
+
+    /// The core lock.
+    fn lock(&self) -> MutexGuard<'_, CoreState> {
+        self.state.lock().expect("core lock")
     }
 
     /// The instance configuration.
@@ -478,12 +502,12 @@ impl ServiceCore {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Ask workers (and the front-end) to stop.  Workers finish their
-    /// current wave, persist a checkpoint and exit; unfinished jobs stay
-    /// resumable in the spool.
+    /// Ask workers (and the front-end) to stop.  In-process workers hand
+    /// their units back at the next wave boundary, with a checkpoint, and
+    /// exit; unfinished jobs stay resumable in the spool.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _guard = self.state.lock().expect("core lock");
+        let _guard = self.lock();
         self.changed.notify_all();
     }
 
@@ -512,24 +536,7 @@ impl ServiceCore {
     /// [`SubmitRejection::Backpressure`] for a full queue.
     pub fn try_submit(&self, spec: JobSpec) -> Result<String, SubmitRejection> {
         spec.to_matrix().map_err(SubmitRejection::Invalid)?;
-        let queued_units = {
-            let state = self.state.lock().expect("core lock");
-            state
-                .jobs
-                .values()
-                .filter(|e| !e.phase.terminal())
-                .map(|e| match &e.units {
-                    // Materialized: exactly the units still waiting.
-                    Some(units) =>
-                        units.iter().filter(|u| u.phase == UnitPhase::Queued).count(),
-                    // Not yet materialized: a queued job will split into
-                    // one unit per target group; a running one (shard
-                    // path) is being worked, so it exerts no pressure.
-                    None if e.phase == JobPhase::Queued => e.spec.group_targets().len(),
-                    None => 0,
-                })
-                .sum::<usize>()
-        };
+        let queued_units = self.lock().queued_units;
         let watermark = self.config.queue_watermark.max(1);
         if queued_units >= watermark {
             // The hint scales with the overshoot (capped at a minute):
@@ -545,7 +552,8 @@ impl ServiceCore {
         Ok(self.accept_submission(spec))
     }
 
-    /// Queue a pre-validated spec: mint the id, persist, insert.
+    /// Queue a pre-validated spec: mint the id, split it into units,
+    /// persist, insert.
     fn accept_submission(&self, spec: JobSpec) -> String {
         let digest = fnv(spec.to_json().render().as_bytes());
         let job = loop {
@@ -553,50 +561,47 @@ impl ServiceCore {
             // loaded from the spool, so collisions are only possible with
             // hand-named spool files — skip over those too.
             let job = format!("j{digest:x}-{:x}", self.counter.fetch_add(1, Ordering::SeqCst));
-            if !self.state.lock().expect("core lock").jobs.contains_key(&job) {
+            if !self.lock().jobs.contains_key(&job) {
                 break job;
             }
         };
-        let shard = shard_of(&job, self.config.shards);
+        let units = fresh_units(&spec);
+        let vacuous = units.is_empty();
         let mut entry = JobEntry {
             spec,
-            shard,
             phase: JobPhase::Queued,
             events: Vec::new(),
-            checkpoint: None,
-            units: None,
+            units,
             result: None,
             cancel_requested: false,
             worker: None,
             record_version: 0,
         };
-        let (record, version) = Self::record_of(&job, &mut entry);
-        self.persist(&record, version);
-        let mut state = self.state.lock().expect("core lock");
-        state.order.push(job.clone());
-        state.jobs.insert(job.clone(), entry);
-        state.queued += 1;
-        self.changed.notify_all();
+        let record = self.record_of(&job, &mut entry);
+        self.persist(record);
+        {
+            let mut state = self.lock();
+            state.order.push(job.clone());
+            state.queued_units += entry.units.len();
+            state.jobs.insert(job.clone(), entry);
+            self.changed.notify_all();
+        }
+        // A cell-less spec splits into zero units: nothing will ever
+        // lease it, so it completes (vacuously) right away.
+        if vacuous {
+            self.finalize_units(&job);
+        }
         job
     }
 
     /// A summary of one job, if known.
     pub fn status(&self, job: &str) -> Option<JobStatus> {
-        let state = self.state.lock().expect("core lock");
-        state.jobs.get(job).map(|e| summarize(job, e))
-    }
-
-    /// Just a job's lifecycle phase — one lock, no event-log scan (the
-    /// drive loop polls this every wave; [`ServiceCore::status`] counts
-    /// cell events and would make that O(log length) per wave).
-    pub fn job_phase(&self, job: &str) -> Option<JobPhase> {
-        let state = self.state.lock().expect("core lock");
-        state.jobs.get(job).map(|e| e.phase)
+        self.lock().jobs.get(job).map(|e| summarize(job, e))
     }
 
     /// Summaries of all jobs, in submission order.
     pub fn list(&self) -> Vec<JobStatus> {
-        let state = self.state.lock().expect("core lock");
+        let state = self.lock();
         state
             .order
             .iter()
@@ -608,15 +613,13 @@ impl ServiceCore {
     /// `Some(None)` = known but not finished.
     #[allow(clippy::option_option)]
     pub fn result(&self, job: &str) -> Option<Option<Json>> {
-        let state = self.state.lock().expect("core lock");
-        state.jobs.get(job).map(|e| e.result.clone())
+        self.lock().jobs.get(job).map(|e| e.result.clone())
     }
 
     /// Events `from..` of a job's log (empty when none are new).  `None`
     /// for unknown jobs.
     pub fn events_from(&self, job: &str, from: usize) -> Option<Vec<Json>> {
-        let state = self.state.lock().expect("core lock");
-        state.jobs.get(job).map(|e| e.events.get(from..).unwrap_or_default().to_vec())
+        self.lock().jobs.get(job).map(|e| e.events.get(from..).unwrap_or_default().to_vec())
     }
 
     /// Block until the job finishes (or the core stops); returns its result
@@ -625,7 +628,7 @@ impl ServiceCore {
     /// # Errors
     /// Returns a message for unknown jobs or when the core stops first.
     pub fn wait(&self, job: &str) -> Result<Json, String> {
-        let mut state = self.state.lock().expect("core lock");
+        let mut state = self.lock();
         loop {
             match state.jobs.get(job) {
                 None => return Err(format!("unknown job `{job}`")),
@@ -647,30 +650,33 @@ impl ServiceCore {
     }
 
     /// Build the durable record of a job, stamped with the next record
-    /// version (callers persist it *outside* the core lock — checkpoint
-    /// documents carry whole violation reports, and file I/O under the
-    /// lock would stall every client-facing call).
-    fn record_of(job: &str, entry: &mut JobEntry) -> (SpoolRecord, u64) {
+    /// version (callers persist it *outside* the core lock — unit
+    /// checkpoints carry whole violation reports, and file I/O under the
+    /// lock would stall every client-facing call).  `None` without a
+    /// spool, so memory-only services never copy checkpoints for it.
+    fn record_of(&self, job: &str, entry: &mut JobEntry) -> PendingRecord {
+        self.spool.as_ref()?;
         entry.record_version += 1;
         let record = SpoolRecord {
             job: job.to_string(),
             spec: entry.spec.clone(),
             phase: entry.phase,
-            checkpoint: entry.checkpoint.clone(),
-            units: entry.units.as_ref().map(|units| {
-                units
+            checkpoint: None,
+            units: Some(
+                entry
+                    .units
                     .iter()
                     .map(|u| UnitRecord {
                         target: u.target,
                         phase: u.phase,
                         checkpoint: u.checkpoint.clone(),
                     })
-                    .collect()
-            }),
+                    .collect(),
+            ),
             result: entry.result.clone(),
             cancel_requested: entry.cancel_requested,
         };
-        (record, entry.record_version)
+        Some((record, entry.record_version))
     }
 
     /// Write one record to the spool (core lock NOT held).  Writes are
@@ -679,10 +685,8 @@ impl ServiceCore {
     /// file, and without the ordering the stale one could win the rename
     /// and roll back durable state (e.g. a freshly persisted
     /// `cancel_requested` flag, which must survive a server kill).
-    fn persist(&self, record: &SpoolRecord, version: u64) {
-        if self.spool.is_none() {
-            return;
-        }
+    fn persist(&self, record: PendingRecord) {
+        let (Some(spool), Some((record, version))) = (&self.spool, record) else { return };
         // The map lock is held only to fetch the job's own lock; the file
         // write happens under the *per-job* lock, so unrelated jobs (and
         // submit() on the reactor thread) never wait on each other's I/O.
@@ -695,199 +699,84 @@ impl ServiceCore {
             return; // a newer record already reached the disk
         }
         *last = version;
-        let spool = self.spool.as_ref().expect("checked above");
-        if let Err(e) = spool.save(record) {
+        if let Err(e) = spool.save(&record) {
             eprintln!("spool: failed to persist job {}: {e}", record.job);
         }
     }
 
-    /// Pick the next queued job, marking it running: the highest-priority
-    /// queued job (FIFO within a priority), from the **one global queue**
-    /// — every idle drainer (in-process shard worker or, via the
-    /// coordinator, a remote worker host) takes the globally best job, so
-    /// the priority guarantee is never inverted by placement.  `worker`
-    /// names the remote worker host taking the job, when there is one.
-    pub(crate) fn claim(
-        &self,
-        worker: Option<&str>,
-    ) -> Option<(String, JobSpec, Option<MatrixCheckpoint>)> {
-        let (claimed, record, cancelled) = {
-            let mut state = self.state.lock().expect("core lock");
-            if state.queued == 0 {
-                // Fast path for the idle pollers: no scan of the full job
-                // history when nothing is queued.
-                return None;
-            }
-            // A queued job can carry a pending cancel (its cancel raced a
-            // requeue): it must never be dispatched again — collect it for
-            // terminal cancellation instead of claiming it.
-            let mut cancelled: Vec<String> = Vec::new();
-            // `order` is submission order; keeping only *strictly* higher
-            // priorities picks the earliest submission within the winning
-            // priority (FIFO tie-break).
-            let mut best: Option<(&String, i64)> = None;
+    /// Lease the best queued work unit to `worker`: a queued unit of the
+    /// highest-priority job that has one, FIFO within a priority — the
+    /// **one global queue** every idle worker (in-process thread or fleet
+    /// host) drains, so the priority guarantee is never inverted by
+    /// placement.  Mints a fresh lease token; every frame the worker
+    /// sends for the unit must quote it.  With `idle` set (in-process
+    /// workers), a lease that finds nothing waits up to `idle` for the
+    /// next state change before returning `None`; the scan and the wait
+    /// share one lock acquisition, so a submission can never slip in
+    /// between unseen.
+    pub(crate) fn lease_unit(&self, worker: &str, idle: Option<Duration>) -> Option<UnitGrant> {
+        let mut state = self.lock();
+        let mut cancelled: Vec<String> = Vec::new();
+        let mut best: Option<(&String, i64)> = None;
+        // Nothing queued: skip the scan of the full job history.
+        if state.queued_units > 0 {
             for job in &state.order {
                 let Some(e) = state.jobs.get(job) else { continue };
-                if e.phase != JobPhase::Queued {
+                if e.phase.terminal() || !e.units.iter().any(|u| u.phase == UnitPhase::Queued) {
                     continue;
                 }
                 if e.cancel_requested {
-                    cancelled.push(job.clone());
+                    // A cancelled job never leases out more units; once
+                    // none is leased either, it is terminally cancelled
+                    // right here.
+                    if !e.leased() {
+                        cancelled.push(job.clone());
+                    }
                     continue;
                 }
                 if best.is_none_or(|(_, p)| e.spec.priority > p) {
                     best = Some((job, e.spec.priority));
                 }
             }
-            match best {
-                None => (None, None, cancelled),
-                Some((job, _)) => {
-                    let job = job.clone();
-                    state.queued -= 1; // the scan saw it Queued
-                    let entry = state.jobs.get_mut(&job).expect("found above");
-                    entry.phase = JobPhase::Running;
-                    entry.worker = worker.map(str::to_string);
-                    let claimed = (job.clone(), entry.spec.clone(), entry.checkpoint.clone());
-                    let record = Self::record_of(&job, entry);
-                    (Some(claimed), Some(record), cancelled)
-                }
-            }
-        };
-        for job in cancelled {
-            self.finish_cancelled(&job, None);
         }
-        let (record, version) = record?;
-        self.persist(&record, version);
-        claimed
-    }
-
-    /// Hand a running job back to the queue (its driver is gone — e.g. a
-    /// worker host died).  The job keeps its last replicated checkpoint, so
-    /// the next claim resumes it from there with byte-identical verdicts.
-    /// A job with a pending cancellation is cancelled terminally instead
-    /// of requeued — its driver died before honoring the cancel, and
-    /// re-dispatching it would run waves the client already cancelled.
-    pub(crate) fn requeue_interrupted(&self, job: &str) {
-        let record = {
-            let mut state = self.state.lock().expect("core lock");
-            let Some(entry) = state.jobs.get_mut(job) else { return };
-            if entry.phase != JobPhase::Running {
-                return;
-            }
-            if entry.cancel_requested {
-                drop(state);
-                self.finish_cancelled(job, None);
-                return;
-            }
-            entry.phase = JobPhase::Queued;
-            entry.worker = None;
-            let record = Self::record_of(job, entry);
-            state.queued += 1; // back from Running
-            record
-        };
-        let (record, version) = record;
-        self.persist(&record, version);
-        let _guard = self.state.lock().expect("core lock");
-        self.changed.notify_all();
-    }
-
-    /// Lease the best queued work unit to `worker` (fleet mode): the
-    /// highest-priority job with a queued unit (FIFO within a priority —
-    /// the same global-queue guarantee as [`ServiceCore::claim`], at unit
-    /// granularity), whose units are lazily split out of its whole-matrix
-    /// checkpoint on first lease.  Mints a fresh lease token; every frame
-    /// the worker sends for the unit must quote it.
-    pub(crate) fn lease_unit(&self, worker: &str) -> Option<UnitGrant> {
-        let (grant, record, cancelled, empty_job) = {
-            let mut state = self.state.lock().expect("core lock");
-            let mut cancelled: Vec<String> = Vec::new();
-            let mut best: Option<(&String, i64)> = None;
-            for job in &state.order {
-                let Some(e) = state.jobs.get(job) else { continue };
-                if e.phase.terminal() {
-                    continue;
+        let (grant, record) = match best {
+            None => {
+                if let Some(idle) = idle.filter(|_| cancelled.is_empty() && !self.stopped()) {
+                    let _ = self.changed.wait_timeout(state, idle).expect("core lock");
+                    return None;
                 }
-                if e.cancel_requested {
-                    // A cancelled job must never lease out more units; a
-                    // still-queued one is terminally cancelled right here
-                    // (see `claim`).
-                    if e.phase == JobPhase::Queued {
-                        cancelled.push(job.clone());
-                    }
-                    continue;
-                }
-                let has_queued = match &e.units {
-                    Some(units) => units.iter().any(|u| u.phase == UnitPhase::Queued),
-                    None => e.phase == JobPhase::Queued,
+                (None, None)
+            }
+            Some((job, _)) => {
+                let job = job.clone();
+                let lease = self.lease_counter.fetch_add(1, Ordering::SeqCst);
+                state.queued_units -= 1;
+                let entry = state.jobs.get_mut(&job).expect("found above");
+                let unit = entry
+                    .units
+                    .iter_mut()
+                    .find(|u| u.phase == UnitPhase::Queued)
+                    .expect("the scan saw a queued unit");
+                unit.phase = UnitPhase::Leased;
+                unit.worker = Some(worker.to_string());
+                unit.lease = lease;
+                let grant = UnitGrant {
+                    job: job.clone(),
+                    target: unit.target,
+                    lease,
+                    spec: entry.spec.clone(),
+                    checkpoint: unit.checkpoint.clone(),
                 };
-                if has_queued && best.is_none_or(|(_, p)| e.spec.priority > p) {
-                    best = Some((job, e.spec.priority));
-                }
-            }
-            match best {
-                None => (None, None, cancelled, None),
-                Some((job, _)) => {
-                    let job = job.clone();
-                    let lease = self.lease_counter.fetch_add(1, Ordering::SeqCst);
-                    let was_queued;
-                    let (grant, empty) = {
-                        let entry = state.jobs.get_mut(&job).expect("found above");
-                        if entry.units.is_none() {
-                            entry.units = Some(materialize_units(
-                                &job,
-                                &entry.spec,
-                                entry.checkpoint.as_ref(),
-                            ));
-                        }
-                        was_queued = entry.phase == JobPhase::Queued;
-                        let spec = entry.spec.clone();
-                        let units = entry.units.as_mut().expect("materialized above");
-                        match units.iter_mut().find(|u| u.phase == UnitPhase::Queued) {
-                            None => {
-                                // A cell-less spec splits into zero units:
-                                // nothing to lease, but the job must still
-                                // complete (vacuously, below).
-                                (None, units.is_empty())
-                            }
-                            Some(unit) => {
-                                unit.phase = UnitPhase::Leased;
-                                unit.worker = Some(worker.to_string());
-                                unit.lease = lease;
-                                let grant = UnitGrant {
-                                    job: job.clone(),
-                                    target: unit.target,
-                                    lease,
-                                    spec,
-                                    checkpoint: unit.checkpoint.clone(),
-                                };
-                                entry.phase = JobPhase::Running;
-                                entry.worker = Some(worker.to_string());
-                                (Some(grant), false)
-                            }
-                        }
-                    };
-                    if was_queued && (grant.is_some() || empty) {
-                        // Leased (or about to vacuously complete): either
-                        // way the job left the queue.
-                        state.queued -= 1;
-                        let entry = state.jobs.get_mut(&job).expect("found above");
-                        entry.phase = JobPhase::Running;
-                    }
-                    let entry = state.jobs.get_mut(&job).expect("found above");
-                    let record = Self::record_of(&job, entry);
-                    let empty_job = if empty { Some(job) } else { None };
-                    (grant, Some(record), cancelled, empty_job)
-                }
+                entry.phase = JobPhase::Running;
+                entry.worker = Some(worker.to_string());
+                (Some(grant), self.record_of(&job, entry))
             }
         };
+        drop(state);
         for job in cancelled {
-            self.finish_cancelled(&job, None);
+            self.finish_cancelled(&job);
         }
-        if let Some(job) = empty_job {
-            self.finalize_units(&job);
-        }
-        let (record, version) = record?;
-        self.persist(&record, version);
+        self.persist(record);
         grant
     }
 
@@ -904,33 +793,20 @@ impl ServiceCore {
         checkpoint: MatrixCheckpoint,
     ) -> UnitDisposition {
         let record = {
-            let mut state = self.state.lock().expect("core lock");
+            let mut state = self.lock();
             let Some(entry) = state.jobs.get_mut(job) else {
                 return UnitDisposition::Revoked;
             };
-            if entry.phase.terminal() {
-                return UnitDisposition::Revoked;
-            }
-            let Some(unit) = entry
-                .units
-                .as_mut()
-                .and_then(|units| units.iter_mut().find(|u| u.target == target))
-            else {
+            let Some(unit) = entry.leased_unit(target, lease) else {
                 return UnitDisposition::Revoked;
             };
-            if unit.lease != lease || unit.phase != UnitPhase::Leased {
-                return UnitDisposition::Revoked;
-            }
             if unit.checkpoint.as_ref().is_some_and(|old| checkpoint.wave <= old.wave) {
                 return UnitDisposition::Ignored;
             }
             unit.checkpoint = Some(checkpoint);
-            refresh_merged_checkpoint(job, entry);
-            Self::record_of(job, entry)
+            self.record_of(job, entry)
         };
-        let (record, version) = record;
-        self.persist(&record, version);
-        self.changed.notify_all();
+        self.persist(record);
         UnitDisposition::Accepted
     }
 
@@ -947,75 +823,62 @@ impl ServiceCore {
         checkpoint: MatrixCheckpoint,
         events: Vec<Json>,
     ) -> UnitDisposition {
-        let (record, all_done) = {
-            let mut state = self.state.lock().expect("core lock");
+        let (record, all_done, none_leased) = {
+            let mut state = self.lock();
             let Some(entry) = state.jobs.get_mut(job) else {
                 return UnitDisposition::Revoked;
             };
-            if entry.phase.terminal() {
-                return UnitDisposition::Revoked;
-            }
-            let Some(units) = entry.units.as_mut() else {
+            let Some(unit) = entry.leased_unit(target, lease) else {
                 return UnitDisposition::Revoked;
             };
-            let Some(unit) = units.iter_mut().find(|u| u.target == target) else {
-                return UnitDisposition::Revoked;
-            };
-            if unit.lease != lease || unit.phase != UnitPhase::Leased {
-                return UnitDisposition::Revoked;
-            }
             unit.phase = UnitPhase::Done;
             unit.worker = None;
             unit.checkpoint = Some(checkpoint);
-            let all_done = units.iter().all(|u| u.phase == UnitPhase::Done);
-            refresh_merged_checkpoint(job, entry);
-            (Self::record_of(job, entry), all_done)
+            let all_done = entry.units.iter().all(|u| u.phase == UnitPhase::Done);
+            (self.record_of(job, entry), all_done, !entry.leased())
         };
         // Trailing events precede the reconstruction's closing events.
         self.publish(job, events);
-        let (record, version) = record;
-        self.persist(&record, version);
+        self.persist(record);
         if all_done {
             self.finalize_units(job);
+        } else if none_leased {
+            self.leave_running(job);
         }
         UnitDisposition::Accepted
     }
 
-    /// A worker honored a cancellation for its leased unit: store where it
-    /// stopped and release the lease.  When no other unit of the job is
-    /// still leased, the job itself leaves `Running` (terminally cancelled
-    /// when the cancel is still pending — the usual case — or requeued).
-    pub(crate) fn cancel_unit(
+    /// Hand a leased unit back to the queue: its worker died, is being
+    /// stolen from, or stopped the unit (a cancel or a server stop) — in
+    /// which case `checkpoint` records where it stopped.  Without one the
+    /// unit resumes from its last replicated sub-checkpoint.  The old
+    /// owner's in-flight frames are fenced — they quote a lease that no
+    /// longer matches a `Leased` unit.  When no other unit of the job is
+    /// still leased, the job leaves `Running`.
+    pub(crate) fn release_unit(
         &self,
         job: &str,
         target: u8,
         lease: u64,
         checkpoint: Option<MatrixCheckpoint>,
     ) {
-        let Some((record, none_leased)) = self.release_unit_inner(job, target, lease, checkpoint)
-        else {
-            return;
+        let (record, none_leased) = {
+            let mut state = self.lock();
+            let Some(entry) = state.jobs.get_mut(job) else { return };
+            let Some(unit) = entry.leased_unit(target, lease) else { return };
+            unit.phase = UnitPhase::Queued;
+            unit.worker = None;
+            if checkpoint.is_some() {
+                unit.checkpoint = checkpoint;
+            }
+            let pending = (self.record_of(job, entry), !entry.leased());
+            state.queued_units += 1;
+            self.changed.notify_all();
+            pending
         };
-        let (record, version) = record;
-        self.persist(&record, version);
+        self.persist(record);
         if none_leased {
-            self.requeue_interrupted(job);
-        }
-    }
-
-    /// Revoke a unit's lease without new progress (its worker died or is
-    /// being stolen from): the unit requeues at its last replicated
-    /// sub-checkpoint.  The old owner's in-flight frames are fenced — they
-    /// quote a lease that no longer matches a `Leased` unit.
-    pub(crate) fn release_unit(&self, job: &str, target: u8, lease: u64) {
-        let Some((record, none_leased)) = self.release_unit_inner(job, target, lease, None)
-        else {
-            return;
-        };
-        let (record, version) = record;
-        self.persist(&record, version);
-        if none_leased {
-            self.requeue_interrupted(job);
+            self.leave_running(job);
         }
     }
 
@@ -1029,13 +892,13 @@ impl ServiceCore {
     /// Returns the released `(job, target)` pairs for logging.
     pub(crate) fn reconcile_leases(&self, live: &[(String, u8, u64)]) -> Vec<(String, u8)> {
         let orphaned: Vec<(String, u8, u64)> = {
-            let state = self.state.lock().expect("core lock");
+            let state = self.lock();
             state
                 .jobs
                 .iter()
                 .filter(|(_, e)| !e.phase.terminal())
                 .flat_map(|(job, e)| {
-                    e.units.iter().flatten().filter(|u| u.phase == UnitPhase::Leased).filter_map(
+                    e.units.iter().filter(|u| u.phase == UnitPhase::Leased).filter_map(
                         move |u| {
                             let owned = live
                                 .iter()
@@ -1052,40 +915,34 @@ impl ServiceCore {
         };
         let mut released = Vec::with_capacity(orphaned.len());
         for (job, target, lease) in orphaned {
-            self.release_unit(&job, target, lease);
+            self.release_unit(&job, target, lease, None);
             released.push((job, target));
         }
         released
     }
 
-    /// Shared lease-release body: unit back to `Queued` (optionally
-    /// recording a final position), report whether the job now has no
-    /// leased units left.  `None` when the lease is not current.
-    fn release_unit_inner(
-        &self,
-        job: &str,
-        target: u8,
-        lease: u64,
-        checkpoint: Option<MatrixCheckpoint>,
-    ) -> Option<((SpoolRecord, u64), bool)> {
-        let mut state = self.state.lock().expect("core lock");
-        let entry = state.jobs.get_mut(job)?;
-        if entry.phase.terminal() {
-            return None;
-        }
-        let units = entry.units.as_mut()?;
-        let unit = units.iter_mut().find(|u| u.target == target)?;
-        if unit.lease != lease || unit.phase != UnitPhase::Leased {
-            return None;
-        }
-        unit.phase = UnitPhase::Queued;
-        unit.worker = None;
-        if let Some(checkpoint) = checkpoint {
-            unit.checkpoint = Some(checkpoint);
-        }
-        let none_leased = units.iter().all(|u| u.phase != UnitPhase::Leased);
-        refresh_merged_checkpoint(job, entry);
-        Some((Self::record_of(job, entry), none_leased))
+    /// The job's last leased unit was handed back (or finished with
+    /// others still queued): it leaves `Running` — terminally cancelled
+    /// when a cancel is pending (its drivers are gone, and re-dispatching
+    /// it would run waves the client already cancelled), back to
+    /// `Queued` otherwise.
+    fn leave_running(&self, job: &str) {
+        let record = {
+            let mut state = self.lock();
+            let Some(entry) = state.jobs.get_mut(job) else { return };
+            if entry.phase != JobPhase::Running || entry.leased() {
+                return;
+            }
+            if entry.cancel_requested {
+                drop(state);
+                self.finish_cancelled(job);
+                return;
+            }
+            entry.phase = JobPhase::Queued;
+            entry.worker = None;
+            self.record_of(job, entry)
+        };
+        self.persist(record);
     }
 
     /// A worker could not run its leased unit at all (the spec no longer
@@ -1093,17 +950,11 @@ impl ServiceCore {
     /// fail the whole job.  Lease-fenced like every other unit frame, so a
     /// stale owner cannot fail a job its thief is completing.
     pub(crate) fn fail_unit(&self, job: &str, target: u8, lease: u64, error: &str) {
-        let valid = {
-            let state = self.state.lock().expect("core lock");
-            state.jobs.get(job).is_some_and(|e| {
-                !e.phase.terminal()
-                    && e.units.as_ref().is_some_and(|units| {
-                        units
-                            .iter()
-                            .any(|u| u.target == target && u.lease == lease && u.phase == UnitPhase::Leased)
-                    })
-            })
-        };
+        let valid = self
+            .lock()
+            .jobs
+            .get_mut(job)
+            .is_some_and(|e| e.leased_unit(target, lease).is_some());
         if valid {
             self.complete(job, Json::obj().field("job", job).field("error", error));
         }
@@ -1116,35 +967,21 @@ impl ServiceCore {
     /// closing cell events, and complete the job.  No-op unless every unit
     /// really is `Done` (so a straggler can never finish a job early).
     fn finalize_units(&self, job: &str) {
-        let snapshot = {
-            let state = self.state.lock().expect("core lock");
+        let (spec, units) = {
+            let state = self.lock();
             let Some(entry) = state.jobs.get(job) else { return };
-            if entry.phase.terminal() {
+            if entry.phase.terminal() || entry.units.iter().any(|u| u.phase != UnitPhase::Done) {
                 return;
             }
-            let Some(units) = entry.units.as_ref() else { return };
-            if !units.iter().all(|u| u.phase == UnitPhase::Done) {
-                return;
-            }
-            (
-                entry.spec.clone(),
-                units.iter().map(|u| u.checkpoint.clone()).collect::<Vec<_>>(),
-            )
+            let units: Vec<(u8, Option<MatrixCheckpoint>)> =
+                entry.units.iter().map(|u| (u.target, u.checkpoint.clone())).collect();
+            (entry.spec.clone(), units)
         };
-        let (spec, checkpoints) = snapshot;
         let mut collector = EventCollector { job: job.to_string(), events: Vec::new() };
         let outcome: Result<MatrixReport, String> = (|| {
-            let matrix = spec.to_matrix()?;
-            let subs = matrix.group_matrices();
-            if subs.len() != checkpoints.len() {
-                return Err(format!(
-                    "{} finished units but the matrix splits into {} groups",
-                    checkpoints.len(),
-                    subs.len()
-                ));
-            }
-            let mut reports = Vec::with_capacity(subs.len());
-            for (sub, checkpoint) in subs.iter().zip(checkpoints) {
+            let mut reports = Vec::with_capacity(units.len());
+            for (target, checkpoint) in units {
+                let sub = spec.unit_matrix(target)?;
                 let checkpoint =
                     checkpoint.ok_or("a unit finished without a final checkpoint")?;
                 let run = sub
@@ -1152,7 +989,7 @@ impl ServiceCore {
                     .map_err(|e| format!("final sub-checkpoint rejected: {e}"))?;
                 reports.push(run.finish(&mut collector));
             }
-            matrix.merge_reports(reports)
+            spec.to_matrix()?.merge_reports(reports)
         })();
         match outcome {
             Ok(report) => {
@@ -1168,48 +1005,44 @@ impl ServiceCore {
         }
     }
 
-    /// Ask for a job's cancellation.  Queued jobs cancel immediately;
-    /// running jobs cancel cooperatively at their next wave boundary (the
-    /// returned phase is still `Running` until then).  Terminal jobs are
-    /// rejected.
+    /// Ask for a job's cancellation.  A job with no leased unit cancels
+    /// immediately; one whose units are being driven cancels
+    /// cooperatively at their next wave boundary (the returned phase is
+    /// still `Running` until then).  Terminal jobs are rejected.
     ///
     /// # Errors
     /// Returns a message for unknown or already-finished jobs.
     pub fn cancel(&self, job: &str) -> Result<JobPhase, String> {
-        // `Some(record)` = running (cooperative cancel; persist the flag),
-        // `None` = still queued (cancel immediately).
-        let cooperative: Option<(SpoolRecord, u64)> = {
-            let mut state = self.state.lock().expect("core lock");
+        // `Some(record)` = leased units (cooperative cancel; persist the
+        // flag), `None` = nothing running (cancel immediately).
+        let cooperative: Option<PendingRecord> = {
+            let mut state = self.lock();
             let entry = state.jobs.get_mut(job).ok_or_else(|| format!("unknown job `{job}`"))?;
             match entry.phase {
                 JobPhase::Done => return Err(format!("job `{job}` already finished")),
                 JobPhase::Cancelled => return Ok(JobPhase::Cancelled),
-                JobPhase::Queued => {
-                    // Flag it under the SAME lock as the phase observation:
-                    // if a claim slips in between this lock and the
-                    // `finish_cancelled` below, it sees the flag and
-                    // cancels instead of dispatching — without it, a
-                    // queued job racing a claim would run to completion
-                    // behind its own cancelled `done` event.
-                    entry.cancel_requested = true;
-                    None
-                }
-                JobPhase::Running => {
+                JobPhase::Queued | JobPhase::Running => {
+                    // Flag it under the SAME lock as the lease observation:
+                    // a lease slipping in before the `finish_cancelled`
+                    // below sees the flag and cancels instead of
+                    // dispatching — without it, a queued job racing a
+                    // lease would run to completion behind its own
+                    // cancelled `done` event.
                     entry.cancel_requested = true;
                     // Persisted so the cancellation survives a server kill
                     // before the next wave boundary.
-                    Some(Self::record_of(job, entry))
+                    entry.leased().then(|| self.record_of(job, entry))
                 }
             }
         };
         match cooperative {
             None => {
-                self.finish_cancelled(job, None);
+                self.finish_cancelled(job);
                 Ok(JobPhase::Cancelled)
             }
-            Some((record, version)) => {
-                self.persist(&record, version);
-                let _guard = self.state.lock().expect("core lock");
+            Some(record) => {
+                self.persist(record);
+                let _guard = self.lock();
                 self.changed.notify_all();
                 Ok(JobPhase::Running)
             }
@@ -1218,47 +1051,54 @@ impl ServiceCore {
 
     /// Has a cancellation been requested for this (running) job?
     pub fn cancel_requested(&self, job: &str) -> bool {
-        let state = self.state.lock().expect("core lock");
-        state.jobs.get(job).is_some_and(|e| e.cancel_requested && !e.phase.terminal())
+        self.lock().jobs.get(job).is_some_and(|e| e.cancel_requested && !e.phase.terminal())
     }
 
-    /// Terminally cancel a job: record the (optional) final checkpoint as
-    /// the stopping point, store the `cancelled` result payload and publish
-    /// the terminating `done` event.  Called by whichever driver honors the
-    /// cooperative cancel — or directly for still-queued jobs.
-    pub(crate) fn finish_cancelled(&self, job: &str, checkpoint: Option<MatrixCheckpoint>) {
+    /// Terminally cancel a job: store the `cancelled` result payload and
+    /// publish the terminating `done` event.  Its units keep their last
+    /// checkpoints as the record of where the job stopped.
+    fn finish_cancelled(&self, job: &str) {
         let result = Json::obj().field("job", job).field("cancelled", true);
         let done = Json::obj()
             .field("event", "done")
             .field("job", job)
             .field("cancelled", true)
             .field("result", result.clone());
+        self.end(job, JobPhase::Cancelled, result, done);
+    }
+
+    /// Finish a job: store the result and publish the `done` event.
+    pub(crate) fn complete(&self, job: &str, result: Json) {
+        let done = Json::obj()
+            .field("event", "done")
+            .field("job", job)
+            .field("result", result.clone());
+        self.end(job, JobPhase::Done, result, done);
+    }
+
+    /// Move a job to a terminal phase with its result payload and closing
+    /// event.  A job that already ended keeps its first terminal state
+    /// (e.g. a result racing a cancellation).
+    fn end(&self, job: &str, phase: JobPhase, result: Json, done: Json) {
         let record = {
-            let mut state = self.state.lock().expect("core lock");
+            let mut state = self.lock();
             let Some(entry) = state.jobs.get_mut(job) else { return };
             if entry.phase.terminal() {
                 return;
             }
-            let was_queued = entry.phase == JobPhase::Queued;
-            entry.phase = JobPhase::Cancelled;
+            entry.phase = phase;
             entry.cancel_requested = false;
             entry.worker = None;
             entry.result = Some(result);
-            if let Some(checkpoint) = checkpoint {
-                entry.checkpoint = Some(checkpoint);
-            }
             let done = self.stamp(done);
             entry.events.push(done);
-            let record = Self::record_of(job, entry);
-            if was_queued {
-                state.queued -= 1;
-            }
+            let record = self.record_of(job, entry);
+            // A terminal job's queued units leave the backlog.
+            state.queued_units -= state.jobs[job].queued_units();
+            self.changed.notify_all();
             record
         };
-        let (record, version) = record;
-        self.persist(&record, version);
-        let _guard = self.state.lock().expect("core lock");
-        self.changed.notify_all();
+        self.persist(record);
     }
 
     /// Stamp an event with the next global sequence number.
@@ -1274,7 +1114,7 @@ impl ServiceCore {
         if events.is_empty() {
             return;
         }
-        let mut state = self.state.lock().expect("core lock");
+        let mut state = self.lock();
         if let Some(entry) = state.jobs.get_mut(job) {
             if entry.phase.terminal() {
                 return;
@@ -1285,141 +1125,6 @@ impl ServiceCore {
             }
         }
         self.changed.notify_all();
-    }
-
-    /// Store a wave checkpoint (and persist it, outside the lock).
-    pub(crate) fn save_checkpoint(&self, job: &str, checkpoint: MatrixCheckpoint, phase: JobPhase) {
-        let record = {
-            let mut state = self.state.lock().expect("core lock");
-            let Some(entry) = state.jobs.get_mut(job) else { return };
-            if entry.phase.terminal() {
-                // A straggling driver must never resurrect a finished or
-                // cancelled job to Running.
-                return;
-            }
-            let was_queued = entry.phase == JobPhase::Queued;
-            entry.checkpoint = Some(checkpoint);
-            entry.phase = phase;
-            let record = Self::record_of(job, entry);
-            match (was_queued, phase == JobPhase::Queued) {
-                (false, true) => state.queued += 1,
-                (true, false) => state.queued -= 1,
-                _ => {}
-            }
-            record
-        };
-        let (record, version) = record;
-        self.persist(&record, version);
-        self.changed.notify_all();
-    }
-
-    /// Finish a job: store the result, drop the checkpoint, publish the
-    /// `done` event.
-    pub(crate) fn complete(&self, job: &str, result: Json) {
-        let done = Json::obj()
-            .field("event", "done")
-            .field("job", job)
-            .field("result", result.clone());
-        let record = {
-            let mut state = self.state.lock().expect("core lock");
-            let Some(entry) = state.jobs.get_mut(job) else { return };
-            if entry.phase.terminal() {
-                // A result racing a cancellation: first terminal state wins.
-                return;
-            }
-            let was_queued = entry.phase == JobPhase::Queued;
-            entry.phase = JobPhase::Done;
-            entry.result = Some(result);
-            entry.checkpoint = None;
-            entry.worker = None;
-            let done = self.stamp(done);
-            entry.events.push(done);
-            let record = Self::record_of(job, entry);
-            if was_queued {
-                state.queued -= 1;
-            }
-            record
-        };
-        let (record, version) = record;
-        self.persist(&record, version);
-        self.changed.notify_all();
-    }
-
-    /// The body of one shard worker thread: claim → drive → complete, until
-    /// the core stops.
-    pub fn run_worker(self: &Arc<Self>, _shard: usize) {
-        while !self.stopped() {
-            let Some((job, spec, checkpoint)) = self.claim(None) else {
-                // Idle: wait for a submission (or stop).
-                let state = self.state.lock().expect("core lock");
-                let _ = self
-                    .changed
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .expect("core lock");
-                continue;
-            };
-            self.drive(&job, &spec, checkpoint);
-        }
-    }
-
-    /// Drive one job to completion (or to the stop flag).
-    fn drive(&self, job: &str, spec: &JobSpec, checkpoint: Option<MatrixCheckpoint>) {
-        let matrix = match spec.to_matrix() {
-            Ok(m) => m,
-            Err(e) => {
-                // Validated at submit; only a hand-edited spool reaches here.
-                self.complete(job, Json::obj().field("job", job).field("error", e.as_str()));
-                return;
-            }
-        };
-        let mut run = match &checkpoint {
-            Some(cp) => match matrix.resume(cp) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("job {job}: discarding stale checkpoint ({e}); restarting");
-                    matrix.start()
-                }
-            },
-            None => matrix.start(),
-        };
-        let mut collector = EventCollector { job: job.to_string(), events: Vec::new() };
-        let mut waves_since_checkpoint = 0usize;
-        loop {
-            if self.stopped() {
-                // Killed mid-job: park the progress and hand the job back
-                // to the queue; the next server (or restart) resumes it.
-                self.publish(job, std::mem::take(&mut collector.events));
-                self.save_checkpoint(job, run.checkpoint(), JobPhase::Queued);
-                return;
-            }
-            if self.cancel_requested(job) {
-                // Cooperative cancellation: stop at the wave boundary and
-                // record where the job stopped.
-                self.publish(job, std::mem::take(&mut collector.events));
-                self.finish_cancelled(job, Some(run.checkpoint()));
-                return;
-            }
-            if self.job_phase(job).is_none_or(JobPhase::terminal) {
-                // The job went terminal behind our back (a cancel raced
-                // the claim): abandon the run; the terminal state already
-                // published its closing event.
-                return;
-            }
-            let more = run.step(&mut collector);
-            self.publish(job, std::mem::take(&mut collector.events));
-            if !more {
-                break;
-            }
-            waves_since_checkpoint += 1;
-            if waves_since_checkpoint >= self.config.checkpoint_every.max(1) {
-                self.save_checkpoint(job, run.checkpoint(), JobPhase::Running);
-                waves_since_checkpoint = 0;
-            }
-        }
-        let report = run.finish(&mut collector);
-        self.publish(job, std::mem::take(&mut collector.events));
-        self.index_result(job, &report);
-        self.complete(job, job_result_json(job, spec, &report));
     }
 
     /// Append a finished job's violation cells to the indexed store (a
@@ -1472,7 +1177,6 @@ fn summarize(job: &str, e: &JobEntry) -> JobStatus {
     JobStatus {
         job: job.to_string(),
         phase: e.phase,
-        shard: e.shard,
         priority: e.spec.priority,
         worker: e.worker.clone(),
         tenant: e.spec.tenant.clone(),
@@ -1488,90 +1192,31 @@ fn summarize(job: &str, e: &JobEntry) -> JobStatus {
         events: e.events.len(),
         units: e
             .units
-            .as_ref()
-            .map(|units| {
-                units
-                    .iter()
-                    .map(|u| UnitStatus {
-                        target: u.target,
-                        phase: u.phase,
-                        worker: u.worker.clone(),
-                        wave: u.checkpoint.as_ref().map_or(0, |cp| cp.wave),
-                    })
-                    .collect()
+            .iter()
+            .map(|u| UnitStatus {
+                target: u.target,
+                phase: u.phase,
+                worker: u.worker.clone(),
+                wave: u.checkpoint.as_ref().map_or(0, |cp| cp.wave),
             })
-            .unwrap_or_default(),
-    }
-}
-
-/// Split a job into its work units, one per target group, each resuming
-/// from its slice of the job's whole-matrix checkpoint (fresh units when
-/// there is none, or when the stored checkpoint no longer matches the
-/// spec — e.g. a hand-edited spool).
-fn materialize_units(
-    job: &str,
-    spec: &JobSpec,
-    checkpoint: Option<&MatrixCheckpoint>,
-) -> Vec<UnitState> {
-    let targets = spec.group_targets();
-    let fresh = || vec![None; targets.len()];
-    let parts: Vec<Option<MatrixCheckpoint>> = match (checkpoint, spec.to_matrix()) {
-        (Some(checkpoint), Ok(matrix)) => match matrix.split_checkpoint(checkpoint) {
-            Ok(parts) if parts.len() == targets.len() => parts.into_iter().map(Some).collect(),
-            Ok(_) => fresh(),
-            Err(e) => {
-                eprintln!("job {job}: discarding stale checkpoint ({e}); starting units fresh");
-                fresh()
-            }
-        },
-        _ => fresh(),
-    };
-    targets
-        .into_iter()
-        .zip(parts)
-        .map(|(target, checkpoint)| UnitState {
-            target,
-            phase: UnitPhase::Queued,
-            worker: None,
-            lease: 0,
-            checkpoint,
-        })
-        .collect()
-}
-
-/// Recompute a job's whole-matrix checkpoint as the merge of its per-unit
-/// sub-checkpoints (units that never checkpointed contribute their initial
-/// sub-checkpoint).  Keeps the job resumable as ONE record across server
-/// restarts and shard/fleet mode changes.  Called under the core lock.
-fn refresh_merged_checkpoint(job: &str, entry: &mut JobEntry) {
-    let Some(units) = entry.units.as_ref() else { return };
-    let Ok(matrix) = entry.spec.to_matrix() else { return };
-    let subs = matrix.group_matrices();
-    if subs.len() != units.len() {
-        return;
-    }
-    let parts: Vec<MatrixCheckpoint> = units
-        .iter()
-        .zip(&subs)
-        .map(|(u, sub)| u.checkpoint.clone().unwrap_or_else(|| sub.initial_checkpoint()))
-        .collect();
-    match matrix.merge_checkpoints(&parts) {
-        Ok(merged) => entry.checkpoint = Some(merged),
-        Err(e) => eprintln!("job {job}: sub-checkpoint merge failed ({e}); keeping the previous"),
+            .collect(),
     }
 }
 
 /// Reconstruct a restored job's event log from its spool record, so
 /// watchers of a job that progressed (or finished) under a previous server
 /// still see its history and — crucially — the terminating `done` event.
-/// Cell events are synthesized from the checkpoint (pre-kill finds never
-/// re-fire after a resume); `elapsed_ms` is lost with the old process.
+/// Cell events are synthesized from the unit checkpoints (pre-kill finds
+/// never re-fire after a resume); `elapsed_ms` is lost with the old
+/// process.
 fn restored_events(record: &SpoolRecord) -> Vec<Json> {
     let mut events = Vec::new();
-    if let Some(checkpoint) = &record.checkpoint {
-        for (progress, (target, contract)) in
-            checkpoint.cells.iter().zip(&record.spec.cells)
-        {
+    for unit in record.units.iter().flatten() {
+        let Some(checkpoint) = &unit.checkpoint else { continue };
+        // A unit's sub-matrix holds the spec's cells of its target, in
+        // spec order.
+        let contracts = record.spec.cells.iter().filter(|(t, _)| *t == unit.target);
+        for (progress, (target, contract)) in checkpoint.cells.iter().zip(contracts) {
             let Some(progress) = progress else { continue };
             events.push(
                 Json::obj()
@@ -1632,7 +1277,7 @@ pub fn deterministic_result(result: &Json) -> Json {
 }
 
 /// Collects matrix progress events as wire-format JSON lines (shared by
-/// the in-process shard workers and the remote worker loop).
+/// the in-process and the fleet workers and the result reconstruction).
 pub(crate) struct EventCollector {
     pub(crate) job: String,
     pub(crate) events: Vec<Json>,
@@ -1666,7 +1311,7 @@ impl ProgressObserver for EventCollector {
     }
 }
 
-/// FNV-1a, used for shard assignment (stable across restarts).
+/// FNV-1a, the spec digest in job ids.
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -1674,10 +1319,6 @@ fn fnv(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn shard_of(job: &str, shards: usize) -> usize {
-    (fnv(job.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// The submission counter baked into a server-minted job id
@@ -1689,17 +1330,6 @@ fn id_counter(job: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for shards in [1usize, 2, 3, 8] {
-            for job in ["j1-1", "jabc-2", "jfff-3"] {
-                let s = shard_of(job, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(job, shards));
-            }
-        }
-    }
 
     #[test]
     fn deterministic_result_drops_job_and_timing() {
@@ -1720,10 +1350,10 @@ mod tests {
         assert!(err.contains("unknown target"), "{err}");
     }
 
-    /// No shard threads run here (the core is constructed directly), so
-    /// the queue can be claimed by hand and its order observed.
+    /// No worker threads run here (the core is constructed directly), so
+    /// the queue can be leased by hand and its order observed.
     #[test]
-    fn claim_drains_higher_priority_first_then_fifo() {
+    fn lease_drains_higher_priority_first_then_fifo() {
         let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
         let core = ServiceCore::new(config).unwrap();
         let spec = |p: i64| JobSpec::new(1).with_priority(p).add_cell(1, "CT-SEQ");
@@ -1731,11 +1361,10 @@ mod tests {
         let low_second = core.submit(spec(0)).unwrap();
         let high = core.submit(spec(5)).unwrap();
         let negative = core.submit(spec(-1)).unwrap();
-        let drained: Vec<String> = std::iter::from_fn(|| core.claim(None))
-            .map(|(job, _, _)| job)
-            .collect();
+        let drained: Vec<String> =
+            std::iter::from_fn(|| core.lease_unit("w", None)).map(|grant| grant.job).collect();
         assert_eq!(drained, vec![high, low_first, low_second, negative]);
-        assert!(core.claim(None).is_none(), "queue fully drained");
+        assert!(core.lease_unit("w", None).is_none(), "queue fully drained");
     }
 
     /// Two finished jobs that hit the same gadget produce one deduplicated
@@ -1755,9 +1384,9 @@ mod tests {
         let spec = || JobSpec::new(7).with_budget(60).add_cell(5, "CT-SEQ");
         for _ in 0..2 {
             let job = core.submit(spec()).unwrap();
-            let (claimed, spec, checkpoint) = core.claim(None).unwrap();
-            assert_eq!(claimed, job);
-            core.drive(&job, &spec, checkpoint);
+            let grant = core.lease_unit("local-0", None).unwrap();
+            assert_eq!(grant.job, job);
+            crate::worker::drive_local(&core, grant);
             assert_eq!(core.status(&job).unwrap().phase, JobPhase::Done);
         }
         let merged = rvz_store::Store::open(&dir).unwrap().merged().unwrap();
@@ -1780,21 +1409,21 @@ mod tests {
         assert_eq!(core.status(&job).unwrap().phase, JobPhase::Cancelled);
         let result = core.result(&job).unwrap().expect("cancelled result payload");
         assert_eq!(result.get("cancelled").and_then(Json::as_bool), Some(true));
-        // A cancelled job is never claimed.
-        assert!(core.claim(None).is_none());
+        // A cancelled job is never leased.
+        assert!(core.lease_unit("w", None).is_none());
         // The event log terminates with a cancelled `done` event.
         let events = core.events_from(&job, 0).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].get("event").and_then(Json::as_str), Some("done"));
         assert_eq!(events[0].get("cancelled").and_then(Json::as_bool), Some(true));
-        // A running job cancels cooperatively: the claim holder observes
-        // the request at its next wave boundary.
+        // A running job cancels cooperatively: the lease holder observes
+        // the request at its next wave boundary and hands the unit back.
         let running = core.submit(JobSpec::new(2).add_cell(1, "CT-SEQ")).unwrap();
-        let (claimed, _, _) = core.claim(None).unwrap();
-        assert_eq!(claimed, running);
+        let grant = core.lease_unit("w", None).unwrap();
+        assert_eq!(grant.job, running);
         assert_eq!(core.cancel(&running).unwrap(), JobPhase::Running);
         assert!(core.cancel_requested(&running));
-        core.finish_cancelled(&running, None);
+        core.release_unit(&running, grant.target, grant.lease, None);
         assert!(!core.cancel_requested(&running), "terminal phase clears the request");
         assert_eq!(core.status(&running).unwrap().phase, JobPhase::Cancelled);
         // Completing after cancellation must not overwrite the terminal state.
@@ -1803,21 +1432,21 @@ mod tests {
     }
 
     #[test]
-    fn pending_cancel_survives_requeue_and_claim_never_redispatches_it() {
+    fn pending_cancel_survives_release_and_lease_never_redispatches_it() {
         let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
         let core = ServiceCore::new(config).unwrap();
         // A cancel that lands while the job runs, whose driver then dies
-        // (worker host lost): requeue must cancel terminally, not hand the
-        // job back to the queue.
+        // (worker host lost): the release must cancel terminally, not hand
+        // the job back to the queue.
         let job = core.submit(JobSpec::new(1).add_cell(1, "CT-SEQ")).unwrap();
-        core.claim(Some("w1")).expect("claimed");
+        let grant = core.lease_unit("w1", None).expect("leased");
         assert_eq!(core.cancel(&job).unwrap(), JobPhase::Running);
-        core.requeue_interrupted(&job);
+        core.release_unit(&job, grant.target, grant.lease, None);
         assert_eq!(core.status(&job).unwrap().phase, JobPhase::Cancelled);
         assert!(core.result(&job).unwrap().is_some(), "terminal result published");
 
         // Defense in depth: even a Queued job carrying the flag (the
-        // cancel raced a requeue) is cancelled at claim time, never
+        // cancel raced a lease) is cancelled at lease time, never
         // dispatched — and does not shadow other queued work.
         let stuck = core.submit(JobSpec::new(2).add_cell(1, "CT-SEQ")).unwrap();
         let next = core.submit(JobSpec::new(3).add_cell(1, "CT-SEQ")).unwrap();
@@ -1825,8 +1454,8 @@ mod tests {
             let mut state = core.state.lock().unwrap();
             state.jobs.get_mut(&stuck).unwrap().cancel_requested = true;
         }
-        let (claimed, _, _) = core.claim(None).expect("other work still claimable");
-        assert_eq!(claimed, next);
+        let grant = core.lease_unit("w2", None).expect("other work still leasable");
+        assert_eq!(grant.job, next);
         assert_eq!(core.status(&stuck).unwrap().phase, JobPhase::Cancelled);
     }
 
@@ -1858,7 +1487,7 @@ mod tests {
         };
         let core = ServiceCore::new(config).unwrap();
         assert_eq!(core.status("j-test-9").unwrap().phase, JobPhase::Cancelled);
-        assert!(core.claim(None).is_none(), "never dispatched");
+        assert!(core.lease_unit("w", None).is_none(), "never dispatched");
         // The cancelled phase is durable for the *next* restart too.
         let record = Spool::open(&dir).unwrap().load_all().remove(0);
         assert_eq!(record.phase, JobPhase::Cancelled);
@@ -1896,30 +1525,13 @@ mod tests {
             ..ServiceConfig::default()
         };
         let core = ServiceCore::new(config).unwrap();
-        let drained: Vec<String> = std::iter::from_fn(|| core.claim(None))
-            .map(|(job, _, _)| job)
-            .collect();
+        let drained: Vec<String> =
+            std::iter::from_fn(|| core.lease_unit("w", None)).map(|grant| grant.job).collect();
         assert_eq!(drained, vec!["jzz-9", "jmm-a", "jaa-10"]);
         // And fresh ids keep allocating above the highest restored counter.
         let fresh = core.submit(JobSpec::new(2).add_cell(1, "CT-SEQ")).unwrap();
         assert!(u64::from_str_radix(fresh.rsplit('-').next().unwrap(), 16).unwrap() > 0x10);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn multi_host_mode_pins_every_job_to_shard_zero() {
-        // The wire-visible `shard` field is documented as always 0 in
-        // fleet mode; the config normalizes shards to 1 there.
-        let core = ServiceCore::new(ServiceConfig {
-            shards: 8,
-            worker_listen: Some("127.0.0.1:0".to_string()),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        for seed in 0..6u64 {
-            let job = core.submit(JobSpec::new(seed).add_cell(1, "CT-SEQ")).unwrap();
-            assert_eq!(core.status(&job).unwrap().shard, 0);
-        }
     }
 
     #[test]
@@ -1962,15 +1574,15 @@ mod tests {
             .unwrap();
 
         // The job's two target groups lease independently, nothing more.
-        let g1 = core.lease_unit("w1").expect("first unit leases");
-        let g2 = core.lease_unit("w2").expect("second unit leases");
+        let g1 = core.lease_unit("w1", None).expect("first unit leases");
+        let g2 = core.lease_unit("w2", None).expect("second unit leases");
         assert_eq!((g1.job.as_str(), g2.job.as_str()), (job.as_str(), job.as_str()));
         assert_ne!(g1.target, g2.target);
-        assert!(core.lease_unit("w3").is_none(), "a two-group job has exactly two units");
+        assert!(core.lease_unit("w3", None).is_none(), "a two-group job has exactly two units");
 
         // A steal re-leases the unit under a fresh token...
-        core.release_unit(&job, g1.target, g1.lease);
-        let g3 = core.lease_unit("w3").expect("a released unit re-leases");
+        core.release_unit(&job, g1.target, g1.lease, None);
+        let g3 = core.lease_unit("w3", None).expect("a released unit re-leases");
         assert_eq!(g3.target, g1.target);
         assert_ne!(g3.lease, g1.lease, "every lease mints a fresh fencing token");
 
@@ -2007,8 +1619,8 @@ mod tests {
         let job = core
             .submit(JobSpec::new(7).with_budget(10).add_cell(1, "CT-SEQ").add_cell(5, "CT-SEQ"))
             .unwrap();
-        let g1 = core.lease_unit("w1").expect("first unit leases");
-        let g2 = core.lease_unit("w2").expect("second unit leases");
+        let g1 = core.lease_unit("w1", None).expect("first unit leases");
+        let g2 = core.lease_unit("w2", None).expect("second unit leases");
 
         // w1's connection vanished without the core ever learning: its
         // lease is live in the core but owned by nobody.  The sweep
@@ -2017,7 +1629,7 @@ mod tests {
         assert_eq!(core.reconcile_leases(&live), vec![(job.clone(), g1.target)]);
 
         // The orphaned unit is re-leasable under a fresh fencing token.
-        let again = core.lease_unit("w3").expect("orphaned unit re-leases");
+        let again = core.lease_unit("w3", None).expect("orphaned unit re-leases");
         assert_eq!(again.target, g1.target);
         assert_ne!(again.lease, g1.lease);
 
@@ -2054,7 +1666,75 @@ mod tests {
 
         // Leasing a unit drains the backlog below the watermark: submits
         // reopen without any explicit reset.
-        core.lease_unit("w1").expect("unit leases");
+        core.lease_unit("w1", None).expect("unit leases");
         core.try_submit(spec(3)).expect("draining below the watermark reopens submits");
+    }
+
+    /// The queued-unit counter against a full recount of the job table.
+    fn assert_counter_matches_recount(core: &ServiceCore, step: &str) {
+        let state = core.lock();
+        let recount: usize = state
+            .jobs
+            .values()
+            .filter(|e| !e.phase.terminal())
+            .map(JobEntry::queued_units)
+            .sum();
+        assert_eq!(state.queued_units, recount, "after {step}");
+    }
+
+    #[test]
+    fn queued_unit_counter_matches_a_recount() {
+        let dir = std::env::temp_dir()
+            .join(format!("rvz-core-test-{}-queued-count", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || ServiceConfig { spool: Some(dir.clone()), ..ServiceConfig::default() };
+        let two_groups = |seed: u64| {
+            JobSpec::new(seed).with_budget(10).add_cell(1, "CT-SEQ").add_cell(5, "CT-SEQ")
+        };
+        let core = ServiceCore::new(config()).unwrap();
+        let a = core.submit(two_groups(1)).unwrap();
+        let b = core.submit(two_groups(2)).unwrap();
+        let c = core.submit(two_groups(3)).unwrap();
+        core.submit(JobSpec::new(4)).unwrap(); // no cells: completes at submit
+        assert_counter_matches_recount(&core, "submit");
+        assert_eq!(core.lock().queued_units, 6);
+
+        let a1 = core.lease_unit("w1", None).unwrap();
+        let a2 = core.lease_unit("w2", None).unwrap();
+        assert_counter_matches_recount(&core, "lease");
+        // A steal: the unit is released and re-leased under a new token.
+        core.release_unit(&a, a1.target, a1.lease, None);
+        let a1 = core.lease_unit("w3", None).unwrap();
+        assert_eq!(a1.job, a);
+        assert_counter_matches_recount(&core, "steal");
+        // A stop: released with its stopping checkpoint.
+        let cp = sub_checkpoint(&a2.spec, a2.target);
+        core.release_unit(&a, a2.target, a2.lease, Some(cp));
+        assert_counter_matches_recount(&core, "release");
+        // A cancel of a queued job: its queued units leave the backlog.
+        assert_eq!(core.cancel(&c).unwrap(), JobPhase::Cancelled);
+        assert_counter_matches_recount(&core, "queued cancel");
+        // A cooperative cancel: the lease holder hands its unit back.
+        let a2 = core.lease_unit("w2", None).unwrap();
+        assert_eq!(a2.job, a, "FIFO: a's released unit goes first");
+        let b1 = core.lease_unit("w4", None).unwrap();
+        assert_eq!(b1.job, b);
+        assert_eq!(core.cancel(&b).unwrap(), JobPhase::Running);
+        core.release_unit(&b, b1.target, b1.lease, None);
+        assert_eq!(core.status(&b).unwrap().phase, JobPhase::Cancelled);
+        assert_counter_matches_recount(&core, "cooperative cancel");
+        // A complete: both units of `a` finish, the job with them.
+        crate::worker::drive_local(&core, a1);
+        crate::worker::drive_local(&core, a2);
+        assert_eq!(core.status(&a).unwrap().phase, JobPhase::Done);
+        assert_counter_matches_recount(&core, "complete");
+        // A restore: the leased unit comes back queued.
+        let d = core.submit(two_groups(5)).unwrap();
+        core.lease_unit("w1", None).unwrap();
+        drop(core);
+        let core = ServiceCore::new(config()).unwrap();
+        assert_counter_matches_recount(&core, "restore");
+        assert_eq!(core.lock().queued_units, 2, "both units of {d} are queued again");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

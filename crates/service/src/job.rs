@@ -37,8 +37,10 @@ pub struct JobSpec {
     pub branch_then_load_bias: bool,
     /// §5.6 diversity escalation per cell group.
     pub escalation: bool,
-    /// Scheduling priority: among queued jobs, higher drains first (FIFO
-    /// within a priority).  Does not preempt a job that already runs.
+    /// Scheduling priority: among jobs with queued work units, higher
+    /// drains first (FIFO within a priority).  Does not preempt a *unit*
+    /// that already runs; a running job's queued units yield to
+    /// higher-priority jobs.
     pub priority: i64,
     /// Owning tenant, stamped by the server from the authenticated token
     /// (never trusted from the submitted document — the front-end
@@ -125,6 +127,23 @@ impl JobSpec {
             }
         }
         targets
+    }
+
+    /// Resolve the work unit of target group `target` into its
+    /// single-group sub-matrix — the matrix a leased unit's worker steps.
+    /// Its seeds derive from (matrix seed, target id, index) alone, so the
+    /// sub-run is byte-identical to the same group inside an in-process
+    /// full-matrix run.
+    ///
+    /// # Errors
+    /// Returns a message when the spec does not resolve or has no cell
+    /// group for `target`.
+    pub(crate) fn unit_matrix(&self, target: u8) -> Result<CampaignMatrix, String> {
+        self.to_matrix()?
+            .group_matrices()
+            .into_iter()
+            .find(|m| m.cells().iter().any(|c| c.target.id == target))
+            .ok_or_else(|| format!("spec has no cell group for target {target}"))
     }
 
     /// Resolve the spec into a runnable matrix.

@@ -4,9 +4,12 @@
 //! front-end is written in the *shape* of one instead — a single-threaded
 //! reactor whose [`Server::poll_once`] makes one non-blocking pass over the
 //! listener and every connection and reports whether it made progress.
-//! Swapping in a real runtime later means driving `poll_once` from a task
-//! (or replacing it with per-connection futures); no protocol or core
-//! changes are needed.
+//! One reactor thread ([`ServiceHandle`](crate::ServiceHandle)) polls this
+//! port and, in fleet mode, the coordinator's worker port
+//! ([`crate::coordinator::Coordinator::poll_once`]) in turn, sleeping 2ms
+//! when neither made progress.  Swapping in a real runtime later means
+//! driving the `poll_once`s from tasks (or replacing them with
+//! per-connection futures); no protocol or core changes are needed.
 //!
 //! ## Protocol
 //!
@@ -16,7 +19,7 @@
 //! | request | response |
 //! |---|---|
 //! | `{"op":"ping"}` | `{"ok":true,"pong":true}` |
-//! | `{"op":"submit","spec":{…}}` | `{"ok":true,"job":"…","shard":n}` |
+//! | `{"op":"submit","spec":{…}}` | `{"ok":true,"job":"…"}` |
 //! | `{"op":"status","job":"…"}` | `{"ok":true,"status":{…}}` |
 //! | `{"op":"list"}` | `{"ok":true,"jobs":[{…}]}` |
 //! | `{"op":"result","job":"…"}` | `{"ok":true,"done":bool,"result":{…}\|null}` |
@@ -66,8 +69,6 @@ use rvz_bench::json::{parse, Json};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Unsent output above which a connection is paused: no new requests
 /// are read and no watch events replayed until the client catches up.
@@ -202,15 +203,6 @@ impl Server {
         conn.closed |= closed;
         progress | wrote
     }
-
-    /// Drive the reactor until the core stops.
-    pub fn run(mut self) {
-        while !self.core.stopped() {
-            if !self.poll_once() {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
 }
 
 /// The caller's resolved identity: `Open` on servers without a token
@@ -294,10 +286,7 @@ fn dispatch(core: &Arc<ServiceCore>, line: &str, watches: &mut Vec<(String, usiz
             // the submitted document.
             spec.tenant = identity.tenant().map(str::to_string);
             match core.try_submit(spec) {
-                Ok(job) => {
-                    let shard = core.status(&job).map(|s| s.shard).unwrap_or(0);
-                    Json::obj().field("ok", true).field("job", job).field("shard", shard)
-                }
+                Ok(job) => Json::obj().field("ok", true).field("job", job),
                 Err(SubmitRejection::Invalid(e)) => error(e),
                 Err(SubmitRejection::Backpressure(bp)) => {
                     let retry_ms = bp.retry_after.as_millis() as u64;
@@ -393,44 +382,12 @@ fn error(message: String) -> Json {
     Json::obj().field("ok", false).field("error", message)
 }
 
-/// A running front-end: the reactor thread plus its bound address.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    thread: JoinHandle<()>,
-}
-
-impl ServerHandle {
-    /// Spawn the reactor on its own thread.
-    ///
-    /// # Errors
-    /// Propagates bind failures.
-    pub fn spawn(core: Arc<ServiceCore>, listen: &str) -> io::Result<ServerHandle> {
-        let server = Server::bind(core, listen)?;
-        let addr = server.local_addr();
-        let thread = std::thread::Builder::new()
-            .name("rvz-service-reactor".to_string())
-            .spawn(move || server.run())
-            .map_err(io::Error::other)?;
-        Ok(ServerHandle { addr, thread })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Join the reactor thread (call after [`ServiceCore::stop`]).
-    pub fn join(self) {
-        let _ = self.thread.join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ServiceConfig;
     use std::io::Write;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// A client that pipelines thousands of `watch` requests and never
     /// reads a byte: the reactor pauses it at the watermark instead of
@@ -438,11 +395,10 @@ mod tests {
     /// meanwhile.
     #[test]
     fn a_watcher_that_never_reads_is_paused_at_the_watermark() {
-        let core = ServiceCore::new(ServiceConfig { shards: 1, ..ServiceConfig::default() })
-            .expect("core starts");
-        let shard = {
+        let core = ServiceCore::new(ServiceConfig::default()).expect("core starts");
+        let worker = {
             let core = Arc::clone(&core);
-            std::thread::spawn(move || core.run_worker(0))
+            std::thread::spawn(move || crate::worker::run_local(&core, "local-0"))
         };
         let mut server = Server::bind(Arc::clone(&core), "127.0.0.1:0").expect("binds");
         let addr = server.local_addr();
@@ -501,6 +457,6 @@ mod tests {
         let _ = flooder.join();
         drop(watcher);
         core.stop();
-        let _ = shard.join();
+        let _ = worker.join();
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! One **binary record chain** per job (`<job id>.rvz`): every save appends
 //! one self-delimiting [`binfmt`] `KIND_SPOOL_RECORD` frame holding the
-//! spec, the lifecycle phase, the latest [`MatrixCheckpoint`]s and — once
-//! finished — the result payload.  Appending is crash-tolerant without a
+//! spec, the lifecycle phase, the job's work units with their latest
+//! sub-run [`MatrixCheckpoint`]s and — once finished — the result
+//! payload.  Appending is crash-tolerant without a
 //! rename per wave: a server killed mid-append leaves a torn tail, and
 //! loading simply takes the chain's last *complete* record.  A compaction
 //! pass rewrites a chain into one snapshot record (atomically: temp file +
@@ -17,7 +18,7 @@
 //! oldest terminal records are deleted.
 //!
 //! On startup the server rescans the directory and re-queues every
-//! unfinished job, which then resumes from its checkpoint with
+//! unfinished job, whose units then resume from their checkpoints with
 //! byte-identical verdicts (see [`revizor::orchestrator::MatrixRun`]).
 
 use crate::job::JobSpec;
@@ -35,13 +36,14 @@ use std::sync::Mutex;
 /// plus at most this many incremental records.
 pub const COMPACT_AFTER: usize = 64;
 
-/// Lifecycle phase of a job.
+/// Lifecycle phase of a job, as seen from its work units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
-    /// Submitted, not yet picked up by its shard (or re-queued after a
-    /// server restart).
+    /// No unit of the job is leased: submitted and not yet picked up, or
+    /// handed back (a worker died or stopped, a server restarted) with
+    /// units still to run.
     Queued,
-    /// Currently being driven by a shard worker.
+    /// At least one unit is leased to a worker (in-process or fleet).
     Running,
     /// Finished; the result payload is available.
     Done,
@@ -111,8 +113,8 @@ impl UnitPhase {
     }
 }
 
-/// One work unit's durable record (fleet mode only): the unit's target
-/// group, its phase and its last replicated sub-run checkpoint.
+/// One work unit's durable record: the unit's target group, its phase
+/// and its last replicated sub-run checkpoint.
 #[derive(Debug, Clone)]
 pub struct UnitRecord {
     /// The Table 2 target id whose cell group this unit drives.
@@ -133,14 +135,15 @@ pub struct SpoolRecord {
     pub spec: JobSpec,
     /// Lifecycle phase at the time of the last save.
     pub phase: JobPhase,
-    /// Latest wave checkpoint, when the job has started but not finished
-    /// (kept on cancellation too, as a record of where the job stopped).
-    /// In fleet mode this is the merged full-matrix view of the per-unit
-    /// checkpoints below.
+    /// A full-matrix checkpoint.  Not written by the service, which
+    /// records progress per unit (`units`) and writes `None` here;
+    /// restore ignores it.  The field still round-trips for other
+    /// writers of spool records.
     pub checkpoint: Option<MatrixCheckpoint>,
-    /// Per-unit state, once the job's work units have materialized (fleet
-    /// mode).  `None` for shard-mode jobs — restore falls back to
-    /// splitting `checkpoint` by target group.
+    /// Per-unit state: the job's durable progress (each unit's checkpoint
+    /// is kept on cancellation too, as the record of where it stopped).
+    /// The service always writes `Some`; a record without units restores
+    /// as a job of fresh units.
     pub units: Option<Vec<UnitRecord>>,
     /// Result payload, when the job is done (or cancelled).
     pub result: Option<Json>,
@@ -378,8 +381,8 @@ fn demote_for_restart(mut record: SpoolRecord) -> SpoolRecord {
 
 /// Encode one spool record as a self-delimiting binary frame: routing and
 /// lifecycle fields in the meta section, the bulky checkpoints as typed
-/// sections (the merged job view, then one section per unit, empty when
-/// the unit has no checkpoint yet).
+/// sections (the full-matrix one when set, then one section per unit,
+/// empty when the unit has no checkpoint yet).
 fn record_frame(record: &SpoolRecord) -> Vec<u8> {
     let meta = Json::obj()
         .field("version", 1u64)

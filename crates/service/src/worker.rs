@@ -1,4 +1,21 @@
-//! Fleet mode: the worker-host side of the worker protocol.
+//! Workers: the drivers of leased work units.
+//!
+//! Every job is split into work units, one per target group of its
+//! matrix, and every unit is driven the same way: lease it, resolve it
+//! into its single-group sub-run (`JobSpec::unit_matrix`, resumed by
+//! `start_unit`), then step that run wave by wave, replicating a
+//! checkpoint and publishing the wave's events after every wave, until
+//! the unit completes — or hand it back with its stopping checkpoint
+//! when the job is cancelled or the service stops.  Two kinds of worker
+//! do this:
+//!
+//! * **In-process workers** (`run_local`) are threads of the service
+//!   itself (`ServiceConfig::shards` of them).  They call the core
+//!   directly: no encoding, no digest, no ack round trip.
+//! * **Fleet workers** ([`Worker`], `revizor-worker`) are separate hosts
+//!   that reach the core through the coordinator's wire protocol, below.
+//!
+//! ## Fleet workers
 //!
 //! A worker (`revizor-worker`) dials the coordinator's worker port,
 //! registers, and then pulls **work units** one at a time: it sends
@@ -34,15 +51,85 @@
 //!
 //! [`CampaignMatrix`]: revizor::orchestrator::CampaignMatrix
 
-use crate::core::EventCollector;
+use crate::core::{EventCollector, ServiceCore, UnitDisposition, UnitGrant};
 use crate::framing;
 use crate::job::JobSpec;
-use revizor::orchestrator::MatrixCheckpoint;
+use revizor::orchestrator::{CampaignMatrix, MatrixCheckpoint, MatrixRun};
 use rvz_bench::binfmt::{self, checkpoint_transfer_to_binary};
 use rvz_bench::json::{parse, Json};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// How long an idle in-process worker sleeps before re-checking the
+/// queue when no state change wakes it.
+const LOCAL_IDLE: Duration = Duration::from_millis(100);
+
+/// The body of one in-process worker thread: lease a unit, drive it,
+/// repeat, until the core stops.  In-process workers drain the same
+/// global unit queue as fleet workers, so a job's units run on several
+/// of them at once and priorities hold across all of them.
+pub(crate) fn run_local(core: &ServiceCore, name: &str) {
+    while !core.stopped() {
+        if let Some(grant) = core.lease_unit(name, Some(LOCAL_IDLE)) {
+            drive_local(core, grant);
+        }
+    }
+}
+
+/// Drive one leased unit in process: step, replicate and publish every
+/// wave, complete it — or, at a wave boundary where its job was
+/// cancelled or the service stopped, hand it back with its stopping
+/// checkpoint (the cancelled job's record of where it stopped; the
+/// stopped server's resume point).
+pub(crate) fn drive_local(core: &ServiceCore, grant: UnitGrant) {
+    let UnitGrant { job, target, lease, spec, checkpoint } = grant;
+    let sub = match spec.unit_matrix(target) {
+        Ok(sub) => sub,
+        // Validated at submit; only a hand-edited spool reaches here.
+        Err(e) => return core.fail_unit(&job, target, lease, &e),
+    };
+    let mut run = start_unit(&sub, &job, target, checkpoint.as_ref());
+    let mut collector = EventCollector { job: job.clone(), events: Vec::new() };
+    loop {
+        if core.stopped() || core.cancel_requested(&job) {
+            core.release_unit(&job, target, lease, Some(run.checkpoint()));
+            return;
+        }
+        if !run.step(&mut collector) {
+            break;
+        }
+        if core.save_unit_checkpoint(&job, target, lease, run.checkpoint())
+            == UnitDisposition::Revoked
+        {
+            return; // the job went terminal behind our back
+        }
+        core.publish(&job, std::mem::take(&mut collector.events));
+    }
+    // The final checkpoint is the unit's result: the core reconstructs
+    // the cell reports from it once every unit of the job is done.
+    core.complete_unit(&job, target, lease, run.checkpoint(), collector.events);
+}
+
+/// Start a unit's sub-run at its granted checkpoint.  A checkpoint the
+/// sub-matrix rejects (only a hand-edited spool or a codec bug produces
+/// one) restarts the unit from scratch, which yields the same verdicts:
+/// the sub-run's seeds depend on the spec alone.
+fn start_unit<'m>(
+    sub: &'m CampaignMatrix,
+    job: &str,
+    target: u8,
+    checkpoint: Option<&MatrixCheckpoint>,
+) -> MatrixRun<'m> {
+    match checkpoint.map(|cp| sub.resume(cp)) {
+        Some(Ok(run)) => run,
+        Some(Err(e)) => {
+            eprintln!("worker: {job} unit t{target}: stale checkpoint ({e}); restarting");
+            sub.start()
+        }
+        None => sub.start(),
+    }
+}
 
 /// What the fault hook tells the worker loop to do at a wave boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,32 +387,11 @@ impl Worker {
                 Err(e) => return fail(conn, &e),
             },
         };
-        let matrix = match spec.to_matrix() {
-            Ok(matrix) => matrix,
+        let sub = match spec.unit_matrix(target) {
+            Ok(sub) => sub,
             Err(e) => return fail(conn, &e),
         };
-        // The unit is one target group of the job's matrix: resolve the
-        // single-group sub-matrix whose stream this worker drives.  The
-        // sub-run's seeds derive from (matrix seed, target id, index)
-        // alone, so it is byte-identical to the same group inside an
-        // in-process full-matrix run.
-        let Some(sub) = matrix
-            .group_matrices()
-            .into_iter()
-            .find(|m| m.cells().iter().any(|c| c.target.id == target))
-        else {
-            return fail(conn, &format!("spec has no cell group for target {target}"));
-        };
-        let mut run = match &checkpoint {
-            Some(cp) => match sub.resume(cp) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("worker: {job} unit t{target}: stale checkpoint ({e}); restarting");
-                    sub.start()
-                }
-            },
-            None => sub.start(),
-        };
+        let mut run = start_unit(&sub, &job, target, checkpoint.as_ref());
 
         let mut collector = EventCollector { job: job.clone(), events: Vec::new() };
         let mut cancelled = false;

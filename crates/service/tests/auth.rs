@@ -26,7 +26,6 @@ fn authed_service(tag: &str) -> ServiceHandle {
     ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         token_file: Some(token_file),

@@ -163,7 +163,6 @@ fn serve_under_plan(plan: &FaultPlan, specs: &[JobSpec]) -> Vec<String> {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()
@@ -244,7 +243,6 @@ fn silently_stalled_worker_times_out_and_the_job_moves_on() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         worker_timeout: Duration::from_millis(300),
@@ -306,7 +304,6 @@ fn killed_worker_mid_matrix_is_reassigned_and_resumes_from_replicated_wave() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()
@@ -414,7 +411,6 @@ fn steal_racing_a_kill_keeps_verdicts_byte_identical() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         steal_after: Duration::from_millis(200),
@@ -467,7 +463,6 @@ fn stale_owner_double_driving_a_stolen_lease_is_fenced() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         steal_after: Duration::from_millis(200),
@@ -516,7 +511,6 @@ fn departure_between_lease_and_first_checkpoint_requeues_from_scratch() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()

@@ -201,7 +201,6 @@ fn garbage_frames_do_not_stall_the_reactor() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -258,7 +257,6 @@ fn garbage_on_the_worker_port_drops_the_peer_not_the_coordinator() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()

@@ -7,8 +7,9 @@ use rvz_bench::json::Json;
 use rvz_bench::report::matrix_cells_json;
 use rvz_service::{
     deterministic_result, Client, JobPhase, JobSpec, ServiceConfig, ServiceHandle, Spool,
-    SubmitError, WatchError, Worker, WorkerConfig,
+    SubmitError, UnitPhase, WatchError, Worker, WorkerConfig,
 };
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -33,7 +34,6 @@ fn served_job_is_byte_identical_to_an_in_process_matrix_run() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -81,6 +81,34 @@ fn served_job_is_byte_identical_to_an_in_process_matrix_run() {
         deterministic_result(&result2).render()
     );
 
+    // A two-group job's units run on both in-process workers at once
+    // (targets 1 and 4 comply with CT-SEQ, so neither stops early), and
+    // its verdicts stay byte-identical.
+    let spec = JobSpec::new(7).with_budget(200).add_cell(1, "CT-SEQ").add_cell(4, "CT-SEQ");
+    let job3 = client.submit(&spec).expect("two-group job accepted");
+    let both_leased = loop {
+        let status = handle.core().status(&job3).expect("job known");
+        let owners: HashSet<String> = status
+            .units
+            .iter()
+            .filter(|u| u.phase == UnitPhase::Leased)
+            .filter_map(|u| u.worker.clone())
+            .collect();
+        if owners.len() == 2 {
+            break true;
+        }
+        if status.phase.terminal() {
+            break false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(both_leased, "both units must be leased to different local workers at once");
+    let result3 = client.watch(&job3, |_| {}).expect("two-group job completes");
+    assert_eq!(
+        result3.get("cells").expect("result has cells").render(),
+        matrix_cells_json(&spec.to_matrix().expect("spec resolves").run()).render(),
+    );
+
     handle.shutdown();
 }
 
@@ -99,7 +127,6 @@ fn killed_server_resumes_from_the_spool_byte_identically() {
     let config = |listen: Option<String>| ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -131,13 +158,12 @@ fn killed_server_resumes_from_the_spool_byte_identically() {
     let record = &records[0];
     assert_eq!(record.job, job);
     assert!(record.result.is_none(), "the job must not have finished before the kill");
-    let checkpoint = record.checkpoint.as_ref().expect("checkpoint persisted");
-    let progressed: usize = checkpoint.groups.iter().map(|g| g.next_index).sum();
+    let units = record.units.as_ref().expect("unit checkpoints persisted");
+    let groups: Vec<_> =
+        units.iter().filter_map(|u| u.checkpoint.as_ref()).flat_map(|cp| &cp.groups).collect();
+    let progressed: usize = groups.iter().map(|g| g.next_index).sum();
     assert!(progressed > 0, "checkpoint must carry real progress");
-    assert!(
-        checkpoint.groups.iter().any(|g| g.next_index < 200),
-        "the kill must land mid-stream"
-    );
+    assert!(groups.iter().any(|g| g.next_index < 200), "the kill must land mid-stream");
 
     // Second server over the same spool: the job resumes automatically and
     // completes with byte-identical verdicts.
@@ -160,7 +186,6 @@ fn concurrent_clients_do_not_perturb_each_others_verdicts() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -205,7 +230,6 @@ fn restart_preserves_results_and_never_reuses_job_ids() {
     let config = || ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: None,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -260,7 +284,6 @@ fn multi_host_jobs_run_on_worker_hosts_byte_identically() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2, // ignored in coordinator mode
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()
@@ -320,7 +343,6 @@ fn watch_surfaces_server_gone_and_the_job_resumes_on_restart() {
     let config = || ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -386,7 +408,6 @@ fn higher_priority_jobs_start_first_on_a_saturated_worker() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -449,7 +470,6 @@ fn priority_is_never_inverted_by_placement_across_shard_workers() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -514,7 +534,6 @@ fn cancelled_job_stops_emitting_and_its_spool_record_survives_restart() {
     let config = |listen: Option<String>| ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -576,7 +595,8 @@ fn cancelled_job_stops_emitting_and_its_spool_record_survives_restart() {
     let records = Spool::open(&dir).expect("spool opens").load_all();
     let record = records.iter().find(|r| r.job == running).expect("record kept");
     assert_eq!(record.phase, JobPhase::Cancelled);
-    let checkpoint = record.checkpoint.as_ref().expect("stopping checkpoint kept");
+    let units = record.units.as_ref().expect("unit records kept");
+    let checkpoint = units[0].checkpoint.as_ref().expect("stopping checkpoint kept");
     assert!(checkpoint.groups[0].next_index > 0, "stopped mid-stream, not at 0");
     assert!(checkpoint.groups[0].next_index < 200, "stopped before the budget");
 
@@ -602,7 +622,6 @@ fn protocol_errors_are_reported_not_fatal() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -632,7 +651,6 @@ fn backpressured_submits_retry_and_status_reports_unit_placement() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: Some("127.0.0.1:0".to_string()),
         queue_watermark: 1,

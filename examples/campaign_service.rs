@@ -16,7 +16,7 @@ use revizor_suite::bench::report::matrix_cells_json;
 use revizor_suite::prelude::*;
 
 fn main() {
-    // An in-process service: two shard workers, no TCP, no spool.
+    // An in-process service: two workers, no TCP, no spool.
     let handle = ServiceHandle::start(ServiceConfig::default()).expect("service starts");
 
     // Target 5 (Skylake, AR+MEM+CB) against the four Table 3 contracts.

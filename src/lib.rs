@@ -21,7 +21,7 @@
 //!   JSON tree and the report export/import codecs;
 //! * [`store`] (`rvz-store`) — the indexed violation store
 //!   (`revizor-query`);
-//! * [`service`] (`rvz-service`) — the sharded campaign service
+//! * [`service`] (`rvz-service`) — the campaign service
 //!   (`revizor-serve` / `revizor-submit`).
 //!
 //! ```
