@@ -8,10 +8,11 @@
 //! STT-like defences.
 //!
 //! Both contracts are evaluated as one *slate* per gadget
-//! ([`inputs_to_violation_slate`]): each growing input batch is measured
-//! once and the hardware traces are checked against CT-SEQ and ARCH-SEQ
-//! together, halving the measurement cost relative to per-contract runs
-//! while reporting identical input counts.
+//! ([`inputs_to_violation_slate`](revizor::detection::inputs_to_violation_slate)):
+//! each growing input batch is measured once and the hardware traces are
+//! checked against CT-SEQ and ARCH-SEQ together, halving the measurement
+//! cost relative to per-contract runs while reporting identical input
+//! counts.
 
 use revizor::detection::first_violations_over_seeds;
 use revizor::gadgets;

@@ -12,7 +12,7 @@
 //! ```text
 //! magic   4 bytes   "RVZB"
 //! version u8        FORMAT_VERSION (1)
-//! kind    u8        frame kind (checkpoint, transfer, grant, record, ...)
+//! kind    u8        frame kind (transfer, grant, record, report, ...)
 //! length  u32 LE    body length in bytes (as stored, i.e. compressed)
 //! body    ...       zero-run-packed section table
 //! ```
@@ -87,8 +87,6 @@ pub const HEADER_LEN: usize = 10;
 pub const MAX_FRAME: usize = 64 << 20;
 
 // Frame kinds.
-/// A bare [`MatrixCheckpoint`].
-pub const KIND_CHECKPOINT: u8 = 1;
 /// A checkpoint transfer (job + digest + checkpoint, plus service meta).
 pub const KIND_TRANSFER: u8 = 2;
 /// A coordinator work grant (service meta + optional resume checkpoint).
@@ -1289,7 +1287,7 @@ fn dec_group_progress(r: &mut Reader) -> Result<GroupProgress, DecodeError> {
 }
 
 /// Encode a [`MatrixCheckpoint`] payload (no frame header — see
-/// [`matrix_checkpoint_to_binary`] for the framed form).
+/// [`checkpoint_transfer_to_binary`] for the framed form).
 pub fn enc_checkpoint(out: &mut Vec<u8>, cp: &MatrixCheckpoint) {
     put_varint(out, cp.wave as u64);
     put_u64_le(out, cp.seed);
@@ -1349,20 +1347,6 @@ pub fn dec_checkpoint(r: &mut Reader) -> Result<MatrixCheckpoint, DecodeError> {
 
 // ---------------------------------------------------------------------------
 // Framed top-level codecs (what the service and spool actually move).
-
-/// Serialize a checkpoint as one self-describing frame.
-pub fn matrix_checkpoint_to_binary(cp: &MatrixCheckpoint) -> Vec<u8> {
-    FrameBuilder::new(KIND_CHECKPOINT).checkpoint_section(TAG_CHECKPOINT, cp).build()
-}
-
-/// Decode a frame written by [`matrix_checkpoint_to_binary`].
-pub fn matrix_checkpoint_from_binary(buf: &[u8]) -> Result<MatrixCheckpoint, DecodeError> {
-    let frame = parse_frame(buf)?;
-    if frame.kind != KIND_CHECKPOINT {
-        return Err(format!("expected a checkpoint frame, found kind {}", frame.kind));
-    }
-    frame.checkpoint_section(TAG_CHECKPOINT, "checkpoint")
-}
 
 /// Serialize a violation report as one self-describing frame.
 pub fn violation_report_to_binary(report: &ViolationReport) -> Vec<u8> {
@@ -1432,6 +1416,16 @@ mod tests {
     use revizor::orchestrator::CampaignMatrix;
     use revizor::targets::Target;
 
+    /// Frame `cp` as a wave transfer of job `j`.
+    fn transfer_frame(cp: &MatrixCheckpoint) -> Vec<u8> {
+        checkpoint_transfer_to_binary("j", cp, &Json::obj().field("op", "wave"))
+    }
+
+    /// Decode a frame written by [`transfer_frame`] back to its checkpoint.
+    fn transfer_checkpoint(frame: &[u8]) -> Result<MatrixCheckpoint, DecodeError> {
+        checkpoint_transfer_from_binary(frame).map(|d| d.transfer.checkpoint)
+    }
+
     fn mid_run_checkpoint() -> MatrixCheckpoint {
         let matrix = CampaignMatrix::new(7)
             .with_budget(40)
@@ -1453,12 +1447,12 @@ mod tests {
     #[test]
     fn checkpoint_frame_round_trips_and_preserves_the_digest() {
         let cp = mid_run_checkpoint();
-        let frame = matrix_checkpoint_to_binary(&cp);
-        let decoded = matrix_checkpoint_from_binary(&frame).unwrap();
+        let frame = transfer_frame(&cp);
+        let decoded = transfer_checkpoint(&frame).unwrap();
         assert_eq!(decoded, cp);
         assert_eq!(decoded.digest(), cp.digest());
         // Deterministic encoding: same checkpoint, same bytes.
-        assert_eq!(matrix_checkpoint_to_binary(&decoded), frame);
+        assert_eq!(transfer_frame(&decoded), frame);
     }
 
     #[test]
@@ -1511,38 +1505,42 @@ mod tests {
     #[test]
     fn truncation_at_every_boundary_errors_cleanly() {
         let cp = mid_run_checkpoint();
-        let frame = matrix_checkpoint_to_binary(&cp);
+        let frame = transfer_frame(&cp);
         // Every strict prefix must error, never panic.  Sampling all
         // lengths is cheap enough at this frame size.
         for len in 0..frame.len() {
-            assert!(matrix_checkpoint_from_binary(&frame[..len]).is_err(), "prefix {len}");
+            assert!(transfer_checkpoint(&frame[..len]).is_err(), "prefix {len}");
         }
     }
 
     #[test]
     fn unknown_sections_are_skipped() {
         let cp = mid_run_checkpoint();
-        let frame = FrameBuilder::new(KIND_CHECKPOINT)
+        let frame = FrameBuilder::new(KIND_TRANSFER)
             .section(200, vec![1, 2, 3])
+            .str_section(TAG_JOB, "j")
+            .varint_section(TAG_WAVE, cp.wave as u64)
+            .u64_section(TAG_DIGEST, cp.digest())
+            .json_section(TAG_META, &Json::obj())
             .checkpoint_section(TAG_CHECKPOINT, &cp)
             .section(201, Vec::new())
             .build();
-        assert_eq!(matrix_checkpoint_from_binary(&frame).unwrap(), cp);
+        assert_eq!(transfer_checkpoint(&frame).unwrap(), cp);
     }
 
     #[test]
     fn wrong_magic_version_and_kind_are_rejected() {
         let cp = mid_run_checkpoint();
-        let frame = matrix_checkpoint_to_binary(&cp);
+        let frame = transfer_frame(&cp);
         let mut bad_magic = frame.clone();
         bad_magic[0] = b'X';
-        assert!(matrix_checkpoint_from_binary(&bad_magic).is_err());
+        assert!(transfer_checkpoint(&bad_magic).is_err());
         let mut bad_version = frame.clone();
         bad_version[4] = FORMAT_VERSION + 1;
-        assert!(matrix_checkpoint_from_binary(&bad_version).is_err());
+        assert!(transfer_checkpoint(&bad_version).is_err());
         let mut bad_kind = frame;
-        bad_kind[5] = KIND_TRANSFER;
-        assert!(matrix_checkpoint_from_binary(&bad_kind).is_err());
+        bad_kind[5] = KIND_GRANT;
+        assert!(transfer_checkpoint(&bad_kind).is_err());
         // frame_len mirrors the header checks for the framing layer.
         assert!(frame_len(b"JUNKJUNKJUNK").is_err());
         assert_eq!(frame_len(b"RVZ").unwrap(), None);

@@ -777,10 +777,7 @@ pub fn matrix_timing_json(report: &MatrixReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binfmt::{
-        checkpoint_transfer_from_binary, checkpoint_transfer_to_binary,
-        matrix_checkpoint_from_binary, matrix_checkpoint_to_binary,
-    };
+    use crate::binfmt::{checkpoint_transfer_from_binary, checkpoint_transfer_to_binary};
     use crate::json::parse;
     use revizor::orchestrator::CampaignMatrix;
     use revizor::targets::Target;
@@ -916,8 +913,8 @@ mod tests {
         use revizor::campaign::NoopObserver;
         let matrix = escalating_matrix();
         let snapshot = mid_run(&matrix);
-        let frame = matrix_checkpoint_to_binary(&snapshot);
-        let decoded = matrix_checkpoint_from_binary(&frame).unwrap();
+        let frame = checkpoint_transfer_to_binary("j", &snapshot, &Json::obj());
+        let decoded = checkpoint_transfer_from_binary(&frame).unwrap().transfer.checkpoint;
         assert_eq!(decoded, snapshot);
         // The decoded checkpoint is accepted by resume and completes to the
         // same verdicts as the uninterrupted run.

@@ -9,13 +9,25 @@ use revizor::diversity::PatternCoverage;
 use revizor::orchestrator::{CellProgress, GroupProgress, MatrixCheckpoint};
 use revizor::EffectivenessStats;
 use rvz_bench::binfmt::{
-    checkpoint_transfer_from_binary, checkpoint_transfer_to_binary, frame_len,
-    matrix_checkpoint_from_binary, matrix_checkpoint_to_binary, parse_frame, HEADER_LEN,
+    checkpoint_transfer_from_binary, checkpoint_transfer_to_binary, frame_len, parse_frame,
+    HEADER_LEN,
 };
 use rvz_bench::json::Json;
+use rvz_bench::report::DecodeError;
 use rvz_isa::BlockId;
 use rvz_uarch::{BranchPredictor, Btb, DirectionPredictor, TargetPredictor};
 use std::time::Duration;
+
+/// Frame `cp` as a wave transfer of job `j` (the checkpoint frame the
+/// fleet wire moves).
+fn transfer_frame(cp: &MatrixCheckpoint) -> Vec<u8> {
+    checkpoint_transfer_to_binary("j", cp, &Json::obj().field("op", "wave"))
+}
+
+/// Decode a frame written by [`transfer_frame`] back to its checkpoint.
+fn transfer_checkpoint(frame: &[u8]) -> Result<MatrixCheckpoint, DecodeError> {
+    checkpoint_transfer_from_binary(frame).map(|d| d.transfer.checkpoint)
+}
 
 /// A synthetic checkpoint exercising the codec's full shape from raw
 /// bits (the same generator as the service's protocol tests;
@@ -160,13 +172,13 @@ proptest! {
     ) {
         let groups: Vec<(u8, u64)> = groups.iter().map(|&g| ((g >> 5) as u8, g)).collect();
         let cp = checkpoint_from([s0, s1, s2, s3], &groups, &cells);
-        let frame = matrix_checkpoint_to_binary(&cp);
+        let frame = transfer_frame(&cp);
         prop_assert_eq!(frame_len(&frame), Ok(Some(frame.len())));
-        let decoded = matrix_checkpoint_from_binary(&frame).unwrap();
+        let decoded = transfer_checkpoint(&frame).unwrap();
         prop_assert_eq!(&decoded, &cp);
         prop_assert_eq!(decoded.digest(), cp.digest());
         // Deterministic encoding: same value, same bytes.
-        prop_assert_eq!(&matrix_checkpoint_to_binary(&decoded), &frame);
+        prop_assert_eq!(&transfer_frame(&decoded), &frame);
     }
 
     /// Transfer frames carry job id, routing meta and payload exactly,
@@ -197,9 +209,9 @@ proptest! {
         s0 in any::<u64>(), s1 in any::<u64>(), cut in any::<u64>(),
     ) {
         let cp = checkpoint_from([s0, s1, s1 ^ s0, s0.rotate_left(7)], &[(5, s1)], &[s0 | 1]);
-        let frame = matrix_checkpoint_to_binary(&cp);
+        let frame = transfer_frame(&cp);
         let cut = (cut % frame.len() as u64) as usize;
-        let err = matrix_checkpoint_from_binary(&frame[..cut])
+        let err = transfer_checkpoint(&frame[..cut])
             .expect_err("strict prefixes of a frame are invalid");
         prop_assert!(!err.is_empty());
         match frame_len(&frame[..cut]) {
@@ -219,10 +231,10 @@ proptest! {
         s0 in any::<u64>(), s1 in any::<u64>(), flip in any::<u64>(),
     ) {
         let cp = checkpoint_from([s0, s1, s1.wrapping_mul(3), !s0], &[(3, s0)], &[s1 | 1]);
-        let mut frame = matrix_checkpoint_to_binary(&cp);
+        let mut frame = transfer_frame(&cp);
         let bit = (flip % (frame.len() as u64 * 8)) as usize;
         frame[bit / 8] ^= 1 << (bit % 8);
-        match matrix_checkpoint_from_binary(&frame) {
+        match transfer_checkpoint(&frame) {
             Err(e) => prop_assert!(!e.is_empty(), "errors must carry a message"),
             Ok(mutated) => {
                 // The frame has no checksum of its own; a body flip may
@@ -233,7 +245,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(bit >= HEADER_LEN * 8 || matrix_checkpoint_from_binary(&frame).is_err(),
+        prop_assert!(bit >= HEADER_LEN * 8 || transfer_checkpoint(&frame).is_err(),
             "header flips are always rejected");
     }
 

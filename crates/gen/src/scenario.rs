@@ -5,7 +5,7 @@
 //! `Call` and `Ret` are excluded from random bodies so every program stays
 //! fault-free), which means the BTB and RSB of the CPU under test are never
 //! exercised by random fuzzing.  Scenarios close that gap: a
-//! [`GeneratorConfig`](crate::GeneratorConfig) carrying a [`Scenario`] makes
+//! [`GeneratorConfig`] carrying a [`Scenario`] makes
 //! [`ProgramGenerator::generate`](crate::ProgramGenerator::generate) return
 //! the pinned gadget for every seed (input streams still vary per seed), so
 //! a campaign cell can target a specific predictor structure.

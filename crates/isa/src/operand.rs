@@ -7,7 +7,7 @@ use std::fmt;
 /// A memory operand of the form `[base + index*scale + disp]`.
 ///
 /// Generated test cases always use the sandbox base register
-/// ([`Reg::R14`](crate::Reg::R14)) as `base` after the masking
+/// ([`Reg::R14`]) as `base` after the masking
 /// instrumentation (§5.1), but handwritten gadgets and the emulator support
 /// the general form.
 ///

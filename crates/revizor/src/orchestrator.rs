@@ -38,15 +38,20 @@
 //! # Incremental driving and checkpoints
 //!
 //! [`CampaignMatrix::start`] returns a [`MatrixRun`]: the matrix as a
-//! resumable state machine.  [`MatrixRun::step`] evaluates one scheduling
-//! wave (one round per unfinished group); [`MatrixRun::checkpoint`]
-//! snapshots all progress into a plain-data [`MatrixCheckpoint`], and
-//! [`CampaignMatrix::resume`] reconstructs the run from such a snapshot.
-//! Because every work unit's seed derives from `(matrix seed, target id,
-//! index)` alone, a resumed run replays the *identical* stream suffix: the
-//! verdicts of an interrupted-and-resumed matrix are byte-identical to an
-//! uninterrupted one (only wall-clock fields differ).  The campaign service
-//! (`rvz-service`) persists these checkpoints to its spool between waves.
+//! resumable state machine whose state *is* a plain-data
+//! [`MatrixCheckpoint`].  Its `cells` are the finished cells' records,
+//! written once when a cell finishes; its `groups` are the small mutable
+//! progress part (stream position, counters, coverage, escalations).
+//! [`MatrixRun::step`] evaluates one scheduling wave (one round per
+//! unfinished group) and advances that state in place;
+//! [`MatrixRun::checkpoint`] copies it, [`CampaignMatrix::resume`] adopts
+//! a copy after validating it, and [`MatrixRun::finish`] builds the
+//! report from it.  Because every work unit's seed derives from `(matrix
+//! seed, target id, index)` alone, a resumed run replays the *identical*
+//! stream suffix: the verdicts of an interrupted-and-resumed matrix are
+//! byte-identical to an uninterrupted one (only wall-clock fields differ).
+//! The campaign service (`rvz-service`) persists these checkpoints to its
+//! spool between waves.
 //!
 //! # Diversity escalation
 //!
@@ -209,9 +214,10 @@ pub struct GroupProgress {
     pub coverage: PatternCoverage,
 }
 
-/// A resumable snapshot of a [`MatrixRun`]: everything needed to continue
-/// an interrupted matrix with byte-identical verdicts.  Produced by
-/// [`MatrixRun::checkpoint`], consumed by [`CampaignMatrix::resume`].
+/// The state of a [`MatrixRun`]: everything needed to continue an
+/// interrupted matrix with byte-identical verdicts.  The run steps it in
+/// place; [`MatrixRun::checkpoint`] copies it out and
+/// [`CampaignMatrix::resume`] adopts a copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCheckpoint {
     /// Completed scheduling waves ([`MatrixRun::step`] calls that did
@@ -233,10 +239,12 @@ pub struct MatrixCheckpoint {
     /// different configuration would silently break the byte-identical
     /// guarantee).
     pub config_digest: u64,
-    /// Per-cell progress, indexed like [`CampaignMatrix::cells`]; `Some`
-    /// for cells that already finished (found a violation).
+    /// The finished-cell records, indexed like [`CampaignMatrix::cells`]:
+    /// `Some` for cells that already finished (found a violation), written
+    /// once and never changed afterwards.
     pub cells: Vec<Option<CellProgress>>,
-    /// Per-group stream progress, in group discovery order.
+    /// The mutable progress part: per-group stream progress, in group
+    /// discovery order.
     pub groups: Vec<GroupProgress>,
 }
 
@@ -512,98 +520,46 @@ impl CampaignMatrix {
         generator
     }
 
-    /// Group the matrix cells by target, in discovery order.
-    fn build_groups(&self) -> Vec<Group> {
+    /// The matrix's cell groups, one per target in discovery order — the
+    /// one cell walk behind runs, checkpoints, splits and merges.
+    fn groups(&self) -> Vec<Group> {
         let mut groups: Vec<Group> = Vec::new();
-        for (cell_idx, cell) in self.cells.iter().enumerate() {
-            let gc = GroupCell {
-                cell_idx,
-                contract: cell.contract.clone(),
-                effectiveness: EffectivenessStats::default(),
-                report: None,
-            };
+        for (idx, cell) in self.cells.iter().enumerate() {
             match groups.iter_mut().find(|g| g.target == cell.target) {
-                Some(g) => g.cells.push(gc),
+                Some(g) => g.cells.push(idx),
                 None => groups.push(Group {
                     generator: self.base_generator(&cell.target),
                     target: cell.target.clone(),
-                    cells: vec![gc],
-                    next_index: 0,
-                    test_cases: 0,
-                    filtered: 0,
-                    total_inputs: 0,
-                    round: 0,
-                    work: Duration::ZERO,
-                    coverage: PatternCoverage::new(),
-                    coverage_level: 1,
-                    round_improved: false,
-                    escalations: 0,
+                    cells: vec![idx],
                 }),
             }
         }
         groups
     }
 
-    /// Start an incremental run of the matrix (see [`MatrixRun`]).
+    /// Start an incremental run of the matrix (see [`MatrixRun`]): the run
+    /// adopts [`Self::initial_checkpoint`] as its state.
     pub fn start(&self) -> MatrixRun<'_> {
-        MatrixRun::with_groups(self, self.build_groups())
+        MatrixRun::adopt(self, self.initial_checkpoint())
     }
 
     /// Resume an incremental run from a [`MatrixCheckpoint`].  The
     /// checkpoint must come from a matrix with the same seed, budget,
-    /// round size, escalation mode and cell list; the resumed run replays
-    /// the identical stream suffix, so its verdicts are byte-identical to
-    /// an uninterrupted run.
+    /// round size, escalation mode and cell list; the run adopts it as its
+    /// state, so it replays the identical stream suffix and its verdicts
+    /// are byte-identical to an uninterrupted run.
     ///
     /// # Errors
     /// Returns a message when the checkpoint does not match this matrix.
     pub fn resume(&self, checkpoint: &MatrixCheckpoint) -> Result<MatrixRun<'_>, String> {
         self.check_checkpoint(checkpoint)?;
-        let mut groups = self.build_groups();
-        for (group, progress) in groups.iter_mut().zip(&checkpoint.groups) {
-            group.next_index = progress.next_index;
-            group.test_cases = progress.test_cases;
-            group.filtered = progress.filtered;
-            group.total_inputs = progress.total_inputs;
-            for (gc, eff) in group.cells.iter_mut().zip(&progress.effectiveness) {
-                gc.effectiveness = *eff;
-            }
-            group.round = progress.round;
-            group.work = progress.work;
-            group.coverage = progress.coverage.clone();
-            group.coverage_level = progress.coverage_level;
-            group.round_improved = progress.round_improved;
-            group.escalations = progress.escalations;
-            // `GeneratorConfig::escalate` is a pure function of the
-            // configuration, so replaying it recovers the exact generator
-            // state the checkpointed run had reached.
-            for _ in 0..progress.escalations {
-                group.generator.escalate();
-            }
-            for gc in &mut group.cells {
-                if let Some(progress) = checkpoint.cells[gc.cell_idx].as_ref() {
-                    gc.report = Some(CellReport {
-                        target: group.target.clone(),
-                        contract: gc.contract.clone(),
-                        violation: progress.violation.clone(),
-                        test_cases: progress.test_cases,
-                        filtered: progress.filtered,
-                        total_inputs: progress.total_inputs,
-                        effectiveness: progress.effectiveness,
-                        detection_time: progress.detection_time,
-                    });
-                }
-            }
-        }
-        let mut run = MatrixRun::with_groups(self, groups);
-        run.wave = checkpoint.wave;
-        Ok(run)
+        Ok(MatrixRun::adopt(self, checkpoint.clone()))
     }
 
     /// Check that `checkpoint` was taken from this matrix: same seed,
-    /// budget, round size, escalation mode and configuration digest, and
-    /// the same cell and group layout, with one effectiveness sum per cell
-    /// of each group.
+    /// budget, round size, escalation mode and configuration digest, the
+    /// same cell and group layout with one effectiveness sum per cell of
+    /// each group, and no escalations unless the matrix escalates.
     fn check_checkpoint(&self, checkpoint: &MatrixCheckpoint) -> Result<(), String> {
         if checkpoint.seed != self.seed {
             return Err(format!(
@@ -631,106 +587,111 @@ impl CampaignMatrix {
                 self.cells.len()
             ));
         }
-        let layout = self.group_layout();
-        if checkpoint.groups.len() != layout.len() {
+        let groups = self.groups();
+        if checkpoint.groups.len() != groups.len() {
             return Err(format!(
                 "checkpoint has {} groups, matrix has {}",
                 checkpoint.groups.len(),
-                layout.len()
+                groups.len()
             ));
         }
-        for ((target, indices), progress) in layout.iter().zip(&checkpoint.groups) {
-            if target.id != progress.target_id {
+        for (group, progress) in groups.iter().zip(&checkpoint.groups) {
+            if group.target.id != progress.target_id {
                 return Err(format!(
                     "checkpoint group targets {} where the matrix has {}",
-                    progress.target_id, target.id
+                    progress.target_id, group.target.id
                 ));
             }
-            if progress.effectiveness.len() != indices.len() {
+            if progress.effectiveness.len() != group.cells.len() {
                 return Err(format!(
                     "checkpoint group for target {} has {} effectiveness sums for {} cells",
-                    target.id,
+                    group.target.id,
                     progress.effectiveness.len(),
-                    indices.len()
+                    group.cells.len()
+                ));
+            }
+            if progress.escalations > 0 && !self.escalation {
+                return Err(format!(
+                    "checkpoint group for target {} records escalations on a \
+                     non-escalating matrix",
+                    group.target.id
                 ));
             }
         }
         Ok(())
     }
 
-    /// The matrix's cell groups as full-matrix cell indices, one entry per
-    /// target in discovery order (the same order [`Self::build_groups`]
-    /// produces and checkpoints record).
-    fn group_layout(&self) -> Vec<(Target, Vec<usize>)> {
-        let mut layout: Vec<(Target, Vec<usize>)> = Vec::new();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            match layout.iter_mut().find(|(target, _)| *target == cell.target) {
-                Some((_, indices)) => indices.push(idx),
-                None => layout.push((cell.target.clone(), vec![idx])),
-            }
-        }
-        layout
-    }
-
     /// Split the matrix into one single-group sub-matrix per target, in
     /// group discovery order.  Each sub-matrix carries the same seed,
     /// budget and configuration, so its work units draw the *identical*
-    /// seeds the full matrix would schedule for that group
-    /// ([`unit_seed`] depends only on the matrix seed, the target id and
-    /// the stream index) — sub-runs are relocatable across hosts by
-    /// construction.  Drive them independently (possibly on different
-    /// machines), then recombine with [`Self::merge_checkpoints`] /
-    /// [`Self::merge_reports`].
+    /// seeds the full matrix would schedule for that group (a unit's seed
+    /// depends only on the matrix seed, the target id and the stream
+    /// index) — sub-runs are relocatable across hosts by construction.
+    /// Drive them independently (possibly on different machines), then
+    /// recombine their checkpoints with [`Self::merge_checkpoints`] and
+    /// resume and finish the merged run once.
     pub fn group_matrices(&self) -> Vec<CampaignMatrix> {
-        self.group_layout()
+        self.groups()
             .into_iter()
-            .map(|(_, indices)| {
+            .map(|group| {
                 let mut sub = self.clone();
-                sub.cells = indices.iter().map(|&i| self.cells[i].clone()).collect();
+                sub.cells = group.cells.iter().map(|&i| self.cells[i].clone()).collect();
                 sub
             })
             .collect()
     }
 
-    /// The checkpoint of a run that has not stepped yet: wave 0, no
-    /// progress.  Useful to stand in for sub-runs that have not started
-    /// when merging partial fleet progress into a full-matrix checkpoint.
-    pub fn initial_checkpoint(&self) -> MatrixCheckpoint {
+    /// A checkpoint of this matrix carrying the given progress.
+    fn checkpoint_with(
+        &self,
+        wave: usize,
+        cells: Vec<Option<CellProgress>>,
+        groups: Vec<GroupProgress>,
+    ) -> MatrixCheckpoint {
         MatrixCheckpoint {
-            wave: 0,
+            wave,
             seed: self.seed,
             budget: self.budget,
             round_size: self.round_size,
             escalation: self.escalation,
             config_digest: self.config_digest(),
-            cells: self.cells.iter().map(|_| None).collect(),
-            groups: self
-                .build_groups()
-                .iter()
-                .map(|g| GroupProgress {
-                    target_id: g.target.id,
-                    next_index: 0,
-                    test_cases: 0,
-                    filtered: 0,
-                    total_inputs: 0,
-                    effectiveness: g.cells.iter().map(|_| EffectivenessStats::default()).collect(),
-                    round: 0,
-                    work: Duration::ZERO,
-                    escalations: 0,
-                    coverage_level: 1,
-                    round_improved: false,
-                    coverage: PatternCoverage::new(),
-                })
-                .collect(),
+            cells,
+            groups,
         }
+    }
+
+    /// The checkpoint of a run that has not stepped yet: wave 0, no
+    /// progress.  [`Self::start`] adopts it as the run's state; its
+    /// `groups` name the matrix's target groups in discovery order.
+    pub fn initial_checkpoint(&self) -> MatrixCheckpoint {
+        let groups = self
+            .groups()
+            .iter()
+            .map(|g| GroupProgress {
+                target_id: g.target.id,
+                next_index: 0,
+                test_cases: 0,
+                filtered: 0,
+                total_inputs: 0,
+                effectiveness: vec![EffectivenessStats::default(); g.cells.len()],
+                round: 0,
+                work: Duration::ZERO,
+                escalations: 0,
+                coverage_level: 1,
+                round_improved: false,
+                coverage: PatternCoverage::new(),
+            })
+            .collect();
+        self.checkpoint_with(0, vec![None; self.cells.len()], groups)
     }
 
     /// Split a full-matrix checkpoint into one single-group checkpoint per
     /// target, each resumable on the corresponding [`Self::group_matrices`]
-    /// sub-matrix.  A sub-checkpoint's `wave` is its group's completed
-    /// round count — exactly the wave count a standalone single-group run
-    /// would have reached, since every wave of a single-group run is one
-    /// round of its only group.
+    /// sub-matrix: the group's finished cells (`cells`) and its stream
+    /// progress (`groups`) move unchanged.  A sub-checkpoint's `wave` is
+    /// its group's completed round count — exactly the wave count a
+    /// standalone single-group run would have reached, since every wave of
+    /// a single-group run is one round of its only group.
     ///
     /// # Errors
     /// Returns a message when the checkpoint does not match this matrix
@@ -740,21 +701,14 @@ impl CampaignMatrix {
         checkpoint: &MatrixCheckpoint,
     ) -> Result<Vec<MatrixCheckpoint>, String> {
         self.check_checkpoint(checkpoint)?;
-        let layout = self.group_layout();
-        let subs = self.group_matrices();
-        Ok(layout
+        Ok(self
+            .groups()
             .iter()
-            .zip(&subs)
+            .zip(self.group_matrices())
             .zip(&checkpoint.groups)
-            .map(|(((_, indices), sub), progress)| MatrixCheckpoint {
-                wave: progress.round,
-                seed: self.seed,
-                budget: self.budget,
-                round_size: self.round_size,
-                escalation: self.escalation,
-                config_digest: sub.config_digest(),
-                cells: indices.iter().map(|&i| checkpoint.cells[i].clone()).collect(),
-                groups: vec![progress.clone()],
+            .map(|((group, sub), progress)| {
+                let cells = group.cells.iter().map(|&i| checkpoint.cells[i].clone()).collect();
+                sub.checkpoint_with(progress.round, cells, vec![progress.clone()])
             })
             .collect())
     }
@@ -764,7 +718,9 @@ impl CampaignMatrix {
     /// resumable on this matrix.  The merged `wave` is the sum of the
     /// sub-run waves (purely informational, like the field itself).
     /// Inverse of [`Self::split_checkpoint`]; sub-runs may have progressed
-    /// unevenly in between.
+    /// unevenly in between.  Finished sub-runs merge into a finished run:
+    /// resuming the merged checkpoint and finishing it yields the full
+    /// matrix's report.
     ///
     /// # Errors
     /// Returns a message when the parts do not match this matrix's groups.
@@ -772,98 +728,25 @@ impl CampaignMatrix {
         &self,
         parts: &[MatrixCheckpoint],
     ) -> Result<MatrixCheckpoint, String> {
-        let layout = self.group_layout();
-        if parts.len() != layout.len() {
+        let groups = self.groups();
+        if parts.len() != groups.len() {
             return Err(format!(
                 "{} sub-checkpoints for a matrix with {} groups",
                 parts.len(),
-                layout.len()
+                groups.len()
             ));
         }
-        let subs = self.group_matrices();
-        let mut cells: Vec<Option<CellProgress>> = self.cells.iter().map(|_| None).collect();
-        let mut groups = Vec::with_capacity(parts.len());
-        let mut wave = 0usize;
-        for (((target, indices), sub), part) in layout.iter().zip(&subs).zip(parts) {
+        let mut cells: Vec<Option<CellProgress>> = vec![None; self.cells.len()];
+        let mut progress = Vec::with_capacity(parts.len());
+        for ((group, sub), part) in groups.iter().zip(self.group_matrices()).zip(parts) {
             sub.check_checkpoint(part)
-                .map_err(|e| format!("sub-checkpoint for target {}: {e}", target.id))?;
-            groups.push(part.groups[0].clone());
-            for (&full_idx, cell) in indices.iter().zip(&part.cells) {
+                .map_err(|e| format!("sub-checkpoint for target {}: {e}", group.target.id))?;
+            progress.push(part.groups[0].clone());
+            for (&full_idx, cell) in group.cells.iter().zip(&part.cells) {
                 cells[full_idx] = cell.clone();
             }
-            wave += part.wave;
         }
-        Ok(MatrixCheckpoint {
-            wave,
-            seed: self.seed,
-            budget: self.budget,
-            round_size: self.round_size,
-            escalation: self.escalation,
-            config_digest: self.config_digest(),
-            cells,
-            groups,
-        })
-    }
-
-    /// Merge per-group sub-run reports (one per [`Self::group_matrices`]
-    /// sub-matrix, in group order) into the full-matrix report.  Verdict
-    /// fields recombine exactly — the shared streams make a group's cells
-    /// independent of the rest of the matrix — and the merged wall clock is
-    /// the slowest part's (sub-runs execute concurrently on a fleet).
-    ///
-    /// # Errors
-    /// Returns a message when the parts do not match this matrix's groups.
-    pub fn merge_reports(&self, parts: Vec<MatrixReport>) -> Result<MatrixReport, String> {
-        let layout = self.group_layout();
-        if parts.len() != layout.len() {
-            return Err(format!(
-                "{} sub-reports for a matrix with {} groups",
-                parts.len(),
-                layout.len()
-            ));
-        }
-        let mut slots: Vec<Option<CellReport>> = self.cells.iter().map(|_| None).collect();
-        let mut test_cases = 0usize;
-        let mut generated = 0usize;
-        let mut statically_filtered = 0usize;
-        let mut duration = Duration::ZERO;
-        for ((target, indices), part) in layout.iter().zip(parts) {
-            if part.seed != self.seed {
-                return Err(format!(
-                    "sub-report seed {} does not match matrix seed {}",
-                    part.seed, self.seed
-                ));
-            }
-            if part.cells.len() != indices.len() {
-                return Err(format!(
-                    "sub-report for target {} has {} cells, its group has {}",
-                    target.id,
-                    part.cells.len(),
-                    indices.len()
-                ));
-            }
-            for (&full_idx, cell) in indices.iter().zip(part.cells) {
-                if cell.target.id != target.id {
-                    return Err(format!(
-                        "sub-report cell targets {} where the matrix group is {}",
-                        cell.target.id, target.id
-                    ));
-                }
-                slots[full_idx] = Some(cell);
-            }
-            test_cases += part.test_cases;
-            generated += part.generated;
-            statically_filtered += part.statically_filtered;
-            duration = duration.max(part.duration);
-        }
-        Ok(MatrixReport {
-            cells: slots.into_iter().map(|s| s.expect("every group slot filled")).collect(),
-            seed: self.seed,
-            test_cases,
-            generated,
-            statically_filtered,
-            duration,
-        })
+        Ok(self.checkpoint_with(parts.iter().map(|p| p.wave).sum(), cells, progress))
     }
 
     /// Run the matrix.
@@ -881,45 +764,28 @@ impl CampaignMatrix {
     }
 }
 
-/// One cell's slot inside a running group.
-struct GroupCell {
-    cell_idx: usize,
-    contract: Contract,
-    /// Summed effectiveness statistics of the cell's measured test cases
-    /// (accumulation stops when the cell finishes).
-    effectiveness: EffectivenessStats,
-    report: Option<CellReport>,
-}
-
-/// A cell group mid-run: one target's shared test-case stream and the cells
-/// riding it.
+/// A cell group: one target's shared test-case stream and the cells riding
+/// it.  Everything here follows from the matrix except the generator,
+/// which escalation grows; a group's progress lives in the run's
+/// checkpoint.
 struct Group {
     target: Target,
-    cells: Vec<GroupCell>,
-    next_index: usize,
-    test_cases: usize,
-    /// Stream test cases the static pre-filter discarded.
-    filtered: usize,
-    total_inputs: usize,
-    round: usize,
-    /// Accumulated unit-evaluation time of this group's stream.
-    work: Duration,
+    /// Full-matrix indices of the group's cells, in insertion order.
+    cells: Vec<usize>,
     /// Group-local generator configuration (grown by escalation).
     generator: GeneratorConfig,
-    coverage: PatternCoverage,
-    coverage_level: usize,
-    round_improved: bool,
-    escalations: usize,
 }
 
 impl Group {
-    fn active_cells(&self) -> Vec<usize> {
-        (0..self.cells.len()).filter(|&ci| self.cells[ci].report.is_none()).collect()
+    /// Positions (within the group) of the cells that have not finished.
+    fn open_cells(&self, cells: &[Option<CellProgress>]) -> Vec<usize> {
+        (0..self.cells.len()).filter(|&k| cells[self.cells[k]].is_none()).collect()
     }
 }
 
 /// An in-flight matrix run: the incremental (and checkpoint-resumable)
-/// form of [`CampaignMatrix::run`].
+/// form of [`CampaignMatrix::run`].  The run's state *is* a
+/// [`MatrixCheckpoint`], which [`MatrixRun::step`] advances in place.
 ///
 /// ```no_run
 /// use revizor::orchestrator::CampaignMatrix;
@@ -937,13 +803,31 @@ impl Group {
 pub struct MatrixRun<'m> {
     matrix: &'m CampaignMatrix,
     groups: Vec<Group>,
+    /// All progress: stream positions, counters, coverage and finished
+    /// cells.
+    state: MatrixCheckpoint,
     pool: Option<rayon::ThreadPool>,
     start: Instant,
-    wave: usize,
 }
 
 impl<'m> MatrixRun<'m> {
-    fn with_groups(matrix: &'m CampaignMatrix, groups: Vec<Group>) -> MatrixRun<'m> {
+    /// A run whose state is `state`, already validated against `matrix`.
+    fn adopt(matrix: &'m CampaignMatrix, state: MatrixCheckpoint) -> MatrixRun<'m> {
+        let mut groups = matrix.groups();
+        for (group, progress) in groups.iter_mut().zip(&state.groups) {
+            // `GeneratorConfig::escalate` is a pure function of the
+            // configuration that reaches a fixed point at its caps, so
+            // replaying it until then recovers the exact generator the
+            // checkpointed run had reached, in a bounded number of steps
+            // whatever the recorded count.
+            for _ in 0..progress.escalations {
+                let before = group.generator.clone();
+                group.generator.escalate();
+                if group.generator == before {
+                    break;
+                }
+            }
+        }
         // The one shared pool all groups' work units fan out over, alive
         // for the whole run.
         let pool = (matrix.parallelism > 1).then(|| {
@@ -952,19 +836,19 @@ impl<'m> MatrixRun<'m> {
                 .build()
                 .expect("failed to spawn matrix worker threads")
         });
-        MatrixRun { matrix, groups, pool, start: Instant::now(), wave: 0 }
+        MatrixRun { matrix, groups, state, pool, start: Instant::now() }
     }
 
     /// Completed scheduling waves: [`MatrixRun::step`] calls that found
     /// work (resumed runs continue the interrupted run's count).
     pub fn wave(&self) -> usize {
-        self.wave
+        self.state.wave
     }
 
     /// Is there any unfinished cell with remaining budget?
     pub fn has_work(&self) -> bool {
-        self.groups.iter().any(|g| {
-            g.next_index < self.matrix.budget && g.cells.iter().any(|c| c.report.is_none())
+        self.groups.iter().zip(&self.state.groups).any(|(g, p)| {
+            p.next_index < self.matrix.budget && !g.open_cells(&self.state.cells).is_empty()
         })
     }
 
@@ -975,7 +859,8 @@ impl<'m> MatrixRun<'m> {
     /// Events are delivered to `observer` from the calling thread in
     /// deterministic order.
     pub fn step(&mut self, observer: &mut dyn ProgressObserver) -> bool {
-        let matrix = self.matrix;
+        let MatrixRun { matrix, groups, state, pool, start } = self;
+        let matrix = *matrix;
         let round_size = matrix.round_size.max(1);
 
         // Build the wave: one round of (index → seed) work units per
@@ -983,17 +868,17 @@ impl<'m> MatrixRun<'m> {
         // fixed at round boundaries, which keeps results independent of
         // scheduling.
         let mut wave: Vec<(usize, u64)> = Vec::new();
-        let mut wave_specs: Vec<Option<SlateSpec>> = self.groups.iter().map(|_| None).collect();
-        let mut wave_cells: Vec<Vec<usize>> = self.groups.iter().map(|_| Vec::new()).collect();
-        let mut wave_counts: Vec<usize> = self.groups.iter().map(|_| 0).collect();
-        for (gi, group) in self.groups.iter().enumerate() {
-            let active = group.active_cells();
-            if active.is_empty() || group.next_index >= matrix.budget {
+        let mut wave_specs: Vec<Option<SlateSpec>> = groups.iter().map(|_| None).collect();
+        let mut wave_cells: Vec<Vec<usize>> = groups.iter().map(|_| Vec::new()).collect();
+        let mut wave_counts: Vec<usize> = groups.iter().map(|_| 0).collect();
+        for (gi, (group, progress)) in groups.iter().zip(&state.groups).enumerate() {
+            let active = group.open_cells(&state.cells);
+            if active.is_empty() || progress.next_index >= matrix.budget {
                 continue;
             }
-            let end = (group.next_index + round_size).min(matrix.budget);
+            let end = (progress.next_index + round_size).min(matrix.budget);
             let mut contracts: Vec<Contract> =
-                active.iter().map(|&ci| group.cells[ci].contract.clone()).collect();
+                active.iter().map(|&k| matrix.cells[group.cells[k]].contract.clone()).collect();
             if matrix.escalation {
                 // The coverage probe: pattern coverage is always measured
                 // on CT-SEQ so escalation decisions depend only on the
@@ -1009,21 +894,21 @@ impl<'m> MatrixRun<'m> {
                 speculation_filter: matrix.speculation_filter,
             });
             wave_cells[gi] = active;
-            wave_counts[gi] = end - group.next_index;
-            for index in group.next_index..end {
+            wave_counts[gi] = end - progress.next_index;
+            for index in progress.next_index..end {
                 wave.push((gi, unit_seed(matrix.seed, group.target.id, index)));
             }
         }
         if wave.is_empty() {
             return false;
         }
-        self.wave += 1;
+        state.wave += 1;
 
         // Evaluate the whole wave; each unit is independent.  Per-unit
         // evaluation time is recorded so cells can report their group's
         // attributed cost rather than matrix-wide wall clock.
         let specs = &wave_specs;
-        let cpus: Vec<SpecCpu> = self.groups.iter().map(|g| g.target.cpu()).collect();
+        let cpus: Vec<SpecCpu> = groups.iter().map(|g| g.target.cpu()).collect();
         let cpus = &cpus;
         let eval = move |(gi, seed): (usize, u64)| -> (usize, SeedEval, Duration) {
             let spec = specs[gi].as_ref().expect("scheduled group has a spec");
@@ -1031,7 +916,7 @@ impl<'m> MatrixRun<'m> {
             let unit = campaign::evaluate_seed(&cpus[gi], spec, seed);
             (gi, unit, t0.elapsed())
         };
-        let units: Vec<(usize, SeedEval, Duration)> = match &self.pool {
+        let units: Vec<(usize, SeedEval, Duration)> = match pool {
             None => wave.into_iter().map(eval).collect(),
             Some(pool) => pool.install(|| {
                 use rayon::prelude::*;
@@ -1046,14 +931,15 @@ impl<'m> MatrixRun<'m> {
             if *scheduled == 0 {
                 continue;
             }
-            let group = &mut self.groups[gi];
+            let group = &mut groups[gi];
+            let progress = &mut state.groups[gi];
             for (_, eval, unit_time) in &units[cursor..cursor + scheduled] {
-                group.next_index += 1;
-                group.work += *unit_time;
+                progress.next_index += 1;
+                progress.work += *unit_time;
                 let unit = match eval {
                     // Statically leak-impossible: discarded unmeasured.
                     SeedEval::Filtered => {
-                        group.filtered += 1;
+                        progress.filtered += 1;
                         continue;
                     }
                     // Malformed test cases are skipped (never happens for
@@ -1061,190 +947,142 @@ impl<'m> MatrixRun<'m> {
                     SeedEval::Faulted => continue,
                     SeedEval::Measured(unit) => &**unit,
                 };
-                group.test_cases += 1;
-                group.total_inputs += unit.inputs.len();
+                progress.test_cases += 1;
+                progress.total_inputs += unit.inputs.len();
                 if matrix.escalation {
                     // The probe outcome rides at the end of the slate.
                     let probe = unit.outcomes.last().expect("probe contract scheduled");
-                    group.round_improved |= absorb_coverage(&mut group.coverage, &probe.class_members);
+                    progress.round_improved |=
+                        absorb_coverage(&mut progress.coverage, &probe.class_members);
                 }
-                for (k, ci) in wave_cells[gi].iter().enumerate() {
-                    let outcome = &unit.outcomes[k];
-                    let cell = &mut group.cells[*ci];
-                    if cell.report.is_some() {
+                for (outcome, &k) in unit.outcomes.iter().zip(&wave_cells[gi]) {
+                    let cell = &mut state.cells[group.cells[k]];
+                    if cell.is_some() {
                         continue;
                     }
-                    cell.effectiveness.merge(&outcome.analysis.stats);
-                    if outcome.confirmed_violation.is_none() {
-                        continue;
-                    }
+                    progress.effectiveness[k].merge(&outcome.analysis.stats);
+                    let Some(confirmed) = &outcome.confirmed_violation else { continue };
                     // First confirmed violation for this cell: the cell
                     // finishes; later stream test cases no longer count
                     // toward it.
                     let vulnerability = classify(&group.target, &outcome.contract, &unit.tc);
                     let gadget = staticanalysis::gadget_class(&unit.tc, Some(&group.target));
-                    let violation = ViolationReport {
-                        test_case: unit.tc.clone(),
-                        inputs: unit.inputs.clone(),
-                        violation: outcome
-                            .confirmed_violation
-                            .clone()
-                            .expect("checked above"),
-                        contract: outcome.contract.clone(),
-                        test_case_seed: unit.seed,
-                        vulnerability,
-                        gadget,
-                        test_cases_until_detection: group.test_cases,
-                        inputs_until_detection: group.total_inputs,
-                    };
                     observer.cell_finished(&CellEvent {
                         target_id: group.target.id,
                         contract: outcome.contract.clone(),
                         found: true,
                         vulnerability: Some(vulnerability),
-                        test_cases: group.test_cases,
-                        elapsed: self.start.elapsed(),
+                        test_cases: progress.test_cases,
+                        elapsed: start.elapsed(),
                     });
-                    cell.report = Some(CellReport {
-                        target: group.target.clone(),
-                        contract: outcome.contract.clone(),
-                        violation: Some(violation),
-                        test_cases: group.test_cases,
-                        filtered: group.filtered,
-                        total_inputs: group.total_inputs,
-                        effectiveness: cell.effectiveness,
-                        detection_time: group.work,
+                    *cell = Some(CellProgress {
+                        violation: Some(ViolationReport {
+                            test_case: unit.tc.clone(),
+                            inputs: unit.inputs.clone(),
+                            violation: confirmed.clone(),
+                            contract: outcome.contract.clone(),
+                            test_case_seed: unit.seed,
+                            vulnerability,
+                            gadget,
+                            test_cases_until_detection: progress.test_cases,
+                            inputs_until_detection: progress.total_inputs,
+                        }),
+                        test_cases: progress.test_cases,
+                        filtered: progress.filtered,
+                        total_inputs: progress.total_inputs,
+                        effectiveness: progress.effectiveness[k],
+                        detection_time: progress.work,
                     });
                 }
             }
             cursor += scheduled;
-            group.round += 1;
+            progress.round += 1;
 
             // Round boundary: diversity feedback (§5.6).  The generator is
             // escalated when the current coverage goal is met (all single
             // patterns, then all pattern pairs) or when a whole round went
             // by without improving coverage.  Only full rounds have a
             // boundary; a final partial round never escalates.
-            if matrix.escalation && group.next_index.is_multiple_of(round_size) {
+            if matrix.escalation && progress.next_index.is_multiple_of(round_size) {
                 let isa = group.target.isa;
-                let goal_met = match group.coverage_level {
-                    1 => group.coverage.all_single_covered(isa),
-                    _ => group.coverage.all_pairs_covered(isa),
+                let goal_met = match progress.coverage_level {
+                    1 => progress.coverage.all_single_covered(isa),
+                    _ => progress.coverage.all_pairs_covered(isa),
                 };
-                if goal_met || !group.round_improved {
+                if goal_met || !progress.round_improved {
                     if goal_met {
-                        group.coverage_level += 1;
+                        progress.coverage_level += 1;
                     }
                     group.generator.escalate();
-                    group.escalations += 1;
+                    progress.escalations += 1;
                 }
-                group.round_improved = false;
+                progress.round_improved = false;
             }
 
             observer.round_completed(&RoundEvent {
                 target_id: Some(group.target.id),
-                round: group.round,
-                test_cases: group.test_cases,
-                filtered: group.filtered,
-                escalations: group.escalations,
+                round: progress.round,
+                test_cases: progress.test_cases,
+                filtered: progress.filtered,
+                escalations: progress.escalations,
             });
         }
         true
     }
 
-    /// Snapshot the run's progress for later [`CampaignMatrix::resume`].
+    /// Snapshot the run's progress for later [`CampaignMatrix::resume`]:
+    /// a copy of the run's state.
     pub fn checkpoint(&self) -> MatrixCheckpoint {
-        let mut cells: Vec<Option<CellProgress>> =
-            self.matrix.cells.iter().map(|_| None).collect();
-        for group in &self.groups {
-            for gc in &group.cells {
-                if let Some(report) = &gc.report {
-                    cells[gc.cell_idx] = Some(CellProgress {
-                        violation: report.violation.clone(),
-                        test_cases: report.test_cases,
-                        filtered: report.filtered,
-                        total_inputs: report.total_inputs,
-                        effectiveness: report.effectiveness,
-                        detection_time: report.detection_time,
-                    });
-                }
-            }
-        }
-        MatrixCheckpoint {
-            wave: self.wave,
-            seed: self.matrix.seed,
-            budget: self.matrix.budget,
-            round_size: self.matrix.round_size,
-            escalation: self.matrix.escalation,
-            config_digest: self.matrix.config_digest(),
-            cells,
-            groups: self
-                .groups
-                .iter()
-                .map(|g| GroupProgress {
-                    target_id: g.target.id,
-                    next_index: g.next_index,
-                    test_cases: g.test_cases,
-                    filtered: g.filtered,
-                    total_inputs: g.total_inputs,
-                    effectiveness: g.cells.iter().map(|c| c.effectiveness).collect(),
-                    round: g.round,
-                    work: g.work,
-                    escalations: g.escalations,
-                    coverage_level: g.coverage_level,
-                    round_improved: g.round_improved,
-                    coverage: g.coverage.clone(),
-                })
-                .collect(),
-        }
+        self.state.clone()
     }
 
-    /// Close the run and assemble the report.  Cells still open (budget
-    /// exhausted, or the run was abandoned early) are reported without a
-    /// violation, with a `cell_finished` event each.
-    pub fn finish(mut self, observer: &mut dyn ProgressObserver) -> MatrixReport {
-        for group in &mut self.groups {
-            for cell in &mut group.cells {
-                if cell.report.is_none() {
+    /// Close the run and assemble the report from its state.  Cells still
+    /// open (budget exhausted, or the run was abandoned early) are
+    /// reported without a violation, with a `cell_finished` event each.
+    pub fn finish(self, observer: &mut dyn ProgressObserver) -> MatrixReport {
+        let MatrixRun { matrix, groups, state, start, .. } = self;
+        let mut finished = state.cells;
+        let mut slots: Vec<Option<CellReport>> = vec![None; matrix.cells.len()];
+        for (group, progress) in groups.iter().zip(&state.groups) {
+            for (k, &idx) in group.cells.iter().enumerate() {
+                let contract = matrix.cells[idx].contract.clone();
+                let cell = finished[idx].take().unwrap_or_else(|| {
                     observer.cell_finished(&CellEvent {
                         target_id: group.target.id,
-                        contract: cell.contract.clone(),
+                        contract: contract.clone(),
                         found: false,
                         vulnerability: None,
-                        test_cases: group.test_cases,
-                        elapsed: self.start.elapsed(),
+                        test_cases: progress.test_cases,
+                        elapsed: start.elapsed(),
                     });
-                    cell.report = Some(CellReport {
-                        target: group.target.clone(),
-                        contract: cell.contract.clone(),
+                    CellProgress {
                         violation: None,
-                        test_cases: group.test_cases,
-                        filtered: group.filtered,
-                        total_inputs: group.total_inputs,
-                        effectiveness: cell.effectiveness,
-                        detection_time: group.work,
-                    });
-                }
-            }
-        }
-
-        // Reassemble the reports in cell insertion order.
-        let test_cases = self.groups.iter().map(|g| g.test_cases).sum();
-        let generated = self.groups.iter().map(|g| g.next_index).sum();
-        let statically_filtered = self.groups.iter().map(|g| g.filtered).sum();
-        let mut slots: Vec<Option<CellReport>> = self.matrix.cells.iter().map(|_| None).collect();
-        for group in self.groups {
-            for cell in group.cells {
-                slots[cell.cell_idx] = cell.report;
+                        test_cases: progress.test_cases,
+                        filtered: progress.filtered,
+                        total_inputs: progress.total_inputs,
+                        effectiveness: progress.effectiveness[k],
+                        detection_time: progress.work,
+                    }
+                });
+                slots[idx] = Some(CellReport {
+                    target: group.target.clone(),
+                    contract,
+                    violation: cell.violation,
+                    test_cases: cell.test_cases,
+                    filtered: cell.filtered,
+                    total_inputs: cell.total_inputs,
+                    effectiveness: cell.effectiveness,
+                    detection_time: cell.detection_time,
+                });
             }
         }
         MatrixReport {
             cells: slots.into_iter().map(|s| s.expect("every cell closed")).collect(),
-            seed: self.matrix.seed,
-            test_cases,
-            generated,
-            statically_filtered,
-            duration: self.start.elapsed(),
+            seed: matrix.seed,
+            test_cases: state.groups.iter().map(|g| g.test_cases).sum(),
+            generated: state.groups.iter().map(|g| g.next_index).sum(),
+            statically_filtered: state.groups.iter().map(|g| g.filtered).sum(),
+            duration: start.elapsed(),
         }
     }
 }
@@ -1468,28 +1306,46 @@ mod tests {
     fn checkpoint_resume_is_byte_identical_at_every_wave_boundary() {
         // Interrupt the matrix after each wave in turn; the resumed run
         // must reproduce the uninterrupted verdicts exactly — including the
-        // full violation reports.
-        let matrix = CampaignMatrix::new(7)
-            .with_budget(40)
-            .add_cells(Target::target5(), Contract::table3_contracts())
-            .add_cell(Target::target1(), Contract::ct_seq());
-        let baseline = matrix.run();
-        for interrupt_after in 1..=3usize {
-            let mut run = matrix.start();
-            for _ in 0..interrupt_after {
-                run.step(&mut NoopObserver);
-            }
-            let snapshot = run.checkpoint();
-            drop(run); // the "kill"
+        // full violation reports.  Resuming any wave's checkpoint adopts it
+        // unchanged.
+        for parallelism in [1usize, 4] {
+            let matrix = CampaignMatrix::new(7)
+                .with_budget(40)
+                .with_parallelism(parallelism)
+                .add_cells(Target::target5(), Contract::table3_contracts())
+                .add_cell(Target::target1(), Contract::ct_seq());
+            let baseline = matrix.run();
+            for interrupt_after in 1..=3usize {
+                let mut run = matrix.start();
+                for _ in 0..interrupt_after {
+                    run.step(&mut NoopObserver);
+                    assert_resume_adopts(&matrix, &run.checkpoint());
+                }
+                let snapshot = run.checkpoint();
+                drop(run); // the "kill"
 
-            let mut resumed = matrix.resume(&snapshot).expect("checkpoint matches");
-            while resumed.step(&mut NoopObserver) {}
-            let report = resumed.finish(&mut NoopObserver);
-            assert_eq!(verdicts(&baseline), verdicts(&report), "interrupted after {interrupt_after}");
-            for (a, b) in baseline.cells.iter().zip(&report.cells) {
-                assert_eq!(a.violation, b.violation, "violation reports must match exactly");
+                let mut resumed = matrix.resume(&snapshot).expect("checkpoint matches");
+                while resumed.step(&mut NoopObserver) {
+                    assert_resume_adopts(&matrix, &resumed.checkpoint());
+                }
+                let report = resumed.finish(&mut NoopObserver);
+                assert_eq!(
+                    verdicts(&baseline),
+                    verdicts(&report),
+                    "parallelism {parallelism}, interrupted after {interrupt_after}"
+                );
+                for (a, b) in baseline.cells.iter().zip(&report.cells) {
+                    assert_eq!(a.violation, b.violation, "violation reports must match exactly");
+                }
             }
         }
+    }
+
+    /// `resume` adopts a checkpoint unchanged: the resumed run's state is
+    /// the checkpoint it was given.
+    fn assert_resume_adopts(matrix: &CampaignMatrix, cp: &MatrixCheckpoint) {
+        let resumed = matrix.resume(cp).expect("checkpoint matches");
+        assert!(resumed.checkpoint() == *cp, "resume must adopt wave {} unchanged", cp.wave);
     }
 
     #[test]
@@ -1588,6 +1444,17 @@ mod tests {
         malformed.groups[0].effectiveness.clear();
         assert!(matrix.resume(&malformed).is_err());
         assert!(matrix.split_checkpoint(&malformed).is_err());
+        // A non-escalating matrix never escalates, so any recorded
+        // escalation (a bounded or a hostile count) is malformed.
+        for escalations in [1, usize::MAX] {
+            let mut escalated = snapshot.clone();
+            escalated.groups[0].escalations = escalations;
+            let err = match matrix.resume(&escalated) {
+                Err(e) => e,
+                Ok(_) => panic!("escalations on a non-escalating matrix must be rejected"),
+            };
+            assert!(err.contains("escalations"), "{err}");
+        }
     }
 
     #[test]
@@ -1703,6 +1570,22 @@ mod tests {
     }
 
     #[test]
+    fn groups_follow_cell_discovery_order() {
+        let matrix = CampaignMatrix::new(1)
+            .add_cell(Target::target5(), Contract::ct_seq())
+            .add_cell(Target::target1(), Contract::ct_seq())
+            .add_cell(Target::target5(), Contract::ct_bpas())
+            .add_cell(Target::target4(), Contract::ct_seq());
+        let targets: Vec<u8> =
+            matrix.initial_checkpoint().groups.iter().map(|g| g.target_id).collect();
+        assert_eq!(targets, vec![5, 1, 4]);
+        // The sub-matrix split follows the same order.
+        let sub_targets: Vec<u8> =
+            matrix.group_matrices().iter().map(|m| m.cells()[0].target.id).collect();
+        assert_eq!(targets, sub_targets);
+    }
+
+    #[test]
     fn initial_checkpoint_matches_an_unstepped_run() {
         let matrix = two_group_matrix();
         let fresh = matrix.start().checkpoint();
@@ -1730,14 +1613,17 @@ mod tests {
             }
             drop(run); // the host never reports a MatrixReport, only checkpoints
 
-            // A finished sub-run's final checkpoint IS its result: resuming
-            // it and finishing with zero steps reproduces the exact report.
-            let resumed = sub.resume(&last).expect("final checkpoint matches");
-            assert!(!resumed.has_work());
-            parts.push(resumed.finish(&mut NoopObserver));
+            // A finished sub-run's final checkpoint IS its result.
+            assert!(!sub.resume(&last).expect("final checkpoint matches").has_work());
+            parts.push(last);
         }
 
-        let merged = matrix.merge_reports(parts).expect("parts match the matrix");
+        // The final checkpoints merge into a finished full-matrix run, and
+        // finishing it with zero steps reproduces the exact report.
+        let merged = matrix.merge_checkpoints(&parts).expect("parts match the matrix");
+        let resumed = matrix.resume(&merged).expect("merged checkpoint matches");
+        assert!(!resumed.has_work());
+        let merged = resumed.finish(&mut NoopObserver);
         assert_eq!(verdicts(&baseline), verdicts(&merged));
         for (a, b) in baseline.cells.iter().zip(&merged.cells) {
             assert_eq!(a.violation, b.violation, "violation reports must match exactly");
@@ -1771,13 +1657,17 @@ mod tests {
         for (sub, part) in subs.iter().zip(&split) {
             let mut run = sub.resume(part).expect("sub-checkpoint matches its sub-matrix");
             while run.step(&mut NoopObserver) {}
-            parts.push(run.finish(&mut NoopObserver));
+            parts.push(run.checkpoint());
         }
-        let merged = matrix.merge_reports(parts).expect("parts match the matrix");
+        let merged = matrix.merge_checkpoints(&parts).expect("parts match the matrix");
+        let merged = matrix.resume(&merged).expect("merged checkpoint matches");
+        let merged = merged.finish(&mut NoopObserver);
         assert_eq!(verdicts(&baseline), verdicts(&merged));
         for (a, b) in baseline.cells.iter().zip(&merged.cells) {
             assert_eq!(a.violation, b.violation);
         }
+        assert_eq!(baseline.test_cases, merged.test_cases);
+        assert_eq!(baseline.generated, merged.generated);
     }
 
     #[test]
@@ -1875,23 +1765,45 @@ mod tests {
     #[test]
     fn escalating_checkpoint_resume_is_byte_identical() {
         // Escalation state (coverage, level, generator growth) survives
-        // the checkpoint: resuming mid-campaign replays the same stream.
-        let matrix = CampaignMatrix::new(11)
-            .with_budget(40)
-            .with_escalation(true)
-            .add_cells(Target::target5(), Contract::table3_contracts());
-        let baseline = matrix.run();
-        let mut run = matrix.start();
-        run.step(&mut NoopObserver);
-        run.step(&mut NoopObserver);
-        let snapshot = run.checkpoint();
-        drop(run);
-        let mut resumed = matrix.resume(&snapshot).expect("checkpoint matches");
-        while resumed.step(&mut NoopObserver) {}
-        let report = resumed.finish(&mut NoopObserver);
-        assert_eq!(verdicts(&baseline), verdicts(&report));
-        for (a, b) in baseline.cells.iter().zip(&report.cells) {
-            assert_eq!(a.violation, b.violation);
+        // the checkpoint: resuming mid-campaign replays the same stream,
+        // and resuming any wave's checkpoint adopts it unchanged.
+        for parallelism in [1usize, 4] {
+            let matrix = CampaignMatrix::new(11)
+                .with_budget(40)
+                .with_escalation(true)
+                .with_parallelism(parallelism)
+                .add_cells(Target::target5(), Contract::table3_contracts());
+            let baseline = matrix.run();
+            let mut run = matrix.start();
+            for _ in 0..2 {
+                run.step(&mut NoopObserver);
+                assert_resume_adopts(&matrix, &run.checkpoint());
+            }
+            let snapshot = run.checkpoint();
+            drop(run);
+            let mut resumed = matrix.resume(&snapshot).expect("checkpoint matches");
+            while resumed.step(&mut NoopObserver) {
+                assert_resume_adopts(&matrix, &resumed.checkpoint());
+            }
+            let report = resumed.finish(&mut NoopObserver);
+            assert_eq!(verdicts(&baseline), verdicts(&report), "parallelism {parallelism}");
+            for (a, b) in baseline.cells.iter().zip(&report.cells) {
+                assert_eq!(a.violation, b.violation);
+            }
+
+            // A hostile escalation count resumes promptly: the replay
+            // stops at the generator's fixed point (its caps).
+            let mut saturated = snapshot.clone();
+            saturated.groups[0].escalations = usize::MAX;
+            let t0 = Instant::now();
+            let resumed = matrix.resume(&saturated).expect("escalating matrix accepts any count");
+            assert!(t0.elapsed() < Duration::from_secs(1), "replay must be bounded");
+            let mut capped = matrix.base_generator(&Target::target5());
+            for _ in 0..1000 {
+                capped.escalate();
+            }
+            assert_eq!(resumed.groups[0].generator, capped);
+            assert!(resumed.checkpoint() == saturated);
         }
     }
 }

@@ -34,8 +34,9 @@
 //! Jobs split into **relocatable work units** (one per target group) at
 //! submit.  Workers join at runtime (`register`), ask for work (`lease`),
 //! and drive one unit at a time; a job's units can run on different hosts
-//! concurrently and the final report is reconstructed from their final
-//! sub-checkpoints, byte-identical to an in-process run.
+//! concurrently, and the core merges their final sub-checkpoints into
+//! one full-matrix run whose report is byte-identical to an in-process
+//! run.
 //!
 //! ## The replication contract
 //!
@@ -413,8 +414,8 @@ impl Coordinator {
     }
 
     /// A worker finished its unit: store the final sub-checkpoint (the
-    /// unit's result — the core reconstructs the job report from it once
-    /// every unit is done).
+    /// unit's result — the core merges it with the other units' into the
+    /// job report once every unit is done).
     fn apply_unit_done(
         core: &Arc<ServiceCore>,
         conn: &mut WorkerConn,

@@ -20,7 +20,7 @@
 use crate::job::JobSpec;
 use crate::spool::{JobPhase, Spool, SpoolRecord, UnitPhase, UnitRecord};
 use revizor::campaign::{CellEvent, ProgressObserver, RoundEvent};
-use revizor::orchestrator::{MatrixCheckpoint, MatrixReport};
+use revizor::orchestrator::{CampaignMatrix, MatrixCheckpoint, MatrixReport};
 use rvz_bench::json::Json;
 use rvz_bench::report::{matrix_cells_json, matrix_timing_json};
 use std::collections::BTreeMap;
@@ -140,15 +140,19 @@ impl UnitState {
     }
 }
 
-/// A fresh job's work units: one queued unit per target group, in the
-/// order [`CampaignMatrix::group_matrices`] splits the matrix.
-///
-/// [`CampaignMatrix::group_matrices`]: revizor::orchestrator::CampaignMatrix::group_matrices
-fn fresh_units(spec: &JobSpec) -> Vec<UnitState> {
-    spec.group_targets()
-        .into_iter()
-        .map(|target| UnitState {
-            target,
+/// A fresh job's work units: one queued unit per target group of the
+/// job's resolved matrix, named by the groups of its
+/// [`initial_checkpoint`](CampaignMatrix::initial_checkpoint) — the order
+/// [`CampaignMatrix::group_matrices`] splits the matrix in and
+/// [`CampaignMatrix::merge_checkpoints`] expects the units' checkpoints
+/// back in.
+fn fresh_units(matrix: &CampaignMatrix) -> Vec<UnitState> {
+    matrix
+        .initial_checkpoint()
+        .groups
+        .iter()
+        .map(|group| UnitState {
+            target: group.target_id,
             phase: UnitPhase::Queued,
             worker: None,
             lease: 0,
@@ -416,10 +420,12 @@ impl ServiceCore {
                 let events = restored_events(&record);
                 // A record without units carries no progress the service
                 // can resume: its job starts over as fresh units, which
-                // yields the same verdicts.
+                // yields the same verdicts.  A spec that no longer resolves
+                // gets no units, so its live job is finalized below — with
+                // the resolution error as its result.
                 let units = match record.units {
                     Some(units) => units.into_iter().map(UnitState::restored).collect(),
-                    None => fresh_units(&record.spec),
+                    None => record.spec.to_matrix().map(|m| fresh_units(&m)).unwrap_or_default(),
                 };
                 let entry = JobEntry {
                     spec: record.spec,
@@ -522,8 +528,8 @@ impl ServiceCore {
     pub fn submit(&self, spec: JobSpec) -> Result<String, String> {
         // Resolve eagerly so a bad spec fails at the submission boundary,
         // not inside a worker.
-        spec.to_matrix()?;
-        Ok(self.accept_submission(spec))
+        let matrix = spec.to_matrix()?;
+        Ok(self.accept_submission(spec, &matrix))
     }
 
     /// Submit a job, honoring the backpressure watermark: while the queued
@@ -535,7 +541,7 @@ impl ServiceCore {
     /// [`SubmitRejection::Invalid`] for bad specs,
     /// [`SubmitRejection::Backpressure`] for a full queue.
     pub fn try_submit(&self, spec: JobSpec) -> Result<String, SubmitRejection> {
-        spec.to_matrix().map_err(SubmitRejection::Invalid)?;
+        let matrix = spec.to_matrix().map_err(SubmitRejection::Invalid)?;
         let queued_units = self.lock().queued_units;
         let watermark = self.config.queue_watermark.max(1);
         if queued_units >= watermark {
@@ -549,12 +555,12 @@ impl ServiceCore {
                 retry_after: Duration::from_millis(250 * overshoot as u64),
             }));
         }
-        Ok(self.accept_submission(spec))
+        Ok(self.accept_submission(spec, &matrix))
     }
 
-    /// Queue a pre-validated spec: mint the id, split it into units,
-    /// persist, insert.
-    fn accept_submission(&self, spec: JobSpec) -> String {
+    /// Queue a spec resolved into `matrix`: mint the id, split it into
+    /// units, persist, insert.
+    fn accept_submission(&self, spec: JobSpec, matrix: &CampaignMatrix) -> String {
         let digest = fnv(spec.to_json().render().as_bytes());
         let job = loop {
             // The counter is process-unique and seeded above every id
@@ -565,7 +571,7 @@ impl ServiceCore {
                 break job;
             }
         };
-        let units = fresh_units(&spec);
+        let units = fresh_units(matrix);
         let vacuous = units.is_empty();
         let mut entry = JobEntry {
             spec,
@@ -812,9 +818,9 @@ impl ServiceCore {
 
     /// Finish a leased unit: store its final sub-checkpoint, publish the
     /// worker's trailing events, and — when this was the job's last open
-    /// unit — reconstruct and publish the job result.  Any wave is
-    /// accepted on a valid lease (a unit can finish without ever
-    /// checkpointing mid-run).
+    /// unit — merge the units' checkpoints into the job result and
+    /// publish it.  Any wave is accepted on a valid lease (a unit can
+    /// finish without ever checkpointing mid-run).
     pub(crate) fn complete_unit(
         &self,
         job: &str,
@@ -960,36 +966,34 @@ impl ServiceCore {
         }
     }
 
-    /// All units of the job are `Done`: reconstruct the final
-    /// [`MatrixReport`] from the per-unit final checkpoints — resuming
-    /// each sub-run at its final checkpoint and closing it reproduces the
-    /// exact per-cell reports an in-process run yields — publish the
-    /// closing cell events, and complete the job.  No-op unless every unit
-    /// really is `Done` (so a straggler can never finish a job early).
+    /// All units of the job are `Done`: merge the per-unit final
+    /// checkpoints into one full-matrix checkpoint, resume it and finish
+    /// the merged run once — which reproduces the exact per-cell reports
+    /// an in-process run yields and the closing cell events — then publish
+    /// those events and complete the job.  A spec that no longer resolves
+    /// or checkpoints that do not merge complete the job with an error
+    /// result.  No-op unless every unit really is `Done` (so a straggler
+    /// can never finish a job early).
     fn finalize_units(&self, job: &str) {
-        let (spec, units) = {
+        let (spec, parts) = {
             let state = self.lock();
             let Some(entry) = state.jobs.get(job) else { return };
             if entry.phase.terminal() || entry.units.iter().any(|u| u.phase != UnitPhase::Done) {
                 return;
             }
-            let units: Vec<(u8, Option<MatrixCheckpoint>)> =
-                entry.units.iter().map(|u| (u.target, u.checkpoint.clone())).collect();
-            (entry.spec.clone(), units)
+            let parts: Option<Vec<MatrixCheckpoint>> =
+                entry.units.iter().map(|u| u.checkpoint.clone()).collect();
+            (entry.spec.clone(), parts)
         };
         let mut collector = EventCollector { job: job.to_string(), events: Vec::new() };
         let outcome: Result<MatrixReport, String> = (|| {
-            let mut reports = Vec::with_capacity(units.len());
-            for (target, checkpoint) in units {
-                let sub = spec.unit_matrix(target)?;
-                let checkpoint =
-                    checkpoint.ok_or("a unit finished without a final checkpoint")?;
-                let run = sub
-                    .resume(&checkpoint)
-                    .map_err(|e| format!("final sub-checkpoint rejected: {e}"))?;
-                reports.push(run.finish(&mut collector));
-            }
-            spec.to_matrix()?.merge_reports(reports)
+            let parts = parts.ok_or("a unit finished without a final checkpoint")?;
+            let matrix = spec.to_matrix()?;
+            let merged = matrix.merge_checkpoints(&parts)?;
+            let run = matrix
+                .resume(&merged)
+                .map_err(|e| format!("merged checkpoint rejected: {e}"))?;
+            Ok(run.finish(&mut collector))
         })();
         match outcome {
             Ok(report) => {
@@ -998,7 +1002,8 @@ impl ServiceCore {
                 self.complete(job, job_result_json(job, &spec, &report));
             }
             Err(e) => {
-                // Only a hand-edited spool (or a codec bug) gets here.
+                // Only a hand-edited spool, a spec that stopped resolving
+                // or a codec bug gets here.
                 let error = format!("result reconstruction failed: {e}");
                 self.complete(job, Json::obj().field("job", job).field("error", error.as_str()));
             }
@@ -1206,34 +1211,30 @@ fn summarize(job: &str, e: &JobEntry) -> JobStatus {
 /// Reconstruct a restored job's event log from its spool record, so
 /// watchers of a job that progressed (or finished) under a previous server
 /// still see its history and — crucially — the terminating `done` event.
-/// Cell events are synthesized from the unit checkpoints (pre-kill finds
-/// never re-fire after a resume); `elapsed_ms` is lost with the old
-/// process.
+/// Cell events are rendered from the finished cells of the unit
+/// checkpoints, in the order of each unit's sub-matrix (pre-kill finds
+/// never re-fire after a resume); the elapsed time is lost with the old
+/// process, so it reads 0.
 fn restored_events(record: &SpoolRecord) -> Vec<Json> {
-    let mut events = Vec::new();
+    let mut collector = EventCollector { job: record.job.clone(), events: Vec::new() };
     for unit in record.units.iter().flatten() {
-        let Some(checkpoint) = &unit.checkpoint else { continue };
-        // A unit's sub-matrix holds the spec's cells of its target, in
-        // spec order.
-        let contracts = record.spec.cells.iter().filter(|(t, _)| *t == unit.target);
-        for (progress, (target, contract)) in checkpoint.cells.iter().zip(contracts) {
+        let (Some(checkpoint), Ok(sub)) = (&unit.checkpoint, record.spec.unit_matrix(unit.target))
+        else {
+            continue;
+        };
+        for (progress, cell) in checkpoint.cells.iter().zip(sub.cells()) {
             let Some(progress) = progress else { continue };
-            events.push(
-                Json::obj()
-                    .field("event", "cell")
-                    .field("job", record.job.as_str())
-                    .field("target", *target)
-                    .field("contract", contract.as_str())
-                    .field("found", progress.violation.is_some())
-                    .field(
-                        "vulnerability",
-                        progress.violation.as_ref().map(|v| v.vulnerability.to_string()),
-                    )
-                    .field("test_cases", progress.test_cases)
-                    .field("elapsed_ms", 0.0),
-            );
+            collector.cell_finished(&CellEvent {
+                target_id: cell.target.id,
+                contract: cell.contract.clone(),
+                found: progress.violation.is_some(),
+                vulnerability: progress.violation.as_ref().map(|v| v.vulnerability),
+                test_cases: progress.test_cases,
+                elapsed: Duration::ZERO,
+            });
         }
     }
+    let mut events = collector.events;
     if let Some(result) = &record.result {
         let mut done = Json::obj().field("event", "done").field("job", record.job.as_str());
         if record.phase == JobPhase::Cancelled {

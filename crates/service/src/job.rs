@@ -32,8 +32,8 @@ pub struct JobSpec {
     pub basic_blocks: usize,
     /// Generator instruction count.
     pub instructions: usize,
-    /// Branch-then-load placement bias (see
-    /// [`rvz_gen::GeneratorConfig::branch_then_load_bias`]).
+    /// Branch-then-load placement bias (the generator's
+    /// `branch_then_load_bias` switch).
     pub branch_then_load_bias: bool,
     /// §5.6 diversity escalation per cell group.
     pub escalation: bool,
@@ -113,20 +113,6 @@ impl JobSpec {
     pub fn with_tenant(mut self, tenant: &str) -> JobSpec {
         self.tenant = Some(tenant.to_string());
         self
-    }
-
-    /// The distinct target ids of the spec's cells, in first-seen order —
-    /// the job's work-unit layout.  One unit per target group: this is
-    /// exactly the order [`CampaignMatrix::group_matrices`] splits the
-    /// resolved matrix in, so unit `i` always names `group_targets()[i]`.
-    pub fn group_targets(&self) -> Vec<u8> {
-        let mut targets: Vec<u8> = Vec::new();
-        for (target, _) in &self.cells {
-            if !targets.contains(target) {
-                targets.push(*target);
-            }
-        }
-        targets
     }
 
     /// Resolve the work unit of target group `target` into its
@@ -312,21 +298,6 @@ mod tests {
     fn resolution_rejects_unknown_names() {
         assert!(JobSpec::new(1).add_cell(99, "CT-SEQ").to_matrix().is_err());
         assert!(JobSpec::new(1).add_cell(5, "CT-NOPE").to_matrix().is_err());
-    }
-
-    #[test]
-    fn group_targets_follow_cell_discovery_order() {
-        let spec = JobSpec::new(1)
-            .add_cell(5, "CT-SEQ")
-            .add_cell(1, "CT-SEQ")
-            .add_cell(5, "CT-BPAS")
-            .add_cell(4, "CT-SEQ");
-        assert_eq!(spec.group_targets(), vec![5, 1, 4]);
-        // The unit layout matches the matrix's group split exactly.
-        let subs = spec.to_matrix().unwrap().group_matrices();
-        let sub_targets: Vec<u8> =
-            subs.iter().map(|m| m.cells()[0].target.id).collect();
-        assert_eq!(spec.group_targets(), sub_targets);
     }
 
     #[test]

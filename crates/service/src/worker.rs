@@ -23,7 +23,7 @@
 //! naming one target group of a job plus a lease token and an optional
 //! sub-run checkpoint, resolves the job's [`JobSpec`] into the unit's
 //! single-group [`CampaignMatrix`], and steps the resulting
-//! [`MatrixRun`](revizor::orchestrator::MatrixRun) wave by wave.  After
+//! [`MatrixRun`] wave by wave.  After
 //! every wave it streams the sub-checkpoint (plus digest, lease token and
 //! progress events) to the coordinator as a binary transfer frame and
 //! blocks for the JSON `ack` — so the coordinator's spool replica is

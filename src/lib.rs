@@ -17,7 +17,7 @@
 //! * [`analyzer`] (`rvz-analyzer`) — the relational analysis;
 //! * [`revizor`] — the campaign matrix, the single-test-case harness,
 //!   targets, gadgets, minimizer and detection harnesses;
-//! * [`bench`] (`rvz-bench`) — experiment regeneration, the hand-rolled
+//! * [`bench`](mod@bench) (`rvz-bench`) — experiment regeneration, the hand-rolled
 //!   JSON tree and the report export/import codecs;
 //! * [`store`] (`rvz-store`) — the indexed violation store
 //!   (`revizor-query`);
