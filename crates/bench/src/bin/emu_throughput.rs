@@ -21,22 +21,31 @@
 //!   Table 3 slate through [`ContractModel::collect_slate_decoded`] (one
 //!   emulator per program, each speculative site explored once per
 //!   exploration key) against four independent reference walks per input;
-//! * `uarch` — the speculative CPU ([`SpecCpu`]) with assists enabled.
+//! * `uarch` — the speculative CPU ([`SpecCpu`]) with assists enabled;
+//! * `executor` — hardware-trace collection at the paper's schedule
+//!   ([`ExecutorConfig::paper`]: 3 warm-up + 50 measured passes), through
+//!   a wrapper CPU that cannot describe its state (every pass simulated)
+//!   against the plain [`SpecCpu`] (passes replayed from the schedule's
+//!   fixed point).  Its checksum folds the merged traces of every program
+//!   once, so it does not depend on `--reps`, and `replayed_pass_share` is
+//!   the share of scheduled passes the fixed point replayed.
 //!
 //! Decode time is charged to the decoded side (once per program, amortized
 //! over `reps × inputs` runs — exactly how the executor and campaign use
 //! it).  Before anything is timed, every (program, input) pair is run
-//! through both paths and compared; `verdicts_identical` in the output is
-//! that comparison, asserted in-binary.  A speedup that changes verdicts is
-//! a bug, not a result.
+//! through both paths and compared (for `executor`, every program's merged
+//! traces); `verdicts_identical` in the output is that comparison, asserted
+//! in-binary.  A speedup that changes verdicts is a bug, not a result.
 
 use rvz_bench::json::Json;
 use rvz_bench::{flag_from_args, flag_value_from_args};
-use rvz_emu::Runner;
+use rvz_cache::Cache;
+use rvz_emu::{Fault, Runner};
+use rvz_executor::{Executor, ExecutorConfig, HTrace};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::{DecodedProgram, Input, TestCase};
 use rvz_model::{Contract, ContractModel};
-use rvz_uarch::{CpuUnderTest, RunOptions, SpecCpu};
+use rvz_uarch::{CpuUnderTest, RunOptions, RunOutcome, SpecCpu};
 use std::time::{Duration, Instant};
 
 const HELP: &str = "emu_throughput: write the emulator inner-loop perf trajectory to BENCH_emu.json
@@ -372,6 +381,106 @@ fn bench_uarch(
     (section(instructions * reps as u64, reference, decoded, checksum), identical)
 }
 
+/// A [`SpecCpu`] that does not describe its state, so an executor around
+/// it simulates every pass of the schedule.
+struct FullSchedule(SpecCpu);
+
+impl CpuUnderTest for FullSchedule {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn run(&mut self, tc: &TestCase, input: &Input, opts: &RunOptions) -> Result<RunOutcome, Fault> {
+        self.0.run(tc, input, opts)
+    }
+
+    fn run_decoded(
+        &mut self,
+        prog: &DecodedProgram,
+        input: &Input,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, Fault> {
+        self.0.run_decoded(prog, input, opts)
+    }
+
+    fn cache_mut(&mut self) -> &mut Cache {
+        self.0.cache_mut()
+    }
+
+    fn reset_uarch(&mut self) {
+        self.0.reset_uarch();
+    }
+}
+
+/// Fold one program's merged traces into an order-dependent checksum.
+fn fold_traces(checksum: u64, traces: &[HTrace]) -> u64 {
+    traces.iter().fold(checksum, |acc, t| {
+        (acc ^ t.sets().bits()).wrapping_mul(0x0100_0000_01b3) ^ u64::from(t.samples())
+    })
+}
+
+/// Wall-clock of `reps` collections of every program on `executor`.
+fn time_collections<C: CpuUnderTest>(
+    executor: &mut Executor<C>,
+    programs: &[DecodedProgram],
+    cases: &[(TestCase, Vec<Input>)],
+    reps: usize,
+) -> Duration {
+    let mut sink = 0usize;
+    let start = Instant::now();
+    for _ in 0..reps {
+        for (prog, (_, inputs)) in programs.iter().zip(cases) {
+            let traces = executor.collect_htraces_decoded(prog, inputs);
+            sink = sink.wrapping_add(traces.map_or(0, |t| t.len()));
+        }
+    }
+    std::hint::black_box(sink);
+    start.elapsed()
+}
+
+/// Hardware-trace collection at the paper's schedule: the full schedule
+/// against the fixed point, over the same programs and inputs.
+fn bench_executor(
+    cases: &[(TestCase, Vec<Input>)],
+    target: &revizor::targets::Target,
+    reps: usize,
+) -> (Json, bool) {
+    let cfg = ExecutorConfig::paper(target.mode);
+    let passes = (cfg.warmup_rounds + cfg.repetitions) as u64;
+    let programs: Vec<DecodedProgram> = cases
+        .iter()
+        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
+        .collect();
+
+    let mut identical = true;
+    let mut checksum = 0u64;
+    let mut full = Executor::new(FullSchedule(target.cpu()), cfg);
+    let mut fixed = Executor::new(target.cpu(), cfg);
+    for (prog, (_, inputs)) in programs.iter().zip(cases) {
+        let expected = full.collect_htraces_decoded(prog, inputs);
+        let got = fixed.collect_htraces_decoded(prog, inputs);
+        identical &= got == expected;
+        if let Ok(traces) = got {
+            checksum = fold_traces(checksum, &traces);
+        }
+    }
+    let scheduled = fixed.collection_count() * passes;
+    let replayed_share = fixed.replayed_passes() as f64 / scheduled as f64;
+
+    let full_time = time_collections(&mut full, &programs, cases, reps);
+    let fixed_time = time_collections(&mut fixed, &programs, cases, reps);
+
+    let json = Json::obj()
+        .field("collections", (reps * cases.len()) as u64)
+        .field("passes_per_collection", passes)
+        .field("full_schedule_ms", ms(full_time))
+        .field("fixed_point_ms", ms(fixed_time))
+        .field("speedup", full_time.as_secs_f64() / fixed_time.as_secs_f64())
+        .field("checksum", checksum)
+        .field("replayed_pass_share", replayed_share);
+    (json, identical)
+}
+
 fn main() {
     if flag_from_args("--help") || flag_from_args("-h") {
         print!("{HELP}");
@@ -391,6 +500,7 @@ fn main() {
     let model_reps = reps_override.unwrap_or(200);
     let slate_reps = reps_override.unwrap_or(200);
     let uarch_reps = reps_override.unwrap_or(60);
+    let executor_reps = reps_override.unwrap_or(20);
 
     eprintln!("emu_throughput: timing the architectural runner...");
     let (arch, arch_ok) = bench_arch(&cases, arch_reps);
@@ -400,12 +510,15 @@ fn main() {
     let (model_slate, slate_ok) = bench_model_slate(&cases, slate_reps);
     eprintln!("emu_throughput: timing the speculative CPU ({})...", target.cpu().name());
     let (uarch, uarch_ok) = bench_uarch(&cases, &target, uarch_reps);
+    eprintln!("emu_throughput: timing the executor (paper schedule, fixed point)...");
+    let (executor, executor_ok) = bench_executor(&cases, &target, executor_reps);
 
-    let identical = arch_ok && model_ok && slate_ok && uarch_ok;
+    let identical = arch_ok && model_ok && slate_ok && uarch_ok && executor_ok;
     assert!(
         identical,
-        "decoded loop diverged from the reference interpreter \
-         (arch={arch_ok} model={model_ok} model_slate={slate_ok} uarch={uarch_ok})"
+        "decoded loop diverged from the reference interpreter, or the fixed point from the \
+         full schedule (arch={arch_ok} model={model_ok} model_slate={slate_ok} uarch={uarch_ok} \
+         executor={executor_ok})"
     );
 
     let doc = Json::obj()
@@ -422,12 +535,14 @@ fn main() {
                 .field("arch_reps", arch_reps as u64)
                 .field("model_reps", model_reps as u64)
                 .field("model_slate_reps", slate_reps as u64)
-                .field("uarch_reps", uarch_reps as u64),
+                .field("uarch_reps", uarch_reps as u64)
+                .field("executor_reps", executor_reps as u64),
         )
         .field("arch", arch)
         .field("model", model)
         .field("model_slate", model_slate)
         .field("uarch", uarch)
+        .field("executor", executor)
         .field("verdicts_identical", identical);
     std::fs::write(&out, format!("{}\n", doc.render_pretty())).expect("bench file written");
     eprintln!("emu_throughput: wrote {out}");

@@ -482,13 +482,26 @@ impl Cache {
         self.sets[set].iter().map(|l| l.tag).collect()
     }
 
-    /// Total accesses performed.
+    /// Append the cache's functional state to `out` in canonical form: per
+    /// set, its line count, then each line's tag and settled age in line
+    /// order.  Two caches that append the same words behave identically
+    /// from here on.  The counters and the touched-set record are left out.
+    pub fn functional_state(&self, out: &mut Vec<u64>) {
+        for set in 0..self.sets.len() {
+            out.push(self.sets[set].len() as u64);
+            out.extend(self.settled(set).flat_map(|l| [l.tag, u64::from(l.age)]));
+        }
+    }
+
+    /// Total accesses performed.  A pass the executor replays from its
+    /// fixed point performs none.
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
 
     /// Total misses observed (the quantity the paper reads from the L1D
-    /// miss performance counter during probing, §5.3).
+    /// miss performance counter during probing, §5.3).  A pass the executor
+    /// replays from its fixed point observes none.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -698,6 +711,30 @@ mod tests {
         assert_eq!(hits_slow, hits_fast);
         assert_eq!(hits_fast, 2);
         assert_eq!(a.sets[0], b.sets[0], "hit ages refreshed identically");
+    }
+
+    #[test]
+    fn functional_state_settles_pending_ages_and_ignores_counters() {
+        // A bulk re-prime only marks ages pending; the state must read the
+        // ages a sequential re-prime writes.  Counters are not state.
+        let cfg = CacheConfig::tiny(2, 2);
+        let mut bulk = Cache::new(cfg);
+        let mut walked = Cache::new(cfg);
+        for c in [&mut bulk, &mut walked] {
+            c.prime_set(0, &[10, 12]);
+            c.access(10 * 64);
+        }
+        bulk.prime_resident(SetVector::from_sets([0]));
+        walked.prime_set(0, &[10, 12]);
+        walked.reset_counters();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        bulk.functional_state(&mut a);
+        walked.functional_state(&mut b);
+        assert_eq!(a, b);
+        walked.access(0);
+        b.clear();
+        walked.functional_state(&mut b);
+        assert_ne!(a, b, "a new line is state");
     }
 
     #[test]

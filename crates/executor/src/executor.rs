@@ -95,6 +95,13 @@ struct MeasurementSession {
     /// Per-input sample buffers, cleared (but not deallocated) per
     /// collection.
     samples: Vec<Vec<SetVector>>,
+    /// Per-input raw (noise-free) samples of the latest simulated pass,
+    /// which a replayed pass reuses.
+    raw: Vec<SetVector>,
+    /// The CPU's functional state at the start of the checked pass, and at
+    /// its end.
+    before: Vec<u64>,
+    after: Vec<u64>,
 }
 
 impl MeasurementSession {
@@ -119,7 +126,14 @@ impl MeasurementSession {
             SideChannelKind::FlushReload => Box::new(FlushReload::new(sandbox.base, sandbox.size())),
             SideChannelKind::EvictReload => Box::new(EvictReload::new(sandbox.base, sandbox.size())),
         };
-        MeasurementSession { key: Self::key_for(kind, tc), channel, samples: Vec::new() }
+        MeasurementSession {
+            key: Self::key_for(kind, tc),
+            channel,
+            samples: Vec::new(),
+            raw: Vec::new(),
+            before: Vec::new(),
+            after: Vec::new(),
+        }
     }
 
     /// Clear the sample buffers for a fresh collection over `inputs` inputs,
@@ -130,6 +144,8 @@ impl MeasurementSession {
         for s in &mut self.samples {
             s.clear();
         }
+        self.raw.clear();
+        self.raw.resize(inputs, SetVector::EMPTY);
     }
 }
 
@@ -156,6 +172,7 @@ pub struct Executor<C: CpuUnderTest> {
     noise_rng: SmallRng,
     session: Option<MeasurementSession>,
     collections: u64,
+    replayed_passes: u64,
 }
 
 impl<C: CpuUnderTest> Executor<C> {
@@ -167,6 +184,7 @@ impl<C: CpuUnderTest> Executor<C> {
             noise_rng: SmallRng::seed_from_u64(config.noise.seed),
             session: None,
             collections: 0,
+            replayed_passes: 0,
         }
     }
 
@@ -190,6 +208,16 @@ impl<C: CpuUnderTest> Executor<C> {
     /// warm-up + repetition schedule over one priming sequence).
     pub fn collection_count(&self) -> u64 {
         self.collections
+    }
+
+    /// Number of measurement passes (warm-up or measured) replayed from a
+    /// fixed point instead of simulated, over all collections so far.
+    ///
+    /// A pass that leaves the CPU's functional state where it found it
+    /// (see [`CpuUnderTest::functional_state`]) would repeat exactly, so
+    /// its raw samples stand for every later pass of that collection.
+    pub fn replayed_passes(&self) -> u64 {
+        self.replayed_passes
     }
 
     /// Replace the noise model and restart its stream from the new seed.
@@ -228,32 +256,36 @@ impl<C: CpuUnderTest> Executor<C> {
         RunOptions { enable_assists: self.config.mode.assists }
     }
 
-    /// Perform a single measurement of one input: prepare the side channel,
-    /// run the test case, probe.  Returns `None` when the sample is
-    /// discarded (simulated SMI pollution).
-    fn measure_once(
+    /// Perform a single raw measurement of one input: prepare the side
+    /// channel, run the test case, probe.
+    fn measure_raw(
         &mut self,
         channel: &mut dyn SideChannel,
         prog: &DecodedProgram,
         input: &Input,
-    ) -> Result<Option<SetVector>, Fault> {
+    ) -> Result<SetVector, Fault> {
         channel.prepare(self.cpu.cache_mut());
         let opts = self.run_options();
         self.cpu.run_decoded(prog, input, &opts)?;
-        let mut sets = channel.measure(self.cpu.cache_mut());
+        Ok(channel.measure(self.cpu.cache_mut()))
+    }
 
+    /// Apply the synthetic noise model to a raw sample: one SMI draw, then
+    /// (if the sample survives) one one-off draw.  Returns `None` when the
+    /// sample is discarded (simulated SMI pollution).
+    fn apply_noise(&mut self, mut sets: SetVector) -> Option<SetVector> {
         if self.config.noise.is_enabled() {
             if self.noise_rng.gen_bool(self.config.noise.smi_probability) {
                 // An SMI polluted the measurement; the executor detects it
                 // via the SMI counter and discards the sample (§5.3).
-                return Ok(None);
+                return None;
             }
             if self.noise_rng.gen_bool(self.config.noise.one_off_probability) {
                 let spurious = self.noise_rng.gen_range(0..SetVector::SETS);
                 sets = sets.union(SetVector::from_sets([spurious]));
             }
         }
-        Ok(Some(sets))
+        Some(sets)
     }
 
     /// Collect one merged hardware trace per input (§5.3).
@@ -276,10 +308,11 @@ impl<C: CpuUnderTest> Executor<C> {
     /// [`Executor::collect_htraces`] over a pre-decoded program.
     ///
     /// The decode cost is paid once and amortized over the whole warm-up +
-    /// repetition schedule (`(warmup + repetitions) × inputs` runs); callers
-    /// that re-measure the same test case — the priming-swap artifact check,
-    /// the campaign's nesting re-check — reuse the program across
-    /// collections too.
+    /// repetition schedule (at most `(warmup + repetitions) × inputs` runs,
+    /// fewer once the schedule reaches its fixed point); callers that
+    /// re-measure the same test case — the priming-swap artifact check, the
+    /// campaign's nesting re-check — reuse the program across collections
+    /// too.
     ///
     /// # Errors
     /// Propagates architectural faults from the CPU under test.
@@ -306,22 +339,47 @@ impl<C: CpuUnderTest> Executor<C> {
 
     /// The warm-up + repetition schedule of one collection, filling the
     /// session's per-input sample buffers.
+    ///
+    /// The CPU is deterministic, so a pass that ends in the functional
+    /// state it started from repeats exactly forever after.  After each
+    /// pass beyond the first that has passes after it, the state is
+    /// compared with a snapshot taken at the pass's start; on a match, the
+    /// pass's raw samples stand for every remaining pass.  The noise draws
+    /// stay per (pass, input) in schedule order, so the samples — noisy or
+    /// not — are exactly those of the full schedule.  A CPU that cannot
+    /// describe its state runs every pass.
     fn collect_into_session(
         &mut self,
         session: &mut MeasurementSession,
         prog: &DecodedProgram,
         inputs: &[Input],
     ) -> Result<(), Fault> {
-        for _ in 0..self.config.warmup_rounds {
-            for input in inputs {
-                let _ = self.measure_once(session.channel.as_mut(), prog, input)?;
-            }
-        }
-        for _ in 0..self.config.repetitions.max(1) {
+        let warmup = self.config.warmup_rounds;
+        let passes = warmup + self.config.repetitions.max(1);
+        let mut replaying = false;
+        for pass in 0..passes {
+            let checked = !replaying && pass > 0 && pass + 1 < passes && {
+                session.before.clear();
+                self.cpu.functional_state(&mut session.before)
+            };
             for (i, input) in inputs.iter().enumerate() {
-                if let Some(sets) = self.measure_once(session.channel.as_mut(), prog, input)? {
-                    session.samples[i].push(sets);
+                if !replaying {
+                    session.raw[i] = self.measure_raw(session.channel.as_mut(), prog, input)?;
                 }
+                // Warm-up samples are drawn (to keep the noise stream in
+                // step) and dropped.
+                if let Some(sets) = self.apply_noise(session.raw[i]) {
+                    if pass >= warmup {
+                        session.samples[i].push(sets);
+                    }
+                }
+            }
+            if replaying {
+                self.replayed_passes += 1;
+            } else if checked {
+                session.after.clear();
+                self.cpu.functional_state(&mut session.after);
+                replaying = session.after == session.before;
             }
         }
         Ok(())
@@ -496,6 +554,82 @@ mod tests {
 
     fn executor(config: ExecutorConfig) -> Executor<SpecCpu> {
         Executor::new(SpecCpu::new(UarchConfig::skylake()), config)
+    }
+
+    /// A [`SpecCpu`] that counts its runs and describes its state through
+    /// `describe`: not at all (the full-schedule oracle), as the inner CPU
+    /// does, or as a state that never repeats (the run count).
+    struct Wrapped {
+        cpu: SpecCpu,
+        runs: u64,
+        describe: fn(&Wrapped, &mut Vec<u64>) -> bool,
+    }
+
+    impl CpuUnderTest for Wrapped {
+        fn name(&self) -> String {
+            self.cpu.name()
+        }
+
+        fn run(
+            &mut self,
+            tc: &TestCase,
+            input: &Input,
+            opts: &RunOptions,
+        ) -> Result<rvz_uarch::RunOutcome, Fault> {
+            self.runs += 1;
+            self.cpu.run(tc, input, opts)
+        }
+
+        fn run_decoded(
+            &mut self,
+            prog: &DecodedProgram,
+            input: &Input,
+            opts: &RunOptions,
+        ) -> Result<rvz_uarch::RunOutcome, Fault> {
+            self.runs += 1;
+            self.cpu.run_decoded(prog, input, opts)
+        }
+
+        fn cache_mut(&mut self) -> &mut rvz_cache::Cache {
+            self.cpu.cache_mut()
+        }
+
+        fn reset_uarch(&mut self) {
+            self.cpu.reset_uarch();
+        }
+
+        fn functional_state(&self, out: &mut Vec<u64>) -> bool {
+            (self.describe)(self, out)
+        }
+    }
+
+    fn wrapped(
+        config: ExecutorConfig,
+        describe: fn(&Wrapped, &mut Vec<u64>) -> bool,
+    ) -> Executor<Wrapped> {
+        let cpu = Wrapped { cpu: SpecCpu::new(UarchConfig::skylake()), runs: 0, describe };
+        Executor::new(cpu, config)
+    }
+
+    /// The full-schedule oracle: a CPU that cannot describe its state.
+    fn opaque(config: ExecutorConfig) -> Executor<Wrapped> {
+        wrapped(config, |_, _| false)
+    }
+
+    fn v1_priming_inputs(tc: &TestCase) -> Vec<Input> {
+        let mut inputs: Vec<Input> = (0..5)
+            .map(|k| {
+                input_with(tc, |i| {
+                    i.set_reg(Reg::Rax, 1);
+                    i.set_reg(Reg::Rbx, 0x40 * k);
+                })
+            })
+            .collect();
+        inputs.push(input_with(tc, |i| {
+            i.set_reg(Reg::Rax, 100);
+            i.set_reg(Reg::Rbx, 0x7c0);
+        }));
+        inputs
     }
 
     #[test]
@@ -726,6 +860,80 @@ mod tests {
         ex.restore_noise_checkpoint(&mark);
         let replay = ex.collect_htraces(&tc, &inputs).unwrap();
         assert_eq!(first, replay);
+    }
+
+    #[test]
+    fn converged_collection_replays_its_passes() {
+        // The paper's schedule (3 warm-up + 50 measured passes) over a
+        // priming sequence whose state settles after one pass: every pass
+        // from the third on is replayed, and the traces — with and without
+        // noise — are byte-identical to the full schedule's.
+        let tc = v1_tc();
+        let inputs = v1_priming_inputs(&tc);
+        let noise = NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 9 };
+        for cfg in [
+            ExecutorConfig::paper(MeasurementMode::prime_probe()),
+            ExecutorConfig::paper(MeasurementMode::prime_probe()).with_noise(noise),
+        ] {
+            let mut full = opaque(cfg);
+            let mut fixed = wrapped(cfg, |w, out| w.cpu.functional_state(out));
+            for round in 1..=2u64 {
+                let expected = full.collect_htraces(&tc, &inputs).unwrap();
+                assert_eq!(fixed.collect_htraces(&tc, &inputs).unwrap(), expected);
+                assert_eq!(fixed.replayed_passes(), 51 * round);
+                assert_eq!(fixed.cpu().runs, 2 * 6 * round, "two simulated passes per collection");
+            }
+            assert!(full.collection_count() == 2 && full.replayed_passes() == 0);
+            assert_eq!(full.cpu().runs, 2 * 53 * 6);
+        }
+    }
+
+    #[test]
+    fn fixed_point_waits_for_the_predictor_to_settle() {
+        // A load, then a branch whose two targets are empty: the branch
+        // leaves no footprint, so the cache ends every pass alike, but its
+        // 2-bit counter ends pass 0 at 2 and pass 1 at 3.  Pass 1 changed
+        // the predictor, so only pass 2 is a fixed point.
+        let tc = TestCaseBuilder::new()
+            .block("entry", |b| {
+                b.and_imm(Reg::Rax, 0b111111000000);
+                b.load(Reg::Rbx, Reg::R14, Reg::Rax);
+                b.cmp_imm(Reg::Rcx, 8);
+                b.jcc(Cond::B, "taken", "fallthrough");
+            })
+            .block("taken", |b| b.exit())
+            .block("fallthrough", |b| b.exit())
+            .build();
+        let inputs = vec![input_with(&tc, |i| {
+            i.set_reg(Reg::Rax, 0x80);
+            i.set_reg(Reg::Rcx, 1);
+        })];
+        let cfg = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let mut ex = executor(cfg);
+        let traces = ex.collect_htraces(&tc, &inputs).unwrap();
+        assert_eq!(ex.replayed_passes(), 50);
+        assert_eq!(traces, opaque(cfg).collect_htraces(&tc, &inputs).unwrap());
+    }
+
+    #[test]
+    fn changing_state_runs_every_pass() {
+        // A state that differs after every run never repeats: nothing is
+        // replayed and every pass of every collection is simulated.
+        let tc = direct_load_tc();
+        let inputs = vec![
+            input_with(&tc, |i| i.set_reg(Reg::Rax, 0x80)),
+            input_with(&tc, |i| i.set_reg(Reg::Rax, 0x800)),
+        ];
+        let cfg = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let mut ex = wrapped(cfg, |w, out| {
+            out.push(w.runs);
+            true
+        });
+        let traces = ex.collect_htraces(&tc, &inputs).unwrap();
+        ex.collect_htraces(&tc, &inputs).unwrap();
+        assert_eq!(ex.replayed_passes(), 0);
+        assert_eq!(ex.cpu().runs, 2 * 53 * 2);
+        assert_eq!(traces, opaque(cfg).collect_htraces(&tc, &inputs).unwrap());
     }
 
     #[test]

@@ -20,6 +20,15 @@
 //! kinds of disturbances (one-off outliers, SMI-polluted samples) so the
 //! filtering machinery is exercised.
 //!
+//! The simulator is deterministic, so the schedule of `warmup_rounds +
+//! repetitions` passes over the inputs need not simulate every pass: once a
+//! pass leaves the CPU's functional state
+//! ([`CpuUnderTest::functional_state`](rvz_uarch::CpuUnderTest::functional_state))
+//! where it found it, every later pass would repeat it, and its raw samples
+//! are replayed instead ([`Executor::replayed_passes`] counts them).  Noise
+//! is still drawn per pass and input, so the traces are exactly those of
+//! the full schedule.  A CPU that cannot describe its state runs every pass.
+//!
 //! Measurements run inside a reusable session: the side channel (with its
 //! precomputed attacker/victim address lists) and the per-input sample
 //! buffers live across repetitions, inputs, and test cases, and

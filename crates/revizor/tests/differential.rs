@@ -9,7 +9,10 @@
 //! fault outcomes and final architectural state — including nested
 //! speculation and microcode assists.  Contract slates run through the
 //! per-test-case model entry, whose shared exploration and reused emulator
-//! must match the reference walk of every contract alone.
+//! must match the reference walk of every contract alone.  The executor
+//! around `SpecCpu` stops simulating at its schedule's fixed point, while
+//! the reference CPU cannot describe its state and runs every pass: their
+//! traces must match too, with and without synthetic noise.
 //!
 //! [`DecodedProgram`]: rvz_isa::DecodedProgram
 
@@ -17,7 +20,7 @@ use proptest::prelude::*;
 use revizor::targets::Target;
 use rvz_cache::Cache;
 use rvz_emu::{Fault, Runner};
-use rvz_executor::{Executor, ExecutorConfig};
+use rvz_executor::{Executor, ExecutorConfig, NoiseConfig};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::builder::TestCaseBuilder;
 use rvz_isa::{Cond, Input, Reg, TestCase};
@@ -267,14 +270,28 @@ proptest! {
         }
         prop_assert!(dec_cpu.cache() == ref_cpu.cache(), "cache state differs");
 
-        // Executor: merged hardware traces of the full warm-up + repetition
-        // schedule.
-        let cfg = ExecutorConfig::fast(target.mode);
-        let mut dec_ex = Executor::new(target.cpu(), cfg);
-        let mut ref_ex = Executor::new(ReferenceCpu(target.cpu()), cfg);
-        prop_assert_eq!(
-            dec_ex.collect_htraces(&tc, &inputs),
-            ref_ex.collect_htraces(&tc, &inputs)
-        );
+        // Executor: merged hardware traces of the warm-up + repetition
+        // schedule.  `SpecCpu` describes its state, so its executor stops
+        // simulating at the schedule's fixed point; `ReferenceCpu` does not,
+        // so its executor runs every pass.  Two back-to-back collections
+        // per executor also cover the noise stream and the CPU state a
+        // replayed collection leaves behind.
+        let noise =
+            NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: input_seed };
+        for cfg in [
+            ExecutorConfig::fast(target.mode),
+            ExecutorConfig::paper(target.mode),
+            ExecutorConfig::paper(target.mode).with_noise(noise),
+        ] {
+            let mut dec_ex = Executor::new(target.cpu(), cfg);
+            let mut ref_ex = Executor::new(ReferenceCpu(target.cpu()), cfg);
+            for _ in 0..2 {
+                prop_assert_eq!(
+                    dec_ex.collect_htraces(&tc, &inputs),
+                    ref_ex.collect_htraces(&tc, &inputs)
+                );
+            }
+            prop_assert_eq!(ref_ex.replayed_passes(), 0);
+        }
     }
 }

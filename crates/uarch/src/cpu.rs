@@ -136,6 +136,10 @@ impl SpecCpu {
     }
 
     /// Conditional-branch predictor statistics `(predictions, mispredictions)`.
+    ///
+    /// They count the runs this CPU simulated.  An executor pass replayed
+    /// from its fixed point (see [`CpuUnderTest::functional_state`]) runs
+    /// nothing, so it adds nothing here.
     pub fn predictor_stats(&self) -> (u64, u64) {
         (self.branch_predictor.predictions(), self.branch_predictor.mispredictions())
     }
@@ -1132,6 +1136,18 @@ impl CpuUnderTest for SpecCpu {
         self.rsb.reset();
         self.fill_buffer = 0;
     }
+
+    /// The fill buffer, the cache and the three predictors.  The emulator
+    /// and the store buffer are not state: every run re-initializes the
+    /// one from its input and drains the other.
+    fn functional_state(&self, out: &mut Vec<u64>) -> bool {
+        out.push(self.fill_buffer);
+        self.cache.functional_state(out);
+        self.branch_predictor.functional_state(out);
+        self.btb.functional_state(out);
+        self.rsb.functional_state(out);
+        true
+    }
 }
 
 #[cfg(test)]
@@ -1570,6 +1586,38 @@ mod tests {
         cpu.reset_uarch();
         assert_eq!(cpu.predictor_stats(), (0, 0));
         assert!(!cpu.cache().is_cached(tc.sandbox().base));
+    }
+
+    #[test]
+    fn functional_state_reaches_a_fixed_point_that_ignores_statistics() {
+        // Prime, run, probe the same input over and over: once the
+        // predictor saturates, a round leaves the state where it found it,
+        // although the statistics keep counting.
+        use rvz_cache::{PrimeProbe, SideChannel};
+        let tc = v1_gadget();
+        let mut cpu = SpecCpu::new(UarchConfig::skylake());
+        let mut channel = PrimeProbe::new();
+        let mut input = Input::zeroed(tc.sandbox());
+        input.set_reg(Reg::Rax, 1);
+        let mut round = |cpu: &mut SpecCpu| {
+            channel.prepare(cpu.cache_mut());
+            run_cpu(cpu, &tc, &input);
+            channel.measure(cpu.cache_mut());
+            let mut state = Vec::new();
+            assert!(cpu.functional_state(&mut state));
+            state
+        };
+        let first = round(&mut cpu);
+        let second = round(&mut cpu);
+        let third = round(&mut cpu);
+        assert_ne!(first, second, "the counter is still training");
+        let stats = cpu.predictor_stats();
+        assert_eq!(third, round(&mut cpu));
+        assert_ne!(cpu.predictor_stats(), stats);
+        let mut reset = Vec::new();
+        cpu.reset_uarch();
+        cpu.functional_state(&mut reset);
+        assert_ne!(reset, third);
     }
 
     #[test]

@@ -109,4 +109,19 @@ pub trait CpuUnderTest {
 
     /// Reset every microarchitectural structure to power-on state.
     fn reset_uarch(&mut self);
+
+    /// Append the CPU's *functional* microarchitectural state to `out` in
+    /// canonical form and return `true`, or return `false` if the CPU cannot
+    /// describe its state (the default).
+    ///
+    /// The state is everything a later run or side-channel measurement
+    /// reads: two CPUs that append the same words produce the same outcomes
+    /// and observations for every future run sequence.  Statistics, and
+    /// state every run re-initializes, are left out.  The executor uses
+    /// this to stop re-simulating measurement passes once a pass leaves
+    /// the state where it found it.
+    fn functional_state(&self, out: &mut Vec<u64>) -> bool {
+        let _ = out;
+        false
+    }
 }

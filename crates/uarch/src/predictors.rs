@@ -50,6 +50,10 @@ pub trait DirectionPredictor: fmt::Debug + Send + Sync {
     fn mispredictions(&self) -> u64;
     /// Forget everything (power-on state).
     fn reset(&mut self);
+    /// Append the predictor's functional state to `out` in canonical form:
+    /// two predictors that append the same words predict every future
+    /// update sequence identically.  Statistics are left out.
+    fn functional_state(&self, out: &mut Vec<u64>);
     /// Clone into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn DirectionPredictor>;
 }
@@ -68,6 +72,9 @@ pub trait TargetPredictor: fmt::Debug + Send + Sync {
     fn update(&mut self, site: BranchSite, target: BlockId);
     /// Forget everything.
     fn reset(&mut self);
+    /// Append the BTB's functional state to `out` in canonical form (see
+    /// [`DirectionPredictor::functional_state`]).
+    fn functional_state(&self, out: &mut Vec<u64>);
     /// Clone into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn TargetPredictor>;
 }
@@ -88,6 +95,9 @@ pub trait ReturnPredictor: fmt::Debug + Send + Sync {
     fn depth(&self) -> usize;
     /// Forget everything.
     fn reset(&mut self);
+    /// Append the RSB's functional state to `out` in canonical form (see
+    /// [`DirectionPredictor::functional_state`]).
+    fn functional_state(&self, out: &mut Vec<u64>);
     /// Clone into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn ReturnPredictor>;
 }
@@ -193,6 +203,14 @@ impl DirectionPredictor for BranchPredictor {
     fn reset(&mut self) {
         let bits = self.history_bits;
         *self = BranchPredictor { history_bits: bits, ..BranchPredictor::default() };
+    }
+
+    fn functional_state(&self, out: &mut Vec<u64>) {
+        // Only the history bits `key` mixes in are state: with zero history
+        // bits the register is dead, however many branches shifted into it.
+        out.push(self.history & history_mask(self.history_bits));
+        out.push(self.counters.len() as u64);
+        out.extend(self.counters.iter().flat_map(|(&key, &c)| [key, u64::from(c)]));
     }
 
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
@@ -409,6 +427,19 @@ impl DirectionPredictor for Tage {
         *self = Tage::new();
     }
 
+    fn functional_state(&self, out: &mut Vec<u64>) {
+        self.base.functional_state(out);
+        // The longest component reads 32 history bits; older ones are dead.
+        let longest = Self::HISTORY_LENGTHS[Self::HISTORY_LENGTHS.len() - 1];
+        out.push(self.history & history_mask(longest));
+        for table in &self.tables {
+            out.push(table.entries.len() as u64);
+            out.extend(table.entries.iter().flat_map(|(&idx, e)| {
+                [idx, e.tag, (u64::from(e.ctr) << 8) | u64::from(e.useful)]
+            }));
+        }
+    }
+
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
@@ -495,6 +526,14 @@ impl DirectionPredictor for LoopPredictor {
         *self = LoopPredictor::default();
     }
 
+    fn functional_state(&self, out: &mut Vec<u64>) {
+        out.push(self.loops.len() as u64);
+        out.extend(self.loops.iter().flat_map(|(&site, e)| {
+            [site, u64::from(e.trip), u64::from(e.current), u64::from(e.confidence)]
+        }));
+        self.fallback.functional_state(out);
+    }
+
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
@@ -529,6 +568,11 @@ impl TargetPredictor for Btb {
 
     fn reset(&mut self) {
         self.targets.clear();
+    }
+
+    fn functional_state(&self, out: &mut Vec<u64>) {
+        out.push(self.targets.len() as u64);
+        out.extend(self.targets.iter().flat_map(|(&site, b)| [site as u64, b.0 as u64]));
     }
 
     fn clone_box(&self) -> Box<dyn TargetPredictor> {
@@ -604,6 +648,14 @@ impl TargetPredictor for SetAssocBtb {
         }
     }
 
+    fn functional_state(&self, out: &mut Vec<u64>) {
+        // Way order is recency order, which decides the next victim.
+        for set in &self.sets {
+            out.push(set.len() as u64);
+            out.extend(set.iter().flat_map(|&(tag, b)| [tag, b.0 as u64]));
+        }
+    }
+
     fn clone_box(&self) -> Box<dyn TargetPredictor> {
         Box::new(self.clone())
     }
@@ -652,6 +704,11 @@ impl ReturnPredictor for Rsb {
 
     fn reset(&mut self) {
         self.stack.clear();
+    }
+
+    fn functional_state(&self, out: &mut Vec<u64>) {
+        out.push(self.stack.len() as u64);
+        out.extend(self.stack.iter().map(|b| b.0 as u64));
     }
 
     fn clone_box(&self) -> Box<dyn ReturnPredictor> {
@@ -709,6 +766,13 @@ impl ReturnPredictor for CyclicRsb {
         }
         self.top = 0;
         self.live = 0;
+    }
+
+    fn functional_state(&self, out: &mut Vec<u64>) {
+        // Stale slots past the live region are state: underflow serves them.
+        out.push(self.top as u64);
+        out.push(self.live as u64);
+        out.extend(self.ring.iter().map(|slot| slot.map_or(u64::MAX, |b| b.0 as u64)));
     }
 
     fn clone_box(&self) -> Box<dyn ReturnPredictor> {
@@ -1251,6 +1315,80 @@ mod tests {
         b.update(1, false);
         assert!(a.predict(1), "original unaffected by the clone's updates");
         assert!(!b.predict(1));
+    }
+
+    fn state_of(p: &dyn DirectionPredictor) -> Vec<u64> {
+        let mut out = Vec::new();
+        p.functional_state(&mut out);
+        out
+    }
+
+    #[test]
+    fn functional_state_reads_only_live_history_bits() {
+        // History bits no index or tag reads are not state: without them a
+        // predictor that keeps shifting outcomes in never repeats.
+        let mut a = BranchPredictor::new();
+        let mut b = BranchPredictor::new();
+        a.update(3, true);
+        a.update(3, false);
+        a.update(3, false);
+        b.update(3, false);
+        assert_eq!(state_of(&a), state_of(&b), "zero history bits: only counters count");
+        let mut a = BranchPredictor::with_history_bits(2);
+        let mut b = BranchPredictor::with_history_bits(2);
+        for taken in [true, true, false, true] {
+            a.update(5, taken);
+        }
+        for taken in [false, true, false, true] {
+            b.update(5, taken);
+        }
+        assert_ne!(state_of(&a), state_of(&b), "same low history, different counters");
+
+        // TAGE reads 32 history bits; a difference beyond them is dead.
+        let mut a = Tage::new();
+        let mut b = Tage::new();
+        b.update(9, true);
+        b.update(9, true);
+        for _ in 0..32 {
+            a.update(7, false);
+            b.update(7, false);
+        }
+        a.base = b.base.clone();
+        a.tables = b.tables.clone();
+        assert_ne!(a.history, b.history);
+        assert_eq!(state_of(&a), state_of(&b));
+        assert_ne!(a.predictions(), b.predictions(), "statistics are not state");
+    }
+
+    #[test]
+    fn target_and_return_state_keeps_order() {
+        // Way order is LRU order and stale ring slots are served on
+        // underflow, so both are state.
+        let state = |p: &dyn TargetPredictor| {
+            let mut out = Vec::new();
+            p.functional_state(&mut out);
+            out
+        };
+        let mut ab = SetAssocBtb::aliasing_2x2();
+        let mut ba = SetAssocBtb::aliasing_2x2();
+        ab.update(0, BlockId(1));
+        ab.update(2, BlockId(2));
+        ba.update(2, BlockId(2));
+        ba.update(0, BlockId(1));
+        assert_ne!(state(&ab), state(&ba));
+        let ring = |p: &dyn ReturnPredictor| {
+            let mut out = Vec::new();
+            p.functional_state(&mut out);
+            out
+        };
+        let mut popped = CyclicRsb::with_capacity(2);
+        popped.push(BlockId(4));
+        popped.pop_predict();
+        assert_ne!(ring(&popped), ring(&CyclicRsb::with_capacity(2)));
+        let mut rsb = Rsb::new();
+        rsb.push(BlockId(4));
+        rsb.pop_predict();
+        assert_eq!(ring(&rsb), ring(&Rsb::new()));
     }
 
     #[test]
