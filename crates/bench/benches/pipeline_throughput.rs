@@ -101,47 +101,6 @@ fn bench_executor(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_executor_batch(c: &mut Criterion) {
-    // A round's worth of test cases through one executor.  The session
-    // persists across single `collect_htraces` calls too, so the batch API
-    // must add no overhead over a caller-side loop — these two entries
-    // guard that the numbers stay indistinguishable.
-    let mut group = c.benchmark_group("executor_batch");
-    group.sample_size(20);
-    let cases: Vec<_> = [gadgets::spectre_v1(), gadgets::spectre_v1_1(), gadgets::spectre_v4()]
-        .into_iter()
-        .map(|tc| {
-            let inputs = InputGenerator::new(2).generate(&tc, 7, 20);
-            (tc, inputs)
-        })
-        .collect();
-    let batch: Vec<(&rvz_isa::TestCase, &[rvz_isa::Input])> =
-        cases.iter().map(|(tc, inputs)| (tc, inputs.as_slice())).collect();
-
-    group.bench_function("batch_3_test_cases_reps3", |b| {
-        let cpu = SpecCpu::new(UarchConfig::skylake());
-        let mut ex = Executor::new(
-            cpu,
-            ExecutorConfig::fast(MeasurementMode::prime_probe()).with_repetitions(3),
-        );
-        b.iter(|| ex.collect_htraces_batch(&batch).unwrap())
-    });
-    group.bench_function("single_3_test_cases_reps3", |b| {
-        let cpu = SpecCpu::new(UarchConfig::skylake());
-        let mut ex = Executor::new(
-            cpu,
-            ExecutorConfig::fast(MeasurementMode::prime_probe()).with_repetitions(3),
-        );
-        b.iter(|| {
-            cases
-                .iter()
-                .map(|(tc, inputs)| ex.collect_htraces(tc, inputs).unwrap())
-                .collect::<Vec<_>>()
-        })
-    });
-    group.finish();
-}
-
 fn bench_side_channel(c: &mut Criterion) {
     // One Prime+Probe measurement (prepare + measure) on an L1D the victim
     // left untouched, or touched in 1 or 4 sets: the cost grows with the
@@ -201,7 +160,6 @@ criterion_group!(
     bench_generation,
     bench_model,
     bench_executor,
-    bench_executor_batch,
     bench_side_channel,
     bench_analyzer,
     bench_uarch

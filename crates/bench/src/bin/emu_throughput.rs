@@ -315,9 +315,17 @@ fn final_rax(cpu: &SpecCpu) -> u64 {
     cpu.final_state().map_or(0, |s| s.reg(rvz_isa::Reg::Rax))
 }
 
+/// The CPU's whole uarch state: cache, predictor tables and fill buffer.
+fn uarch_state(cpu: &SpecCpu) -> Vec<u64> {
+    let mut out = Vec::new();
+    cpu.functional_state(&mut out);
+    out
+}
+
 /// Speculative CPU: the executor's hot loop, with microcode assists enabled
 /// (the target-8 measurement mode) and persistent predictor state across the
-/// input sequence, exactly like priming.
+/// input sequence, exactly like priming.  The identity check compares the
+/// whole uarch state after every run.
 fn bench_uarch(
     cases: &[(TestCase, Vec<Input>)],
     target: &revizor::targets::Target,
@@ -336,12 +344,13 @@ fn bench_uarch(
             for input in inputs {
                 let d = dec_cpu.run(tc, input, &opts);
                 let r = ref_cpu.run_reference(tc, input, &opts);
-                identical &= d == r && dec_cpu.final_state() == ref_cpu.final_state();
+                identical &= d == r
+                    && dec_cpu.final_state() == ref_cpu.final_state()
+                    && uarch_state(&dec_cpu) == uarch_state(&ref_cpu);
                 if let Ok(out) = d {
                     instructions += out.executed_instructions as u64;
                 }
             }
-            identical &= dec_cpu.cache() == ref_cpu.cache();
         }
     }
 

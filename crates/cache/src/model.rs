@@ -56,24 +56,25 @@ struct Line {
 /// Addresses are mapped to sets by `(addr / line_size) % sets`; the tag is
 /// the full line address, so distinct addresses never alias incorrectly.
 ///
-/// Besides its contents the cache records which sets the generic paths
+/// The cache's state is its lines, as
+/// [`functional_state`](Cache::functional_state) writes them.  Besides them
+/// the cache records which sets the generic paths
 /// ([`access`](Cache::access), [`probe_access`](Cache::probe_access),
 /// [`flush`](Cache::flush), [`flush_all`](Cache::flush_all)) touched since a
 /// side channel last looked ([`take_touched_sets`](Cache::take_touched_sets)).
-/// That record is bookkeeping, not cache state: equality ignores it, and a
-/// new, cloned or deserialized cache counts every set as touched.
+/// That record is bookkeeping, not cache state: a new, cloned or
+/// deserialized cache counts every set as touched.
 ///
 /// The bulk paths ([`prime_resident`](Cache::prime_resident),
 /// [`probe_resident`](Cache::probe_resident)) write no line: they mark the
 /// set's ages as pending a rewrite the set's line order alone determines,
 /// and every path that reads or changes a set's ages or lines settles the
-/// set first.  Equality, cloning and `Debug` see the settled ages.
+/// set first.  The functional state, cloning and `Debug` see the settled
+/// ages.
 #[derive(Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
-    accesses: u64,
-    misses: u64,
     /// Bit `s` set: set `s` is due the as-walked ages of a prime
     /// (`len - 1` down to 0 in line order).  Sets past the 64th never pend.
     pending_walked: u64,
@@ -99,23 +100,12 @@ impl Clone for Cache {
         Cache {
             config: self.config,
             sets: self.sets.clone(),
-            accesses: self.accesses,
-            misses: self.misses,
             pending_walked: self.pending_walked,
             pending_zero: self.pending_zero,
             untouched: 0,
             look: 0,
             scratch: Vec::new(),
         }
-    }
-}
-
-impl PartialEq for Cache {
-    fn eq(&self, other: &Cache) -> bool {
-        self.config == other.config
-            && self.accesses == other.accesses
-            && self.misses == other.misses
-            && (0..self.sets.len()).all(|s| self.settled(s).eq(other.settled(s)))
     }
 }
 
@@ -126,13 +116,9 @@ impl std::fmt::Debug for Cache {
         f.debug_struct("Cache")
             .field("config", &self.config)
             .field("sets", &sets)
-            .field("accesses", &self.accesses)
-            .field("misses", &self.misses)
             .finish_non_exhaustive()
     }
 }
-
-impl Eq for Cache {}
 
 impl Cache {
     /// Create an empty cache.
@@ -140,8 +126,6 @@ impl Cache {
         Cache {
             config,
             sets: vec![Vec::new(); config.sets],
-            accesses: 0,
-            misses: 0,
             pending_walked: 0,
             pending_zero: 0,
             untouched: 0,
@@ -244,7 +228,6 @@ impl Cache {
     /// Access (load or store) the line containing `addr`, filling it on a
     /// miss and updating LRU state.  Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.accesses += 1;
         let tag = self.tag_of(addr);
         let set_idx = self.set_of(addr);
         self.touch(set_idx);
@@ -259,7 +242,6 @@ impl Cache {
             line.age = 0;
             return true;
         }
-        self.misses += 1;
         if set.len() >= ways {
             // Evict the oldest line.
             let victim = set
@@ -297,9 +279,9 @@ impl Cache {
 
     /// Bulk-fill one set with the given lines, exactly as if the `tags`
     /// (distinct) had been [`access`](Cache::access)ed in order: hits
-    /// refresh in place, misses evict the LRU victim, survivors age, and
-    /// the access/miss counters advance — the resulting set (line order
-    /// included) is bit-identical to the sequential walk's.  Returns whether
+    /// refresh in place, misses evict the LRU victim and survivors age — the
+    /// resulting set (line order included) is bit-identical to the
+    /// sequential walk's.  Returns whether
     /// the set now holds exactly `tags`, in walk order — the layout
     /// [`prime_resident`](Cache::prime_resident) relies on.
     ///
@@ -312,7 +294,6 @@ impl Cache {
             return self.sets[set].is_empty();
         }
         self.settle(set);
-        self.accesses += tags.len() as u64;
         // Steady-state fast path: the set already holds exactly the walk's
         // lines in walk order (true for every set the victim left alone
         // since the previous prime — misses append in walk order and hits
@@ -327,7 +308,6 @@ impl Cache {
         // Cold fast path (every set after a `flush_all`): the walk fills an
         // empty set in order, missing on every access and evicting nothing.
         if lines.is_empty() && tags.len() <= ways {
-            self.misses += tags.len() as u64;
             let len = tags.len();
             let walked = tags.iter().enumerate();
             lines.extend(walked.map(|(i, &tag)| Line { tag, age: Self::walked_age(len, i) }));
@@ -352,7 +332,6 @@ impl Cache {
                 entry.2 = Some(walk_idx as u32);
                 continue;
             }
-            self.misses += 1;
             if scratch.len() >= ways {
                 let victim = scratch
                     .iter()
@@ -405,11 +384,10 @@ impl Cache {
     /// the caller knows to hold exactly its walk's `ways` lines in walk
     /// order — a set `prime_set` last reported in that layout, with no touch
     /// since ([`take_touched_sets`](Cache::take_touched_sets)).  Every
-    /// access hits, so only the ages move and the access counter advances.
-    /// No line is read or written: the sets' as-walked ages pend until a
-    /// path that looks at them settles the set.
+    /// access hits, so only the ages move.  No line is read or written: the
+    /// sets' as-walked ages pend until a path that looks at them settles
+    /// the set.
     pub fn prime_resident(&mut self, sets: SetVector) {
-        self.accesses += u64::from(sets.count()) * self.config.ways as u64;
         self.pending_walked |= sets.bits();
         self.pending_zero &= !sets.bits();
     }
@@ -485,37 +463,24 @@ impl Cache {
     /// Append the cache's functional state to `out` in canonical form: per
     /// set, its line count, then each line's tag and settled age in line
     /// order.  Two caches that append the same words behave identically
-    /// from here on.  The counters and the touched-set record are left out.
+    /// from here on.  The touched-set record is left out.
     pub fn functional_state(&self, out: &mut Vec<u64>) {
         for set in 0..self.sets.len() {
             out.push(self.sets[set].len() as u64);
             out.extend(self.settled(set).flat_map(|l| [l.tag, u64::from(l.age)]));
         }
     }
-
-    /// Total accesses performed.  A pass the executor replays from its
-    /// fixed point performs none.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total misses observed (the quantity the paper reads from the L1D
-    /// miss performance counter during probing, §5.3).  A pass the executor
-    /// replays from its fixed point observes none.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Reset the hit/miss counters without touching cache contents.
-    pub fn reset_counters(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn state(c: &Cache) -> Vec<u64> {
+        let mut out = Vec::new();
+        c.functional_state(&mut out);
+        out
+    }
 
     #[test]
     fn config_capacity() {
@@ -530,8 +495,6 @@ mod tests {
         assert!(c.access(0x100));
         assert!(c.access(0x13f), "same line");
         assert!(!c.access(0x140), "next line misses");
-        assert_eq!(c.accesses(), 4);
-        assert_eq!(c.misses(), 2);
     }
 
     #[test]
@@ -590,16 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_reset() {
-        let mut c = Cache::new(CacheConfig::l1d());
-        c.access(0);
-        c.reset_counters();
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(c.is_cached(0), "contents preserved");
-    }
-
-    #[test]
     fn prime_set_matches_sequential_accesses() {
         // The bulk fill must leave the set bit-identical (tags and LRU ages)
         // to accessing the same lines in order through the generic path.
@@ -618,15 +571,13 @@ mod tests {
             slow.access(tag * cfg.line_size);
         }
         fast.prime_set(0, &attacker);
-        assert_eq!(slow.sets[0], fast.sets[0]);
-        assert_eq!(slow.accesses(), fast.accesses());
-        assert_eq!(slow.misses(), fast.misses());
+        assert_eq!(state(&slow), state(&fast));
 
         // Warm re-prime after a victim eviction: the victim displaces the
         // oldest attacker line, and during the re-prime walk a still-resident
         // attacker line becomes the LRU victim before its own access — the
-        // corner where membership-at-entry accounting would undercount
-        // misses.  State and counters must still match the sequential walk.
+        // corner where membership-at-entry accounting would miss the
+        // re-fill.  The state must still match the sequential walk.
         for c in [&mut slow, &mut fast] {
             c.access(4 * stride);
         }
@@ -634,9 +585,7 @@ mod tests {
             slow.access(tag * cfg.line_size);
         }
         fast.prime_set(0, &attacker);
-        assert_eq!(slow.sets[0], fast.sets[0]);
-        assert_eq!(slow.accesses(), fast.accesses());
-        assert_eq!(slow.misses(), fast.misses());
+        assert_eq!(state(&slow), state(&fast));
     }
 
     #[test]
@@ -654,8 +603,7 @@ mod tests {
             slow.access(t * cfg.line_size);
         }
         fast.prime_set(0, &tags);
-        assert_eq!(slow.sets[0], fast.sets[0]);
-        assert_eq!(slow.misses(), fast.misses());
+        assert_eq!(state(&slow), state(&fast));
         assert!(fast.is_cached(0), "occupant survives a partial prime");
     }
 
@@ -676,20 +624,17 @@ mod tests {
             slow.access(t * cfg.line_size);
         }
         fast.prime_set(0, &tags);
-        assert_eq!(slow.sets[0], fast.sets[0]);
-        assert_eq!(slow.accesses(), fast.accesses());
-        assert_eq!(slow.misses(), fast.misses());
+        assert_eq!(state(&slow), state(&fast));
     }
 
     #[test]
-    fn prime_set_is_idempotent_and_counts_hits() {
+    fn prime_set_is_idempotent() {
         let cfg = CacheConfig::tiny(1, 2);
         let mut c = Cache::new(cfg);
         c.prime_set(0, &[10, 11]);
-        assert_eq!(c.misses(), 2);
+        let primed = state(&c);
         c.prime_set(0, &[10, 11]);
-        assert_eq!(c.misses(), 2, "resident lines hit on re-prime");
-        assert_eq!(c.accesses(), 4);
+        assert_eq!(state(&c), primed, "resident lines hit on re-prime");
         assert_eq!(c.set_tags(0), vec![10, 11]);
         c.prime_set(0, &[]);
         assert_eq!(c.set_tags(0), vec![10, 11], "empty prime is a no-op");
@@ -714,9 +659,9 @@ mod tests {
     }
 
     #[test]
-    fn functional_state_settles_pending_ages_and_ignores_counters() {
+    fn functional_state_settles_pending_ages() {
         // A bulk re-prime only marks ages pending; the state must read the
-        // ages a sequential re-prime writes.  Counters are not state.
+        // ages a sequential re-prime writes.
         let cfg = CacheConfig::tiny(2, 2);
         let mut bulk = Cache::new(cfg);
         let mut walked = Cache::new(cfg);
@@ -726,15 +671,9 @@ mod tests {
         }
         bulk.prime_resident(SetVector::from_sets([0]));
         walked.prime_set(0, &[10, 12]);
-        walked.reset_counters();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        bulk.functional_state(&mut a);
-        walked.functional_state(&mut b);
-        assert_eq!(a, b);
+        assert_eq!(state(&bulk), state(&walked));
         walked.access(0);
-        b.clear();
-        walked.functional_state(&mut b);
-        assert_ne!(a, b, "a new line is state");
+        assert_ne!(state(&bulk), state(&walked), "a new line is state");
     }
 
     #[test]

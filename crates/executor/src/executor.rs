@@ -24,10 +24,6 @@ pub struct ExecutorConfig {
     /// Minimum number of occurrences for a distinct trace to be kept; the
     /// paper discards traces observed only once ("one-off traces").
     pub outlier_min_count: usize,
-    /// Reset the microarchitectural state before each test case (but not
-    /// between the inputs of one test case — priming relies on the state
-    /// carrying over between inputs).
-    pub reset_between_test_cases: bool,
     /// Synthetic noise injection.
     pub noise: NoiseConfig,
 }
@@ -41,7 +37,6 @@ impl ExecutorConfig {
             repetitions: 50,
             warmup_rounds: 3,
             outlier_min_count: 2,
-            reset_between_test_cases: true,
             noise: NoiseConfig::none(),
         }
     }
@@ -54,7 +49,6 @@ impl ExecutorConfig {
             repetitions: 3,
             warmup_rounds: 1,
             outlier_min_count: 2,
-            reset_between_test_cases: true,
             noise: NoiseConfig::none(),
         }
     }
@@ -85,7 +79,7 @@ impl Default for ExecutorConfig {
 /// single measurement used to dominate `collect_htraces`; the session is
 /// built once and reused across all repetitions, inputs and — as long as the
 /// channel key (attack kind + victim sandbox) stays the same — across whole
-/// test cases and batches.
+/// test cases.
 #[derive(Debug)]
 struct MeasurementSession {
     /// What the channel was built for: the attack kind plus the victim
@@ -307,6 +301,13 @@ impl<C: CpuUnderTest> Executor<C> {
 
     /// [`Executor::collect_htraces`] over a pre-decoded program.
     ///
+    /// Every collection starts from power-on state
+    /// ([`CpuUnderTest::reset_uarch`]); the state carries over only between
+    /// the inputs and passes of one collection, which is what priming
+    /// relies on.  So a test case's traces never depend on what was
+    /// measured before it: the campaign's slate invariance and the
+    /// schedule's fixed point both rely on this.
+    ///
     /// The decode cost is paid once and amortized over the whole warm-up +
     /// repetition schedule (at most `(warmup + repetitions) × inputs` runs,
     /// fewer once the schedule reaches its fixed point); callers that
@@ -322,9 +323,7 @@ impl<C: CpuUnderTest> Executor<C> {
         inputs: &[Input],
     ) -> Result<Vec<HTrace>, Fault> {
         self.collections += 1;
-        if self.config.reset_between_test_cases {
-            self.cpu.reset_uarch();
-        }
+        self.cpu.reset_uarch();
         let mut session = self.session_for(prog.source());
         session.begin_collection(inputs.len());
         let result = self.collect_into_session(&mut session, prog, inputs);
@@ -383,28 +382,6 @@ impl<C: CpuUnderTest> Executor<C> {
             }
         }
         Ok(())
-    }
-
-    /// Collect hardware traces for a batch of test cases in one call,
-    /// reusing the measurement session (side channel and sample buffers)
-    /// across the whole batch.
-    ///
-    /// The batch is measured in order and produces byte-identical traces to
-    /// calling [`collect_htraces`](Executor::collect_htraces) once per entry
-    /// on the same executor — including under synthetic noise, which draws
-    /// from a single stream across the batch.
-    ///
-    /// # Errors
-    /// Propagates architectural faults from the CPU under test.
-    pub fn collect_htraces_batch(
-        &mut self,
-        batch: &[(&TestCase, &[Input])],
-    ) -> Result<Vec<Vec<HTrace>>, Fault> {
-        let mut out = Vec::with_capacity(batch.len());
-        for &(tc, inputs) in batch {
-            out.push(self.collect_htraces(tc, inputs)?);
-        }
-        Ok(out)
     }
 
     /// Discard one-off traces and merge the rest by union.
@@ -695,6 +672,23 @@ mod tests {
     }
 
     #[test]
+    fn every_collection_starts_from_power_on_state() {
+        // One pass, no warm-up: the victim's trace is its first run, so a
+        // predictor the previous collection trained would show as a leak.
+        let tc = v1_tc();
+        let inputs = v1_priming_inputs(&tc);
+        let cfg = ExecutorConfig {
+            warmup_rounds: 0,
+            ..ExecutorConfig::fast(MeasurementMode::prime_probe()).with_repetitions(1)
+        };
+        let mut ex = executor(cfg);
+        assert!(ex.collect_htraces(&tc, &inputs).unwrap()[5].sets().contains(31));
+        let victim = ex.collect_htraces(&tc, &inputs[5..]).unwrap();
+        assert!(!victim[0].sets().contains(31), "no training carried over");
+        assert_eq!(victim, executor(cfg).collect_htraces(&tc, &inputs[5..]).unwrap());
+    }
+
+    #[test]
     fn one_off_noise_is_filtered_out() {
         let tc = direct_load_tc();
         let inputs = vec![input_with(&tc, |i| i.set_reg(Reg::Rax, 0x80))];
@@ -772,9 +766,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_collection_matches_repeated_single_calls() {
-        // The batch API must be byte-identical to sequential single calls on
-        // one executor, including under synthetic noise (one shared stream).
+    fn back_to_back_collections_match_the_full_schedule() {
+        // Two different test cases back to back on one executor, under
+        // noise (one shared stream): the fixed point, the reused session
+        // and the state the first collection leaves behind must not show
+        // in the traces of the full-schedule oracle.
         let v1 = v1_tc();
         let direct = direct_load_tc();
         let v1_inputs: Vec<Input> = (0..4)
@@ -793,22 +789,20 @@ mod tests {
             .with_repetitions(6)
             .with_noise(NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 21 });
 
-        let mut single = executor(cfg);
-        let expected = vec![
-            single.collect_htraces(&v1, &v1_inputs).unwrap(),
-            single.collect_htraces(&direct, &direct_inputs).unwrap(),
-        ];
-        let mut batched = executor(cfg);
-        let got = batched
-            .collect_htraces_batch(&[(&v1, &v1_inputs), (&direct, &direct_inputs)])
-            .unwrap();
-        assert_eq!(expected, got);
+        let mut full = opaque(cfg);
+        let mut ex = executor(cfg);
+        for (tc, inputs) in [(&v1, &v1_inputs), (&direct, &direct_inputs)] {
+            assert_eq!(
+                ex.collect_htraces(tc, inputs).unwrap(),
+                full.collect_htraces(tc, inputs).unwrap()
+            );
+        }
     }
 
     #[test]
     fn session_is_reused_across_collections() {
-        // Back-to-back collections (and batches) must not rebuild the side
-        // channel; the session key only changes with the sandbox or mode.
+        // Back-to-back collections must not rebuild the side channel; the
+        // session key only changes with the sandbox or mode.
         let tc = direct_load_tc();
         let inputs = vec![input_with(&tc, |i| i.set_reg(Reg::Rax, 0x80))];
         let mut ex = executor(ExecutorConfig::fast(MeasurementMode::flush_reload()));
@@ -821,9 +815,9 @@ mod tests {
 
     #[test]
     fn prime_probe_session_is_shared_across_sandboxes() {
-        // P+P never reads the victim sandbox, so mixing sandbox sizes in a
-        // batch must not rotate the session key (and with it the channel's
-        // precomputed attacker tags).
+        // P+P never reads the victim sandbox, so mixing sandbox sizes across
+        // collections must not rotate the session key (and with it the
+        // channel's precomputed attacker tags).
         use rvz_isa::SandboxLayout;
         let one_page = direct_load_tc();
         let two_pages = TestCaseBuilder::new()

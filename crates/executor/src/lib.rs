@@ -31,11 +31,10 @@
 //!
 //! Measurements run inside a reusable session: the side channel (with its
 //! precomputed attacker/victim address lists) and the per-input sample
-//! buffers live across repetitions, inputs, and test cases, and
-//! [`Executor::collect_htraces_batch`] measures a whole slate of test cases
-//! through one session.  The §5.3 priming-swap check
-//! ([`Executor::is_measurement_artifact`]) takes the already-collected
-//! baseline traces, so it re-measures only the two swapped sequences.
+//! buffers live across repetitions, inputs, and test cases.  The §5.3
+//! priming-swap check ([`Executor::is_measurement_artifact`]) takes the
+//! already-collected baseline traces, so it re-measures only the two
+//! swapped sequences.
 //!
 //! # Example
 //!

@@ -12,76 +12,15 @@ use rvz_isa::{AluOp, Cond, Reg, SandboxLayout, TestCase};
 
 // The Table 5 gadgets and the predictor-zoo gadgets are authored in
 // `rvz_gen::scenario` so campaign cells can pin them via
-// `GeneratorConfig::with_scenario`; this module re-exposes them under the
+// `GeneratorConfig::with_scenario`; this module re-exports them under the
 // historical names alongside the remaining handwritten witnesses.
+pub use rvz_gen::scenario::{
+    btb_aliasing_v2, deep_rsb_chain, mds_lfb, mds_sb, predictor_state_leak, spectre_v1,
+    spectre_v1_1, spectre_v2, spectre_v4, spectre_v5_ret,
+};
 
 /// The sandbox-masking constant for a one-page sandbox (`0b111111000000`).
 const MASK: i64 = 0b111111000000;
-
-/// Spectre V1 (bounds check bypass): a conditional bounds check guards a
-/// dependent double load; on the mispredicted path the secret selects the
-/// address of the second load (Figure 6b of the paper).
-pub fn spectre_v1() -> TestCase {
-    rvz_gen::scenario::spectre_v1()
-}
-
-/// Spectre V1.1 (speculative buffer overflow): the mispredicted path
-/// contains a store whose address depends on unchecked data, followed by a
-/// use of the same location.
-pub fn spectre_v1_1() -> TestCase {
-    rvz_gen::scenario::spectre_v1_1()
-}
-
-/// Spectre V2 (branch target injection): an indirect jump whose target is
-/// predicted by the BTB; the mispredicted target leaks a register through a
-/// load.
-pub fn spectre_v2() -> TestCase {
-    rvz_gen::scenario::spectre_v2()
-}
-
-/// Spectre V4 (speculative store bypass): a store with a slowly resolving
-/// address is bypassed by a younger load, whose stale value selects a
-/// dependent access.
-pub fn spectre_v4() -> TestCase {
-    rvz_gen::scenario::spectre_v4()
-}
-
-/// Spectre V5 / ret2spec: the return address is overwritten in memory, so
-/// the RSB predicts a stale target whose body leaks a register.
-pub fn spectre_v5_ret() -> TestCase {
-    rvz_gen::scenario::spectre_v5_ret()
-}
-
-/// MDS via the line-fill buffer (RIDL/ZombieLoad-style): a secret travels
-/// through the fill buffer, an assisted load transiently forwards it, and a
-/// dependent access leaks it.
-pub fn mds_lfb() -> TestCase {
-    rvz_gen::scenario::mds_lfb()
-}
-
-/// MDS via the store buffer (Fallout-style): the secret enters the memory
-/// subsystem through a store rather than a load.
-pub fn mds_sb() -> TestCase {
-    rvz_gen::scenario::mds_sb()
-}
-
-/// Cross-site BTB-aliasing V2: requires an aliasing set-associative BTB
-/// (see [`rvz_gen::Scenario::BtbAliasingV2`]).
-pub fn btb_aliasing_v2() -> TestCase {
-    rvz_gen::scenario::btb_aliasing_v2()
-}
-
-/// Deep RSB over/underflow chain: requires a cyclic RSB (see
-/// [`rvz_gen::Scenario::DeepRsbChain`]).
-pub fn deep_rsb_chain(depth: usize) -> TestCase {
-    rvz_gen::scenario::deep_rsb_chain(depth)
-}
-
-/// Predictor-state-dependent leak: requires a history-sensitive direction
-/// predictor (see [`rvz_gen::Scenario::PredictorStateLeak`]).
-pub fn predictor_state_leak() -> TestCase {
-    rvz_gen::scenario::predictor_state_leak()
-}
 
 /// LVI-Null: on an MDS-patched part the assisted load transiently forwards
 /// zero; the dependent computation mixes the injected zero with other

@@ -51,6 +51,12 @@ impl CpuUnderTest for ReferenceCpu {
     }
 }
 
+fn uarch_state(cpu: &SpecCpu) -> Vec<u64> {
+    let mut out = Vec::new();
+    assert!(cpu.functional_state(&mut out));
+    out
+}
+
 fn target_for(choice: usize) -> Target {
     // A spread of ISA subsets and parts: no speculation (AR), store-bypass
     // only (AR+MEM), conditional branches, the assist-mode Coffee Lake row
@@ -257,8 +263,10 @@ proptest! {
 
         check_slates(&tc, &inputs)?;
 
-        // Speculative CPU: persistent predictor/cache state across the
-        // priming sequence, assists on when the target's mode says so.
+        // Speculative CPU: persistent uarch state across the priming
+        // sequence, assists on when the target's mode says so.  The whole
+        // uarch state (cache, predictor tables, fill buffer) must agree
+        // after every run.
         let opts = RunOptions { enable_assists: target.mode.assists };
         let mut dec_cpu = target.cpu();
         let mut ref_cpu = target.cpu();
@@ -267,8 +275,8 @@ proptest! {
             let r = ref_cpu.run_reference(&tc, input, &opts);
             prop_assert_eq!(d, r);
             prop_assert!(dec_cpu.final_state() == ref_cpu.final_state(), "final state differs");
+            prop_assert!(uarch_state(&dec_cpu) == uarch_state(&ref_cpu), "uarch state differs");
         }
-        prop_assert!(dec_cpu.cache() == ref_cpu.cache(), "cache state differs");
 
         // Executor: merged hardware traces of the warm-up + repetition
         // schedule.  `SpecCpu` describes its state, so its executor stops

@@ -55,6 +55,22 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// Largest `basic_blocks`: the ceiling `GeneratorConfig::escalate`
+    /// stops at.
+    pub const MAX_BASIC_BLOCKS: usize = 8;
+    /// Largest `instructions`: the ceiling `GeneratorConfig::escalate`
+    /// stops at.
+    pub const MAX_INSTRUCTIONS: usize = 64;
+    /// Largest `inputs_per_test_case`: the ceiling
+    /// `GeneratorConfig::escalate` stops at.
+    pub const MAX_INPUTS_PER_TEST_CASE: usize = 200;
+    /// Largest `repetitions` (the paper repeats each measurement 50 times).
+    pub const MAX_REPETITIONS: usize = 1000;
+    /// Largest `parallelism`: a wave fans out over up to this many threads.
+    pub const MAX_PARALLELISM: usize = 64;
+    /// Largest `round_size`.
+    pub const MAX_ROUND_SIZE: usize = 1000;
+
     /// A job with the default matrix parameters and no cells.
     pub fn new(seed: u64) -> JobSpec {
         JobSpec {
@@ -134,9 +150,26 @@ impl JobSpec {
 
     /// Resolve the spec into a runnable matrix.
     ///
+    /// Every path to a running job resolves through here (submit, spool
+    /// restore, a worker's unit matrix), so this is where the sizes a
+    /// client chose are bounded: each sizes threads or buffers of every
+    /// wave.
+    ///
     /// # Errors
-    /// Returns a message for unknown target ids or contract names.
+    /// Returns a message for unknown target ids or contract names, or for
+    /// a size above its bound, naming the field and the bound.
     pub fn to_matrix(&self) -> Result<CampaignMatrix, String> {
+        let bounds = [
+            ("round_size", self.round_size, Self::MAX_ROUND_SIZE),
+            ("parallelism", self.parallelism, Self::MAX_PARALLELISM),
+            ("inputs_per_test_case", self.inputs_per_test_case, Self::MAX_INPUTS_PER_TEST_CASE),
+            ("repetitions", self.repetitions, Self::MAX_REPETITIONS),
+            ("basic_blocks", self.basic_blocks, Self::MAX_BASIC_BLOCKS),
+            ("instructions", self.instructions, Self::MAX_INSTRUCTIONS),
+        ];
+        if let Some((field, value, bound)) = bounds.into_iter().find(|&(_, v, b)| v > b) {
+            return Err(format!("spec field `{field}` is {value}, above its bound {bound}"));
+        }
         let targets = Target::catalog();
         let mut matrix = CampaignMatrix::new(self.seed)
             .with_budget(self.budget)

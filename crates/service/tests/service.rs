@@ -7,7 +7,7 @@ use rvz_bench::json::Json;
 use rvz_bench::report::matrix_cells_json;
 use rvz_service::{
     deterministic_result, Client, JobPhase, JobSpec, ServiceConfig, ServiceHandle, Spool,
-    SubmitError, UnitPhase, WatchError, Worker, WorkerConfig,
+    SubmitError, SubmitRejection, UnitPhase, WatchError, Worker, WorkerConfig,
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -641,6 +641,67 @@ fn protocol_errors_are_reported_not_fatal() {
     let pong = client.request(&Json::obj().field("op", "ping")).expect("still usable");
     assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
 
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_specs_are_rejected_with_their_bound() {
+    // Each size reaches threads or per-wave buffers, so a spec one past
+    // any bound is invalid, and the message names the field and bound.
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 1,
+        spool: None,
+        listen: None,
+        worker_listen: None,
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    type Field = fn(&mut JobSpec) -> &mut usize;
+    let fields: [(&str, usize, Field); 6] = [
+        ("basic_blocks", JobSpec::MAX_BASIC_BLOCKS, |s| &mut s.basic_blocks),
+        ("instructions", JobSpec::MAX_INSTRUCTIONS, |s| &mut s.instructions),
+        ("inputs_per_test_case", JobSpec::MAX_INPUTS_PER_TEST_CASE, |s| {
+            &mut s.inputs_per_test_case
+        }),
+        ("repetitions", JobSpec::MAX_REPETITIONS, |s| &mut s.repetitions),
+        ("parallelism", JobSpec::MAX_PARALLELISM, |s| &mut s.parallelism),
+        ("round_size", JobSpec::MAX_ROUND_SIZE, |s| &mut s.round_size),
+    ];
+    for (name, bound, field) in fields {
+        let mut spec = slice_spec(1);
+        *field(&mut spec) = bound;
+        assert!(spec.to_matrix().is_ok(), "{name} = {bound} is within bounds");
+        *field(&mut spec) = bound + 1;
+        match handle.try_submit(spec) {
+            Err(SubmitRejection::Invalid(message)) => {
+                assert!(message.contains(name), "{message}");
+                assert!(message.contains(&bound.to_string()), "{message}");
+            }
+            other => panic!("{name} = {} accepted: {other:?}", bound + 1),
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_submit_over_tcp_is_refused_and_the_server_keeps_serving() {
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 1,
+        spool: None,
+        listen: Some("127.0.0.1:0".to_string()),
+        worker_listen: None,
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let addr = handle.local_addr().expect("TCP front-end attached");
+    let mut client = Client::connect(addr).expect("client connects");
+    let mut spec = slice_spec(1);
+    spec.parallelism = 1_000_000;
+    let request = Json::obj().field("op", "submit").field("spec", spec.to_json());
+    let err = client.request(&request).expect_err("oversized spec refused");
+    assert!(err.contains("parallelism"), "{err}");
+    let pong = client.request(&Json::obj().field("op", "ping")).expect("still serving");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
     handle.shutdown();
 }
 

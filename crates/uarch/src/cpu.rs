@@ -29,7 +29,9 @@ impl RunOptions {
     }
 }
 
-/// Statistics reported by one run of the CPU under test.
+/// What one run of the CPU under test did.  This is the only per-run
+/// record: neither the predictors nor the cache keep statistics, so a run
+/// the executor replays from its fixed point leaves nothing to count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunOutcome {
     /// Architecturally executed instructions (including terminators).
@@ -133,15 +135,6 @@ impl SpecCpu {
     /// faulted, for a faulting run); `None` before the first run.
     pub fn final_state(&self) -> Option<&ArchState> {
         self.emu.as_ref().map(Emulator::state)
-    }
-
-    /// Conditional-branch predictor statistics `(predictions, mispredictions)`.
-    ///
-    /// They count the runs this CPU simulated.  An executor pass replayed
-    /// from its fixed point (see [`CpuUnderTest::functional_state`]) runs
-    /// nothing, so it adds nothing here.
-    pub fn predictor_stats(&self) -> (u64, u64) {
-        (self.branch_predictor.predictions(), self.branch_predictor.mispredictions())
     }
 
     // --- latency helpers ----------------------------------------------------
@@ -1128,12 +1121,14 @@ impl CpuUnderTest for SpecCpu {
         &mut self.cache
     }
 
+    /// Flushes the cache, clears the fill buffer and rebuilds the three
+    /// predictors from the configuration: power-on state is what
+    /// [`SpecCpu::new`] builds.
     fn reset_uarch(&mut self) {
         self.cache.flush_all();
-        self.cache.reset_counters();
-        self.branch_predictor.reset();
-        self.btb.reset();
-        self.rsb.reset();
+        self.branch_predictor = self.config.predictors.build_direction();
+        self.btb = self.config.predictors.build_target();
+        self.rsb = self.config.predictors.build_return();
         self.fill_buffer = 0;
     }
 
@@ -1153,6 +1148,7 @@ impl CpuUnderTest for SpecCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DirectionKind, PredictorConfig};
     use rvz_isa::builder::TestCaseBuilder;
     use rvz_isa::{Cond, SandboxLayout};
 
@@ -1183,6 +1179,12 @@ mod tests {
         cpu.run(tc, input, &RunOptions::default()).expect("run ok")
     }
 
+    fn state(cpu: &SpecCpu) -> Vec<u64> {
+        let mut out = Vec::new();
+        assert!(cpu.functional_state(&mut out));
+        out
+    }
+
     #[test]
     fn architectural_load_touches_its_cache_set() {
         let tc = TestCaseBuilder::new()
@@ -1211,7 +1213,7 @@ mod tests {
         let o1 = run_cpu(&mut cpu1, &tc, &input);
         let o2 = run_cpu(&mut cpu2, &tc, &input);
         assert_eq!(o1, o2);
-        assert_eq!(cpu1.cache(), cpu2.cache());
+        assert_eq!(state(&cpu1), state(&cpu2));
         assert!(cpu1.final_state().is_some());
         assert_eq!(cpu1.final_state(), cpu2.final_state());
     }
@@ -1219,8 +1221,8 @@ mod tests {
     #[test]
     fn decoded_run_matches_reference_run() {
         // Same training sequence, same victim, two CPUs: one steps the
-        // decoded program, the other re-walks the AST.  Outcomes, cache
-        // state and predictor state must be identical at every point.
+        // decoded program, the other re-walks the AST.  Outcomes and the
+        // whole uarch state must be identical at every point.
         for (tc, assists) in [
             (v1_gadget(), false),
             (v4_gadget(), false),
@@ -1254,13 +1256,8 @@ mod tests {
                         "{} final state differs (iter {i})",
                         config.name
                     );
-                    assert_eq!(dec.cache(), reference.cache(), "{} cache differs", config.name);
-                    assert_eq!(
-                        dec.predictor_stats(),
-                        reference.predictor_stats(),
-                        "{} predictor differs",
-                        config.name
-                    );
+                    let name = &config.name;
+                    assert_eq!(state(&dec), state(&reference), "{name} uarch state differs");
                 }
             }
         }
@@ -1576,23 +1573,66 @@ mod tests {
     }
 
     #[test]
-    fn reset_uarch_clears_all_state() {
-        let tc = v1_gadget();
-        let mut cpu = SpecCpu::new(UarchConfig::skylake());
-        let mut i = Input::zeroed(tc.sandbox());
-        i.set_reg(Reg::Rax, 1);
-        run_cpu(&mut cpu, &tc, &i);
-        assert!(cpu.predictor_stats().0 > 0);
-        cpu.reset_uarch();
-        assert_eq!(cpu.predictor_stats(), (0, 0));
-        assert!(!cpu.cache().is_cached(tc.sandbox().base));
+    fn reset_uarch_restores_the_constructed_state() {
+        // Power-on state is what `new` builds, for every predictor kind:
+        // after training and a reset, the state and every later run match
+        // a new CPU's.  The gadget exercises all three predictors.
+        let tc = TestCaseBuilder::new()
+            .block("entry", |b| {
+                b.cmp_imm(Reg::Rax, 8);
+                b.jcc(Cond::B, "dispatch", "done");
+            })
+            .block("dispatch", |b| b.jmp_indirect(Reg::Rbx, vec!["call", "done"]))
+            .block("call", |b| b.call("callee", "done"))
+            .block("callee", |b| {
+                b.load(Reg::Rcx, Reg::R14, Reg::Rdx);
+                b.ret();
+            })
+            .block("done", |b| b.exit())
+            .build();
+        let inputs: Vec<Input> = (0..6u64)
+            .map(|i| {
+                let mut input = Input::zeroed(tc.sandbox());
+                input.set_reg(Reg::Rax, if i < 4 { 1 } else { 100 });
+                input.set_reg(Reg::Rbx, i % 2);
+                input.set_reg(Reg::Rdx, 0x40 * i);
+                input
+            })
+            .collect();
+        for predictors in [
+            PredictorConfig::default(),
+            PredictorConfig {
+                direction: DirectionKind::Bimodal { history_bits: 4 },
+                ..PredictorConfig::default()
+            },
+            PredictorConfig::tage(),
+            PredictorConfig::loop_predictor(),
+            PredictorConfig::aliasing_btb(),
+            PredictorConfig::cyclic_rsb(2),
+        ] {
+            let label = predictors.label();
+            let config = UarchConfig { predictors, ..UarchConfig::skylake() };
+            let mut cpu = SpecCpu::new(config.clone());
+            let mut fresh = SpecCpu::new(config);
+            let power_on = state(&fresh);
+            for input in &inputs {
+                run_cpu(&mut cpu, &tc, input);
+            }
+            assert_ne!(state(&cpu), power_on, "{label}: training changes the state");
+            cpu.reset_uarch();
+            assert_eq!(state(&cpu), power_on, "{label}");
+            for input in &inputs {
+                let o = run_cpu(&mut cpu, &tc, input);
+                assert_eq!(o, run_cpu(&mut fresh, &tc, input), "{label}");
+                assert_eq!(state(&cpu), state(&fresh), "{label}");
+            }
+        }
     }
 
     #[test]
-    fn functional_state_reaches_a_fixed_point_that_ignores_statistics() {
+    fn functional_state_reaches_a_fixed_point() {
         // Prime, run, probe the same input over and over: once the
-        // predictor saturates, a round leaves the state where it found it,
-        // although the statistics keep counting.
+        // predictor saturates, a round leaves the state where it found it.
         use rvz_cache::{PrimeProbe, SideChannel};
         let tc = v1_gadget();
         let mut cpu = SpecCpu::new(UarchConfig::skylake());
@@ -1611,9 +1651,7 @@ mod tests {
         let second = round(&mut cpu);
         let third = round(&mut cpu);
         assert_ne!(first, second, "the counter is still training");
-        let stats = cpu.predictor_stats();
         assert_eq!(third, round(&mut cpu));
-        assert_ne!(cpu.predictor_stats(), stats);
         let mut reset = Vec::new();
         cpu.reset_uarch();
         cpu.functional_state(&mut reset);

@@ -107,7 +107,9 @@ pub trait CpuUnderTest {
     /// The L1D cache, which the executor's side channel primes and probes.
     fn cache_mut(&mut self) -> &mut Cache;
 
-    /// Reset every microarchitectural structure to power-on state.
+    /// Reset every microarchitectural structure to power-on state, which
+    /// is the state the CPU's constructor builds.  The executor calls this
+    /// before every collection.
     fn reset_uarch(&mut self);
 
     /// Append the CPU's *functional* microarchitectural state to `out` in
@@ -116,10 +118,11 @@ pub trait CpuUnderTest {
     ///
     /// The state is everything a later run or side-channel measurement
     /// reads: two CPUs that append the same words produce the same outcomes
-    /// and observations for every future run sequence.  Statistics, and
-    /// state every run re-initializes, are left out.  The executor uses
-    /// this to stop re-simulating measurement passes once a pass leaves
-    /// the state where it found it.
+    /// and observations for every future run sequence.  State every run
+    /// re-initializes is left out.  This is the one definition of the
+    /// uarch state: the executor uses it to stop re-simulating measurement
+    /// passes once a pass leaves the state where it found it, and the
+    /// decoded-vs-reference checks compare it after every run.
     fn functional_state(&self, out: &mut Vec<u64>) -> bool {
         let _ = out;
         false

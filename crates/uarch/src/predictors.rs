@@ -24,7 +24,7 @@
 
 use rvz_isa::BlockId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// A site identifier for a branch: the block whose terminator it is.
@@ -43,16 +43,9 @@ pub trait DirectionPredictor: fmt::Debug + Send + Sync {
     fn predict(&self, site: BranchSite) -> bool;
     /// Update with the architecturally resolved direction.
     fn update(&mut self, site: BranchSite, taken: bool);
-    /// Total predictions made so far.
-    fn predictions(&self) -> u64;
-    /// Total mispredictions observed so far.  A site's first-ever encounter
-    /// is not counted: there was no history to predict from.
-    fn mispredictions(&self) -> u64;
-    /// Forget everything (power-on state).
-    fn reset(&mut self);
     /// Append the predictor's functional state to `out` in canonical form:
     /// two predictors that append the same words predict every future
-    /// update sequence identically.  Statistics are left out.
+    /// update sequence identically.
     fn functional_state(&self, out: &mut Vec<u64>);
     /// Clone into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn DirectionPredictor>;
@@ -70,8 +63,6 @@ pub trait TargetPredictor: fmt::Debug + Send + Sync {
     fn predict(&self, site: BranchSite) -> Option<BlockId>;
     /// Record the architecturally resolved target.
     fn update(&mut self, site: BranchSite, target: BlockId);
-    /// Forget everything.
-    fn reset(&mut self);
     /// Append the BTB's functional state to `out` in canonical form (see
     /// [`DirectionPredictor::functional_state`]).
     fn functional_state(&self, out: &mut Vec<u64>);
@@ -91,10 +82,6 @@ pub trait ReturnPredictor: fmt::Debug + Send + Sync {
     fn push(&mut self, target: BlockId);
     /// Predict (and consume) the target of the next return.
     fn pop_predict(&mut self) -> Option<BlockId>;
-    /// Number of live entries.
-    fn depth(&self) -> usize;
-    /// Forget everything.
-    fn reset(&mut self);
     /// Append the RSB's functional state to `out` in canonical form (see
     /// [`DirectionPredictor::functional_state`]).
     fn functional_state(&self, out: &mut Vec<u64>);
@@ -123,9 +110,6 @@ pub struct BranchPredictor {
     counters: BTreeMap<u64, u8>,
     history: u64,
     history_bits: u32,
-    seen_sites: BTreeSet<u64>,
-    predictions: u64,
-    mispredictions: u64,
 }
 
 impl BranchPredictor {
@@ -173,16 +157,6 @@ impl DirectionPredictor for BranchPredictor {
 
     fn update(&mut self, site: BranchSite, taken: bool) {
         let key = self.key(site);
-        let predicted = self.predict(site);
-        self.predictions += 1;
-        // The first encounter of a site has no training to predict from, so
-        // it does not count as a misprediction in the statistics.  (The
-        // CPU's own speculation decision is made at the call site and is
-        // unaffected by these counters.)
-        if self.seen_sites.contains(&(site as u64)) && predicted != taken {
-            self.mispredictions += 1;
-        }
-        self.seen_sites.insert(site as u64);
         let c = self.counters.entry(key).or_insert(1);
         if taken {
             *c = (*c + 1).min(3);
@@ -190,19 +164,6 @@ impl DirectionPredictor for BranchPredictor {
             *c = c.saturating_sub(1);
         }
         self.history = (self.history << 1) | (taken as u64);
-    }
-
-    fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
-    fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    fn reset(&mut self) {
-        let bits = self.history_bits;
-        *self = BranchPredictor { history_bits: bits, ..BranchPredictor::default() };
     }
 
     fn functional_state(&self, out: &mut Vec<u64>) {
@@ -255,9 +216,6 @@ pub struct Tage {
     base: BranchPredictor,
     tables: Vec<TageTable>,
     history: u64,
-    seen_sites: BTreeSet<u64>,
-    predictions: u64,
-    mispredictions: u64,
 }
 
 impl Tage {
@@ -277,9 +235,6 @@ impl Tage {
                 .map(|&history_len| TageTable { history_len, entries: BTreeMap::new() })
                 .collect(),
             history: 0,
-            seen_sites: BTreeSet::new(),
-            predictions: 0,
-            mispredictions: 0,
         }
     }
 
@@ -349,12 +304,6 @@ impl DirectionPredictor for Tage {
             Some(p) => self.component_predict(self.altpred_source(site, p), site),
             None => self.base.predict(site),
         };
-        self.predictions += 1;
-        if self.seen_sites.contains(&(site as u64)) && predicted != taken {
-            self.mispredictions += 1;
-        }
-        self.seen_sites.insert(site as u64);
-
         // Update the provider's counter (or the base table).
         match provider {
             Some(p) => {
@@ -378,7 +327,7 @@ impl DirectionPredictor for Tage {
             }
             None => {
                 // Base-table update shares the bimodal structure but not
-                // its history register or statistics.
+                // its history register.
                 self.base.update(site, taken);
             }
         }
@@ -413,18 +362,6 @@ impl DirectionPredictor for Tage {
         }
 
         self.history = (self.history << 1) | (taken as u64);
-    }
-
-    fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
-    fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    fn reset(&mut self) {
-        *self = Tage::new();
     }
 
     fn functional_state(&self, out: &mut Vec<u64>) {
@@ -468,9 +405,6 @@ struct LoopEntry {
 pub struct LoopPredictor {
     loops: BTreeMap<u64, LoopEntry>,
     fallback: BranchPredictor,
-    seen_sites: BTreeSet<u64>,
-    predictions: u64,
-    mispredictions: u64,
 }
 
 impl LoopPredictor {
@@ -492,12 +426,6 @@ impl DirectionPredictor for LoopPredictor {
     }
 
     fn update(&mut self, site: BranchSite, taken: bool) {
-        let predicted = self.predict(site);
-        self.predictions += 1;
-        if self.seen_sites.contains(&(site as u64)) && predicted != taken {
-            self.mispredictions += 1;
-        }
-        self.seen_sites.insert(site as u64);
         let e = self.loops.entry(site as u64).or_default();
         if taken {
             e.current = e.current.saturating_add(1);
@@ -512,18 +440,6 @@ impl DirectionPredictor for LoopPredictor {
             e.current = 0;
         }
         self.fallback.update(site, taken);
-    }
-
-    fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
-    fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    fn reset(&mut self) {
-        *self = LoopPredictor::default();
     }
 
     fn functional_state(&self, out: &mut Vec<u64>) {
@@ -564,10 +480,6 @@ impl TargetPredictor for Btb {
 
     fn update(&mut self, site: BranchSite, target: BlockId) {
         self.targets.insert(site, target);
-    }
-
-    fn reset(&mut self) {
-        self.targets.clear();
     }
 
     fn functional_state(&self, out: &mut Vec<u64>) {
@@ -642,12 +554,6 @@ impl TargetPredictor for SetAssocBtb {
         set.truncate(ways);
     }
 
-    fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-    }
-
     fn functional_state(&self, out: &mut Vec<u64>) {
         // Way order is recency order, which decides the next victim.
         for set in &self.sets {
@@ -698,14 +604,6 @@ impl ReturnPredictor for Rsb {
         self.stack.pop_back()
     }
 
-    fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn reset(&mut self) {
-        self.stack.clear();
-    }
-
     fn functional_state(&self, out: &mut Vec<u64>) {
         out.push(self.stack.len() as u64);
         out.extend(self.stack.iter().map(|b| b.0 as u64));
@@ -754,18 +652,6 @@ impl ReturnPredictor for CyclicRsb {
         // Deliberately not cleared: popping past the live region wraps
         // around and serves stale entries.
         self.ring[self.top]
-    }
-
-    fn depth(&self) -> usize {
-        self.live
-    }
-
-    fn reset(&mut self) {
-        for slot in &mut self.ring {
-            *slot = None;
-        }
-        self.top = 0;
-        self.live = 0;
     }
 
     fn functional_state(&self, out: &mut Vec<u64>) {
@@ -972,42 +858,32 @@ mod tests {
             p.update(5, true);
         }
         assert!(p.predict(5));
-        assert!(p.predictions() >= 8);
     }
 
     #[test]
-    fn predictor_counts_mispredictions_after_first_encounter() {
+    fn saturated_counter_survives_one_opposite_outcome() {
         let mut p = BranchPredictor::new();
-        p.update(1, true); // first-ever encounter: not a misprediction
-        assert_eq!(p.mispredictions(), 0, "no history, nothing to mispredict against");
-        p.update(1, false); // trained weakly-taken now predicts taken -> wrong
-        assert_eq!(p.mispredictions(), 1);
+        p.update(1, true); // weakly not-taken -> weakly taken
+        assert!(p.predict(1));
+        p.update(1, false);
+        assert!(!p.predict(1), "a weak counter flips on one opposite outcome");
         for _ in 0..8 {
             p.update(1, true);
         }
-        let before = p.mispredictions();
-        p.update(1, true);
-        assert_eq!(p.mispredictions(), before, "well-trained branch predicts correctly");
-    }
-
-    #[test]
-    fn predictor_reset() {
-        let mut p = BranchPredictor::new();
-        for _ in 0..8 {
-            p.update(3, true);
-        }
-        p.reset();
-        assert!(!p.predict(3));
-        assert_eq!(p.predictions(), 0);
+        p.update(1, false);
+        assert!(p.predict(1), "a saturated counter needs two");
     }
 
     #[test]
     fn alternating_pattern_causes_mispredictions() {
         let mut p = BranchPredictor::new();
+        let mut mispredictions = 0;
         for i in 0..32 {
-            p.update(7, i % 2 == 0);
+            let taken = i % 2 == 0;
+            mispredictions += (p.predict(7) != taken) as u32;
+            p.update(7, taken);
         }
-        assert!(p.mispredictions() > 0);
+        assert!(mispredictions > 0);
     }
 
     #[test]
@@ -1035,9 +911,6 @@ mod tests {
         }
         assert_eq!(mis_with, 0, "history-indexed counters learn the alternation");
         assert!(mis_without > 0, "history-free bimodal cannot");
-        // Reset keeps the configured history width.
-        with_history.reset();
-        assert_eq!(with_history.history_bits(), 4);
     }
 
     #[test]
@@ -1105,20 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn tage_stats_and_reset() {
-        let mut t = Tage::new();
-        t.update(1, true);
-        assert_eq!(t.mispredictions(), 0, "first encounter is not a misprediction");
-        for i in 0..16 {
-            t.update(1, i % 2 == 0);
-        }
-        assert!(t.predictions() >= 16);
-        t.reset();
-        assert_eq!(t.predictions(), 0);
-        assert!(!t.predict(1));
-    }
-
-    #[test]
     fn loop_predictor_learns_trip_count() {
         let mut p = LoopPredictor::new();
         // A loop that runs exactly 3 taken iterations, repeatedly.
@@ -1145,9 +1004,6 @@ mod tests {
             p.update(2, true); // never a not-taken: no trip count learned
         }
         assert!(p.predict(2), "bimodal fallback trains toward taken");
-        p.reset();
-        assert!(!p.predict(2));
-        assert_eq!(p.predictions(), 0);
     }
 
     #[test]
@@ -1158,8 +1014,6 @@ mod tests {
         assert_eq!(b.predict(0), Some(BlockId(3)));
         b.update(0, BlockId(5));
         assert_eq!(b.predict(0), Some(BlockId(5)));
-        b.reset();
-        assert_eq!(b.predict(0), None);
     }
 
     #[test]
@@ -1173,8 +1027,6 @@ mod tests {
         // Updating the aliased site overwrites the shared entry.
         b.update(5, BlockId(6));
         assert_eq!(b.predict(1), Some(BlockId(6)));
-        b.reset();
-        assert_eq!(b.predict(1), None);
     }
 
     #[test]
@@ -1199,7 +1051,6 @@ mod tests {
         let mut r = Rsb::new();
         r.push(BlockId(1));
         r.push(BlockId(2));
-        assert_eq!(r.depth(), 2);
         assert_eq!(r.pop_predict(), Some(BlockId(2)));
         assert_eq!(r.pop_predict(), Some(BlockId(1)));
         assert_eq!(r.pop_predict(), None);
@@ -1211,7 +1062,6 @@ mod tests {
         r.push(BlockId(1));
         r.push(BlockId(2));
         r.push(BlockId(3));
-        assert_eq!(r.depth(), 2);
         assert_eq!(r.pop_predict(), Some(BlockId(3)));
         assert_eq!(r.pop_predict(), Some(BlockId(2)));
         assert_eq!(r.pop_predict(), None, "oldest entry was dropped");
@@ -1235,7 +1085,10 @@ mod tests {
             } else {
                 assert_eq!(ring.pop_predict(), model.pop());
             }
-            assert_eq!(ring.depth(), model.len());
+            let mut state = Vec::new();
+            ring.functional_state(&mut state);
+            let live = model.iter().map(|b| b.0 as u64);
+            assert_eq!(state, std::iter::once(model.len() as u64).chain(live).collect::<Vec<_>>());
         }
     }
 
@@ -1247,7 +1100,6 @@ mod tests {
         for i in 1..=20 {
             r.push(BlockId(i));
         }
-        assert_eq!(r.depth(), 4);
         assert_eq!(r.pop_predict(), Some(BlockId(20)));
         assert_eq!(r.pop_predict(), Some(BlockId(19)));
         assert_eq!(r.pop_predict(), Some(BlockId(18)));
@@ -1255,8 +1107,6 @@ mod tests {
         // Underflow: wraps back to the newest entries instead of None.
         assert_eq!(r.pop_predict(), Some(BlockId(20)), "stale entry after wrap-around");
         assert_eq!(r.pop_predict(), Some(BlockId(19)));
-        r.reset();
-        assert_eq!(r.pop_predict(), None);
     }
 
     #[test]
@@ -1282,9 +1132,8 @@ mod tests {
         for i in 0..20 {
             r.push(BlockId(i));
         }
-        assert_eq!(r.depth(), 16, "default RSB capacity is 16");
-        for _ in 0..16 {
-            r.pop_predict();
+        for i in (4..20).rev() {
+            assert_eq!(r.pop_predict(), Some(BlockId(i)), "default RSB capacity is 16");
         }
         assert_eq!(r.pop_predict(), None, "stack RSB predicts nothing on underflow");
     }
@@ -1357,7 +1206,6 @@ mod tests {
         a.tables = b.tables.clone();
         assert_ne!(a.history, b.history);
         assert_eq!(state_of(&a), state_of(&b));
-        assert_ne!(a.predictions(), b.predictions(), "statistics are not state");
     }
 
     #[test]

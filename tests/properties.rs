@@ -163,11 +163,13 @@ proptest! {
         }
     }
 
-    /// The batch API is byte-identical to repeated single-test-case calls on
-    /// an identically configured executor — including under synthetic
-    /// noise, which draws from one stream across the whole batch.
+    /// Back-to-back collections on one executor are byte-identical to
+    /// fresh executors that start at the same noise-stream position: every
+    /// collection starts from power-on state, so a test case's traces never
+    /// depend on the test case measured before it, nor on the session it
+    /// left behind.
     #[test]
-    fn batch_collection_matches_single_calls(seed in 0u64..400) {
+    fn back_to_back_collections_match_fresh_executors(seed in 0u64..400) {
         use rvz_executor::NoiseConfig;
         let config = GeneratorConfig::for_subset(IsaSubset::AR_MEM_CB).with_instructions(10);
         let gen = ProgramGenerator::new(config);
@@ -178,17 +180,16 @@ proptest! {
         let cfg = ExecutorConfig::fast(MeasurementMode::prime_probe())
             .with_repetitions(3)
             .with_noise(NoiseConfig { one_off_probability: 0.1, smi_probability: 0.05, seed });
+        let fresh = || Executor::new(SpecCpu::new(UarchConfig::skylake()), cfg);
 
-        let mut single = Executor::new(SpecCpu::new(UarchConfig::skylake()), cfg);
-        let expected = vec![
-            single.collect_htraces(&tc_a, &inputs_a).unwrap(),
-            single.collect_htraces(&tc_b, &inputs_b).unwrap(),
-        ];
-        let mut batched = Executor::new(SpecCpu::new(UarchConfig::skylake()), cfg);
-        let got = batched
-            .collect_htraces_batch(&[(&tc_a, &inputs_a), (&tc_b, &inputs_b)])
-            .unwrap();
-        prop_assert_eq!(expected, got);
+        let mut shared = fresh();
+        let first = shared.collect_htraces(&tc_a, &inputs_a).unwrap();
+        let mark = shared.noise_checkpoint();
+        let second = shared.collect_htraces(&tc_b, &inputs_b).unwrap();
+        prop_assert_eq!(fresh().collect_htraces(&tc_a, &inputs_a).unwrap(), first);
+        let mut after_a = fresh();
+        after_a.restore_noise_checkpoint(&mark);
+        prop_assert_eq!(after_a.collect_htraces(&tc_b, &inputs_b).unwrap(), second);
     }
 
     /// The CPU under test is deterministic: the same priming sequence
