@@ -9,6 +9,7 @@
 use crate::inst::{AluOp, Cond, ShiftOp, UnaryOp};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Instruction class, following the paper's grouping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -193,7 +194,7 @@ impl IsaSubset {
 
     /// Catalog entries belonging to this subset.
     pub fn specs(&self) -> Vec<InstrSpec> {
-        catalog().into_iter().filter(|s| self.contains(s.class)).collect()
+        catalog().iter().filter(|s| self.contains(s.class)).copied().collect()
     }
 
     /// Body (non-terminator) catalog entries belonging to this subset.
@@ -245,12 +246,17 @@ impl Default for IsaSubset {
     }
 }
 
-/// The full instruction catalog.
+/// The full instruction catalog, built on first use.
 ///
 /// The entry count is intentionally in the hundreds — like the x86 subsets in
 /// the paper — so that the generator's sampling problem has a comparable
 /// shape, even though the concrete ISA is smaller.
-pub fn catalog() -> Vec<InstrSpec> {
+pub fn catalog() -> &'static [InstrSpec] {
+    static CATALOG: OnceLock<Vec<InstrSpec>> = OnceLock::new();
+    CATALOG.get_or_init(build_catalog)
+}
+
+fn build_catalog() -> Vec<InstrSpec> {
     let mut v = Vec::new();
     let mut push = |name: &'static str, class: InstrClass, form: InstrForm| {
         v.push(InstrSpec { name, class, form });
@@ -321,7 +327,7 @@ pub fn catalog() -> Vec<InstrSpec> {
 }
 
 fn alu_name(op: AluOp, shape: &'static str) -> &'static str {
-    // Leak a small number of interned strings; the catalog is built rarely.
+    // The names are leaked once: the catalog is built once per process.
     Box::leak(format!("{} {}", op.mnemonic(), shape).into_boxed_str())
 }
 
@@ -350,6 +356,15 @@ mod tests {
         assert!(cat.iter().any(|s| s.class == InstrClass::Var));
         assert!(cat.iter().any(|s| s.class == InstrClass::Cb));
         assert!(cat.iter().any(|s| s.class == InstrClass::Ind));
+    }
+
+    #[test]
+    fn catalog_is_built_once() {
+        let (a, b) = (catalog(), catalog());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert!(std::ptr::eq(x.name, y.name), "{} was built twice", x.name);
+        }
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! the shared baseline collection, which is exactly the stream position an
 //! independent single-contract evaluation would have reached (the baseline
 //! collection is contract-independent).  Evaluating a slate of N contracts
-//! is therefore byte-identical to N independent evaluations, as long as the
-//! executor resets microarchitectural state between test cases (the default
-//! in every configuration).
+//! is therefore byte-identical to N independent evaluations: every
+//! executor starts each hardware-trace collection from the CPU's power-on
+//! microarchitectural state.
 //!
 //! [noise checkpoint]: rvz_executor::NoiseCheckpoint
 

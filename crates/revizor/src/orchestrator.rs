@@ -18,13 +18,17 @@
 //!                    │                                           └─► CT-COND-BPAS
 //!                    ├── group(Target 2) ─ stream: tc₀ tc₁ … ────► …
 //!                    ┆
-//!                    └──────────── one shared rayon pool ───────────────────
+//!                    └────── one rayon pool: persistent workers ────────────
 //! ```
 //!
 //! The scheduler interleaves (group, round) work units over the shared
-//! pool.  Each unit is a pure function of `(target, configuration, seed)`
-//! with the seed derived from `(matrix seed, target id, test-case index)`
-//! alone, so:
+//! pool, whose `parallelism` worker threads live for the whole run.  A
+//! worker reduces each unit it evaluates to the few fields the merge reads
+//! (counts, per-contract statistics and verdicts, and the test case only
+//! when it confirmed a violation) and frees the rest itself, so the driving
+//! thread never frees another thread's allocations.  Each unit is a pure
+//! function of `(target, configuration, seed)` with the seed derived from
+//! `(matrix seed, target id, test-case index)` alone, so:
 //!
 //! * results are identical for any `parallelism`, and
 //! * a cell's verdict never changes when other cells are added to or
@@ -66,17 +70,22 @@
 //!
 //! [`Executor::collect_htraces`]: rvz_executor::Executor::collect_htraces
 
-use crate::campaign::{self, CellEvent, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateChecks, SlateSpec};
+use crate::campaign::{
+    self, CellEvent, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateChecks, SlateSpec,
+    SlateUnit,
+};
 use crate::classify::{classify, VulnClass};
 use crate::diversity::PatternCoverage;
 use crate::fuzzer::ViolationReport;
 use crate::staticanalysis;
 use crate::targets::Target;
-use rvz_analyzer::EffectivenessStats;
+use rvz_analyzer::{EffectivenessStats, Violation};
 use rvz_executor::ExecutorConfig;
 use rvz_gen::GeneratorConfig;
+use rvz_isa::{Input, TestCase};
 use rvz_model::{Contract, ExecutionInfo};
 use rvz_uarch::SpecCpu;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One cell of the testing matrix: a target fuzzed against a contract.
@@ -398,7 +407,9 @@ impl CampaignMatrix {
     }
 
     /// Builder: worker threads of the shared pool (`0` and `1` both mean
-    /// single-threaded).  Results are identical for any value.
+    /// single-threaded: units run on the driving thread).  A run spawns
+    /// its workers once and joins them when it ends.  Results are
+    /// identical for any value.
     pub fn with_parallelism(mut self, parallelism: usize) -> CampaignMatrix {
         self.parallelism = parallelism.max(1);
         self
@@ -806,6 +817,9 @@ pub struct MatrixRun<'m> {
     /// All progress: stream positions, counters, coverage and finished
     /// cells.
     state: MatrixCheckpoint,
+    /// Each group's CPU under test, indexed like `groups`; every unit
+    /// evaluates on a fresh clone.
+    cpus: Arc<[SpecCpu]>,
     pool: Option<rayon::ThreadPool>,
     start: Instant,
 }
@@ -828,15 +842,16 @@ impl<'m> MatrixRun<'m> {
                 }
             }
         }
-        // The one shared pool all groups' work units fan out over, alive
-        // for the whole run.
+        let cpus = groups.iter().map(|g| g.target.cpu()).collect();
+        // The one shared pool all groups' work units fan out over: its
+        // workers live for the whole run.
         let pool = (matrix.parallelism > 1).then(|| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(matrix.parallelism)
                 .build()
                 .expect("failed to spawn matrix worker threads")
         });
-        MatrixRun { matrix, groups, state, pool, start: Instant::now() }
+        MatrixRun { matrix, groups, state, cpus, pool, start: Instant::now() }
     }
 
     /// Completed scheduling waves: [`MatrixRun::step`] calls that found
@@ -859,7 +874,7 @@ impl<'m> MatrixRun<'m> {
     /// Events are delivered to `observer` from the calling thread in
     /// deterministic order.
     pub fn step(&mut self, observer: &mut dyn ProgressObserver) -> bool {
-        let MatrixRun { matrix, groups, state, pool, start } = self;
+        let MatrixRun { matrix, groups, state, cpus, pool, start } = self;
         let matrix = *matrix;
         let round_size = matrix.round_size.max(1);
 
@@ -904,19 +919,21 @@ impl<'m> MatrixRun<'m> {
         }
         state.wave += 1;
 
-        // Evaluate the whole wave; each unit is independent.  Per-unit
-        // evaluation time is recorded so cells can report their group's
-        // attributed cost rather than matrix-wide wall clock.
-        let specs = &wave_specs;
-        let cpus: Vec<SpecCpu> = groups.iter().map(|g| g.target.cpu()).collect();
-        let cpus = &cpus;
-        let eval = move |(gi, seed): (usize, u64)| -> (usize, SeedEval, Duration) {
+        // Evaluate the whole wave; each unit is independent.  Each unit is
+        // reduced to what the merge reads on the worker that evaluated it,
+        // so the rest of its memory is freed there.  Per-unit time is
+        // recorded so cells can report their group's attributed cost
+        // rather than matrix-wide wall clock.
+        let specs: Arc<[Option<SlateSpec>]> = wave_specs.into();
+        let cpus = Arc::clone(cpus);
+        let escalation = matrix.escalation;
+        let eval = move |(gi, seed): (usize, u64)| -> (UnitResult, Duration) {
             let spec = specs[gi].as_ref().expect("scheduled group has a spec");
             let t0 = Instant::now();
-            let unit = campaign::evaluate_seed(&cpus[gi], spec, seed);
-            (gi, unit, t0.elapsed())
+            let eval = campaign::evaluate_seed(&cpus[gi], spec, seed);
+            (UnitResult::reduce(eval, escalation), t0.elapsed())
         };
-        let units: Vec<(usize, SeedEval, Duration)> = match pool {
+        let units: Vec<(UnitResult, Duration)> = match pool {
             None => wave.into_iter().map(eval).collect(),
             Some(pool) => pool.install(|| {
                 use rayon::prelude::*;
@@ -926,50 +943,51 @@ impl<'m> MatrixRun<'m> {
 
         // Merge in deterministic order: the wave lists each scheduled
         // group's indices contiguously and in stream order.
-        let mut cursor = 0usize;
-        for (gi, scheduled) in wave_counts.iter().enumerate() {
-            if *scheduled == 0 {
+        let mut units = units.into_iter();
+        for (gi, &scheduled) in wave_counts.iter().enumerate() {
+            if scheduled == 0 {
                 continue;
             }
             let group = &mut groups[gi];
             let progress = &mut state.groups[gi];
-            for (_, eval, unit_time) in &units[cursor..cursor + scheduled] {
+            for (unit, unit_time) in units.by_ref().take(scheduled) {
                 progress.next_index += 1;
-                progress.work += *unit_time;
-                let unit = match eval {
+                progress.work += unit_time;
+                let unit = match unit {
                     // Statically leak-impossible: discarded unmeasured.
-                    SeedEval::Filtered => {
+                    UnitResult::Filtered => {
                         progress.filtered += 1;
                         continue;
                     }
                     // Malformed test cases are skipped (never happens for
                     // generated code).
-                    SeedEval::Faulted => continue,
-                    SeedEval::Measured(unit) => &**unit,
+                    UnitResult::Faulted => continue,
+                    UnitResult::Measured(unit) => unit,
                 };
                 progress.test_cases += 1;
-                progress.total_inputs += unit.inputs.len();
-                if matrix.escalation {
-                    // The probe outcome rides at the end of the slate.
-                    let probe = unit.outcomes.last().expect("probe contract scheduled");
+                progress.total_inputs += unit.inputs;
+                if let Some(class_members) = &unit.probe_members {
                     progress.round_improved |=
-                        absorb_coverage(&mut progress.coverage, &probe.class_members);
+                        absorb_coverage(&mut progress.coverage, class_members);
                 }
-                for (outcome, &k) in unit.outcomes.iter().zip(&wave_cells[gi]) {
+                for (outcome, &k) in unit.outcomes.into_iter().zip(&wave_cells[gi]) {
                     let cell = &mut state.cells[group.cells[k]];
                     if cell.is_some() {
                         continue;
                     }
-                    progress.effectiveness[k].merge(&outcome.analysis.stats);
-                    let Some(confirmed) = &outcome.confirmed_violation else { continue };
+                    progress.effectiveness[k].merge(&outcome.stats);
+                    let Some(confirmed) = outcome.confirmed else { continue };
+                    let witness =
+                        unit.witness.as_ref().expect("a confirmed unit keeps its test case");
                     // First confirmed violation for this cell: the cell
                     // finishes; later stream test cases no longer count
                     // toward it.
-                    let vulnerability = classify(&group.target, &outcome.contract, &unit.tc);
-                    let gadget = staticanalysis::gadget_class(&unit.tc, Some(&group.target));
+                    let contract = &matrix.cells[group.cells[k]].contract;
+                    let vulnerability = classify(&group.target, contract, &witness.tc);
+                    let gadget = staticanalysis::gadget_class(&witness.tc, Some(&group.target));
                     observer.cell_finished(&CellEvent {
                         target_id: group.target.id,
-                        contract: outcome.contract.clone(),
+                        contract: contract.clone(),
                         found: true,
                         vulnerability: Some(vulnerability),
                         test_cases: progress.test_cases,
@@ -977,11 +995,11 @@ impl<'m> MatrixRun<'m> {
                     });
                     *cell = Some(CellProgress {
                         violation: Some(ViolationReport {
-                            test_case: unit.tc.clone(),
-                            inputs: unit.inputs.clone(),
-                            violation: confirmed.clone(),
-                            contract: outcome.contract.clone(),
-                            test_case_seed: unit.seed,
+                            test_case: witness.tc.clone(),
+                            inputs: witness.inputs.clone(),
+                            violation: confirmed,
+                            contract: contract.clone(),
+                            test_case_seed: witness.seed,
                             vulnerability,
                             gadget,
                             test_cases_until_detection: progress.test_cases,
@@ -995,7 +1013,6 @@ impl<'m> MatrixRun<'m> {
                     });
                 }
             }
-            cursor += scheduled;
             progress.round += 1;
 
             // Round boundary: diversity feedback (§5.6).  The generator is
@@ -1087,6 +1104,71 @@ impl<'m> MatrixRun<'m> {
     }
 }
 
+/// What the merge of [`MatrixRun::step`] reads of one evaluated work unit.
+/// The worker that evaluated the unit builds it from the unit's
+/// [`SeedEval`] and drops the rest there.
+enum UnitResult {
+    /// See [`SeedEval::Filtered`].
+    Filtered,
+    /// See [`SeedEval::Faulted`].
+    Faulted,
+    /// A measured test case.
+    Measured(MeasuredUnit),
+}
+
+/// The merged part of a measured unit.
+struct MeasuredUnit {
+    /// Inputs the test case ran.
+    inputs: usize,
+    /// One entry per slate contract, the coverage probe excluded.
+    outcomes: Vec<OutcomeResult>,
+    /// The coverage probe's effective-class members, with escalation on.
+    probe_members: Option<Vec<Vec<ExecutionInfo>>>,
+    /// The test case, kept only when some slate contract confirmed a
+    /// violation on it.
+    witness: Option<Witness>,
+}
+
+/// What the merge reads of one [`ContractOutcome`](campaign::ContractOutcome).
+struct OutcomeResult {
+    stats: EffectivenessStats,
+    confirmed: Option<Violation>,
+}
+
+/// The test case a confirmed violation reproduces from.
+struct Witness {
+    seed: u64,
+    tc: TestCase,
+    inputs: Vec<Input>,
+}
+
+impl UnitResult {
+    /// Keep what the merge reads of `eval`.  With `escalation` on, the
+    /// slate's last contract is the coverage probe.
+    fn reduce(eval: SeedEval, escalation: bool) -> UnitResult {
+        let unit = match eval {
+            SeedEval::Filtered => return UnitResult::Filtered,
+            SeedEval::Faulted => return UnitResult::Faulted,
+            SeedEval::Measured(unit) => *unit,
+        };
+        let SlateUnit { seed, tc, inputs, mut outcomes } = unit;
+        let probe_members = escalation.then(|| {
+            outcomes.pop().expect("probe contract scheduled").class_members
+        });
+        let outcomes: Vec<OutcomeResult> = outcomes
+            .into_iter()
+            .map(|o| OutcomeResult { stats: o.analysis.stats, confirmed: o.confirmed_violation })
+            .collect();
+        let confirmed = outcomes.iter().any(|o| o.confirmed.is_some());
+        UnitResult::Measured(MeasuredUnit {
+            inputs: inputs.len(),
+            outcomes,
+            probe_members,
+            witness: confirmed.then_some(Witness { seed, tc, inputs }),
+        })
+    }
+}
+
 /// Feed one test case's effective-class execution metadata into a coverage
 /// accumulator; returns whether coverage improved.
 fn absorb_coverage(coverage: &mut PatternCoverage, class_members: &[Vec<ExecutionInfo>]) -> bool {
@@ -1166,6 +1248,47 @@ mod tests {
             let parallel = small_matrix(parallelism).run();
             assert_eq!(verdicts(&sequential), verdicts(&parallel), "parallelism {parallelism}");
         }
+    }
+
+    /// Every field of every cell except the wall-clock `detection_time`,
+    /// violation reports in full.
+    type FullCell = (u8, Contract, Option<ViolationReport>, usize, usize, usize, EffectivenessStats);
+
+    fn full_cells(report: &MatrixReport) -> Vec<FullCell> {
+        report
+            .cells
+            .iter()
+            .map(|c| {
+                (
+                    c.target.id,
+                    c.contract.clone(),
+                    c.violation.clone(),
+                    c.test_cases,
+                    c.filtered,
+                    c.total_inputs,
+                    c.effectiveness,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn worker_side_reduction_keeps_full_reports() {
+        // Workers hand the driving thread only what the merge reads; the
+        // violation reports (test case, inputs, seed) must still come out
+        // whole, whichever thread evaluated the violating unit.
+        let run = |parallelism| {
+            CampaignMatrix::table3(30).with_budget(40).with_parallelism(parallelism).run()
+        };
+        let sequential = run(1);
+        let parallel = run(4);
+        let found = sequential.cells.iter().filter(|c| c.found()).count();
+        assert!(found >= 8, "only {found} cells found a violation: too few to compare reports");
+        assert_eq!(full_cells(&sequential), full_cells(&parallel));
+        assert_eq!(
+            (sequential.test_cases, sequential.generated, sequential.statically_filtered),
+            (parallel.test_cases, parallel.generated, parallel.statically_filtered)
+        );
     }
 
     #[test]

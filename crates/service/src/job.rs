@@ -66,7 +66,8 @@ impl JobSpec {
     pub const MAX_INPUTS_PER_TEST_CASE: usize = 200;
     /// Largest `repetitions` (the paper repeats each measurement 50 times).
     pub const MAX_REPETITIONS: usize = 1000;
-    /// Largest `parallelism`: a wave fans out over up to this many threads.
+    /// Largest `parallelism`: a unit's matrix run keeps up to this many
+    /// persistent worker threads, which every wave fans out over.
     pub const MAX_PARALLELISM: usize = 64;
     /// Largest `round_size`.
     pub const MAX_ROUND_SIZE: usize = 1000;
