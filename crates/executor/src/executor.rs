@@ -9,7 +9,6 @@ use rvz_emu::Fault;
 use rvz_isa::{DecodedProgram, Input, TestCase};
 use rvz_uarch::{CpuUnderTest, RunOptions};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,7 +84,7 @@ struct MeasurementSession {
     /// What the channel was built for: the attack kind plus the victim
     /// sandbox `(base, size)` it monitors.
     key: (SideChannelKind, u64, u64),
-    channel: Box<dyn SideChannel>,
+    channel: Box<dyn SideChannel + Send>,
     /// Per-input sample buffers, cleared (but not deallocated) per
     /// collection.
     samples: Vec<Vec<SetVector>>,
@@ -115,7 +114,7 @@ impl MeasurementSession {
 
     fn new(kind: SideChannelKind, tc: &TestCase) -> MeasurementSession {
         let sandbox = tc.sandbox();
-        let channel: Box<dyn SideChannel> = match kind {
+        let channel: Box<dyn SideChannel + Send> = match kind {
             SideChannelKind::PrimeProbe => Box::new(PrimeProbe::new()),
             SideChannelKind::FlushReload => Box::new(FlushReload::new(sandbox.base, sandbox.size())),
             SideChannelKind::EvictReload => Box::new(EvictReload::new(sandbox.base, sandbox.size())),
@@ -322,18 +321,30 @@ impl<C: CpuUnderTest> Executor<C> {
         prog: &DecodedProgram,
         inputs: &[Input],
     ) -> Result<Vec<HTrace>, Fault> {
+        let min_count = self.config.outlier_min_count;
+        let session = self.collect(prog, inputs, None)?;
+        Ok(session.samples.iter_mut().map(|s| merge_sorting(s, min_count)).collect())
+    }
+
+    /// One collection over `inputs` in priming order, leaving each input's
+    /// samples in the session.  With `swap = Some((at, from))`, position
+    /// `at` of the sequence runs `inputs[from]` (the §5.3 swapped
+    /// sequences, measured without copying a single input).
+    fn collect(
+        &mut self,
+        prog: &DecodedProgram,
+        inputs: &[Input],
+        swap: Option<(usize, usize)>,
+    ) -> Result<&mut MeasurementSession, Fault> {
         self.collections += 1;
         self.cpu.reset_uarch();
         let mut session = self.session_for(prog.source());
         session.begin_collection(inputs.len());
-        let result = self.collect_into_session(&mut session, prog, inputs);
-        let traces = result.map(|()| {
-            session.samples.iter().map(|s| self.merge_samples(s)).collect()
-        });
+        let result = self.collect_into_session(&mut session, prog, inputs, swap);
         // Keep the session (channel caches, buffers) for the next collection
         // even on a faulting test case.
-        self.session = Some(session);
-        traces
+        let session = self.session.insert(session);
+        result.map(|()| session)
     }
 
     /// The warm-up + repetition schedule of one collection, filling the
@@ -352,6 +363,7 @@ impl<C: CpuUnderTest> Executor<C> {
         session: &mut MeasurementSession,
         prog: &DecodedProgram,
         inputs: &[Input],
+        swap: Option<(usize, usize)>,
     ) -> Result<(), Fault> {
         let warmup = self.config.warmup_rounds;
         let passes = warmup + self.config.repetitions.max(1);
@@ -363,6 +375,10 @@ impl<C: CpuUnderTest> Executor<C> {
             };
             for (i, input) in inputs.iter().enumerate() {
                 if !replaying {
+                    let input = match swap {
+                        Some((at, from)) if at == i => &inputs[from],
+                        _ => input,
+                    };
                     session.raw[i] = self.measure_raw(session.channel.as_mut(), prog, input)?;
                 }
                 // Warm-up samples are drawn (to keep the noise stream in
@@ -389,38 +405,9 @@ impl<C: CpuUnderTest> Executor<C> {
     /// When every distinct sample falls below the outlier threshold, the
     /// most frequent sample is kept (ties broken toward the greater set
     /// vector, so the merge is a deterministic function of the sample
-    /// multiset rather than of hash order).
+    /// multiset).
     pub fn merge_samples(&self, samples: &[SetVector]) -> HTrace {
-        if samples.is_empty() {
-            return HTrace::empty();
-        }
-        let mut counts: HashMap<SetVector, usize> = HashMap::new();
-        for s in samples {
-            *counts.entry(*s).or_insert(0) += 1;
-        }
-        let threshold = if samples.len() >= self.config.outlier_min_count {
-            self.config.outlier_min_count
-        } else {
-            1
-        };
-        let mut kept: Vec<SetVector> =
-            counts.iter().filter(|(_, &c)| c >= threshold).map(|(s, _)| *s).collect();
-        if kept.is_empty() {
-            // Everything looked like noise; fall back to the most frequent
-            // sample so the input still has a trace.  Ties are broken by the
-            // set vector itself: `HashMap` iteration order must not leak
-            // into the merged trace.
-            kept = counts
-                .iter()
-                .max_by_key(|(s, &c)| (c, *s))
-                .map(|(s, _)| vec![*s])
-                .unwrap_or_default();
-        }
-        let mut merged = HTrace::empty();
-        for s in kept {
-            merged.merge(HTrace::from_sets(s));
-        }
-        merged
+        merge_sorting(&mut samples.to_vec(), self.config.outlier_min_count)
     }
 
     /// The priming-swap check of §5.3: given two inputs (by index) whose
@@ -474,21 +461,48 @@ impl<C: CpuUnderTest> Executor<C> {
     ) -> Result<bool, Fault> {
         assert!(i < inputs.len() && j < inputs.len(), "input indices out of range");
         assert_eq!(baseline.len(), inputs.len(), "baseline must cover every input");
+        let min_count = self.config.outlier_min_count;
 
         // Data_j measured in Ctx_i.
-        let mut seq_i = inputs.to_vec();
-        seq_i[i] = inputs[j].clone();
-        let swapped_i = self.collect_htraces_decoded(prog, &seq_i)?;
+        let session = self.collect(prog, inputs, Some((i, j)))?;
+        let swapped_i = merge_sorting(&mut session.samples[i], min_count);
 
         // Data_i measured in Ctx_j.
-        let mut seq_j = inputs.to_vec();
-        seq_j[j] = inputs[i].clone();
-        let swapped_j = self.collect_htraces_decoded(prog, &seq_j)?;
+        let session = self.collect(prog, inputs, Some((j, i)))?;
+        let swapped_j = merge_sorting(&mut session.samples[j], min_count);
 
-        let same_in_ctx_i = swapped_i[i].equivalent(&baseline[i]);
-        let same_in_ctx_j = swapped_j[j].equivalent(&baseline[j]);
+        let same_in_ctx_i = swapped_i.equivalent(&baseline[i]);
+        let same_in_ctx_j = swapped_j.equivalent(&baseline[j]);
         Ok(same_in_ctx_i && same_in_ctx_j)
     }
+}
+
+/// [`Executor::merge_samples`] over a buffer it may reorder.  Sorting
+/// brings equal samples together, so each distinct sample's count is the
+/// length of its run, and the merge allocates nothing.
+fn merge_sorting(samples: &mut [SetVector], outlier_min_count: usize) -> HTrace {
+    if samples.is_empty() {
+        return HTrace::empty();
+    }
+    samples.sort_unstable();
+    let threshold = if samples.len() >= outlier_min_count { outlier_min_count } else { 1 };
+    let mut merged = HTrace::empty();
+    let mut kept = 0;
+    // The most frequent sample, ties broken toward the greater set vector.
+    let mut most_frequent = (0, SetVector::EMPTY);
+    for run in samples.chunk_by(|a, b| a == b) {
+        if run.len() >= threshold {
+            merged.merge(HTrace::from_sets(run[0]));
+            kept += 1;
+        }
+        most_frequent = most_frequent.max((run.len(), run[0]));
+    }
+    if kept == 0 {
+        // Everything looked like noise; fall back to the most frequent
+        // sample so the input still has a trace.
+        merged = HTrace::from_sets(most_frequent.1);
+    }
+    merged
 }
 
 #[cfg(test)]

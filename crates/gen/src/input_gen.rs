@@ -44,27 +44,51 @@ impl InputGenerator {
 
     /// Generate one input for the test case's sandbox.
     pub fn generate_one(&self, tc: &TestCase, seed: u64) -> Input {
-        let mut rng = SmallRng::seed_from_u64(seed);
         let mut input = Input::zeroed(tc.sandbox());
+        self.fill(tc, seed, &mut input);
+        input
+    }
+
+    /// Overwrite `input` with [`InputGenerator::generate_one`]`(tc, seed)`,
+    /// keeping its sandbox buffer.
+    fn fill(&self, tc: &TestCase, seed: u64, input: &mut Input) {
+        let mut rng = SmallRng::seed_from_u64(seed);
         input.seed_id = seed;
         for r in Reg::ALL {
-            if !r.is_reserved() {
-                input.set_reg(r, self.value(&mut rng));
-            }
+            let v = if r.is_reserved() { 0 } else { self.value(&mut rng) };
+            input.set_reg(r, v);
         }
         input.flags = FlagSet::from_bits(rng.gen::<u8>() & 0x1f);
-        let words = tc.sandbox().data_size() as usize / 8;
-        for w in 0..words {
-            let v = self.value(&mut rng);
-            input.write_mem_u64(w * 8, v);
+        let sandbox = tc.sandbox();
+        input.mem.resize(sandbox.size() as usize, 0);
+        let (data, stack) = input.mem.split_at_mut(sandbox.data_size() as usize);
+        for word in data.chunks_exact_mut(8) {
+            word.copy_from_slice(&self.value(&mut rng).to_le_bytes());
         }
-        input
+        stack.fill(0);
     }
 
     /// Generate a batch of `count` inputs; the batch is deterministic in
     /// `seed`.
     pub fn generate(&self, tc: &TestCase, seed: u64, count: usize) -> Vec<Input> {
-        (0..count as u64).map(|k| self.generate_one(tc, seed.wrapping_add(k * 0x9e37_79b9))).collect()
+        let mut batch = Vec::with_capacity(count);
+        self.generate_into(tc, seed, count, &mut batch);
+        batch
+    }
+
+    /// [`InputGenerator::generate`] into an existing batch: `batch` ends up
+    /// equal to `generate(tc, seed, count)`, and every input it already
+    /// held is regenerated in place, so a batch reused across test cases of
+    /// one sandbox layout stops allocating.
+    pub fn generate_into(&self, tc: &TestCase, seed: u64, count: usize, batch: &mut Vec<Input>) {
+        let seed_of = |k: usize| seed.wrapping_add(k as u64 * 0x9e37_79b9);
+        batch.truncate(count);
+        for (k, input) in batch.iter_mut().enumerate() {
+            self.fill(tc, seed_of(k), input);
+        }
+        for k in batch.len()..count {
+            batch.push(self.generate_one(tc, seed_of(k)));
+        }
     }
 }
 
@@ -170,5 +194,51 @@ mod tests {
     fn batch_count_respected() {
         let g = InputGenerator::default();
         assert_eq!(g.generate(&tc(), 0, 17).len(), 17);
+    }
+
+    /// FNV-1a over every field of a batch, in order.
+    fn batch_digest(batch: &[Input]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for input in batch {
+            for r in input.regs {
+                eat(&r.to_le_bytes());
+            }
+            eat(&[input.flags.bits()]);
+            eat(&input.mem);
+            eat(&input.seed_id.to_le_bytes());
+        }
+        h
+    }
+
+    /// The generated bytes, pinned: `generate(tc, 0x5eed, 20)` digests for a
+    /// one-page and a two-page sandbox.
+    #[test]
+    fn golden_batches_are_pinned() {
+        const ONE_PAGE: u64 = 0xd419_480b_e86c_a140;
+        const TWO_PAGES: u64 = 0x62e3_4816_08d6_8b80;
+        let g = InputGenerator::new(2);
+        let one = TestCaseBuilder::new().block("entry", |b| b.exit()).build();
+        let two = TestCaseBuilder::new()
+            .sandbox(rvz_isa::SandboxLayout::two_pages())
+            .block("entry", |b| b.exit())
+            .build();
+        assert_eq!(batch_digest(&g.generate(&one, 0x5eed, 20)), ONE_PAGE);
+        assert_eq!(batch_digest(&g.generate(&two, 0x5eed, 20)), TWO_PAGES);
+
+        // Regenerated in place over a batch of another length and sandbox
+        // layout, the batch is byte-for-byte the fresh one.
+        let mut batch = g.generate(&two, 7, 25);
+        g.generate_into(&one, 0x5eed, 20, &mut batch);
+        assert_eq!(batch_digest(&batch), ONE_PAGE);
+        g.generate_into(&two, 0x5eed, 20, &mut batch);
+        assert_eq!(batch_digest(&batch), TWO_PAGES);
+        let mut short = g.generate(&one, 7, 3);
+        g.generate_into(&two, 0x5eed, 20, &mut short);
+        assert_eq!(short, g.generate(&two, 0x5eed, 20));
     }
 }

@@ -50,13 +50,10 @@ impl MemOperand {
         MemOperand { base, index: Some(index), scale, disp }
     }
 
-    /// Registers read when computing the effective address.
-    pub fn address_regs(&self) -> Vec<Reg> {
-        let mut v = vec![self.base];
-        if let Some(i) = self.index {
-            v.push(i);
-        }
-        v
+    /// Registers read when computing the effective address: the base, then
+    /// the index if there is one.
+    pub fn address_regs(&self) -> impl Iterator<Item = Reg> {
+        std::iter::once(self.base).chain(self.index)
     }
 
     /// Wrap with a width for display purposes.
@@ -174,7 +171,7 @@ impl Operand {
         match self {
             Operand::Reg(r, _) => vec![*r],
             Operand::Imm(_) => vec![],
-            Operand::Mem(m, _) => m.address_regs(),
+            Operand::Mem(m, _) => m.address_regs().collect(),
         }
     }
 
@@ -183,7 +180,7 @@ impl Operand {
     /// destinations are handled at the instruction level).
     pub fn dest_addr_regs(&self) -> Vec<Reg> {
         match self {
-            Operand::Mem(m, _) => m.address_regs(),
+            Operand::Mem(m, _) => m.address_regs().collect(),
             _ => vec![],
         }
     }
@@ -229,7 +226,7 @@ mod tests {
         let m = MemOperand::full(Reg::R14, Reg::Rax, 8, -16);
         assert_eq!(m.scale, 8);
         assert_eq!(m.disp, -16);
-        assert_eq!(m.address_regs(), vec![Reg::R14, Reg::Rax]);
+        assert_eq!(m.address_regs().collect::<Vec<_>>(), vec![Reg::R14, Reg::Rax]);
     }
 
     #[test]

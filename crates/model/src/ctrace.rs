@@ -79,6 +79,15 @@ impl CTrace {
         CTrace { observations, key }
     }
 
+    /// Rebuild the trace from the observations `fill` writes into its
+    /// cleared buffer, keeping the buffer's allocation.
+    pub(crate) fn refill<R>(&mut self, fill: impl FnOnce(&mut Vec<Observation>) -> R) -> R {
+        self.observations.clear();
+        let r = fill(&mut self.observations);
+        self.key = class_key(&self.observations);
+        r
+    }
+
     /// The empty trace.
     pub fn empty() -> CTrace {
         CTrace::new(Vec::new())

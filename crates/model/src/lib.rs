@@ -59,4 +59,6 @@ pub mod model;
 
 pub use contract::{Contract, ExecutionClause, ObservationClause};
 pub use ctrace::{CTrace, Observation};
-pub use model::{ContractModel, ExecutedInstr, ExecutionInfo, InstrKind, MemAddrs, ModelOutput};
+pub use model::{
+    ContractModel, ExecutedInstr, ExecutionInfo, InstrKind, MemAddrs, ModelOutput, SlateScratch,
+};

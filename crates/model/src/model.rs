@@ -205,7 +205,8 @@ impl ContractModel {
         prog: &DecodedProgram,
         input: &Input,
     ) -> Result<ModelOutput, Fault> {
-        let mut run = SlateRun::new(std::slice::from_ref(&self.contract), prog);
+        let mut scratch = SlateScratch::default();
+        let mut run = SlateRun::new(std::slice::from_ref(&self.contract), prog, &mut scratch);
         let executed = run.run(input)?;
         Ok(run.output(0, &executed))
     }
@@ -330,23 +331,25 @@ impl ContractModel {
         prog: &DecodedProgram,
         input: &Input,
     ) -> Result<Vec<ModelOutput>, Fault> {
-        SlateRun::new(contracts, prog).collect(input)
+        SlateRun::new(contracts, prog, &mut SlateScratch::default()).collect(input)
     }
 
     /// Collect a contract slate's traces for every input of one test case:
     /// element `i` is what [`ContractModel::collect_many_decoded`] returns
     /// for `inputs[i]`.
     ///
-    /// This is the campaign's per-test-case entry.  One emulator serves
-    /// every input (re-initialized by [`Emulator::reset`]), and the
-    /// observation and segment buffers keep the capacity the previous
-    /// input grew them to.
+    /// One emulator serves every input (re-initialized by
+    /// [`Emulator::reset`]), and the observation and segment buffers keep
+    /// the capacity the previous input grew them to.
+    /// [`SlateScratch::collect_in_place`] is the campaign's form of this
+    /// pass, on buffers kept across test cases.
     pub fn collect_slate_decoded(
         contracts: &[Contract],
         prog: &DecodedProgram,
         inputs: &[Input],
     ) -> Vec<Result<Vec<ModelOutput>, Fault>> {
-        let mut run = SlateRun::new(contracts, prog);
+        let mut scratch = SlateScratch::default();
+        let mut run = SlateRun::new(contracts, prog, &mut scratch);
         inputs.iter().map(|input| run.collect(input)).collect()
     }
 
@@ -546,14 +549,16 @@ impl Explorer {
         self.splices.push(Splice { site, at, end: segments.len(), counts });
     }
 
-    /// The trace of a contract with this key and execution clause
-    /// `execution`: the architectural stream with the segments of the
-    /// permitted sites spliced in, built at exact capacity.
-    fn splice(
+    /// Write the trace of a contract with this key and execution clause
+    /// `execution` into the empty `obs`: the architectural stream with the
+    /// segments of the permitted sites spliced in, reserved at exact
+    /// length.
+    fn splice_into(
         &self,
         arch: &[Observation],
         execution: ExecutionClause,
-    ) -> (Vec<Observation>, SpecCounts) {
+        obs: &mut Vec<Observation>,
+    ) -> SpecCounts {
         let permitted = |site| match site {
             Site::Store => execution.permits_bpas(),
             Site::Branch => execution.permits_cond(),
@@ -566,7 +571,7 @@ impl Explorer {
             }
             start = sp.end;
         }
-        let mut obs = Vec::with_capacity(len);
+        obs.reserve_exact(len);
         let mut counts = SpecCounts::default();
         let (mut from, mut start) = (0, 0);
         for sp in &self.splices {
@@ -580,7 +585,7 @@ impl Explorer {
             start = sp.end;
         }
         obs.extend_from_slice(&arch[from..]);
-        (obs, counts)
+        counts
     }
 }
 
@@ -591,58 +596,117 @@ struct Stream {
     obs: Vec<Observation>,
 }
 
-/// One contract slate over one program, reusable across inputs: the
-/// emulator and every buffer keep their allocations from input to input,
-/// and the first input's buffers are sized from the program.
-struct SlateRun<'a> {
-    contracts: &'a [Contract],
-    prog: &'a DecodedProgram,
-    /// One stream per observation clause of the slate.
+/// The contract model's working buffers for slate passes: the emulator,
+/// one observation stream per observation clause, the exploration segment
+/// and splice buffers, the executed-instruction record and the event
+/// scratch.
+///
+/// A scratch kept across test cases (a campaign worker holds one for its
+/// whole run) stops allocating once its buffers have grown to the largest
+/// pass.  What a pass computes never depends on what the scratch ran
+/// before: the emulator is re-initialized from each input, and every
+/// buffer is cleared before it is filled.
+#[derive(Debug, Default)]
+pub struct SlateScratch {
+    /// One stream per observation clause of the current slate.
     streams: Vec<Stream>,
     explorers: Vec<Explorer>,
     emu: Option<Emulator>,
     executed: Vec<ExecutedInstr>,
     events: Events,
+    /// Buffers of an earlier slate's streams and explorers, kept for the
+    /// next slate's.
+    spare_obs: Vec<Vec<Observation>>,
+    spare_splices: Vec<Vec<Splice>>,
+    /// Each contract's traces and execution records of the last
+    /// [`SlateScratch::collect_in_place`], one per input.
+    traces: Vec<Vec<CTrace>>,
+    infos: Vec<Vec<ExecutionInfo>>,
 }
 
-impl<'a> SlateRun<'a> {
-    fn new(contracts: &'a [Contract], prog: &'a DecodedProgram) -> SlateRun<'a> {
+impl SlateScratch {
+    /// [`ContractModel::collect_slate_decoded`] with the outputs kept in the
+    /// scratch: afterwards [`SlateScratch::traces`]`(k)` and
+    /// [`SlateScratch::infos`]`(k)` hold contract `k`'s trace and execution
+    /// record for every input, equal to that pass's outputs.  The previous
+    /// call's traces are rebuilt in place, so a scratch reused across test
+    /// cases stops allocating trace buffers.
+    ///
+    /// # Errors
+    /// The first input's fault; the kept outputs are then empty.
+    pub fn collect_in_place(
+        &mut self,
+        contracts: &[Contract],
+        prog: &DecodedProgram,
+        inputs: &[Input],
+    ) -> Result<(), Fault> {
+        let mut traces = std::mem::take(&mut self.traces);
+        let mut infos = std::mem::take(&mut self.infos);
+        traces.resize_with(contracts.len(), Vec::new);
+        infos.resize_with(contracts.len(), Vec::new);
+        for (t, i) in traces.iter_mut().zip(&mut infos) {
+            t.truncate(inputs.len());
+            i.clear();
+        }
+        let mut run = SlateRun::new(contracts, prog, self);
+        let result = run.collect_into(inputs, &mut traces, &mut infos);
+        if result.is_err() {
+            traces.iter_mut().for_each(Vec::clear);
+            infos.iter_mut().for_each(Vec::clear);
+        }
+        self.traces = traces;
+        self.infos = infos;
+        result
+    }
+
+    /// Contract `k`'s traces of the last [`SlateScratch::collect_in_place`].
+    pub fn traces(&self, k: usize) -> &[CTrace] {
+        &self.traces[k]
+    }
+
+    /// Contract `k`'s execution records of the last
+    /// [`SlateScratch::collect_in_place`].
+    pub fn infos(&self, k: usize) -> &[ExecutionInfo] {
+        &self.infos[k]
+    }
+
+    /// Lay the streams and explorers out for `contracts`, reusing the
+    /// buffers of the previous layout.
+    fn configure(&mut self, contracts: &[Contract], prog: &DecodedProgram) {
+        self.spare_obs.extend(self.streams.drain(..).map(|s| s.obs));
+        for e in self.explorers.drain(..) {
+            self.spare_obs.push(e.segments);
+            self.spare_splices.push(e.splices);
+        }
         let static_len = prog.body_len() + prog.num_blocks();
-        let mut run = SlateRun {
-            contracts,
-            prog,
-            streams: Vec::new(),
-            explorers: Vec::new(),
-            emu: None,
-            // Each static instruction once: a loop-free path's upper bound.
-            executed: Vec::with_capacity(static_len),
-            events: Events::default(),
-        };
+        // Each static instruction once: a loop-free path's upper bound.
+        self.executed.reserve(static_len);
         for c in contracts {
-            let stream = run.stream_of(c).unwrap_or_else(|| {
+            let stream = self.stream_of(c).unwrap_or_else(|| {
+                let mut obs = self.spare_obs.pop().unwrap_or_default();
+                obs.clear();
                 // A program counter and a memory access per static
                 // instruction.
-                let obs = Vec::with_capacity(2 * static_len);
-                run.streams.push(Stream { clause: c.observation, obs });
-                run.streams.len() - 1
+                obs.reserve(2 * static_len);
+                self.streams.push(Stream { clause: c.observation, obs });
+                self.streams.len() - 1
             });
             if ExploreKey::of(c).is_some() {
-                let e = run.explorer_of(c).unwrap_or_else(|| {
-                    run.explorers.push(Explorer {
+                let e = self.explorer_of(c).unwrap_or_else(|| {
+                    self.explorers.push(Explorer {
                         contract: c.clone(),
                         stream,
                         stores: false,
                         branches: false,
-                        segments: Vec::new(),
-                        splices: Vec::new(),
+                        segments: self.spare_obs.pop().unwrap_or_default(),
+                        splices: self.spare_splices.pop().unwrap_or_default(),
                     });
-                    run.explorers.len() - 1
+                    self.explorers.len() - 1
                 });
-                run.explorers[e].stores |= c.execution.permits_bpas();
-                run.explorers[e].branches |= c.execution.permits_cond();
+                self.explorers[e].stores |= c.execution.permits_bpas();
+                self.explorers[e].branches |= c.execution.permits_cond();
             }
         }
-        run
     }
 
     /// Index of the stream of `c`'s observation clause.
@@ -654,6 +718,25 @@ impl<'a> SlateRun<'a> {
     fn explorer_of(&self, c: &Contract) -> Option<usize> {
         let key = ExploreKey::of(c)?;
         self.explorers.iter().position(|e| ExploreKey::of(&e.contract) == Some(key))
+    }
+}
+
+/// One contract slate over one program, on a scratch laid out for it and
+/// reused across the program's inputs.
+struct SlateRun<'a> {
+    contracts: &'a [Contract],
+    prog: &'a DecodedProgram,
+    scratch: &'a mut SlateScratch,
+}
+
+impl<'a> SlateRun<'a> {
+    fn new(
+        contracts: &'a [Contract],
+        prog: &'a DecodedProgram,
+        scratch: &'a mut SlateScratch,
+    ) -> SlateRun<'a> {
+        scratch.configure(contracts, prog);
+        SlateRun { contracts, prog, scratch }
     }
 
     /// Every contract's output for one input.
@@ -667,14 +750,14 @@ impl<'a> SlateRun<'a> {
     /// explored once per explorer.  Returns the executed-instruction record.
     fn run(&mut self, input: &Input) -> Result<Arc<[ExecutedInstr]>, Fault> {
         let prog = self.prog;
-        let streams = &mut self.streams;
-        let (explorers, executed, events) =
-            (&mut self.explorers, &mut self.executed, &mut self.events);
-        match self.emu.as_mut() {
-            Some(emu) => emu.reset(prog.sandbox(), input),
-            None => self.emu = Some(Emulator::new(prog.sandbox(), input)),
-        }
-        let emu = self.emu.as_mut().expect("emulator initialized above");
+        let SlateScratch { streams, explorers, emu, executed, events, .. } = &mut *self.scratch;
+        let emu = match emu {
+            Some(emu) => {
+                emu.reset(prog.sandbox(), input);
+                emu
+            }
+            None => emu.insert(Emulator::new(prog.sandbox(), input)),
+        };
         for s in streams.iter_mut() {
             s.obs.clear();
         }
@@ -748,22 +831,64 @@ impl<'a> SlateRun<'a> {
         Ok(Arc::from(executed.as_slice()))
     }
 
+    /// Every input's outputs, appended to (or, where `traces` already has
+    /// an entry, rebuilt in) each contract's `traces` and `infos`.
+    fn collect_into(
+        &mut self,
+        inputs: &[Input],
+        traces: &mut [Vec<CTrace>],
+        infos: &mut [Vec<ExecutionInfo>],
+    ) -> Result<(), Fault> {
+        for (i, input) in inputs.iter().enumerate() {
+            let executed = self.run(input)?;
+            for (k, (traces, infos)) in traces.iter_mut().zip(infos.iter_mut()).enumerate() {
+                let counts = match traces.get_mut(i) {
+                    Some(trace) => trace.refill(|obs| self.observe(k, obs)),
+                    None => {
+                        let mut obs = Vec::new();
+                        let counts = self.observe(k, &mut obs);
+                        traces.push(CTrace::new(obs));
+                        counts
+                    }
+                };
+                infos.push(execution_info(&executed, counts));
+            }
+        }
+        Ok(())
+    }
+
     /// Contract `k`'s output for the input of the last [`SlateRun::run`].
     fn output(&self, k: usize, executed: &Arc<[ExecutedInstr]>) -> ModelOutput {
+        let mut obs = Vec::new();
+        let counts = self.observe(k, &mut obs);
+        ModelOutput { trace: CTrace::new(obs), info: execution_info(executed, counts) }
+    }
+
+    /// Write contract `k`'s observations of the input of the last
+    /// [`SlateRun::run`] into the empty `obs`.
+    fn observe(&self, k: usize, obs: &mut Vec<Observation>) -> SpecCounts {
         let c = &self.contracts[k];
-        let stream = &self.streams[self.stream_of(c).expect("every contract has a stream")].obs;
-        let (obs, counts) = match self.explorer_of(c) {
-            Some(e) => self.explorers[e].splice(stream, c.execution),
-            None => (stream.clone(), SpecCounts::default()),
-        };
-        ModelOutput {
-            trace: CTrace::new(obs),
-            info: ExecutionInfo {
-                executed: Arc::clone(executed),
-                speculative_paths: counts.paths,
-                speculative_observations: counts.observations,
-            },
+        let scratch = &*self.scratch;
+        let stream = scratch.stream_of(c).expect("every contract has a stream");
+        let stream = &scratch.streams[stream].obs;
+        match scratch.explorer_of(c) {
+            Some(e) => scratch.explorers[e].splice_into(stream, c.execution, obs),
+            None => {
+                obs.reserve_exact(stream.len());
+                obs.extend_from_slice(stream);
+                SpecCounts::default()
+            }
         }
+    }
+}
+
+/// The execution record of one input: the shared architectural record and
+/// one contract's speculative counts.
+fn execution_info(executed: &Arc<[ExecutedInstr]>, counts: SpecCounts) -> ExecutionInfo {
+    ExecutionInfo {
+        executed: Arc::clone(executed),
+        speculative_paths: counts.paths,
+        speculative_observations: counts.observations,
     }
 }
 

@@ -11,7 +11,7 @@
 //! cost across the whole slate:
 //!
 //! ```text
-//!               ┌── ContractModel::collect_slate_decoded ──► ctraces per contract ──┐
+//!               ┌── SlateScratch::collect_in_place ──► ctraces per contract ────────┐
 //!  test case ───┤     (one pass per test case: shared arch + exploration)           ├─► per-contract
 //!  + inputs     └── Executor::collect_htraces ───────────► htraces (shared) ───────┘   analysis +
 //!                                                                                       filters
@@ -26,6 +26,25 @@
 //! executor starts each hardware-trace collection from the CPU's power-on
 //! microarchitectural state.
 //!
+//! # Evaluation in place
+//!
+//! A campaign worker evaluates its units on a resident [`UnitContext`]:
+//! one executor per cell group, the input batch and the contract model's
+//! [`SlateScratch`], all kept from unit to unit so that a steady-state
+//! unit barely allocates.  Reuse cannot change a verdict:
+//!
+//! * each unit reseeds its group's executor with the unit's own noise
+//!   stream, and every hardware-trace collection starts with
+//!   [`CpuUnderTest::reset_uarch`], so nothing a previous unit measured
+//!   survives into the next;
+//! * the input batch is regenerated in place byte for byte as a fresh
+//!   batch would be, and the contract model is a pure function of
+//!   (contracts, program, input) that clears every buffer before it
+//!   fills it.
+//!
+//! [`evaluate_seed`] is the one-shot use of the same path on a fresh
+//! context.
+//!
 //! [noise checkpoint]: rvz_executor::NoiseCheckpoint
 
 use crate::classify::VulnClass;
@@ -34,8 +53,9 @@ use rvz_emu::Fault;
 use rvz_executor::{Executor, ExecutorConfig};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::{DecodedProgram, Input, TestCase};
-use rvz_model::{CTrace, Contract, ContractModel, ExecutionInfo};
+use rvz_model::{Contract, ContractModel, ExecutionInfo, SlateScratch};
 use rvz_uarch::CpuUnderTest;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which false-positive filters the pipeline applies to reported violations.
@@ -98,6 +118,20 @@ pub fn evaluate_slate<C: CpuUnderTest>(
     tc: &TestCase,
     inputs: &[Input],
 ) -> Result<Vec<ContractOutcome>, Fault> {
+    let mut model = SlateScratch::default();
+    evaluate_slate_in(&mut model, executor, analyzer, checks, contracts, tc, inputs)
+}
+
+/// [`evaluate_slate`] with the contract model's buffers in `model`.
+fn evaluate_slate_in<C: CpuUnderTest>(
+    model: &mut SlateScratch,
+    executor: &mut Executor<C>,
+    analyzer: &Analyzer,
+    checks: SlateChecks,
+    contracts: &[Contract],
+    tc: &TestCase,
+    inputs: &[Input],
+) -> Result<Vec<ContractOutcome>, Fault> {
     // Decode once; the program is reused by every model pass, the baseline
     // hardware collection and both false-positive filters below.
     let prog =
@@ -106,16 +140,7 @@ pub fn evaluate_slate<C: CpuUnderTest>(
     // Contract traces: one model pass per test case — one emulator, one
     // architectural pass per input, and each speculative site explored
     // once for every contract that shares its exploration key.
-    let mut ctraces: Vec<Vec<CTrace>> =
-        (0..contracts.len()).map(|_| Vec::with_capacity(inputs.len())).collect();
-    let mut infos: Vec<Vec<ExecutionInfo>> =
-        (0..contracts.len()).map(|_| Vec::with_capacity(inputs.len())).collect();
-    for outs in ContractModel::collect_slate_decoded(contracts, &prog, inputs) {
-        for (k, out) in outs?.into_iter().enumerate() {
-            ctraces[k].push(out.trace);
-            infos[k].push(out.info);
-        }
-    }
+    model.collect_in_place(contracts, &prog, inputs)?;
 
     // Hardware traces: collected once for the whole slate.
     let htraces = executor.collect_htraces_decoded(&prog, inputs)?;
@@ -126,15 +151,16 @@ pub fn evaluate_slate<C: CpuUnderTest>(
     let mut outcomes = Vec::with_capacity(contracts.len());
     for (k, contract) in contracts.iter().enumerate() {
         executor.restore_noise_checkpoint(&noise_mark);
-        let classes = analyzer.input_classes(&ctraces[k]);
-        let analysis = analyzer.check_classes(&ctraces[k], &classes, &htraces);
+        let (ctraces, infos) = (model.traces(k), model.infos(k));
+        let classes = analyzer.input_classes(ctraces);
+        let analysis = analyzer.check_classes(ctraces, &classes, &htraces);
 
         // Execution metadata grouped by effective input class, for the
         // diversity analysis (each clone shares the input's record).
         let class_members: Vec<Vec<ExecutionInfo>> = classes
             .iter()
             .filter(|c| c.is_effective())
-            .map(|c| c.members.iter().map(|&i| infos[k][i].clone()).collect())
+            .map(|c| c.members.iter().map(|&i| infos[i].clone()).collect())
             .collect();
 
         let mut discarded_as_artifact = 0;
@@ -247,15 +273,15 @@ impl SeedEval {
     }
 }
 
-/// Evaluate one campaign seed with a fresh executor built from a clone of
-/// the CPU under test.
+/// Evaluate one campaign seed on a fresh [`UnitContext`]: an executor
+/// built from a clone of the CPU under test, a new input batch and new
+/// model buffers.
 ///
-/// This is the parallel scheduling building block of the matrix
-/// orchestrator ([`MatrixRun::step`](crate::MatrixRun::step)): the result
-/// is a pure function of
-/// `(cpu_template, spec, seed)` — the generated test case, the input batch
-/// and the synthetic-noise stream all derive from `seed` alone — so units
-/// can be evaluated on any worker, in any order, with identical results.
+/// The result is a pure function of `(cpu_template, spec, seed)` — the
+/// generated test case, the input batch and the synthetic-noise stream all
+/// derive from `seed` alone — so units can be evaluated on any worker, in
+/// any order, with identical results.  A resident context returns exactly
+/// what this one-shot evaluation returns (see the module docs for why).
 /// The static pre-filter (when enabled) runs on the generated program
 /// before input generation, so filtered seeds cost only the program
 /// generation; because every unit is independent, skipping one cannot
@@ -265,29 +291,96 @@ pub fn evaluate_seed<C: CpuUnderTest + Clone>(
     spec: &SlateSpec,
     seed: u64,
 ) -> SeedEval {
-    let generator = ProgramGenerator::new(spec.generator.clone());
-    let tc = generator.generate(seed);
-    if spec.speculation_filter {
-        // The `*+Assist` executor modes arm an assist page even when the
-        // sandbox does not declare one.
-        let assists = spec.executor.mode.assists || tc.sandbox().assist_page.is_some();
-        if !crate::staticanalysis::leak_possible(&tc, assists) {
-            return SeedEval::Filtered;
+    UnitContext::new(Arc::from([cpu_template.clone()])).evaluate(0, spec, seed)
+}
+
+/// A campaign worker's resident evaluation state, kept from unit to unit:
+/// one executor per cell group, the input batch and the contract model's
+/// buffers.
+///
+/// The matrix orchestrator keeps one context per pool worker for the whole
+/// run ([`MatrixRun::step`](crate::MatrixRun::step)).  A context's results
+/// do not depend on what it evaluated before: [`UnitContext::evaluate`]
+/// returns exactly what [`evaluate_seed`] returns for the same group
+/// template, spec and seed.
+#[derive(Debug)]
+pub struct UnitContext<C: CpuUnderTest> {
+    /// The CPU under test of each cell group the context serves.
+    cpus: Arc<[C]>,
+    /// Each group's executor, built from its CPU on the group's first unit.
+    executors: Vec<Option<Executor<C>>>,
+    /// The input batch, regenerated in place for every unit.
+    inputs: Vec<Input>,
+    /// The contract model's slate buffers.
+    model: SlateScratch,
+    analyzer: Analyzer,
+}
+
+impl<C: CpuUnderTest + Clone> UnitContext<C> {
+    /// A context for cell groups whose CPUs under test are `cpus`, indexed
+    /// like the groups.
+    pub fn new(cpus: Arc<[C]>) -> UnitContext<C> {
+        UnitContext {
+            executors: cpus.iter().map(|_| None).collect(),
+            cpus,
+            inputs: Vec::new(),
+            model: SlateScratch::default(),
+            analyzer: Analyzer::new(),
         }
     }
-    let input_gen = InputGenerator::new(spec.generator.input_entropy_bits);
-    let inputs = input_gen.generate(&tc, input_stream_seed(seed), spec.generator.inputs_per_test_case);
-    // Derive the synthetic-noise stream from the test-case seed so that
-    // measurements do not depend on which worker (or in which order) the
-    // test case runs.
-    let mut exec_cfg = spec.executor;
-    exec_cfg.noise = exec_cfg.noise.for_test_case_seed(seed);
-    let mut executor = Executor::new(cpu_template.clone(), exec_cfg);
-    let analyzer = Analyzer::new();
-    match evaluate_slate(&mut executor, &analyzer, spec.checks, &spec.contracts, &tc, &inputs) {
-        Ok(outcomes) => SeedEval::Measured(Box::new(SlateUnit { seed, tc, inputs, outcomes })),
-        // Malformed test case; skipped (never happens for generated code).
-        Err(_) => SeedEval::Faulted,
+
+    /// Evaluate one campaign seed of cell group `group` against `spec`.
+    ///
+    /// The unit's input batch leaves the context inside the returned
+    /// [`SlateUnit`]; hand it back with [`UnitContext::recycle`] so the
+    /// next unit regenerates it in place.
+    ///
+    /// # Panics
+    /// If `group` is not an index of the context's CPUs.
+    pub fn evaluate(&mut self, group: usize, spec: &SlateSpec, seed: u64) -> SeedEval {
+        let generator = ProgramGenerator::new(spec.generator.clone());
+        let tc = generator.generate(seed);
+        if spec.speculation_filter {
+            // The `*+Assist` executor modes arm an assist page even when the
+            // sandbox does not declare one.
+            let assists = spec.executor.mode.assists || tc.sandbox().assist_page.is_some();
+            if !crate::staticanalysis::leak_possible(&tc, assists) {
+                return SeedEval::Filtered;
+            }
+        }
+        let mut inputs = std::mem::take(&mut self.inputs);
+        InputGenerator::new(spec.generator.input_entropy_bits).generate_into(
+            &tc,
+            input_stream_seed(seed),
+            spec.generator.inputs_per_test_case,
+            &mut inputs,
+        );
+        // Derive the synthetic-noise stream from the test-case seed so that
+        // measurements do not depend on which worker (or in which order)
+        // the test case runs.
+        let noise = spec.executor.noise.for_test_case_seed(seed);
+        let config = ExecutorConfig { noise, ..spec.executor };
+        let slot = &mut self.executors[group];
+        if !slot.as_ref().is_some_and(|e| ExecutorConfig { noise, ..*e.config() } == config) {
+            *slot = Some(Executor::new(self.cpus[group].clone(), config));
+        }
+        let executor = slot.as_mut().expect("the group's executor was built above");
+        executor.reseed_noise(noise);
+        let (model, analyzer, checks) = (&mut self.model, &self.analyzer, spec.checks);
+        match evaluate_slate_in(model, executor, analyzer, checks, &spec.contracts, &tc, &inputs) {
+            Ok(outcomes) => SeedEval::Measured(Box::new(SlateUnit { seed, tc, inputs, outcomes })),
+            // Malformed test case; skipped (never happens for generated code).
+            Err(_) => {
+                self.recycle(inputs);
+                SeedEval::Faulted
+            }
+        }
+    }
+
+    /// Take back a unit's input batch for the next unit to regenerate in
+    /// place.
+    pub fn recycle(&mut self, inputs: Vec<Input>) {
+        self.inputs = inputs;
     }
 }
 
@@ -356,6 +449,7 @@ mod tests {
     use crate::gadgets;
     use crate::targets::Target;
     use rvz_executor::NoiseConfig;
+    use rvz_uarch::SpecCpu;
 
     fn spec_for(target: &Target, contracts: Vec<Contract>) -> SlateSpec {
         SlateSpec {
@@ -429,6 +523,73 @@ mod tests {
         assert!(outcomes[1].confirmed_violation.is_some(), "CT-BPAS violated");
         assert!(outcomes[2].confirmed_violation.is_none(), "CT-COND permits V1 leakage");
         assert!(outcomes[3].confirmed_violation.is_none(), "CT-COND-BPAS permits V1 leakage");
+    }
+
+    /// One resident context over an interleaved seed stream of three
+    /// targets (two CPUs, Prime+Probe and Prime+Probe+Assist): every unit
+    /// equals a fresh `evaluate_seed` of the same seed.  `noise` sets the
+    /// repetitions and the synthetic noise.
+    fn assert_resident_context_matches_fresh_evaluations(noise: Option<(usize, NoiseConfig)>) {
+        let targets = [Target::target1(), Target::target5(), Target::target7()];
+        let specs: Vec<SlateSpec> = targets
+            .iter()
+            .map(|t| {
+                let mut spec = spec_for(t, Contract::table3_contracts());
+                // The matrix's branch-then-load bias, so the stream
+                // confirms violations within a few units.
+                spec.generator = crate::CampaignMatrix::new(0).base_generator(t);
+                if let Some((repetitions, noise)) = noise {
+                    spec.executor = spec.executor.with_repetitions(repetitions).with_noise(noise);
+                }
+                spec
+            })
+            .collect();
+        let cpus: Arc<[SpecCpu]> = targets.iter().map(Target::cpu).collect();
+        let mut context = UnitContext::new(Arc::clone(&cpus));
+        // Noise-free, targets 5 and 7 confirm or discard violations on
+        // several of these seeds.
+        let seeds = [5u64, 9, 27, 32, 54, 66, 90, 119, 141];
+        let mut rechecked = 0;
+        let units = seeds.iter().flat_map(|&seed| (0..3).map(move |group| (seed, group)));
+        for (i, (seed, group)) in units.enumerate() {
+            let resident = context.evaluate(group, &specs[group], seed);
+            let fresh = evaluate_seed(&cpus[group], &specs[group], seed);
+            assert_eq!(resident, fresh, "target {}, seed {seed}", targets[group].id);
+            if let SeedEval::Measured(unit) = resident {
+                rechecked += unit
+                    .outcomes
+                    .iter()
+                    .map(|o| {
+                        usize::from(o.confirmed_violation.is_some())
+                            + o.discarded_as_artifact
+                            + o.discarded_by_nesting
+                    })
+                    .sum::<usize>();
+                // Every other batch goes back, so units run on both reused
+                // and fresh batches.
+                if i % 2 == 0 {
+                    context.recycle(unit.inputs);
+                }
+            }
+        }
+        assert!(rechecked > 0, "the stream exercises the swap and nesting re-checks");
+    }
+
+    #[test]
+    fn resident_context_matches_fresh_evaluations() {
+        assert_resident_context_matches_fresh_evaluations(None);
+    }
+
+    #[test]
+    fn resident_context_matches_fresh_evaluations_under_synthetic_noise() {
+        let noise = NoiseConfig { one_off_probability: 0.1, smi_probability: 0.05, seed: 23 };
+        // The settings of `slate_outcomes_match_under_synthetic_noise`, and
+        // the matrix's 2 repetitions, where a one-off sample survives the
+        // merge: only there does a unit that drew from another unit's
+        // noise stream change its result.
+        for repetitions in [5, 2] {
+            assert_resident_context_matches_fresh_evaluations(Some((repetitions, noise)));
+        }
     }
 
     #[test]

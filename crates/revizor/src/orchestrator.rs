@@ -22,11 +22,14 @@
 //! ```
 //!
 //! The scheduler interleaves (group, round) work units over the shared
-//! pool, whose `parallelism` worker threads live for the whole run.  A
-//! worker reduces each unit it evaluates to the few fields the merge reads
-//! (counts, per-contract statistics and verdicts, and the test case only
-//! when it confirmed a violation) and frees the rest itself, so the driving
-//! thread never frees another thread's allocations.  Each unit is a pure
+//! pool, whose `parallelism` worker threads live for the whole run.  Each
+//! worker evaluates its units in place on its own resident
+//! [`UnitContext`] (an executor per group, the input batch and the model's
+//! buffers), found by `rayon::current_thread_index`.  It reduces each unit
+//! to the few fields the merge reads (counts, per-contract statistics and
+//! verdicts, and the test case only when it confirmed a violation), hands
+//! the input batch back to its context and frees the rest itself, so the
+//! driving thread never frees another thread's allocations.  Each unit is a pure
 //! function of `(target, configuration, seed)` with the seed derived from
 //! `(matrix seed, target id, test-case index)` alone, so:
 //!
@@ -69,10 +72,12 @@
 //! parallelism-invariance are preserved (and tested) in both modes.
 //!
 //! [`Executor::collect_htraces`]: rvz_executor::Executor::collect_htraces
+//! [`campaign`]: crate::campaign
+//! [`campaign::evaluate_slate`]: crate::campaign::evaluate_slate
 
 use crate::campaign::{
-    self, CellEvent, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateChecks, SlateSpec,
-    SlateUnit,
+    CellEvent, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateChecks, SlateSpec,
+    SlateUnit, UnitContext,
 };
 use crate::classify::{classify, VulnClass};
 use crate::diversity::PatternCoverage;
@@ -85,7 +90,7 @@ use rvz_gen::GeneratorConfig;
 use rvz_isa::{Input, TestCase};
 use rvz_model::{Contract, ExecutionInfo};
 use rvz_uarch::SpecCpu;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One cell of the testing matrix: a target fuzzed against a contract.
@@ -817,9 +822,11 @@ pub struct MatrixRun<'m> {
     /// All progress: stream positions, counters, coverage and finished
     /// cells.
     state: MatrixCheckpoint,
-    /// Each group's CPU under test, indexed like `groups`; every unit
-    /// evaluates on a fresh clone.
-    cpus: Arc<[SpecCpu]>,
+    /// One resident [`UnitContext`] per pool worker (one in all when the
+    /// run has no pool), indexed by `rayon::current_thread_index`.  Each
+    /// holds an executor per group, built from the group's CPU on first
+    /// use.
+    contexts: Arc<[Mutex<UnitContext<SpecCpu>>]>,
     pool: Option<rayon::ThreadPool>,
     start: Instant,
 }
@@ -842,16 +849,19 @@ impl<'m> MatrixRun<'m> {
                 }
             }
         }
-        let cpus = groups.iter().map(|g| g.target.cpu()).collect();
+        let cpus: Arc<[SpecCpu]> = groups.iter().map(|g| g.target.cpu()).collect();
         // The one shared pool all groups' work units fan out over: its
-        // workers live for the whole run.
+        // workers, and their contexts, live for the whole run.
         let pool = (matrix.parallelism > 1).then(|| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(matrix.parallelism)
                 .build()
                 .expect("failed to spawn matrix worker threads")
         });
-        MatrixRun { matrix, groups, state, cpus, pool, start: Instant::now() }
+        let workers = pool.as_ref().map_or(1, rayon::ThreadPool::current_num_threads);
+        let contexts =
+            (0..workers).map(|_| Mutex::new(UnitContext::new(Arc::clone(&cpus)))).collect();
+        MatrixRun { matrix, groups, state, contexts, pool, start: Instant::now() }
     }
 
     /// Completed scheduling waves: [`MatrixRun::step`] calls that found
@@ -874,7 +884,7 @@ impl<'m> MatrixRun<'m> {
     /// Events are delivered to `observer` from the calling thread in
     /// deterministic order.
     pub fn step(&mut self, observer: &mut dyn ProgressObserver) -> bool {
-        let MatrixRun { matrix, groups, state, cpus, pool, start } = self;
+        let MatrixRun { matrix, groups, state, contexts, pool, start } = self;
         let matrix = *matrix;
         let round_size = matrix.round_size.max(1);
 
@@ -919,19 +929,26 @@ impl<'m> MatrixRun<'m> {
         }
         state.wave += 1;
 
-        // Evaluate the whole wave; each unit is independent.  Each unit is
-        // reduced to what the merge reads on the worker that evaluated it,
-        // so the rest of its memory is freed there.  Per-unit time is
-        // recorded so cells can report their group's attributed cost
-        // rather than matrix-wide wall clock.
+        // Evaluate the whole wave; each unit is independent.  A worker
+        // evaluates its units on its own resident context and reduces each
+        // to what the merge reads, so the rest of its memory stays with
+        // that worker: the input batch goes back to the context, and
+        // everything else is freed there.  Per-unit time is recorded so
+        // cells can report their group's attributed cost rather than
+        // matrix-wide wall clock.
         let specs: Arc<[Option<SlateSpec>]> = wave_specs.into();
-        let cpus = Arc::clone(cpus);
+        let contexts = Arc::clone(contexts);
         let escalation = matrix.escalation;
         let eval = move |(gi, seed): (usize, u64)| -> (UnitResult, Duration) {
             let spec = specs[gi].as_ref().expect("scheduled group has a spec");
             let t0 = Instant::now();
-            let eval = campaign::evaluate_seed(&cpus[gi], spec, seed);
-            (UnitResult::reduce(eval, escalation), t0.elapsed())
+            // Off the pool (no pool, or a collect run inline), the thread
+            // index is that of an enclosing pool, if any: the modulo keeps
+            // it in range, and the lock keeps two threads off one context.
+            let worker = rayon::current_thread_index().unwrap_or(0) % contexts.len();
+            let mut context = contexts[worker].lock().expect("a unit panicked on this context");
+            let eval = context.evaluate(gi, spec, seed);
+            (UnitResult::reduce(eval, escalation, &mut context), t0.elapsed())
         };
         let units: Vec<(UnitResult, Duration)> = match pool {
             None => wave.into_iter().map(eval).collect(),
@@ -1106,7 +1123,8 @@ impl<'m> MatrixRun<'m> {
 
 /// What the merge of [`MatrixRun::step`] reads of one evaluated work unit.
 /// The worker that evaluated the unit builds it from the unit's
-/// [`SeedEval`] and drops the rest there.
+/// [`SeedEval`], hands the input batch back to its context and drops the
+/// rest there.
 enum UnitResult {
     /// See [`SeedEval::Filtered`].
     Filtered,
@@ -1143,9 +1161,10 @@ struct Witness {
 }
 
 impl UnitResult {
-    /// Keep what the merge reads of `eval`.  With `escalation` on, the
-    /// slate's last contract is the coverage probe.
-    fn reduce(eval: SeedEval, escalation: bool) -> UnitResult {
+    /// Keep what the merge reads of `eval`, and give its input batch back
+    /// to `context` unless a confirmed violation needs it.  With
+    /// `escalation` on, the slate's last contract is the coverage probe.
+    fn reduce(eval: SeedEval, escalation: bool, context: &mut UnitContext<SpecCpu>) -> UnitResult {
         let unit = match eval {
             SeedEval::Filtered => return UnitResult::Filtered,
             SeedEval::Faulted => return UnitResult::Faulted,
@@ -1160,12 +1179,14 @@ impl UnitResult {
             .map(|o| OutcomeResult { stats: o.analysis.stats, confirmed: o.confirmed_violation })
             .collect();
         let confirmed = outcomes.iter().any(|o| o.confirmed.is_some());
-        UnitResult::Measured(MeasuredUnit {
-            inputs: inputs.len(),
-            outcomes,
-            probe_members,
-            witness: confirmed.then_some(Witness { seed, tc, inputs }),
-        })
+        let count = inputs.len();
+        let witness = if confirmed {
+            Some(Witness { seed, tc, inputs })
+        } else {
+            context.recycle(inputs);
+            None
+        };
+        UnitResult::Measured(MeasuredUnit { inputs: count, outcomes, probe_members, witness })
     }
 }
 

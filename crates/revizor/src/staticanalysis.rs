@@ -299,7 +299,7 @@ fn transfer(
 ) {
     // Address taints of every memory operand, before the write-back.
     for (mem, _w, is_write) in instr.mem_operands() {
-        let regs = mem.address_regs();
+        let regs: Vec<Reg> = mem.address_regs().collect();
         on_access(
             if is_write { TransmitterKind::Store } else { TransmitterKind::Load },
             AccessTaint {

@@ -24,7 +24,7 @@ use rvz_executor::{Executor, ExecutorConfig, NoiseConfig};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::builder::TestCaseBuilder;
 use rvz_isa::{Cond, Input, Reg, TestCase};
-use rvz_model::{Contract, ContractModel, ExecutionClause, ObservationClause};
+use rvz_model::{Contract, ContractModel, ExecutionClause, ObservationClause, SlateScratch};
 use rvz_uarch::{CpuUnderTest, RunOptions, RunOutcome, SpecCpu};
 
 /// A CPU under test that routes everything through the reference (AST-walk)
@@ -98,9 +98,25 @@ fn mixed_slate() -> Vec<Contract> {
 /// Contract slates through the per-test-case entry: output `i` must equal
 /// every contract's reference walk on input `i` (traces, both speculative
 /// counters, faults), and a fresh single-input run — so the emulator reused
-/// across inputs carries nothing over.
+/// across inputs carries nothing over.  One scratch kept across slates of
+/// different shapes, as a campaign worker keeps it across test cases, must
+/// rebuild the same outputs in place.
 fn check_slates(tc: &TestCase, inputs: &[Input]) -> Result<(), String> {
     let prog = rvz_isa::DecodedProgram::decode(tc).expect("test programs decode");
+    let mut scratch = SlateScratch::default();
+    for slate in [mixed_slate(), Contract::table3_contracts(), mixed_slate()] {
+        let outs: Result<Vec<_>, _> =
+            ContractModel::collect_slate_decoded(&slate, &prog, inputs).into_iter().collect();
+        let kept = scratch.collect_in_place(&slate, &prog, inputs);
+        prop_assert_eq!(kept.as_ref().err(), outs.as_ref().err());
+        let Ok(outs) = outs else { continue };
+        for k in 0..slate.len() {
+            let traces: Vec<_> = outs.iter().map(|o| o[k].trace.clone()).collect();
+            let infos: Vec<_> = outs.iter().map(|o| o[k].info.clone()).collect();
+            prop_assert_eq!(scratch.traces(k), &traces[..]);
+            prop_assert_eq!(scratch.infos(k), &infos[..]);
+        }
+    }
     for slate in [Contract::table3_contracts(), mixed_slate()] {
         let outs = ContractModel::collect_slate_decoded(&slate, &prog, inputs);
         prop_assert_eq!(outs.len(), inputs.len());

@@ -456,8 +456,7 @@ impl SpecCpu {
                 let stale = emu.state().read_mem(addr, width).unwrap_or(0);
                 let addr_ready = mem
                     .address_regs()
-                    .iter()
-                    .map(|r| timing.reg_ready(*r))
+                    .map(|r| timing.reg_ready(r))
                     .max()
                     .unwrap_or(0)
                     .max(issue)
@@ -840,8 +839,7 @@ impl SpecCpu {
                 let stale = emu.state().read_mem(addr, *width).unwrap_or(0);
                 let addr_ready = mem
                     .address_regs()
-                    .iter()
-                    .map(|r| timing.reg_ready(*r))
+                    .map(|r| timing.reg_ready(r))
                     .max()
                     .unwrap_or(0)
                     .max(issue)

@@ -7,6 +7,35 @@ use revizor_suite::prelude::*;
 use rvz_cache::SetVector;
 use rvz_model::Observation;
 
+/// The hash-map merge `Executor::merge_samples` replaced, kept as the
+/// reference of its property test: count each distinct sample, keep those
+/// at the outlier threshold, and fall back to the most frequent sample
+/// (ties toward the greater set vector) when none is kept.
+fn merge_samples_reference(samples: &[SetVector], outlier_min_count: usize) -> HTrace {
+    if samples.is_empty() {
+        return HTrace::empty();
+    }
+    let mut counts: std::collections::HashMap<SetVector, usize> = std::collections::HashMap::new();
+    for s in samples {
+        *counts.entry(*s).or_insert(0) += 1;
+    }
+    let threshold = if samples.len() >= outlier_min_count { outlier_min_count } else { 1 };
+    let mut kept: Vec<SetVector> =
+        counts.iter().filter(|(_, &c)| c >= threshold).map(|(s, _)| *s).collect();
+    if kept.is_empty() {
+        kept = counts
+            .iter()
+            .max_by_key(|(s, &c)| (c, *s))
+            .map(|(s, _)| vec![*s])
+            .unwrap_or_default();
+    }
+    let mut merged = HTrace::empty();
+    for s in kept {
+        merged.merge(HTrace::from_sets(s));
+    }
+    merged
+}
+
 fn arb_isa() -> impl Strategy<Value = IsaSubset> {
     prop_oneof![
         Just(IsaSubset::AR),
@@ -124,6 +153,22 @@ proptest! {
         rotated.rotate_left(rotation % samples.len());
         prop_assert_eq!(ex.merge_samples(&samples), ex.merge_samples(&reversed));
         prop_assert_eq!(ex.merge_samples(&samples), ex.merge_samples(&rotated));
+    }
+
+    /// The allocation-free merge equals the hash-map reference on random
+    /// multisets: drawn from a few distinct set vectors, so counts tie
+    /// often, both above the threshold and in the all-below fallback.
+    #[test]
+    fn merge_samples_matches_the_hash_map_reference(
+        bits in proptest::collection::vec(0u64..6, 0..24),
+        min_count in 0usize..6,
+    ) {
+        let samples: Vec<SetVector> =
+            bits.iter().map(|&b| SetVector::from_bits(b << 60 | b)).collect();
+        let mut cfg = ExecutorConfig::fast(MeasurementMode::prime_probe());
+        cfg.outlier_min_count = min_count;
+        let ex = Executor::new(SpecCpu::new(UarchConfig::skylake()), cfg);
+        prop_assert_eq!(ex.merge_samples(&samples), merge_samples_reference(&samples, min_count));
     }
 
     /// The merged trace is exactly the union of the samples that survive the
