@@ -24,11 +24,11 @@
 //! * `uarch` — the speculative CPU ([`SpecCpu`]) with assists enabled;
 //! * `executor` — hardware-trace collection at the paper's schedule
 //!   ([`ExecutorConfig::paper`]: 3 warm-up + 50 measured passes), through
-//!   a wrapper CPU that cannot describe its state (every pass simulated)
-//!   against the plain [`SpecCpu`] (passes replayed from the schedule's
+//!   a wrapper CPU that cannot describe its state (every run simulated)
+//!   against the plain [`SpecCpu`] (runs replayed from the schedule's
 //!   fixed point).  Its checksum folds the merged traces of every program
-//!   once, so it does not depend on `--reps`, and `replayed_pass_share` is
-//!   the share of scheduled passes the fixed point replayed.
+//!   once, so it does not depend on `--reps`, and `replayed_run_share` is
+//!   the share of scheduled runs the fixed point replayed.
 //!
 //! Decode time is charged to the decoded side (once per program, amortized
 //! over `reps × inputs` runs — exactly how the executor and campaign use
@@ -391,7 +391,7 @@ fn bench_uarch(
 }
 
 /// A [`SpecCpu`] that does not describe its state, so an executor around
-/// it simulates every pass of the schedule.
+/// it simulates every run of the schedule.
 struct FullSchedule(SpecCpu);
 
 impl CpuUnderTest for FullSchedule {
@@ -456,6 +456,7 @@ fn bench_executor(
 ) -> (Json, bool) {
     let cfg = ExecutorConfig::paper(target.mode);
     let passes = (cfg.warmup_rounds + cfg.repetitions) as u64;
+    let scheduled: u64 = cases.iter().map(|(_, inputs)| passes * inputs.len() as u64).sum();
     let programs: Vec<DecodedProgram> = cases
         .iter()
         .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
@@ -473,8 +474,7 @@ fn bench_executor(
             checksum = fold_traces(checksum, &traces);
         }
     }
-    let scheduled = fixed.collection_count() * passes;
-    let replayed_share = fixed.replayed_passes() as f64 / scheduled as f64;
+    let replayed_share = fixed.replayed_runs() as f64 / scheduled as f64;
 
     let full_time = time_collections(&mut full, &programs, cases, reps);
     let fixed_time = time_collections(&mut fixed, &programs, cases, reps);
@@ -486,7 +486,7 @@ fn bench_executor(
         .field("fixed_point_ms", ms(fixed_time))
         .field("speedup", full_time.as_secs_f64() / fixed_time.as_secs_f64())
         .field("checksum", checksum)
-        .field("replayed_pass_share", replayed_share);
+        .field("replayed_run_share", replayed_share);
     (json, identical)
 }
 

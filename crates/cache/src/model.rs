@@ -460,14 +460,66 @@ impl Cache {
         self.sets[set].iter().map(|l| l.tag).collect()
     }
 
-    /// Append the cache's functional state to `out` in canonical form: per
-    /// set, its line count, then each line's tag and settled age in line
-    /// order.  Two caches that append the same words behave identically
-    /// from here on.  The touched-set record is left out.
+    /// Append the cache's functional state to `out` in canonical form.  Per
+    /// set: a header word holding the line count and how the settled ages
+    /// are encoded, then each line's tag in line order, then — only when
+    /// the ages are neither the as-walked ages of a prime nor the all-zero
+    /// ages of a probe — the ages in line order, two per word.  The header
+    /// names the first of those patterns the ages match, so two caches
+    /// append the same words exactly when their settled lines (tags, order
+    /// and ages) are equal, and then they behave identically from here on.
+    /// The touched-set record is left out.
     pub fn functional_state(&self, out: &mut Vec<u64>) {
         for set in 0..self.sets.len() {
-            out.push(self.sets[set].len() as u64);
-            out.extend(self.settled(set).flat_map(|l| [l.tag, u64::from(l.age)]));
+            let lines = &self.sets[set];
+            let ages = self.age_pattern(set);
+            out.push(lines.len() as u64 | ages);
+            out.extend(lines.iter().map(|l| l.tag));
+            if ages == Self::AGES_LISTED {
+                out.extend(
+                    lines.chunks(2).map(|two| two.iter().fold(0, |w, l| w << 32 | u64::from(l.age))),
+                );
+            }
+        }
+    }
+
+    /// The number of words [`functional_state`](Cache::functional_state)
+    /// appends now: a header per set, a tag per line and the listed ages.
+    pub fn state_words(&self) -> usize {
+        let listed = (0..self.sets.len())
+            .filter(|&set| self.age_pattern(set) == Self::AGES_LISTED)
+            .map(|set| self.sets[set].len().div_ceil(2));
+        self.sets.iter().map(|lines| 1 + lines.len()).sum::<usize>() + listed.sum::<usize>()
+    }
+
+    /// State header flag: the set's settled ages are all zero, and it holds
+    /// more than one line (otherwise they are as walked).
+    const AGES_ZERO: u64 = 1 << 32;
+    /// State header flag: the set's ages follow its tags.
+    const AGES_LISTED: u64 = 2 << 32;
+
+    /// How [`functional_state`](Cache::functional_state) encodes the
+    /// settled ages of `set`: 0 when they are as walked, else
+    /// [`AGES_ZERO`](Cache::AGES_ZERO) or [`AGES_LISTED`](Cache::AGES_LISTED).
+    /// A pending rewrite names its pattern without a look at the lines.
+    fn age_pattern(&self, set: usize) -> u64 {
+        let bit = Self::pending_bit(set);
+        let lines = &self.sets[set];
+        let len = lines.len();
+        let (pending_walked, pending_zero) =
+            (self.pending_walked & bit != 0, self.pending_zero & bit != 0);
+        let walked = pending_walked
+            || if pending_zero {
+                len <= 1
+            } else {
+                lines.iter().enumerate().all(|(i, l)| l.age == Self::walked_age(len, i))
+            };
+        if walked {
+            0
+        } else if pending_zero || lines.iter().all(|l| l.age == 0) {
+            Self::AGES_ZERO
+        } else {
+            Self::AGES_LISTED
         }
     }
 }

@@ -9,6 +9,11 @@
 //! takes, and the cache must stay bit-identical to the walked one: its
 //! functional state (tags, line order, LRU ages), and what `is_cached`,
 //! `set_tags` and `set_occupancy` report.
+//!
+//! The functional state is a compact encoding of the settled lines: ages
+//! that form the as-walked or all-zero pattern are named, not written.
+//! Over random sequences of every path that moves lines or ages, two
+//! caches' encodings must be equal exactly when their settled lines are.
 
 use proptest::prelude::*;
 use rvz_cache::{Cache, CacheConfig, EvictReload, FlushReload, PrimeProbe, SetVector, SideChannel};
@@ -198,4 +203,97 @@ fn flushes_and_clones_of_pending_sets_match_the_sequential_walk() {
         ];
         check(cfg, &ops).unwrap();
     }
+}
+
+/// Apply one random line- or age-moving op to `cache`, within one set of a
+/// small geometry so that two caches often end up alike.  The bulk paths
+/// run without their preconditions: the encoding must be canonical for
+/// whatever settled lines they leave.
+fn apply(cache: &mut Cache, x: u64) {
+    let cfg = cache.config();
+    let set = (x >> 8) as usize % cfg.sets;
+    let line = |way: u64| (way * cfg.sets as u64 + set as u64) * cfg.line_size;
+    let way = (x >> 16) % (2 * cfg.ways as u64);
+    let tags: Vec<u64> = (0..(x >> 24) % (cfg.ways as u64 + 2))
+        .map(|k| cache.tag_of(line(way + k)))
+        .collect();
+    match x % 8 {
+        0 | 1 => {
+            cache.access(line(way));
+        }
+        2 => {
+            cache.probe_access(line(way));
+        }
+        3 => cache.flush(line(way)),
+        4 => {
+            cache.prime_set(set, &tags);
+        }
+        5 => {
+            cache.probe_set(set, &tags);
+        }
+        6 => cache.prime_resident(SetVector::from_sets([set])),
+        _ => cache.probe_resident(SetVector::from_sets([set])),
+    }
+}
+
+/// Do `a` and `b` encode alike exactly when their settled lines (tags and
+/// ages, in line order, as `Debug` shows them) are equal?
+fn encodes_lines_exactly(a: &Cache, b: &Cache) -> Result<bool, String> {
+    let same_lines = format!("{a:?}") == format!("{b:?}");
+    prop_assert!((state(a) == state(b)) == same_lines, "{:?} vs {:?}", a, b);
+    Ok(same_lines)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn functional_state_is_canonical_and_injective(
+        shared in proptest::collection::vec(any::<u64>(), 0..24),
+        ops_a in proptest::collection::vec(any::<u64>(), 0..8),
+        ops_b in proptest::collection::vec(any::<u64>(), 0..8),
+    ) {
+        for cfg in [CacheConfig::tiny(1, 3), CacheConfig::tiny(2, 2), CacheConfig::tiny(2, 4)] {
+            let (mut a, mut b) = (Cache::new(cfg), Cache::new(cfg));
+            for &x in &shared {
+                apply(&mut a, x);
+                apply(&mut b, x);
+                prop_assert!(encodes_lines_exactly(&a, &b)?);
+            }
+            for k in 0..ops_a.len().max(ops_b.len()) {
+                ops_a.get(k).into_iter().for_each(|&x| apply(&mut a, x));
+                ops_b.get(k).into_iter().for_each(|&x| apply(&mut b, x));
+                encodes_lines_exactly(&a, &b)?;
+            }
+        }
+    }
+}
+
+#[test]
+fn functional_state_names_the_age_pattern_however_it_was_reached() {
+    // The same settled lines, once with ages pending a bulk rewrite and
+    // once written line by line, encode alike; different ages do not.
+    let cfg = CacheConfig::tiny(1, 3);
+    let line = |way: u64| way * cfg.line_size;
+    let (mut pending, mut written) = (Cache::new(cfg), Cache::new(cfg));
+    for c in [&mut pending, &mut written] {
+        for way in 0..3 {
+            c.access(line(way));
+        }
+    }
+    pending.prime_resident(SetVector::from_sets([0]));
+    assert_eq!(state(&pending), state(&written), "as walked");
+    pending.probe_resident(SetVector::from_sets([0]));
+    for way in 0..3 {
+        written.probe_access(line(way));
+    }
+    assert_eq!(state(&pending), state(&written), "all zero");
+    written.access(line(1));
+    assert_ne!(state(&pending), state(&written), "listed ages");
+    pending.flush(line(0));
+    pending.flush(line(2));
+    written.flush(line(0));
+    written.flush(line(2));
+    assert_eq!(format!("{pending:?}"), format!("{written:?}"), "one line of age 0");
+    assert_eq!(state(&pending), state(&written));
 }

@@ -88,13 +88,15 @@ struct MeasurementSession {
     /// Per-input sample buffers, cleared (but not deallocated) per
     /// collection.
     samples: Vec<Vec<SetVector>>,
-    /// Per-input raw (noise-free) samples of the latest simulated pass,
-    /// which a replayed pass reuses.
+    /// Per-input raw (noise-free) sample of the input's latest simulated
+    /// run, which a replayed run reuses.
     raw: Vec<SetVector>,
-    /// The CPU's functional state at the start of the checked pass, and at
-    /// its end.
-    before: Vec<u64>,
-    after: Vec<u64>,
+    /// The CPU's functional state before each checkpoint input (see
+    /// [`checkpoint_slot`]) of the latest simulated pass, by slot.
+    checkpoints: Vec<Vec<u64>>,
+    /// The state before the current checkpoint input; swapped with its slot
+    /// in `checkpoints` when it differs.
+    scratch: Vec<u64>,
 }
 
 impl MeasurementSession {
@@ -124,8 +126,8 @@ impl MeasurementSession {
             channel,
             samples: Vec::new(),
             raw: Vec::new(),
-            before: Vec::new(),
-            after: Vec::new(),
+            checkpoints: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -165,7 +167,7 @@ pub struct Executor<C: CpuUnderTest> {
     noise_rng: SmallRng,
     session: Option<MeasurementSession>,
     collections: u64,
-    replayed_passes: u64,
+    replayed_runs: u64,
 }
 
 impl<C: CpuUnderTest> Executor<C> {
@@ -177,7 +179,7 @@ impl<C: CpuUnderTest> Executor<C> {
             noise_rng: SmallRng::seed_from_u64(config.noise.seed),
             session: None,
             collections: 0,
-            replayed_passes: 0,
+            replayed_runs: 0,
         }
     }
 
@@ -203,14 +205,16 @@ impl<C: CpuUnderTest> Executor<C> {
         self.collections
     }
 
-    /// Number of measurement passes (warm-up or measured) replayed from a
-    /// fixed point instead of simulated, over all collections so far.
+    /// Number of scheduled runs (one input in one warm-up or measured
+    /// pass) replayed from the schedule's fixed point instead of
+    /// simulated, over all collections so far.
     ///
-    /// A pass that leaves the CPU's functional state where it found it
-    /// (see [`CpuUnderTest::functional_state`]) would repeat exactly, so
-    /// its raw samples stand for every later pass of that collection.
-    pub fn replayed_passes(&self) -> u64 {
-        self.replayed_passes
+    /// Once the CPU's functional state (see
+    /// [`CpuUnderTest::functional_state`]) before an input equals the state
+    /// before the same input one pass earlier, every later run of the
+    /// collection repeats its input's latest simulated run.
+    pub fn replayed_runs(&self) -> u64 {
+        self.replayed_runs
     }
 
     /// Replace the noise model and restart its stream from the new seed.
@@ -308,11 +312,24 @@ impl<C: CpuUnderTest> Executor<C> {
     /// schedule's fixed point both rely on this.
     ///
     /// The decode cost is paid once and amortized over the whole warm-up +
-    /// repetition schedule (at most `(warmup + repetitions) × inputs` runs,
-    /// fewer once the schedule reaches its fixed point); callers that
-    /// re-measure the same test case — the priming-swap artifact check, the
-    /// campaign's nesting re-check — reuse the program across collections
-    /// too.
+    /// repetition schedule (at most `(warmup + repetitions) × inputs` runs);
+    /// callers that re-measure the same test case — the priming-swap
+    /// artifact check, the campaign's nesting re-check — reuse the program
+    /// across collections too.
+    ///
+    /// Fewer runs are simulated once the schedule reaches its fixed point.
+    /// A run depends only on the state it starts in, the program and its
+    /// input, so when the state before input `k` of a pass equals the state
+    /// before input `k` of the pass before, every later run repeats its
+    /// input's latest simulated run and is replayed from that run's raw
+    /// sample ([`Executor::replayed_runs`]).  The state is snapshotted
+    /// before input 0 and every power-of-two input, and each snapshot is
+    /// compared only with the same checkpoint of the immediately preceding
+    /// pass: that pass's runs are the ones whose samples are kept, and it
+    /// ran in full, because a replay never stops.  An earlier pass, or an
+    /// earlier input of the same pass, would pair a state with samples
+    /// that did not come from it.  Noise is still drawn per (pass, input),
+    /// so the traces are exactly those of the full schedule.
     ///
     /// # Errors
     /// Propagates architectural faults from the CPU under test.
@@ -348,16 +365,17 @@ impl<C: CpuUnderTest> Executor<C> {
     }
 
     /// The warm-up + repetition schedule of one collection, filling the
-    /// session's per-input sample buffers.
+    /// session's per-input sample buffers and replaying from the fixed
+    /// point described at [`Executor::collect_htraces_decoded`].
     ///
-    /// The CPU is deterministic, so a pass that ends in the functional
-    /// state it started from repeats exactly forever after.  After each
-    /// pass beyond the first that has passes after it, the state is
-    /// compared with a snapshot taken at the pass's start; on a match, the
-    /// pass's raw samples stand for every remaining pass.  The noise draws
-    /// stay per (pass, input) in schedule order, so the samples — noisy or
-    /// not — are exactly those of the full schedule.  A CPU that cannot
-    /// describe its state runs every pass.
+    /// Position `i` of every pass runs the same input, swapped or not.  So
+    /// once the state before checkpoint input `k` of pass `p` equals the
+    /// snapshot pass `p - 1` left in that slot, runs `k..` of pass `p`
+    /// repeat pass `p - 1`'s, pass `p + 1` starts where pass `p` did, and
+    /// `raw` holds every input's sample for the rest of the schedule.  The
+    /// noise draws stay per (pass, input) in schedule order, so the
+    /// samples — noisy or not — are exactly those of the full schedule.  A
+    /// CPU that cannot describe its state runs every pass.
     fn collect_into_session(
         &mut self,
         session: &mut MeasurementSession,
@@ -367,14 +385,27 @@ impl<C: CpuUnderTest> Executor<C> {
     ) -> Result<(), Fault> {
         let warmup = self.config.warmup_rounds;
         let passes = warmup + self.config.repetitions.max(1);
+        // With a single pass there is nothing to compare a snapshot with.
+        let mut checking = passes > 1;
         let mut replaying = false;
         for pass in 0..passes {
-            let checked = !replaying && pass > 0 && pass + 1 < passes && {
-                session.before.clear();
-                self.cpu.functional_state(&mut session.before)
-            };
             for (i, input) in inputs.iter().enumerate() {
-                if !replaying {
+                if checking {
+                    if let Some(slot) = checkpoint_slot(i) {
+                        session.scratch.clear();
+                        let described = self.cpu.functional_state(&mut session.scratch);
+                        if slot == session.checkpoints.len() {
+                            session.checkpoints.push(Vec::new());
+                        }
+                        let previous = &mut session.checkpoints[slot];
+                        replaying = described && pass > 0 && *previous == session.scratch;
+                        checking = described && !replaying;
+                        std::mem::swap(previous, &mut session.scratch);
+                    }
+                }
+                if replaying {
+                    self.replayed_runs += 1;
+                } else {
                     let input = match swap {
                         Some((at, from)) if at == i => &inputs[from],
                         _ => input,
@@ -388,13 +419,6 @@ impl<C: CpuUnderTest> Executor<C> {
                         session.samples[i].push(sets);
                     }
                 }
-            }
-            if replaying {
-                self.replayed_passes += 1;
-            } else if checked {
-                session.after.clear();
-                self.cpu.functional_state(&mut session.after);
-                replaying = session.after == session.before;
             }
         }
         Ok(())
@@ -477,6 +501,21 @@ impl<C: CpuUnderTest> Executor<C> {
     }
 }
 
+/// The checkpoint slot of input `i`, if the schedule snapshots the state
+/// before it: input 0 (slot 0, the pass-level fixed point) and every power
+/// of two.  A collection of `n > 1` inputs keeps `log2(n - 1) + 2`
+/// snapshots (rounded down), and a state that repeats before input `j`
+/// repeats before every later input of the pass too, so the next
+/// checkpoint — before input `2j` at the latest, or the next pass's
+/// first — finds it.
+fn checkpoint_slot(i: usize) -> Option<usize> {
+    match i {
+        0 => Some(0),
+        _ if i.is_power_of_two() => Some(i.trailing_zeros() as usize + 1),
+        _ => None,
+    }
+}
+
 /// [`Executor::merge_samples`] over a buffer it may reorder.  Sorting
 /// brings equal samples together, so each distinct sample's count is the
 /// length of its run, and the merge allocates nothing.
@@ -547,12 +586,14 @@ mod tests {
         Executor::new(SpecCpu::new(UarchConfig::skylake()), config)
     }
 
-    /// A [`SpecCpu`] that counts its runs and describes its state through
-    /// `describe`: not at all (the full-schedule oracle), as the inner CPU
-    /// does, or as a state that never repeats (the run count).
+    /// A [`SpecCpu`] that counts its runs and the calls describing its
+    /// state, and describes it through `describe`: not at all (the
+    /// full-schedule oracle), as the inner CPU does, or as a state that
+    /// never repeats (the run count).
     struct Wrapped {
         cpu: SpecCpu,
         runs: u64,
+        described: std::cell::Cell<u64>,
         describe: fn(&Wrapped, &mut Vec<u64>) -> bool,
     }
 
@@ -590,6 +631,7 @@ mod tests {
         }
 
         fn functional_state(&self, out: &mut Vec<u64>) -> bool {
+            self.described.set(self.described.get() + 1);
             (self.describe)(self, out)
         }
     }
@@ -598,7 +640,12 @@ mod tests {
         config: ExecutorConfig,
         describe: fn(&Wrapped, &mut Vec<u64>) -> bool,
     ) -> Executor<Wrapped> {
-        let cpu = Wrapped { cpu: SpecCpu::new(UarchConfig::skylake()), runs: 0, describe };
+        let cpu = Wrapped {
+            cpu: SpecCpu::new(UarchConfig::skylake()),
+            runs: 0,
+            described: std::cell::Cell::new(0),
+            describe,
+        };
         Executor::new(cpu, config)
     }
 
@@ -873,8 +920,8 @@ mod tests {
     #[test]
     fn converged_collection_replays_its_passes() {
         // The paper's schedule (3 warm-up + 50 measured passes) over a
-        // priming sequence whose state settles after one pass: every pass
-        // from the third on is replayed, and the traces — with and without
+        // priming sequence whose state settles within two passes: only
+        // those runs are simulated, and the traces — with and without
         // noise — are byte-identical to the full schedule's.
         let tc = v1_tc();
         let inputs = v1_priming_inputs(&tc);
@@ -888,10 +935,10 @@ mod tests {
             for round in 1..=2u64 {
                 let expected = full.collect_htraces(&tc, &inputs).unwrap();
                 assert_eq!(fixed.collect_htraces(&tc, &inputs).unwrap(), expected);
-                assert_eq!(fixed.replayed_passes(), 51 * round);
                 assert_eq!(fixed.cpu().runs, 2 * 6 * round, "two simulated passes per collection");
+                assert_eq!(fixed.replayed_runs(), 51 * 6 * round);
             }
-            assert!(full.collection_count() == 2 && full.replayed_passes() == 0);
+            assert!(full.collection_count() == 2 && full.replayed_runs() == 0);
             assert_eq!(full.cpu().runs, 2 * 53 * 6);
         }
     }
@@ -901,7 +948,8 @@ mod tests {
         // A load, then a branch whose two targets are empty: the branch
         // leaves no footprint, so the cache ends every pass alike, but its
         // 2-bit counter ends pass 0 at 2 and pass 1 at 3.  Pass 1 changed
-        // the predictor, so only pass 2 is a fixed point.
+        // the predictor, so only pass 2 starts where the pass before it
+        // did: three passes of the one input are simulated.
         let tc = TestCaseBuilder::new()
             .block("entry", |b| {
                 b.and_imm(Reg::Rax, 0b111111000000);
@@ -917,21 +965,22 @@ mod tests {
             i.set_reg(Reg::Rcx, 1);
         })];
         let cfg = ExecutorConfig::paper(MeasurementMode::prime_probe());
-        let mut ex = executor(cfg);
+        let mut ex = wrapped(cfg, |w, out| w.cpu.functional_state(out));
         let traces = ex.collect_htraces(&tc, &inputs).unwrap();
-        assert_eq!(ex.replayed_passes(), 50);
+        assert_eq!(ex.cpu().runs, 3);
+        assert_eq!(ex.replayed_runs(), 50);
         assert_eq!(traces, opaque(cfg).collect_htraces(&tc, &inputs).unwrap());
     }
 
     #[test]
     fn changing_state_runs_every_pass() {
         // A state that differs after every run never repeats: nothing is
-        // replayed and every pass of every collection is simulated.
+        // replayed, every run of every collection is simulated, and the
+        // state is described once per checkpoint (inputs 0, 1, 2 and 4 of
+        // five) per pass, never more.
         let tc = direct_load_tc();
-        let inputs = vec![
-            input_with(&tc, |i| i.set_reg(Reg::Rax, 0x80)),
-            input_with(&tc, |i| i.set_reg(Reg::Rax, 0x800)),
-        ];
+        let inputs: Vec<Input> =
+            (0..5).map(|k| input_with(&tc, |i| i.set_reg(Reg::Rax, 0x80 << k))).collect();
         let cfg = ExecutorConfig::paper(MeasurementMode::prime_probe());
         let mut ex = wrapped(cfg, |w, out| {
             out.push(w.runs);
@@ -939,9 +988,98 @@ mod tests {
         });
         let traces = ex.collect_htraces(&tc, &inputs).unwrap();
         ex.collect_htraces(&tc, &inputs).unwrap();
-        assert_eq!(ex.replayed_passes(), 0);
-        assert_eq!(ex.cpu().runs, 2 * 53 * 2);
+        assert_eq!(ex.replayed_runs(), 0);
+        assert_eq!(ex.cpu().runs, 2 * 53 * 5);
+        assert_eq!(ex.cpu().described.get(), 2 * 53 * 4, "one snapshot per checkpoint per pass");
         assert_eq!(traces, opaque(cfg).collect_htraces(&tc, &inputs).unwrap());
+    }
+
+    /// Inputs for [`direct_load_tc`] loading from the given offsets.
+    fn loads_from(tc: &TestCase, offsets: &[u64]) -> Vec<Input> {
+        offsets.iter().map(|&off| input_with(tc, |i| i.set_reg(Reg::Rax, off))).collect()
+    }
+
+    /// Collect `inputs` on a state-describing executor and on the
+    /// full-schedule oracle, assert identical traces, and return the
+    /// number of simulated runs.
+    fn simulated_runs(cfg: ExecutorConfig, tc: &TestCase, inputs: &[Input]) -> u64 {
+        let mut fixed = wrapped(cfg, |w, out| w.cpu.functional_state(out));
+        let traces = fixed.collect_htraces(tc, inputs).unwrap();
+        assert_eq!(traces, opaque(cfg).collect_htraces(tc, inputs).unwrap(), "{cfg:?}");
+        let scheduled = ((cfg.warmup_rounds + cfg.repetitions) * inputs.len()) as u64;
+        assert_eq!(fixed.cpu().runs + fixed.replayed_runs(), scheduled);
+        fixed.cpu().runs
+    }
+
+    #[test]
+    fn repeat_mid_pass_replays_the_rest() {
+        // Each load's line is evicted by the next prime, so the state soon
+        // stops showing which pass it is in: before input `k` of pass 1 it
+        // equals the state before input `k` of pass 0, the first pass is
+        // simulated in full and pass 1 only up to `k`.  The traces — with
+        // and without noise, and of the §5.3 swapped sequences — are the
+        // full schedule's.
+        let tc = direct_load_tc();
+        let noise = NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 13 };
+        let cases: [(&[u64], u64); 3] = [
+            (&[0x80, 0x80, 0x80, 0x80], 1),
+            (&[0x80, 0x800, 0x80, 0x800, 0x80], 2),
+            (&[0x80, 0x80, 0x800, 0x800, 0x80, 0x80, 0x800], 4),
+        ];
+        for (offsets, k) in cases {
+            let inputs = loads_from(&tc, offsets);
+            let n = inputs.len() as u64;
+            for cfg in [
+                ExecutorConfig::paper(MeasurementMode::prime_probe()),
+                ExecutorConfig::paper(MeasurementMode::prime_probe()).with_noise(noise),
+            ] {
+                assert_eq!(simulated_runs(cfg, &tc, &inputs), n + k, "{offsets:x?}");
+
+                let prog = DecodedProgram::decode(&tc).unwrap();
+                let mut fixed = wrapped(cfg, |w, out| w.cpu.functional_state(out));
+                let mut full = opaque(cfg);
+                let baseline = fixed.collect_htraces(&tc, &inputs).unwrap();
+                assert_eq!(baseline, full.collect_htraces(&tc, &inputs).unwrap());
+                for (i, j) in [(0, 1), (1, 2), (0, inputs.len() - 1)] {
+                    let swapped = |ex: &mut Executor<Wrapped>| {
+                        let session = ex.collect(&prog, &inputs, Some((i, j))).unwrap();
+                        session.samples.iter_mut().map(|s| merge_sorting(s, 2)).collect::<Vec<_>>()
+                    };
+                    assert_eq!(swapped(&mut fixed), swapped(&mut full), "swap {i}<-{j}");
+                    assert_eq!(
+                        fixed.is_measurement_artifact(&tc, &inputs, &baseline, i, j).unwrap(),
+                        full.is_measurement_artifact(&tc, &inputs, &baseline, i, j).unwrap()
+                    );
+                }
+                assert!(fixed.replayed_runs() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_point_edge_schedules() {
+        // One input, no warm-up, a single measured pass: the traces are the
+        // full schedule's, and a one-pass schedule never describes the state.
+        let tc = direct_load_tc();
+        let one = loads_from(&tc, &[0x80]);
+        let three = loads_from(&tc, &[0x80, 0x800, 0x80]);
+        let paper = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let noisy = paper
+            .with_noise(NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 4 });
+        for cfg in [paper, noisy] {
+            // One input: pass 1 ends where it started, so pass 2 replays.
+            assert_eq!(simulated_runs(cfg, &tc, &one), 2);
+            let no_warmup = ExecutorConfig { warmup_rounds: 0, ..cfg };
+            assert_eq!(simulated_runs(no_warmup, &tc, &three), 3 + 2);
+            let single = ExecutorConfig { warmup_rounds: 0, ..cfg.with_repetitions(1) };
+            assert_eq!(simulated_runs(single, &tc, &three), 3);
+            let two = ExecutorConfig { warmup_rounds: 1, ..cfg.with_repetitions(1) };
+            assert_eq!(simulated_runs(two, &tc, &three), 3 + 2);
+        }
+        let single = ExecutorConfig { warmup_rounds: 0, ..paper.with_repetitions(1) };
+        let mut ex = wrapped(single, |w, out| w.cpu.functional_state(out));
+        ex.collect_htraces(&tc, &three).unwrap();
+        assert_eq!(ex.cpu().described.get(), 0, "nothing to compare a single pass with");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! per-test-case model entry, whose shared exploration and reused emulator
 //! must match the reference walk of every contract alone.  The executor
 //! around `SpecCpu` stops simulating at its schedule's fixed point, while
-//! the reference CPU cannot describe its state and runs every pass: their
-//! traces must match too, with and without synthetic noise.
+//! the reference CPU cannot describe its state and simulates every run:
+//! their traces must match too, with and without synthetic noise, and so
+//! must their §5.3 priming-swap verdicts on a random input pair.
 //!
 //! [`DecodedProgram`]: rvz_isa::DecodedProgram
 
@@ -218,6 +219,8 @@ proptest! {
         choice in 0usize..8,
         seed in any::<u64>(),
         input_seed in any::<u64>(),
+        swap_i in 0usize..6,
+        swap_offset in 1usize..6,
     ) {
         let target = target_for(choice);
         // Random programs never emit calls, returns or indirect jumps, so
@@ -297,9 +300,12 @@ proptest! {
         // Executor: merged hardware traces of the warm-up + repetition
         // schedule.  `SpecCpu` describes its state, so its executor stops
         // simulating at the schedule's fixed point; `ReferenceCpu` does not,
-        // so its executor runs every pass.  Two back-to-back collections
+        // so its executor simulates every run.  Two back-to-back collections
         // per executor also cover the noise stream and the CPU state a
-        // replayed collection leaves behind.
+        // replayed collection leaves behind.  Then the §5.3 priming-swap
+        // check on a random input pair, each side against its own
+        // baseline: its swapped sequences reach the fixed point too.
+        let swap_j = (swap_i + swap_offset) % inputs.len();
         let noise =
             NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: input_seed };
         for cfg in [
@@ -309,13 +315,19 @@ proptest! {
         ] {
             let mut dec_ex = Executor::new(target.cpu(), cfg);
             let mut ref_ex = Executor::new(ReferenceCpu(target.cpu()), cfg);
+            let mut baselines = (Ok(Vec::new()), Ok(Vec::new()));
             for _ in 0..2 {
+                baselines =
+                    (dec_ex.collect_htraces(&tc, &inputs), ref_ex.collect_htraces(&tc, &inputs));
+                prop_assert_eq!(&baselines.0, &baselines.1);
+            }
+            if let (Ok(dec_base), Ok(ref_base)) = &baselines {
                 prop_assert_eq!(
-                    dec_ex.collect_htraces(&tc, &inputs),
-                    ref_ex.collect_htraces(&tc, &inputs)
+                    dec_ex.is_measurement_artifact_decoded(&prog, &inputs, dec_base, swap_i, swap_j),
+                    ref_ex.is_measurement_artifact_decoded(&prog, &inputs, ref_base, swap_i, swap_j)
                 );
             }
-            prop_assert_eq!(ref_ex.replayed_passes(), 0);
+            prop_assert_eq!(ref_ex.replayed_runs(), 0);
         }
     }
 }

@@ -1130,15 +1130,20 @@ impl CpuUnderTest for SpecCpu {
         self.fill_buffer = 0;
     }
 
-    /// The fill buffer, the cache and the three predictors.  The emulator
+    /// The three predictors, the fill buffer and the cache.  The emulator
     /// and the store buffer are not state: every run re-initializes the
     /// one from its input and drains the other.
+    ///
+    /// The cache's share is most of the words and is counted before it is
+    /// written: reserving exactly that much keeps a reused buffer at the
+    /// size of the largest state it held instead of letting it double.
     fn functional_state(&self, out: &mut Vec<u64>) -> bool {
-        out.push(self.fill_buffer);
-        self.cache.functional_state(out);
         self.branch_predictor.functional_state(out);
         self.btb.functional_state(out);
         self.rsb.functional_state(out);
+        out.push(self.fill_buffer);
+        out.reserve_exact(self.cache.state_words());
+        self.cache.functional_state(out);
         true
     }
 }

@@ -120,8 +120,8 @@ pub trait CpuUnderTest {
     /// reads: two CPUs that append the same words produce the same outcomes
     /// and observations for every future run sequence.  State every run
     /// re-initializes is left out.  This is the one definition of the
-    /// uarch state: the executor uses it to stop re-simulating measurement
-    /// passes once a pass leaves the state where it found it, and the
+    /// uarch state: the executor uses it to stop re-simulating runs once
+    /// the state before an input repeats the one a pass earlier, and the
     /// decoded-vs-reference checks compare it after every run.
     fn functional_state(&self, out: &mut Vec<u64>) -> bool {
         let _ = out;
