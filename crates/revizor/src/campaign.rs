@@ -298,9 +298,9 @@ pub fn evaluate_seed<C: CpuUnderTest + Clone>(
 /// one executor per cell group, the input batch and the contract model's
 /// buffers.
 ///
-/// The matrix orchestrator keeps one context per pool worker for the whole
-/// run ([`MatrixRun::step`](crate::MatrixRun::step)).  A context's results
-/// do not depend on what it evaluated before: [`UnitContext::evaluate`]
+/// Each thread of a matrix run's worker set owns one context for the
+/// whole run ([`MatrixRun::step`](crate::MatrixRun::step)).  A context's
+/// results do not depend on what it evaluated before: [`UnitContext::evaluate`]
 /// returns exactly what [`evaluate_seed`] returns for the same group
 /// template, spec and seed.
 #[derive(Debug)]
@@ -425,7 +425,7 @@ pub struct CellEvent {
 ///
 /// All methods have empty default implementations; implement only the
 /// events of interest.  Events are delivered from the driving thread (never
-/// from pool workers), in deterministic campaign order.
+/// from helper threads), in deterministic campaign order.
 pub trait ProgressObserver {
     /// A testing round completed.
     fn round_completed(&mut self, event: &RoundEvent) {

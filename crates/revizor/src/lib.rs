@@ -24,7 +24,7 @@
 //! * [`orchestrator`] — [`CampaignMatrix`], the campaign driver: a matrix
 //!   of (target, contract) cells (one cell, or all of Table 3) run in rounds
 //!   of test-case generation, trace collection and relational analysis over
-//!   one shared worker pool, with cross-contract trace sharing, per-cell
+//!   one set of worker threads, with cross-contract trace sharing, per-cell
 //!   early stop and optional diversity feedback (§5.6);
 //! * [`campaign`] — the reusable per-test-case pipeline: evaluate one test
 //!   case against a whole *slate* of contracts, collecting hardware traces
@@ -69,6 +69,7 @@ pub mod minimize;
 pub mod orchestrator;
 pub mod staticanalysis;
 pub mod targets;
+mod workers;
 
 pub use campaign::{CellEvent, ContractOutcome, NoopObserver, ProgressObserver, RoundEvent};
 pub use classify::VulnClass;

@@ -1,6 +1,6 @@
 //! Multi-campaign orchestration: fuzz a whole matrix of (target, contract)
-//! cells — e.g. the paper's Table 3 — over **one** shared worker pool, with
-//! cross-contract trace sharing.
+//! cells — e.g. the paper's Table 3 — over **one** set of worker threads,
+//! with cross-contract trace sharing.
 //!
 //! Hardware traces depend only on (target, test case, inputs), never on the
 //! contract, so all cells that test the same target form a *cell group*
@@ -18,20 +18,33 @@
 //!                    │                                           └─► CT-COND-BPAS
 //!                    ├── group(Target 2) ─ stream: tc₀ tc₁ … ────► …
 //!                    ┆
-//!                    └────── one rayon pool: persistent workers ────────────
+//!                    └── one worker set: the calling thread + parallelism − 1 helpers
 //! ```
 //!
-//! The scheduler interleaves (group, round) work units over the shared
-//! pool, whose `parallelism` worker threads live for the whole run.  Each
-//! worker evaluates its units in place on its own resident
-//! [`UnitContext`] (an executor per group, the input batch and the model's
-//! buffers), found by `rayon::current_thread_index`.  It reduces each unit
-//! to the few fields the merge reads (counts, per-contract statistics and
-//! verdicts, and the test case only when it confirmed a violation), hands
-//! the input batch back to its context and frees the rest itself, so the
-//! driving thread never frees another thread's allocations.  Each unit is a pure
-//! function of `(target, configuration, seed)` with the seed derived from
-//! `(matrix seed, target id, test-case index)` alone, so:
+//! The scheduler interleaves (group, round) work units over the run's
+//! worker set: the thread that drives the run plus `parallelism − 1`
+//! helper threads, which live for the whole run.  Each thread evaluates
+//! its units in place on a resident [`UnitContext`] it owns (an executor
+//! per group, the input batch and the model's buffers).  It reduces each
+//! unit to the few fields the merge reads (counts, per-contract statistics
+//! and verdicts, and the test case only when it confirmed a violation),
+//! hands the input batch back to its context and frees the rest itself, so
+//! no thread frees another thread's allocations.
+//!
+//! There is no barrier between waves.  The calling thread evaluates units
+//! of its wave alongside the helpers and merges as soon as the wave's last
+//! result is in.  Meanwhile the helpers run *ahead*: without escalation a
+//! group's next slate is the current one minus the cells that close in
+//! this round, so each group's next round is queued as soon as its current
+//! round is, and helpers take it once no unit of the current wave is left.
+//! A unit run ahead merges with the cells of the slate it ran with, which
+//! may still include cells that closed since: per-contract outcomes do not
+//! depend on the rest of the slate, and the merge skips closed cells.  The
+//! round a group queued ahead is dropped, never counted, when all of the
+//! group's cells close.  Escalating groups never run ahead, since
+//! escalation may change the generator at the round boundary.  Each unit
+//! is a pure function of `(target, configuration, seed)` with the seed
+//! derived from `(matrix seed, target id, test-case index)` alone, so:
 //!
 //! * results are identical for any `parallelism`, and
 //! * a cell's verdict never changes when other cells are added to or
@@ -58,7 +71,8 @@
 //! stream suffix: the verdicts of an interrupted-and-resumed matrix are
 //! byte-identical to an uninterrupted one (only wall-clock fields differ).
 //! The campaign service (`rvz-service`) persists these checkpoints to its
-//! spool between waves.
+//! spool between waves.  Units run ahead are a cache, not state: a
+//! checkpoint never records them, and a resumed run evaluates them again.
 //!
 //! # Diversity escalation
 //!
@@ -84,13 +98,15 @@ use crate::diversity::PatternCoverage;
 use crate::fuzzer::ViolationReport;
 use crate::staticanalysis;
 use crate::targets::Target;
+use crate::workers::{Job, Ticket, Tier, Workers};
 use rvz_analyzer::{EffectivenessStats, Violation};
 use rvz_executor::ExecutorConfig;
 use rvz_gen::GeneratorConfig;
 use rvz_isa::{Input, TestCase};
 use rvz_model::{Contract, ExecutionInfo};
 use rvz_uarch::SpecCpu;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One cell of the testing matrix: a target fuzzed against a contract.
@@ -300,15 +316,15 @@ impl MatrixCheckpoint {
     }
 }
 
-/// Orchestrates a matrix of fuzzing campaigns over one shared worker pool
-/// with cross-contract trace sharing (see the module docs).
+/// Orchestrates a matrix of fuzzing campaigns over one set of worker
+/// threads with cross-contract trace sharing (see the module docs).
 ///
 /// # Example
 ///
 /// ```no_run
 /// use revizor::orchestrator::CampaignMatrix;
 ///
-/// // Regenerate Table 3: 8 targets × 4 CT-* contracts over one pool.
+/// // Regenerate Table 3: 8 targets × 4 CT-* contracts on 4 threads.
 /// let report = CampaignMatrix::table3(3).with_budget(200).with_parallelism(4).run();
 /// for cell in &report.cells {
 ///     println!("Target {} × {}: {}", cell.target.id, cell.contract, cell.found());
@@ -411,10 +427,11 @@ impl CampaignMatrix {
         self
     }
 
-    /// Builder: worker threads of the shared pool (`0` and `1` both mean
-    /// single-threaded: units run on the driving thread).  A run spawns
-    /// its workers once and joins them when it ends.  Results are
-    /// identical for any value.
+    /// Builder: threads that evaluate work units, the calling thread
+    /// included: a run evaluates units on the thread that drives it plus
+    /// `parallelism − 1` helper threads (`0` and `1` both mean no helper).
+    /// A run spawns its helpers on its first wave and joins them when it
+    /// ends.  Results are identical for any value.
     pub fn with_parallelism(mut self, parallelism: usize) -> CampaignMatrix {
         self.parallelism = parallelism.max(1);
         self
@@ -451,7 +468,7 @@ impl CampaignMatrix {
     /// (off by default).  Escalation decisions are driven by a CT-SEQ
     /// coverage probe shared by the whole group, so a group's test-case
     /// stream stays independent of which contracts it contains and of the
-    /// worker-pool size; [`RoundEvent::escalations`] reports the true
+    /// thread count; [`RoundEvent::escalations`] reports the true
     /// per-group count either way.
     pub fn with_escalation(mut self, escalation: bool) -> CampaignMatrix {
         self.escalation = escalation;
@@ -551,6 +568,26 @@ impl CampaignMatrix {
             }
         }
         groups
+    }
+
+    /// The slate `group`'s rounds run with while `cells` (group positions)
+    /// are open.
+    fn slate_spec(&self, group: &Group, cells: &[usize]) -> SlateSpec {
+        let mut contracts: Vec<Contract> =
+            cells.iter().map(|&k| self.cells[group.cells[k]].contract.clone()).collect();
+        if self.escalation {
+            // The coverage probe: pattern coverage is always measured on
+            // CT-SEQ so escalation decisions depend only on the target,
+            // never on the group's contract composition.
+            contracts.push(Contract::ct_seq());
+        }
+        SlateSpec {
+            generator: group.generator.clone(),
+            executor: ExecutorConfig::fast(group.target.mode).with_repetitions(self.repetitions),
+            checks: SlateChecks::all(),
+            contracts,
+            speculation_filter: self.speculation_filter,
+        }
     }
 
     /// Start an incremental run of the matrix (see [`MatrixRun`]): the run
@@ -822,12 +859,12 @@ pub struct MatrixRun<'m> {
     /// All progress: stream positions, counters, coverage and finished
     /// cells.
     state: MatrixCheckpoint,
-    /// One resident [`UnitContext`] per pool worker (one in all when the
-    /// run has no pool), indexed by `rayon::current_thread_index`.  Each
-    /// holds an executor per group, built from the group's CPU on first
-    /// use.
-    contexts: Arc<[Mutex<UnitContext<SpecCpu>>]>,
-    pool: Option<rayon::ThreadPool>,
+    /// The calling thread and `parallelism − 1` helpers, each with its own
+    /// resident [`UnitContext`].
+    workers: Workers<UnitJob>,
+    /// Per group, its next round if that is already queued ahead on the
+    /// workers.  A cache, not state: a checkpoint never records it.
+    ahead: Vec<Option<Round>>,
     start: Instant,
 }
 
@@ -850,18 +887,10 @@ impl<'m> MatrixRun<'m> {
             }
         }
         let cpus: Arc<[SpecCpu]> = groups.iter().map(|g| g.target.cpu()).collect();
-        // The one shared pool all groups' work units fan out over: its
-        // workers, and their contexts, live for the whole run.
-        let pool = (matrix.parallelism > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(matrix.parallelism)
-                .build()
-                .expect("failed to spawn matrix worker threads")
-        });
-        let workers = pool.as_ref().map_or(1, rayon::ThreadPool::current_num_threads);
-        let contexts =
-            (0..workers).map(|_| Mutex::new(UnitContext::new(Arc::clone(&cpus)))).collect();
-        MatrixRun { matrix, groups, state, contexts, pool, start: Instant::now() }
+        let job = UnitJob { cpus, escalation: matrix.escalation };
+        let workers = Workers::new(job, matrix.parallelism);
+        let ahead = groups.iter().map(|_| None).collect();
+        MatrixRun { matrix, groups, state, workers, ahead, start: Instant::now() }
     }
 
     /// Completed scheduling waves: [`MatrixRun::step`] calls that found
@@ -884,90 +913,65 @@ impl<'m> MatrixRun<'m> {
     /// Events are delivered to `observer` from the calling thread in
     /// deterministic order.
     pub fn step(&mut self, observer: &mut dyn ProgressObserver) -> bool {
-        let MatrixRun { matrix, groups, state, contexts, pool, start } = self;
+        let MatrixRun { matrix, groups, state, workers, ahead, start } = self;
         let matrix = *matrix;
         let round_size = matrix.round_size.max(1);
+        // Without escalation a group's next slate is this round's minus
+        // the cells that close in it, and a contract's outcome does not
+        // depend on the rest of the slate: the next round can start now,
+        // on this slate.  Escalation may change the generator at the round
+        // boundary, so escalating groups never run ahead.
+        let run_ahead = !matrix.escalation && workers.helpers() > 0;
 
-        // Build the wave: one round of (index → seed) work units per
-        // eligible group.  The slate (and with it the per-unit work) is
-        // fixed at round boundaries, which keeps results independent of
-        // scheduling.
-        let mut wave: Vec<(usize, u64)> = Vec::new();
-        let mut wave_specs: Vec<Option<SlateSpec>> = groups.iter().map(|_| None).collect();
-        let mut wave_cells: Vec<Vec<usize>> = groups.iter().map(|_| Vec::new()).collect();
-        let mut wave_counts: Vec<usize> = groups.iter().map(|_| 0).collect();
+        // Build the wave: one round of work units per eligible group.  The
+        // slate (and with it the per-unit work) is fixed when a round is
+        // queued, which keeps results independent of scheduling.
+        let mut wave: Vec<(usize, Round)> = Vec::new();
         for (gi, (group, progress)) in groups.iter().zip(&state.groups).enumerate() {
             let active = group.open_cells(&state.cells);
             if active.is_empty() || progress.next_index >= matrix.budget {
                 continue;
             }
+            let spec = Arc::new(matrix.slate_spec(group, &active));
+            let seeds = |indices: Range<usize>| {
+                indices.map(|index| unit_seed(matrix.seed, group.target.id, index))
+            };
             let end = (progress.next_index + round_size).min(matrix.budget);
-            let mut contracts: Vec<Contract> =
-                active.iter().map(|&k| matrix.cells[group.cells[k]].contract.clone()).collect();
-            if matrix.escalation {
-                // The coverage probe: pattern coverage is always measured
-                // on CT-SEQ so escalation decisions depend only on the
-                // target, never on the group's contract composition.
-                contracts.push(Contract::ct_seq());
+            let round = match ahead[gi].take() {
+                Some(round) => round,
+                None => {
+                    let units = seeds(progress.next_index..end);
+                    Round::queue(workers, Tier::Current, gi, units, &spec, active.clone())
+                }
+            };
+            if run_ahead && end < matrix.budget {
+                let units = seeds(end..(end + round_size).min(matrix.budget));
+                ahead[gi] = Some(Round::queue(workers, Tier::Ahead, gi, units, &spec, active));
             }
-            wave_specs[gi] = Some(SlateSpec {
-                generator: group.generator.clone(),
-                executor: ExecutorConfig::fast(group.target.mode)
-                    .with_repetitions(matrix.repetitions),
-                checks: SlateChecks::all(),
-                contracts,
-                speculation_filter: matrix.speculation_filter,
-            });
-            wave_cells[gi] = active;
-            wave_counts[gi] = end - progress.next_index;
-            for index in progress.next_index..end {
-                wave.push((gi, unit_seed(matrix.seed, group.target.id, index)));
-            }
+            wave.push((gi, round));
         }
         if wave.is_empty() {
             return false;
         }
         state.wave += 1;
 
-        // Evaluate the whole wave; each unit is independent.  A worker
+        // Evaluate the wave on every thread of the set: each thread
         // evaluates its units on its own resident context and reduces each
         // to what the merge reads, so the rest of its memory stays with
-        // that worker: the input batch goes back to the context, and
-        // everything else is freed there.  Per-unit time is recorded so
-        // cells can report their group's attributed cost rather than
-        // matrix-wide wall clock.
-        let specs: Arc<[Option<SlateSpec>]> = wave_specs.into();
-        let contexts = Arc::clone(contexts);
-        let escalation = matrix.escalation;
-        let eval = move |(gi, seed): (usize, u64)| -> (UnitResult, Duration) {
-            let spec = specs[gi].as_ref().expect("scheduled group has a spec");
-            let t0 = Instant::now();
-            // Off the pool (no pool, or a collect run inline), the thread
-            // index is that of an enclosing pool, if any: the modulo keeps
-            // it in range, and the lock keeps two threads off one context.
-            let worker = rayon::current_thread_index().unwrap_or(0) % contexts.len();
-            let mut context = contexts[worker].lock().expect("a unit panicked on this context");
-            let eval = context.evaluate(gi, spec, seed);
-            (UnitResult::reduce(eval, escalation, &mut context), t0.elapsed())
-        };
-        let units: Vec<(UnitResult, Duration)> = match pool {
-            None => wave.into_iter().map(eval).collect(),
-            Some(pool) => pool.install(|| {
-                use rayon::prelude::*;
-                wave.into_par_iter().map(eval).collect()
-            }),
-        };
+        // that thread.  Per-unit time is recorded so cells can report
+        // their group's attributed cost rather than matrix-wide wall
+        // clock.
+        let tickets: Vec<Range<Ticket>> = wave.iter().map(|(_, r)| r.tickets.clone()).collect();
+        let mut units = workers.collect(&tickets).into_iter();
 
         // Merge in deterministic order: the wave lists each scheduled
-        // group's indices contiguously and in stream order.
-        let mut units = units.into_iter();
-        for (gi, &scheduled) in wave_counts.iter().enumerate() {
-            if scheduled == 0 {
-                continue;
-            }
+        // group's units contiguously and in stream order.  A unit merges
+        // with the cells of the slate it ran with: a round queued ahead
+        // may still check cells that closed since, and skips them here.
+        for (gi, round) in wave {
             let group = &mut groups[gi];
             let progress = &mut state.groups[gi];
-            for (unit, unit_time) in units.by_ref().take(scheduled) {
+            for (unit, unit_time) in units.by_ref().take(round.tickets.len()) {
                 progress.next_index += 1;
                 progress.work += unit_time;
                 let unit = match unit {
@@ -987,7 +991,7 @@ impl<'m> MatrixRun<'m> {
                     progress.round_improved |=
                         absorb_coverage(&mut progress.coverage, class_members);
                 }
-                for (outcome, &k) in unit.outcomes.into_iter().zip(&wave_cells[gi]) {
+                for (outcome, &k) in unit.outcomes.into_iter().zip(&round.cells) {
                     let cell = &mut state.cells[group.cells[k]];
                     if cell.is_some() {
                         continue;
@@ -1060,6 +1064,14 @@ impl<'m> MatrixRun<'m> {
                 filtered: progress.filtered,
                 escalations: progress.escalations,
             });
+
+            // A group whose cells all closed drops the round it queued
+            // ahead: those units are never merged or counted.
+            if group.open_cells(&state.cells).is_empty() {
+                if let Some(stale) = ahead[gi].take() {
+                    workers.cancel(stale.tickets);
+                }
+            }
         }
         true
     }
@@ -1118,6 +1130,62 @@ impl<'m> MatrixRun<'m> {
             statically_filtered: state.groups.iter().map(|g| g.filtered).sum(),
             duration: start.elapsed(),
         }
+    }
+}
+
+/// A work unit: one seed of a group's stream and the slate it runs with.
+struct Unit {
+    group: usize,
+    seed: u64,
+    spec: Arc<SlateSpec>,
+}
+
+/// A round of a group's stream queued on the workers.
+struct Round {
+    /// Its units' tickets, in stream order.
+    tickets: Range<Ticket>,
+    /// Group positions of the cells its slate checks, one per slate
+    /// contract (the coverage probe aside).
+    cells: Vec<usize>,
+}
+
+impl Round {
+    /// Queue the units of `seeds` of group `group` in `tier`, on the slate
+    /// `spec` for `cells`.
+    fn queue(
+        workers: &mut Workers<UnitJob>,
+        tier: Tier,
+        group: usize,
+        seeds: impl Iterator<Item = u64>,
+        spec: &Arc<SlateSpec>,
+        cells: Vec<usize>,
+    ) -> Round {
+        let units = seeds.map(|seed| Unit { group, seed, spec: Arc::clone(spec) });
+        Round { tickets: workers.submit(tier, units), cells }
+    }
+}
+
+/// How the matrix's threads evaluate a [`Unit`]: on their resident
+/// [`UnitContext`], reduced to a [`UnitResult`] and timed.
+struct UnitJob {
+    /// The cell groups' CPU templates, built once per run.
+    cpus: Arc<[SpecCpu]>,
+    escalation: bool,
+}
+
+impl Job for UnitJob {
+    type Task = Unit;
+    type Output = (UnitResult, Duration);
+    type Context = UnitContext<SpecCpu>;
+
+    fn context(&self) -> UnitContext<SpecCpu> {
+        UnitContext::new(Arc::clone(&self.cpus))
+    }
+
+    fn run(&self, context: &mut UnitContext<SpecCpu>, unit: Unit) -> (UnitResult, Duration) {
+        let t0 = Instant::now();
+        let eval = context.evaluate(unit.group, &unit.spec, unit.seed);
+        (UnitResult::reduce(eval, self.escalation, context), t0.elapsed())
     }
 }
 
@@ -1262,12 +1330,33 @@ mod tests {
         assert_eq!(report.test_cases, 60);
     }
 
+    /// Two groups at seed 3: target 5's CT-SEQ cell closes at test case
+    /// 12 and its CT-BPAS cell at 23, both mid-round, while target 1 runs
+    /// its whole budget.  With helpers, target 5's round queued ahead of
+    /// round 3 still checks the closed CT-SEQ cell, and the round queued
+    /// ahead of round 4 goes stale.
+    fn closing_matrix(parallelism: usize) -> CampaignMatrix {
+        CampaignMatrix::new(3)
+            .with_budget(60)
+            .with_parallelism(parallelism)
+            .add_cells(Target::target5(), [Contract::ct_seq(), Contract::ct_bpas()])
+            .add_cell(Target::target1(), Contract::ct_seq())
+    }
+
     #[test]
     fn matrix_results_are_parallelism_invariant() {
-        let sequential = small_matrix(1).run();
-        for parallelism in [2usize, 4] {
-            let parallel = small_matrix(parallelism).run();
-            assert_eq!(verdicts(&sequential), verdicts(&parallel), "parallelism {parallelism}");
+        let sequential = closing_matrix(1).run();
+        let closed_at = |contract| sequential.cell(5, &contract).map(|c| c.test_cases);
+        assert_eq!(closed_at(Contract::ct_seq()), Some(12));
+        assert_eq!(closed_at(Contract::ct_bpas()), Some(23));
+        for parallelism in [2usize, 3, 4] {
+            let parallel = closing_matrix(parallelism).run();
+            assert_eq!(full_cells(&sequential), full_cells(&parallel), "parallelism {parallelism}");
+            assert_eq!(
+                (sequential.test_cases, sequential.generated, sequential.statically_filtered),
+                (parallel.test_cases, parallel.generated, parallel.statically_filtered),
+                "parallelism {parallelism}"
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! Allocation budget of a steady-state work unit.
 //!
-//! A pool worker evaluates its units on a resident `UnitContext`, so once
+//! A worker thread evaluates its units on a resident `UnitContext`, so once
 //! the context's buffers have grown, a unit allocates only what it returns
 //! (the test case, traces and analysis results) and what the stages build
 //! per test case.  This binary installs a counting global allocator whose
@@ -90,7 +90,7 @@ fn spec(target: &Target) -> SlateSpec {
     }
 }
 
-/// Evaluate every seed of group `group` on `context` as a pool worker
+/// Evaluate every seed of group `group` on `context` as a worker thread
 /// does, handing each batch back; returns this thread's allocations and
 /// reallocations per unit.
 fn evaluate_all(

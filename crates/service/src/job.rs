@@ -22,7 +22,7 @@ pub struct JobSpec {
     pub budget: usize,
     /// Test cases per scheduling round (one checkpointable wave unit).
     pub round_size: usize,
-    /// Worker threads of the job's shared measurement pool.
+    /// Threads that evaluate each unit's matrix run, its own included.
     pub parallelism: usize,
     /// Inputs generated per test case.
     pub inputs_per_test_case: usize,
@@ -66,8 +66,9 @@ impl JobSpec {
     pub const MAX_INPUTS_PER_TEST_CASE: usize = 200;
     /// Largest `repetitions` (the paper repeats each measurement 50 times).
     pub const MAX_REPETITIONS: usize = 1000;
-    /// Largest `parallelism`: a unit's matrix run keeps up to this many
-    /// persistent worker threads, which every wave fans out over.
+    /// Largest `parallelism`: a unit's matrix run evaluates work units on
+    /// up to this many threads, its own and `parallelism − 1` persistent
+    /// helpers.
     pub const MAX_PARALLELISM: usize = 64;
     /// Largest `round_size`.
     pub const MAX_ROUND_SIZE: usize = 1000;

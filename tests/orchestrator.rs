@@ -51,23 +51,34 @@ fn shared_htrace_groups_match_per_contract_recollection() {
 
 #[test]
 fn matrix_results_are_parallelism_invariant_end_to_end() {
-    // Satellite property (c): the same matrix over 1/2/4 worker threads is
-    // verdict-for-verdict identical, across several targets at once.
-    let build = |parallelism: usize| {
-        CampaignMatrix::new(3)
+    // Satellite property (c): the same matrix over 1/2/3/4 threads is
+    // verdict-for-verdict identical, across several targets at once, and
+    // so are its work counters — with the static speculation filter and
+    // with diversity escalation too.  At seed 3 target 8's only cell
+    // closes at test case 17, so with helpers the round its group queued
+    // ahead goes stale and must not count.
+    let build = |parallelism: usize, filter: bool, escalation: bool| {
+        let report = CampaignMatrix::new(3)
             .with_budget(30)
             .with_parallelism(parallelism)
+            .with_speculation_filter(filter)
+            .with_escalation(escalation)
             .add_cells(Target::target1(), Contract::table3_contracts())
             .add_cells(Target::target5(), Contract::table3_contracts())
             .add_cell(Target::target8(), Contract::ct_cond_bpas())
-            .run()
+            .run();
+        let cells: Vec<_> = report.cells.iter().map(fingerprint).collect();
+        (cells, report.test_cases, report.generated, report.statically_filtered)
     };
-    let one = build(1);
-    let fingerprints: Vec<_> = one.cells.iter().map(fingerprint).collect();
-    for parallelism in [2usize, 4] {
-        let many = build(parallelism);
-        let got: Vec<_> = many.cells.iter().map(fingerprint).collect();
-        assert_eq!(fingerprints, got, "parallelism {parallelism}");
+    for (filter, escalation) in [(false, false), (true, false), (false, true)] {
+        let one = build(1, filter, escalation);
+        for parallelism in [2usize, 3, 4] {
+            assert_eq!(
+                one,
+                build(parallelism, filter, escalation),
+                "parallelism {parallelism}, filter {filter}, escalation {escalation}"
+            );
+        }
     }
 }
 
