@@ -315,10 +315,11 @@ fn final_rax(cpu: &SpecCpu) -> u64 {
     cpu.final_state().map_or(0, |s| s.reg(rvz_isa::Reg::Rax))
 }
 
-/// The CPU's whole uarch state: cache, predictor tables and fill buffer.
+/// The CPU's whole uarch state: predictor tables, fill buffer and cache.
 fn uarch_state(cpu: &SpecCpu) -> Vec<u64> {
     let mut out = Vec::new();
     cpu.functional_state(&mut out);
+    cpu.cache().functional_state(&mut out);
     out
 }
 

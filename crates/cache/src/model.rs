@@ -460,6 +460,11 @@ impl Cache {
         self.sets[set].iter().map(|l| l.tag).collect()
     }
 
+    /// The settled lines of a set as `(tag, LRU age)` pairs, in line order.
+    pub fn set_lines(&self, set: usize) -> Vec<(u64, u32)> {
+        self.settled(set).map(|l| (l.tag, l.age)).collect()
+    }
+
     /// Append the cache's functional state to `out` in canonical form.  Per
     /// set: a header word holding the line count and how the settled ages
     /// are encoded, then each line's tag in line order, then — only when
@@ -481,15 +486,6 @@ impl Cache {
                 );
             }
         }
-    }
-
-    /// The number of words [`functional_state`](Cache::functional_state)
-    /// appends now: a header per set, a tag per line and the listed ages.
-    pub fn state_words(&self) -> usize {
-        let listed = (0..self.sets.len())
-            .filter(|&set| self.age_pattern(set) == Self::AGES_LISTED)
-            .map(|set| self.sets[set].len().div_ceil(2));
-        self.sets.iter().map(|lines| 1 + lines.len()).sum::<usize>() + listed.sum::<usize>()
     }
 
     /// State header flag: the set's settled ages are all zero, and it holds

@@ -24,12 +24,27 @@ pub const ATTACKER_BASE: u64 = 0xF000_0000;
 /// Channels are stateful so they can cache derived data (attacker address
 /// lists, victim line lists) across measurements; [`reset`](SideChannel::reset)
 /// clears the measurement state without discarding those caches.
+///
+/// A channel also describes the cache it just prepared
+/// ([`describe_prepared`](SideChannel::describe_prepared)), for the
+/// executor's fixed point: the words must tell apart any two prepared
+/// caches on which the same victim runs could observe a difference.  The
+/// description may rely on one condition: between `prepare` and `measure`
+/// the victim reaches the cache only through [`Cache::access`], as the
+/// simulated CPU does.
 pub trait SideChannel: std::fmt::Debug {
     /// Human-readable name (e.g. `P+P`).
     fn name(&self) -> &'static str;
 
     /// Prepare the cache before the victim runs.
     fn prepare(&mut self, cache: &mut Cache);
+
+    /// Append what a measurement starting from the just-prepared `cache`
+    /// can observe of it, in canonical form.  The default appends the
+    /// whole [`Cache::functional_state`].
+    fn describe_prepared(&self, cache: &Cache, out: &mut Vec<u64>) {
+        cache.functional_state(out);
+    }
 
     /// Measure the victim's footprint after it ran, as a [`SetVector`].
     fn measure(&mut self, cache: &mut Cache) -> SetVector;
@@ -56,6 +71,20 @@ pub trait SideChannel: std::fmt::Debug {
 /// [`Cache::probe_resident`]), which only marks their ages pending; every
 /// other set takes the per-set path.  The cache ends up bit-identical to the
 /// full sequential walk either way.
+///
+/// # The primed cache is canonical
+///
+/// A prime walks `ways` distinct lines through every set, so it leaves
+/// every set holding exactly its attacker lines, the line walked at step
+/// `i` with age `ways - 1 - i`, whatever the cache held before.  Only the
+/// order of the lines within a set depends on that history, and order is
+/// unobservable until the next prime: the victim's [`Cache::access`] calls
+/// keep a set's ages distinct (a hit resets one age and ages the others, a
+/// miss evicts the one oldest line and adds a new youngest), so the LRU
+/// victim never depends on position, and [`measure`](SideChannel::measure)
+/// only counts which attacker lines still hit.  So
+/// [`describe_prepared`](SideChannel::describe_prepared) appends nothing:
+/// every prepared cache measures alike.
 #[derive(Debug, Clone, Default)]
 pub struct PrimeProbe {
     /// Geometry the cached tag table was built for.
@@ -136,6 +165,10 @@ impl SideChannel for PrimeProbe {
         }
         self.steady = steady;
     }
+
+    /// Nothing: a prime leaves every cache in the one canonical state (see
+    /// the type docs).
+    fn describe_prepared(&self, _cache: &Cache, _out: &mut Vec<u64>) {}
 
     fn measure(&mut self, cache: &mut Cache) -> SetVector {
         let cfg = cache.config();

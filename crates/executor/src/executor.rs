@@ -91,11 +91,12 @@ struct MeasurementSession {
     /// Per-input raw (noise-free) sample of the input's latest simulated
     /// run, which a replayed run reuses.
     raw: Vec<SetVector>,
-    /// The CPU's functional state before each checkpoint input (see
-    /// [`checkpoint_slot`]) of the latest simulated pass, by slot.
+    /// The state each checkpoint input (see [`checkpoint_slot`]) of the
+    /// latest simulated pass started in, right after the channel's
+    /// prepare, by slot.
     checkpoints: Vec<Vec<u64>>,
-    /// The state before the current checkpoint input; swapped with its slot
-    /// in `checkpoints` when it differs.
+    /// The state at the current checkpoint input; swapped with its slot in
+    /// `checkpoints` when it differs.
     scratch: Vec<u64>,
 }
 
@@ -209,10 +210,11 @@ impl<C: CpuUnderTest> Executor<C> {
     /// pass) replayed from the schedule's fixed point instead of
     /// simulated, over all collections so far.
     ///
-    /// Once the CPU's functional state (see
-    /// [`CpuUnderTest::functional_state`]) before an input equals the state
-    /// before the same input one pass earlier, every later run of the
-    /// collection repeats its input's latest simulated run.
+    /// Once the state a measurement starts in — the CPU's
+    /// [`CpuUnderTest::functional_state`] and the channel's
+    /// [`SideChannel::describe_prepared`] of the cache it just prepared —
+    /// equals the state at the same input one pass earlier, every later
+    /// run of the collection repeats its input's latest simulated run.
     pub fn replayed_runs(&self) -> u64 {
         self.replayed_runs
     }
@@ -253,15 +255,14 @@ impl<C: CpuUnderTest> Executor<C> {
         RunOptions { enable_assists: self.config.mode.assists }
     }
 
-    /// Perform a single raw measurement of one input: prepare the side
-    /// channel, run the test case, probe.
-    fn measure_raw(
+    /// Finish a single raw measurement of one input on a cache the side
+    /// channel has prepared: run the test case, probe.
+    fn measure_prepared(
         &mut self,
         channel: &mut dyn SideChannel,
         prog: &DecodedProgram,
         input: &Input,
     ) -> Result<SetVector, Fault> {
-        channel.prepare(self.cpu.cache_mut());
         let opts = self.run_options();
         self.cpu.run_decoded(prog, input, &opts)?;
         Ok(channel.measure(self.cpu.cache_mut()))
@@ -318,18 +319,24 @@ impl<C: CpuUnderTest> Executor<C> {
     /// across collections too.
     ///
     /// Fewer runs are simulated once the schedule reaches its fixed point.
-    /// A run depends only on the state it starts in, the program and its
-    /// input, so when the state before input `k` of a pass equals the state
-    /// before input `k` of the pass before, every later run repeats its
-    /// input's latest simulated run and is replayed from that run's raw
-    /// sample ([`Executor::replayed_runs`]).  The state is snapshotted
-    /// before input 0 and every power-of-two input, and each snapshot is
-    /// compared only with the same checkpoint of the immediately preceding
-    /// pass: that pass's runs are the ones whose samples are kept, and it
-    /// ran in full, because a replay never stops.  An earlier pass, or an
-    /// earlier input of the same pass, would pair a state with samples
-    /// that did not come from it.  Noise is still drawn per (pass, input),
-    /// so the traces are exactly those of the full schedule.
+    /// A measurement depends only on the state it starts in, the program
+    /// and its input.  The executor snapshots that state right after the
+    /// side channel's prepare: the CPU describes its predictors and buffers
+    /// ([`CpuUnderTest::functional_state`]) and the channel the cache it
+    /// prepared ([`SideChannel::describe_prepared`]).  Prime+Probe
+    /// describes nothing, because its prime leaves every cache in one
+    /// canonical state (see [`PrimeProbe`]); the reload channels list the
+    /// whole cache.  When the state at input `k` of a pass equals the state
+    /// at input `k` of the pass before, every later run repeats its input's
+    /// latest simulated run and is replayed from that run's raw sample
+    /// ([`Executor::replayed_runs`]).  The state is snapshotted at input 0
+    /// and every power-of-two input, and each snapshot is compared only
+    /// with the same checkpoint of the immediately preceding pass: that
+    /// pass's runs are the ones whose samples are kept, and it ran in full,
+    /// because a replay never stops.  An earlier pass, or an earlier input
+    /// of the same pass, would pair a state with samples that did not come
+    /// from it.  Noise is still drawn per (pass, input), so the traces are
+    /// exactly those of the full schedule.
     ///
     /// # Errors
     /// Propagates architectural faults from the CPU under test.
@@ -368,14 +375,17 @@ impl<C: CpuUnderTest> Executor<C> {
     /// session's per-input sample buffers and replaying from the fixed
     /// point described at [`Executor::collect_htraces_decoded`].
     ///
-    /// Position `i` of every pass runs the same input, swapped or not.  So
-    /// once the state before checkpoint input `k` of pass `p` equals the
-    /// snapshot pass `p - 1` left in that slot, runs `k..` of pass `p`
-    /// repeat pass `p - 1`'s, pass `p + 1` starts where pass `p` did, and
-    /// `raw` holds every input's sample for the rest of the schedule.  The
-    /// noise draws stay per (pass, input) in schedule order, so the
-    /// samples — noisy or not — are exactly those of the full schedule.  A
-    /// CPU that cannot describe its state runs every pass.
+    /// Every simulated run starts with the channel's prepare, and the
+    /// snapshot at a checkpoint input is taken right after it.  Position
+    /// `i` of every pass runs the same input, swapped or not.  So once the
+    /// state at checkpoint input `k` of pass `p` equals the snapshot pass
+    /// `p - 1` left in that slot, runs `k..` of pass `p` measure what pass
+    /// `p - 1`'s did and leave states that measure alike, pass `p + 1`
+    /// starts where pass `p` did, and `raw` holds every input's sample for
+    /// the rest of the schedule.  The noise draws stay per (pass, input) in
+    /// schedule order, so the samples — noisy or not — are exactly those of
+    /// the full schedule.  A CPU that cannot describe its state runs every
+    /// pass.
     fn collect_into_session(
         &mut self,
         session: &mut MeasurementSession,
@@ -390,10 +400,17 @@ impl<C: CpuUnderTest> Executor<C> {
         let mut replaying = false;
         for pass in 0..passes {
             for (i, input) in inputs.iter().enumerate() {
+                if !replaying {
+                    session.channel.prepare(self.cpu.cache_mut());
+                }
                 if checking {
                     if let Some(slot) = checkpoint_slot(i) {
                         session.scratch.clear();
                         let described = self.cpu.functional_state(&mut session.scratch);
+                        if described {
+                            let cache = &*self.cpu.cache_mut();
+                            session.channel.describe_prepared(cache, &mut session.scratch);
+                        }
                         if slot == session.checkpoints.len() {
                             session.checkpoints.push(Vec::new());
                         }
@@ -410,7 +427,8 @@ impl<C: CpuUnderTest> Executor<C> {
                         Some((at, from)) if at == i => &inputs[from],
                         _ => input,
                     };
-                    session.raw[i] = self.measure_raw(session.channel.as_mut(), prog, input)?;
+                    session.raw[i] =
+                        self.measure_prepared(session.channel.as_mut(), prog, input)?;
                 }
                 // Warm-up samples are drawn (to keep the noise stream in
                 // step) and dropped.
@@ -502,12 +520,11 @@ impl<C: CpuUnderTest> Executor<C> {
 }
 
 /// The checkpoint slot of input `i`, if the schedule snapshots the state
-/// before it: input 0 (slot 0, the pass-level fixed point) and every power
-/// of two.  A collection of `n > 1` inputs keeps `log2(n - 1) + 2`
-/// snapshots (rounded down), and a state that repeats before input `j`
-/// repeats before every later input of the pass too, so the next
-/// checkpoint — before input `2j` at the latest, or the next pass's
-/// first — finds it.
+/// it starts in: input 0 (slot 0, the pass-level fixed point) and every
+/// power of two.  A collection of `n > 1` inputs keeps `log2(n - 1) + 2`
+/// snapshots (rounded down), and a state that repeats at input `j`
+/// repeats at every later input of the pass too, so the next checkpoint —
+/// input `2j` at the latest, or the next pass's first — finds it.
 fn checkpoint_slot(i: usize) -> Option<usize> {
     match i {
         0 => Some(0),
@@ -920,9 +937,11 @@ mod tests {
     #[test]
     fn converged_collection_replays_its_passes() {
         // The paper's schedule (3 warm-up + 50 measured passes) over a
-        // priming sequence whose state settles within two passes: only
-        // those runs are simulated, and the traces — with and without
-        // noise — are byte-identical to the full schedule's.
+        // priming sequence whose state settles early in the second pass:
+        // its 2-bit counter reads the same at input 2 of pass 1 as at
+        // input 2 of pass 0, so only pass 0 and two runs of pass 1
+        // are simulated, and the traces — with and without noise — are
+        // byte-identical to the full schedule's.
         let tc = v1_tc();
         let inputs = v1_priming_inputs(&tc);
         let noise = NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 9 };
@@ -935,8 +954,8 @@ mod tests {
             for round in 1..=2u64 {
                 let expected = full.collect_htraces(&tc, &inputs).unwrap();
                 assert_eq!(fixed.collect_htraces(&tc, &inputs).unwrap(), expected);
-                assert_eq!(fixed.cpu().runs, 2 * 6 * round, "two simulated passes per collection");
-                assert_eq!(fixed.replayed_runs(), 51 * 6 * round);
+                assert_eq!(fixed.cpu().runs, (6 + 2) * round, "a pass and two runs");
+                assert_eq!(fixed.replayed_runs(), (53 * 6 - 8) * round);
             }
             assert!(full.collection_count() == 2 && full.replayed_runs() == 0);
             assert_eq!(full.cpu().runs, 2 * 53 * 6);
@@ -1011,35 +1030,49 @@ mod tests {
         fixed.cpu().runs
     }
 
+    /// Inputs for [`v1_tc`], in bounds (the branch is taken) except where
+    /// `out` is set.
+    fn v1_pattern(tc: &TestCase, out: &[bool]) -> Vec<Input> {
+        let input = |(k, &out): (usize, &bool)| {
+            input_with(tc, |i| {
+                i.set_reg(Reg::Rax, if out { 100 } else { 1 });
+                i.set_reg(Reg::Rbx, 0x40 * k as u64);
+            })
+        };
+        out.iter().enumerate().map(input).collect()
+    }
+
     #[test]
     fn repeat_mid_pass_replays_the_rest() {
-        // Each load's line is evicted by the next prime, so the state soon
-        // stops showing which pass it is in: before input `k` of pass 1 it
-        // equals the state before input `k` of pass 0, the first pass is
-        // simulated in full and pass 1 only up to `k`.  The traces — with
-        // and without noise, and of the §5.3 swapped sequences — are the
-        // full schedule's.
-        let tc = direct_load_tc();
+        // The branch's counter stops showing which pass it is in at input
+        // `k` of pass 1: the state there equals the state at input `k`
+        // of pass 0, so the first pass is simulated in full and pass 1 only
+        // up to `k`.  A branch-free program's state repeats at pass 1's
+        // first input.  The traces — with and without noise, and of the
+        // §5.3 swapped sequences — are the full schedule's.
+        let v1 = v1_tc();
+        let direct = direct_load_tc();
         let noise = NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 13 };
-        let cases: [(&[u64], u64); 3] = [
-            (&[0x80, 0x80, 0x80, 0x80], 1),
-            (&[0x80, 0x800, 0x80, 0x800, 0x80], 2),
-            (&[0x80, 0x80, 0x800, 0x800, 0x80, 0x80, 0x800], 4),
+        let (o, i) = (true, false);
+        let cases: [(&TestCase, Vec<Input>, u64); 4] = [
+            (&direct, loads_from(&direct, &[0x80, 0x800, 0x80, 0x800, 0x80]), 0),
+            (&v1, v1_pattern(&v1, &[o, o, o, o]), 1),
+            (&v1, v1_pattern(&v1, &[i, i, i, i]), 2),
+            (&v1, v1_pattern(&v1, &[o, i, i, i, i]), 4),
         ];
-        for (offsets, k) in cases {
-            let inputs = loads_from(&tc, offsets);
+        for (tc, inputs, k) in cases {
             let n = inputs.len() as u64;
             for cfg in [
                 ExecutorConfig::paper(MeasurementMode::prime_probe()),
                 ExecutorConfig::paper(MeasurementMode::prime_probe()).with_noise(noise),
             ] {
-                assert_eq!(simulated_runs(cfg, &tc, &inputs), n + k, "{offsets:x?}");
+                assert_eq!(simulated_runs(cfg, tc, &inputs), n + k, "k = {k}");
 
-                let prog = DecodedProgram::decode(&tc).unwrap();
+                let prog = DecodedProgram::decode(tc).unwrap();
                 let mut fixed = wrapped(cfg, |w, out| w.cpu.functional_state(out));
                 let mut full = opaque(cfg);
-                let baseline = fixed.collect_htraces(&tc, &inputs).unwrap();
-                assert_eq!(baseline, full.collect_htraces(&tc, &inputs).unwrap());
+                let baseline = fixed.collect_htraces(tc, &inputs).unwrap();
+                assert_eq!(baseline, full.collect_htraces(tc, &inputs).unwrap());
                 for (i, j) in [(0, 1), (1, 2), (0, inputs.len() - 1)] {
                     let swapped = |ex: &mut Executor<Wrapped>| {
                         let session = ex.collect(&prog, &inputs, Some((i, j))).unwrap();
@@ -1047,12 +1080,44 @@ mod tests {
                     };
                     assert_eq!(swapped(&mut fixed), swapped(&mut full), "swap {i}<-{j}");
                     assert_eq!(
-                        fixed.is_measurement_artifact(&tc, &inputs, &baseline, i, j).unwrap(),
-                        full.is_measurement_artifact(&tc, &inputs, &baseline, i, j).unwrap()
+                        fixed.is_measurement_artifact(tc, &inputs, &baseline, i, j).unwrap(),
+                        full.is_measurement_artifact(tc, &inputs, &baseline, i, j).unwrap()
                     );
                 }
                 assert!(fixed.replayed_runs() > 0);
             }
+        }
+    }
+
+    #[test]
+    fn passes_differing_only_in_line_order_replay() {
+        // A load evicts the oldest attacker line of its set and the next
+        // prime refills it at the end of the set, so from pass 1 on the
+        // primed set holds the same lines as pass 0's cold prime in another
+        // order.  No measurement can see the order: the runs repeat from
+        // pass 1's first input, while a snapshot that also lists the
+        // primed cache's lines waits until every set the loads touch has
+        // been reordered (pass 2 for one input, input 2 of pass 1 for the
+        // two sets of three).  Evict+Reload describes the whole prepared
+        // cache, but its reload leaves the ages alone, so here the next
+        // prime evicts the attacker lines in walk order and refills them
+        // in walk order: its passes repeat from pass 1's first input too.
+        // The traces are the full schedule's every time.
+        let tc = direct_load_tc();
+        let cfg = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let evict_reload = ExecutorConfig::paper(MeasurementMode::evict_reload());
+        for (offsets, with_order) in [(&[0x80][..], 2), (&[0x80, 0x800, 0x80], 3 + 2)] {
+            let inputs = loads_from(&tc, offsets);
+            assert_eq!(simulated_runs(cfg, &tc, &inputs), inputs.len() as u64);
+            assert_eq!(simulated_runs(evict_reload, &tc, &inputs), inputs.len() as u64);
+            let mut ordered = wrapped(cfg, |w, out| {
+                w.cpu.functional_state(out);
+                w.cpu.cache().functional_state(out);
+                true
+            });
+            let traces = ordered.collect_htraces(&tc, &inputs).unwrap();
+            assert_eq!(traces, opaque(cfg).collect_htraces(&tc, &inputs).unwrap());
+            assert_eq!(ordered.cpu().runs, with_order, "{offsets:x?}");
         }
     }
 
@@ -1067,14 +1132,14 @@ mod tests {
         let noisy = paper
             .with_noise(NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 4 });
         for cfg in [paper, noisy] {
-            // One input: pass 1 ends where it started, so pass 2 replays.
-            assert_eq!(simulated_runs(cfg, &tc, &one), 2);
+            // One input: pass 1 starts where pass 0 did, so it replays.
+            assert_eq!(simulated_runs(cfg, &tc, &one), 1);
             let no_warmup = ExecutorConfig { warmup_rounds: 0, ..cfg };
-            assert_eq!(simulated_runs(no_warmup, &tc, &three), 3 + 2);
+            assert_eq!(simulated_runs(no_warmup, &tc, &three), 3);
             let single = ExecutorConfig { warmup_rounds: 0, ..cfg.with_repetitions(1) };
             assert_eq!(simulated_runs(single, &tc, &three), 3);
             let two = ExecutorConfig { warmup_rounds: 1, ..cfg.with_repetitions(1) };
-            assert_eq!(simulated_runs(two, &tc, &three), 3 + 2);
+            assert_eq!(simulated_runs(two, &tc, &three), 3);
         }
         let single = ExecutorConfig { warmup_rounds: 0, ..paper.with_repetitions(1) };
         let mut ex = wrapped(single, |w, out| w.cpu.functional_state(out));

@@ -21,20 +21,26 @@
 //! filtering machinery is exercised.
 //!
 //! The simulator is deterministic, so the schedule of `warmup_rounds +
-//! repetitions` passes over the inputs need not simulate every run: a run
-//! depends only on the CPU's functional state
-//! ([`CpuUnderTest::functional_state`](rvz_uarch::CpuUnderTest::functional_state))
-//! when it starts, the program and its input.  Once the state before an
-//! input equals the state before the same input one pass earlier, the rest
-//! of that pass repeats the pass before, so the next pass starts where this
-//! one did, and every later run repeats its input's latest simulated run:
-//! its raw sample is replayed instead ([`Executor::replayed_runs`] counts
-//! them).  Each pass snapshots the state before input 0 and every
-//! power-of-two input and compares each snapshot only with the same
-//! checkpoint of the immediately preceding pass, whose samples are the
-//! ones kept and which ran in full.  Noise is still drawn per pass and
-//! input, so the traces are exactly those of the full schedule.  A CPU
-//! that cannot describe its state simulates every run.
+//! repetitions` passes over the inputs need not simulate every run: a
+//! measurement depends only on the state it starts in, the program and its
+//! input.  That state is taken right after the side channel prepared the
+//! cache, and each owner describes its part: the CPU its predictors and
+//! buffers
+//! ([`CpuUnderTest::functional_state`](rvz_uarch::CpuUnderTest::functional_state)),
+//! the channel the cache it prepared
+//! ([`SideChannel::describe_prepared`](rvz_cache::SideChannel::describe_prepared);
+//! nothing for Prime+Probe, whose prime leaves every cache in one
+//! canonical state).  Once the state at an input equals the state at the
+//! same input one pass earlier, the rest of that pass repeats the pass
+//! before, so the next pass starts where this one did, and every later run
+//! repeats its input's latest simulated run: its raw sample is replayed
+//! instead ([`Executor::replayed_runs`] counts them).  Each pass snapshots
+//! the state at input 0 and every power-of-two input and compares each
+//! snapshot only with the same checkpoint of the immediately preceding
+//! pass, whose samples are the ones kept and which ran in full.  Noise is
+//! still drawn per pass and input, so the traces are exactly those of the
+//! full schedule.  A CPU that cannot describe its state simulates every
+//! run.
 //!
 //! Measurements run inside a reusable session: the side channel (with its
 //! precomputed attacker/victim address lists) and the per-input sample

@@ -42,15 +42,24 @@
 //!   (contracts, program, input) that clears every buffer before it
 //!   fills it.
 //!
+//! A unit in which no slate contract puts two inputs in one class
+//! collects no hardware traces at all: the relational analysis compares
+//! traces only within a class, so it would read none, and with no
+//! violation there is no §5.3 re-measurement either.  Its outcomes are
+//! exactly those of a collecting evaluation, and because the unit
+//! reseeded its noise stream, the skipped collection changes no other
+//! unit's.  The public [`evaluate_slate`] always collects: its callers
+//! may carry one noise stream across test cases.
+//!
 //! [`evaluate_seed`] is the one-shot use of the same path on a fresh
 //! context.
 //!
 //! [noise checkpoint]: rvz_executor::NoiseCheckpoint
 
 use crate::classify::VulnClass;
-use rvz_analyzer::{AnalysisResult, Analyzer, Violation};
+use rvz_analyzer::{AnalysisResult, Analyzer, InputClass, Violation};
 use rvz_emu::Fault;
-use rvz_executor::{Executor, ExecutorConfig};
+use rvz_executor::{Executor, ExecutorConfig, HTrace};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::{DecodedProgram, Input, TestCase};
 use rvz_model::{Contract, ContractModel, ExecutionInfo, SlateScratch};
@@ -119,10 +128,16 @@ pub fn evaluate_slate<C: CpuUnderTest>(
     inputs: &[Input],
 ) -> Result<Vec<ContractOutcome>, Fault> {
     let mut model = SlateScratch::default();
-    evaluate_slate_in(&mut model, executor, analyzer, checks, contracts, tc, inputs)
+    evaluate_slate_in(&mut model, executor, analyzer, checks, contracts, tc, inputs, false)
 }
 
 /// [`evaluate_slate`] with the contract model's buffers in `model`.
+///
+/// With `skip_unread`, a test case in which no contract puts two inputs in
+/// one class collects no hardware traces (see the module docs).  Only a
+/// caller that reseeds the executor's noise stream before every test case
+/// may skip, because a collection advances that stream.
+#[allow(clippy::too_many_arguments)]
 fn evaluate_slate_in<C: CpuUnderTest>(
     model: &mut SlateScratch,
     executor: &mut Executor<C>,
@@ -131,6 +146,7 @@ fn evaluate_slate_in<C: CpuUnderTest>(
     contracts: &[Contract],
     tc: &TestCase,
     inputs: &[Input],
+    skip_unread: bool,
 ) -> Result<Vec<ContractOutcome>, Fault> {
     // Decode once; the program is reused by every model pass, the baseline
     // hardware collection and both false-positive filters below.
@@ -142,17 +158,25 @@ fn evaluate_slate_in<C: CpuUnderTest>(
     // once for every contract that shares its exploration key.
     model.collect_in_place(contracts, &prog, inputs)?;
 
-    // Hardware traces: collected once for the whole slate.
-    let htraces = executor.collect_htraces_decoded(&prog, inputs)?;
+    let classes: Vec<Vec<InputClass>> =
+        (0..contracts.len()).map(|k| analyzer.input_classes(model.traces(k))).collect();
+
+    // Hardware traces: collected once for the whole slate, unless no
+    // contract would read one.
+    let unread = skip_unread && !classes.iter().flatten().any(InputClass::is_effective);
+    let htraces = if unread {
+        vec![HTrace::empty(); inputs.len()]
+    } else {
+        executor.collect_htraces_decoded(&prog, inputs)?
+    };
     // Every contract's filter pass replays the noise stream from the
     // position right after the baseline collection.
     let noise_mark = executor.noise_checkpoint();
 
     let mut outcomes = Vec::with_capacity(contracts.len());
-    for (k, contract) in contracts.iter().enumerate() {
+    for ((k, contract), classes) in contracts.iter().enumerate().zip(classes) {
         executor.restore_noise_checkpoint(&noise_mark);
         let (ctraces, infos) = (model.traces(k), model.infos(k));
-        let classes = analyzer.input_classes(ctraces);
         let analysis = analyzer.check_classes(ctraces, &classes, &htraces);
 
         // Execution metadata grouped by effective input class, for the
@@ -367,7 +391,10 @@ impl<C: CpuUnderTest + Clone> UnitContext<C> {
         let executor = slot.as_mut().expect("the group's executor was built above");
         executor.reseed_noise(noise);
         let (model, analyzer, checks) = (&mut self.model, &self.analyzer, spec.checks);
-        match evaluate_slate_in(model, executor, analyzer, checks, &spec.contracts, &tc, &inputs) {
+        // The unit's noise stream was reseeded above, so an unread
+        // collection may be skipped.
+        let contracts = &spec.contracts;
+        match evaluate_slate_in(model, executor, analyzer, checks, contracts, &tc, &inputs, true) {
             Ok(outcomes) => SeedEval::Measured(Box::new(SlateUnit { seed, tc, inputs, outcomes })),
             // Malformed test case; skipped (never happens for generated code).
             Err(_) => {
@@ -589,6 +616,48 @@ mod tests {
         // noise stream change its result.
         for repetitions in [5, 2] {
             assert_resident_context_matches_fresh_evaluations(Some((repetitions, noise)));
+        }
+    }
+
+    #[test]
+    fn units_no_contract_reads_collect_no_hardware_traces() {
+        // A unit in which every contract's classes are singletons skips
+        // its collection, and its outcomes equal those of the public path,
+        // which always collects, on an executor reseeded for the unit —
+        // with and without synthetic noise.
+        let noise = NoiseConfig { one_off_probability: 0.1, smi_probability: 0.05, seed: 23 };
+        let targets = Target::all();
+        let cpus: Arc<[SpecCpu]> = targets.iter().map(Target::cpu).collect();
+        for noise in [NoiseConfig::none(), noise] {
+            let mut context = UnitContext::new(Arc::clone(&cpus));
+            let (mut skipped, mut collected) = (0, 0);
+            for (group, target) in targets.iter().enumerate() {
+                let mut spec = spec_for(target, Contract::table3_contracts());
+                spec.generator = crate::CampaignMatrix::new(0).base_generator(target);
+                spec.executor = spec.executor.with_noise(noise);
+                let collections = |c: &UnitContext<SpecCpu>| {
+                    c.executors[group].as_ref().map(Executor::collection_count)
+                };
+                for seed in 0..12u64 {
+                    let before = collections(&context);
+                    let unit = context.evaluate(group, &spec, seed).into_unit().unwrap();
+                    let outcomes = &unit.outcomes;
+                    let unread = outcomes.iter().all(|o| o.analysis.stats.effective_inputs == 0);
+                    let skip = collections(&context) == before.or(Some(0));
+                    assert_eq!(skip, unread, "target {}, seed {seed}", target.id);
+                    skipped += usize::from(skip);
+                    collected += usize::from(!skip);
+                    let noise = noise.for_test_case_seed(seed);
+                    let mut executor =
+                        Executor::new(target.cpu(), ExecutorConfig { noise, ..spec.executor });
+                    let (checks, contracts) = (spec.checks, &spec.contracts);
+                    let (tc, inputs, analyzer) = (&unit.tc, &unit.inputs, Analyzer::new());
+                    let public =
+                        evaluate_slate(&mut executor, &analyzer, checks, contracts, tc, inputs);
+                    assert_eq!(outcomes, &public.unwrap(), "target {}, seed {seed}", target.id);
+                }
+            }
+            assert!(skipped > 0 && collected > 0, "{skipped} skipped, {collected} collected");
         }
     }
 

@@ -12,8 +12,10 @@
 //! must match the reference walk of every contract alone.  The executor
 //! around `SpecCpu` stops simulating at its schedule's fixed point, while
 //! the reference CPU cannot describe its state and simulates every run:
-//! their traces must match too, with and without synthetic noise, and so
-//! must their §5.3 priming-swap verdicts on a random input pair.
+//! their traces must match too, on every catalog target, at the
+//! campaign's and the paper's schedules, with and without synthetic
+//! noise, and on a swapped sequence, and so must their §5.3 priming-swap
+//! verdicts on a random input pair.
 //!
 //! [`DecodedProgram`]: rvz_isa::DecodedProgram
 
@@ -52,28 +54,12 @@ impl CpuUnderTest for ReferenceCpu {
     }
 }
 
+/// The whole uarch state: predictor tables and fill buffer, then the cache.
 fn uarch_state(cpu: &SpecCpu) -> Vec<u64> {
     let mut out = Vec::new();
     assert!(cpu.functional_state(&mut out));
+    cpu.cache().functional_state(&mut out);
     out
-}
-
-fn target_for(choice: usize) -> Target {
-    // A spread of ISA subsets and parts: no speculation (AR), store-bypass
-    // only (AR+MEM), conditional branches, the assist-mode Coffee Lake row
-    // with the full instruction set — and the predictor zoo (TAGE and loop
-    // directions, aliasing BTB, cyclic RSB), whose prediction structures
-    // must agree between the decoded and reference step paths too.
-    match choice % 8 {
-        0 => Target::target1(),
-        1 => Target::target2(),
-        2 => Target::target5(),
-        3 => Target::target8(),
-        4 => Target::target9(),
-        5 => Target::target10(),
-        6 => Target::target11(),
-        _ => Target::target12(),
-    }
 }
 
 /// A slate covering every sharing case of the slate pass: duplicated
@@ -208,21 +194,24 @@ fn a_faulting_input_leaves_nothing_behind_in_the_slate() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random programs and inputs produce byte-identical results through
     /// the pre-decoded loop and the reference interpreters, at every layer:
     /// architectural runner, contract model (with and without nesting) and
-    /// speculative CPU + executor (with assists on the target-8 rows).
+    /// speculative CPU + executor, on every catalog target: every ISA
+    /// subset and part, Prime+Probe and Prime+Probe+Assist, and the
+    /// predictor zoo, whose prediction structures must agree between the
+    /// decoded and reference step paths too.
     #[test]
     fn decoded_loop_is_byte_identical_to_reference(
-        choice in 0usize..8,
+        choice in 0usize..Target::catalog().len(),
         seed in any::<u64>(),
         input_seed in any::<u64>(),
         swap_i in 0usize..6,
         swap_offset in 1usize..6,
     ) {
-        let target = target_for(choice);
+        let target = Target::catalog().swap_remove(choice);
         // Random programs never emit calls, returns or indirect jumps, so
         // the zoo targets' pinned scenarios (BTB aliasing, deep call
         // chains, history-correlated branches) stand in for them: they
@@ -298,21 +287,23 @@ proptest! {
         }
 
         // Executor: merged hardware traces of the warm-up + repetition
-        // schedule.  `SpecCpu` describes its state, so its executor stops
-        // simulating at the schedule's fixed point; `ReferenceCpu` does not,
-        // so its executor simulates every run.  Two back-to-back collections
-        // per executor also cover the noise stream and the CPU state a
-        // replayed collection leaves behind.  Then the §5.3 priming-swap
-        // check on a random input pair, each side against its own
-        // baseline: its swapped sequences reach the fixed point too.
+        // schedule, at the campaign's 1 + 2 passes and the paper's 3 + 50.
+        // `SpecCpu` describes its state, so its executor stops simulating
+        // at the schedule's fixed point; `ReferenceCpu` does not, so its
+        // executor simulates every run.  Two back-to-back collections per
+        // executor also cover the noise stream and the CPU state a
+        // replayed collection leaves behind.  Then a §5.3 swapped sequence
+        // (position `swap_i` running input `swap_j`) and the priming-swap
+        // check on that pair, each side against its own baseline: swapped
+        // sequences reach the fixed point too.
         let swap_j = (swap_i + swap_offset) % inputs.len();
+        let mut swapped = inputs.clone();
+        swapped[swap_i] = inputs[swap_j].clone();
         let noise =
             NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: input_seed };
-        for cfg in [
-            ExecutorConfig::fast(target.mode),
-            ExecutorConfig::paper(target.mode),
-            ExecutorConfig::paper(target.mode).with_noise(noise),
-        ] {
+        let campaign = ExecutorConfig::fast(target.mode).with_repetitions(2);
+        let paper = ExecutorConfig::paper(target.mode);
+        for cfg in [campaign, campaign.with_noise(noise), paper, paper.with_noise(noise)] {
             let mut dec_ex = Executor::new(target.cpu(), cfg);
             let mut ref_ex = Executor::new(ReferenceCpu(target.cpu()), cfg);
             let mut baselines = (Ok(Vec::new()), Ok(Vec::new()));
@@ -321,6 +312,10 @@ proptest! {
                     (dec_ex.collect_htraces(&tc, &inputs), ref_ex.collect_htraces(&tc, &inputs));
                 prop_assert_eq!(&baselines.0, &baselines.1);
             }
+            prop_assert_eq!(
+                dec_ex.collect_htraces(&tc, &swapped),
+                ref_ex.collect_htraces(&tc, &swapped)
+            );
             if let (Ok(dec_base), Ok(ref_base)) = &baselines {
                 prop_assert_eq!(
                     dec_ex.is_measurement_artifact_decoded(&prog, &inputs, dec_base, swap_i, swap_j),

@@ -1130,20 +1130,15 @@ impl CpuUnderTest for SpecCpu {
         self.fill_buffer = 0;
     }
 
-    /// The three predictors, the fill buffer and the cache.  The emulator
-    /// and the store buffer are not state: every run re-initializes the
-    /// one from its input and drains the other.
-    ///
-    /// The cache's share is most of the words and is counted before it is
-    /// written: reserving exactly that much keeps a reused buffer at the
-    /// size of the largest state it held instead of letting it double.
+    /// The three predictors and the fill buffer.  The cache is described
+    /// by its own [`Cache::functional_state`], the emulator and the store
+    /// buffer are not state: every run re-initializes the one from its
+    /// input and drains the other.
     fn functional_state(&self, out: &mut Vec<u64>) -> bool {
         self.branch_predictor.functional_state(out);
         self.btb.functional_state(out);
         self.rsb.functional_state(out);
         out.push(self.fill_buffer);
-        out.reserve_exact(self.cache.state_words());
-        self.cache.functional_state(out);
         true
     }
 }
@@ -1182,9 +1177,11 @@ mod tests {
         cpu.run(tc, input, &RunOptions::default()).expect("run ok")
     }
 
+    /// The whole uarch state: predictors and fill buffer, then the cache.
     fn state(cpu: &SpecCpu) -> Vec<u64> {
         let mut out = Vec::new();
         assert!(cpu.functional_state(&mut out));
+        cpu.cache().functional_state(&mut out);
         out
     }
 
@@ -1634,8 +1631,9 @@ mod tests {
 
     #[test]
     fn functional_state_reaches_a_fixed_point() {
-        // Prime, run, probe the same input over and over: once the
-        // predictor saturates, a round leaves the state where it found it.
+        // Prime, describe, run, probe the same input over and over, as the
+        // executor does: once the predictor saturates, a round starts in
+        // the state the round before it started in.
         use rvz_cache::{PrimeProbe, SideChannel};
         let tc = v1_gadget();
         let mut cpu = SpecCpu::new(UarchConfig::skylake());
@@ -1644,16 +1642,18 @@ mod tests {
         input.set_reg(Reg::Rax, 1);
         let mut round = |cpu: &mut SpecCpu| {
             channel.prepare(cpu.cache_mut());
-            run_cpu(cpu, &tc, &input);
-            channel.measure(cpu.cache_mut());
             let mut state = Vec::new();
             assert!(cpu.functional_state(&mut state));
+            channel.describe_prepared(cpu.cache(), &mut state);
+            run_cpu(cpu, &tc, &input);
+            channel.measure(cpu.cache_mut());
             state
         };
         let first = round(&mut cpu);
         let second = round(&mut cpu);
         let third = round(&mut cpu);
         assert_ne!(first, second, "the counter is still training");
+        assert_ne!(second, third, "the counter is still training");
         assert_eq!(third, round(&mut cpu));
         let mut reset = Vec::new();
         cpu.reset_uarch();

@@ -112,17 +112,20 @@ pub trait CpuUnderTest {
     /// before every collection.
     fn reset_uarch(&mut self);
 
-    /// Append the CPU's *functional* microarchitectural state to `out` in
-    /// canonical form and return `true`, or return `false` if the CPU cannot
-    /// describe its state (the default).
+    /// Append the CPU's *functional* microarchitectural state outside its
+    /// cache to `out` in canonical form and return `true`, or return
+    /// `false` if the CPU cannot describe its state (the default).
     ///
-    /// The state is everything a later run or side-channel measurement
-    /// reads: two CPUs that append the same words produce the same outcomes
-    /// and observations for every future run sequence.  State every run
-    /// re-initializes is left out.  This is the one definition of the
-    /// uarch state: the executor uses it to stop re-simulating runs once
-    /// the state before an input repeats the one a pass earlier, and the
-    /// decoded-vs-reference checks compare it after every run.
+    /// The state is everything besides the cache that a later run reads:
+    /// two CPUs that append the same words and whose caches hold the same
+    /// lines produce the same outcomes and observations for every future
+    /// run sequence.  State every run re-initializes is left out.  The
+    /// cache has its owner describe it: the executor takes its snapshots
+    /// right after the side channel prepared the cache, and the channel
+    /// describes what it prepared
+    /// ([`SideChannel::describe_prepared`](rvz_cache::SideChannel::describe_prepared));
+    /// the decoded-vs-reference checks compare this state and
+    /// [`Cache::functional_state`] after every run.
     fn functional_state(&self, out: &mut Vec<u64>) -> bool {
         let _ = out;
         false
