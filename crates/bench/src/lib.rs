@@ -16,9 +16,9 @@
 //! | §6.6 / Figure 6 (contract sensitivity) | `contract_sensitivity` |
 //! | Figures 3 & 4 (generated / minimized test case) | `figures` |
 //!
-//! Criterion benches (`cargo bench -p rvz-bench`) measure the throughput of
-//! the pipeline stages and the wall-clock detection time of the headline
-//! vulnerabilities.
+//! Throughput is measured by `emu_throughput` (each execution layer against
+//! its reference interpreter, `BENCH_emu.json`) and by the `perfbench`
+//! package outside the workspace (end to end and per pipeline stage).
 //!
 //! The table binaries accept an optional budget argument (test cases per
 //! cell / samples per row) so that quick smoke runs and longer, more

@@ -85,6 +85,11 @@ pub trait SideChannel: std::fmt::Debug {
 /// only counts which attacker lines still hit.  So
 /// [`describe_prepared`](SideChannel::describe_prepared) appends nothing:
 /// every prepared cache measures alike.
+///
+/// [`EvictReload`] prepares with this same prime, so the argument covers
+/// it too: its reload only asks which victim lines a set holds
+/// ([`Cache::is_cached`]), never where they sit, and the next prime again
+/// leaves the same lines.  It appends nothing either.
 #[derive(Debug, Clone, Default)]
 pub struct PrimeProbe {
     /// Geometry the cached tag table was built for.
@@ -238,12 +243,15 @@ impl SideChannel for FlushReload {
         }
     }
 
+    /// The sets of the reloaded lines that hit.  Like Prime+Probe's, the
+    /// trace covers the first [`SetVector::SETS`] sets only.
     fn measure(&mut self, cache: &mut Cache) -> SetVector {
         self.ensure_lines(cache);
         let mut v = SetVector::EMPTY;
         for &addr in &self.lines {
-            if cache.is_cached(addr) {
-                v.insert(cache.set_of(addr));
+            let set = cache.set_of(addr);
+            if set < SetVector::SETS && cache.is_cached(addr) {
+                v.insert(set);
             }
         }
         v
@@ -276,6 +284,9 @@ impl SideChannel for EvictReload {
     fn prepare(&mut self, cache: &mut Cache) {
         self.evict.prepare(cache);
     }
+
+    /// Nothing: the eviction walk is a full prime (see [`PrimeProbe`]).
+    fn describe_prepared(&self, _cache: &Cache, _out: &mut Vec<u64>) {}
 
     fn measure(&mut self, cache: &mut Cache) -> SetVector {
         self.inner.measure(cache)

@@ -2,13 +2,15 @@
 //!
 //! Two caches with different histories, primed, hold the same `(tag, age)`
 //! lines in every set, possibly in different orders.  Over random victim
-//! `Cache::access` sequences between each prime and probe — the only way
-//! the simulated CPU reaches the cache — the probes must measure alike and
-//! every later prime must again leave the same lines, whatever their
-//! order.  This is why `PrimeProbe::describe_prepared` appends nothing.
+//! `Cache::access` sequences between each prime and measurement — the only
+//! way the simulated CPU reaches the cache — the measurements must agree
+//! and every later prime must again leave the same lines, whatever their
+//! order.  Evict+Reload primes the same way and reloads instead of
+//! probing.  This is why `PrimeProbe::describe_prepared` and
+//! `EvictReload::describe_prepared` append nothing.
 
 use proptest::prelude::*;
-use rvz_cache::{Cache, CacheConfig, PrimeProbe, SideChannel};
+use rvz_cache::{Cache, CacheConfig, EvictReload, PrimeProbe, SideChannel};
 
 const VICTIM_BASE: u64 = 0x10_0000;
 
@@ -41,6 +43,13 @@ fn history_addr(cfg: CacheConfig, x: u64) -> u64 {
     }
 }
 
+/// The channels whose prepare is a full prime: Prime+Probe, and
+/// Evict+Reload monitoring every line [`victim_addr`] can return.
+fn priming_channels(cfg: CacheConfig) -> [Box<dyn SideChannel>; 2] {
+    let lines = (2 * cfg.sets * cfg.ways).max(3 * cfg.sets) as u64;
+    [Box::new(PrimeProbe::new()), Box::new(EvictReload::new(VICTIM_BASE, lines * cfg.line_size))]
+}
+
 /// Every set's settled lines, sorted: the lines without their order.
 fn lines(cache: &Cache) -> Vec<Vec<(u64, u32)>> {
     let sets = 0..cache.config().sets;
@@ -67,33 +76,35 @@ proptest! {
         rounds in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..64), 1..6),
     ) {
         for cfg in geometries() {
-            // Cache `a` holds victim lines before its first prime, so the
-            // prime refills every set in walk order.  Cache `b` has a
-            // history of victim and attacker lines and then walks every
-            // set's attacker lines in reverse, so its prime keeps that
-            // reverse order.
-            let (mut a, mut b) = (Cache::new(cfg), Cache::new(cfg));
-            history_a.iter().for_each(|&x| { a.access(victim_addr(cfg, x)); });
-            history_b.iter().for_each(|&x| { b.access(history_addr(cfg, x)); });
-            for set in 0..cfg.sets {
-                for way in (0..cfg.ways).rev() {
-                    b.access(PrimeProbe::attacker_addr(cfg, set, way));
+            for (mut pa, mut pb) in priming_channels(cfg).into_iter().zip(priming_channels(cfg)) {
+                // Cache `a` holds victim lines before its first prime, so
+                // the prime refills every set in walk order.  Cache `b`
+                // has a history of victim and attacker lines and then walks
+                // every set's attacker lines in reverse, so its prime keeps
+                // that reverse order.
+                let (mut a, mut b) = (Cache::new(cfg), Cache::new(cfg));
+                history_a.iter().for_each(|&x| { a.access(victim_addr(cfg, x)); });
+                history_b.iter().for_each(|&x| { b.access(history_addr(cfg, x)); });
+                for set in 0..cfg.sets {
+                    for way in (0..cfg.ways).rev() {
+                        b.access(PrimeProbe::attacker_addr(cfg, set, way));
+                    }
                 }
-            }
-            let (mut pa, mut pb) = (PrimeProbe::new(), PrimeProbe::new());
-            pa.prepare(&mut a);
-            pb.prepare(&mut b);
-            prop_assert!(orders_differ(&a, &b), "the primes leave different line orders");
-            prop_assert_eq!(lines(&a), lines(&b));
-            for victim in &rounds {
-                for &x in victim {
-                    let addr = victim_addr(cfg, x);
-                    prop_assert_eq!(a.access(addr), b.access(addr));
-                }
-                prop_assert_eq!(pa.measure(&mut a), pb.measure(&mut b));
                 pa.prepare(&mut a);
                 pb.prepare(&mut b);
+                let name = pa.name();
+                prop_assert!(orders_differ(&a, &b), "{name}: the primes leave different line orders");
                 prop_assert_eq!(lines(&a), lines(&b));
+                for victim in &rounds {
+                    for &x in victim {
+                        let addr = victim_addr(cfg, x);
+                        prop_assert_eq!(a.access(addr), b.access(addr));
+                    }
+                    prop_assert_eq!(pa.measure(&mut a), pb.measure(&mut b));
+                    pa.prepare(&mut a);
+                    pb.prepare(&mut b);
+                    prop_assert_eq!(lines(&a), lines(&b));
+                }
             }
         }
     }

@@ -88,11 +88,6 @@ impl Emulator {
         self.spec_depth = 0;
     }
 
-    /// Create an emulator from an existing state (e.g. a checkpoint).
-    pub fn from_state(state: ArchState) -> Emulator {
-        Emulator { state, journal: Vec::new(), spec_depth: 0 }
-    }
-
     /// Current architectural state.
     pub fn state(&self) -> &ArchState {
         &self.state

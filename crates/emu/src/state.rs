@@ -154,11 +154,6 @@ impl ArchState {
         &self.mem
     }
 
-    /// Mutable raw view of the sandbox memory.
-    pub fn mem_mut(&mut self) -> &mut [u8] {
-        &mut self.mem
-    }
-
     /// A compact digest of the architectural state, useful for equivalence
     /// assertions in tests (e.g. "nested speculation rolls back completely").
     pub fn digest(&self) -> u64 {

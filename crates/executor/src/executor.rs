@@ -189,11 +189,6 @@ impl<C: CpuUnderTest> Executor<C> {
         &self.cpu
     }
 
-    /// Mutable access to the CPU under test.
-    pub fn cpu_mut(&mut self) -> &mut C {
-        &mut self.cpu
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ExecutorConfig {
         &self.config
@@ -323,15 +318,16 @@ impl<C: CpuUnderTest> Executor<C> {
     /// and its input.  The executor snapshots that state right after the
     /// side channel's prepare: the CPU describes its predictors and buffers
     /// ([`CpuUnderTest::functional_state`]) and the channel the cache it
-    /// prepared ([`SideChannel::describe_prepared`]).  Prime+Probe
-    /// describes nothing, because its prime leaves every cache in one
-    /// canonical state (see [`PrimeProbe`]); the reload channels list the
-    /// whole cache.  When the state at input `k` of a pass equals the state
-    /// at input `k` of the pass before, every later run repeats its input's
-    /// latest simulated run and is replayed from that run's raw sample
-    /// ([`Executor::replayed_runs`]).  The state is snapshotted at input 0
-    /// and every power-of-two input, and each snapshot is compared only
-    /// with the same checkpoint of the immediately preceding pass: that
+    /// prepared ([`SideChannel::describe_prepared`]).  Prime+Probe and
+    /// Evict+Reload describe nothing, because their prime leaves every
+    /// cache in one canonical state (see [`PrimeProbe`]); Flush+Reload
+    /// lists the whole cache.  When the state at input `k` of a pass
+    /// equals the state at input `k` of the pass before, every later run
+    /// repeats its input's latest simulated run and is replayed from that
+    /// run's raw sample ([`Executor::replayed_runs`]).  The state is
+    /// snapshotted at input 0 and every power-of-two input, and each
+    /// snapshot is compared only with the same checkpoint of the
+    /// immediately preceding pass: that
     /// pass's runs are the ones whose samples are kept, and it ran in full,
     /// because a replay never stops.  An earlier pass, or an earlier input
     /// of the same pass, would pair a state with samples that did not come
@@ -940,15 +936,15 @@ mod tests {
         // priming sequence whose state settles early in the second pass:
         // its 2-bit counter reads the same at input 2 of pass 1 as at
         // input 2 of pass 0, so only pass 0 and two runs of pass 1
-        // are simulated, and the traces — with and without noise — are
+        // are simulated, and the traces — with and without noise, under
+        // Prime+Probe and Evict+Reload, which describe no cache — are
         // byte-identical to the full schedule's.
         let tc = v1_tc();
         let inputs = v1_priming_inputs(&tc);
         let noise = NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 9 };
-        for cfg in [
-            ExecutorConfig::paper(MeasurementMode::prime_probe()),
-            ExecutorConfig::paper(MeasurementMode::prime_probe()).with_noise(noise),
-        ] {
+        let pp = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let er = ExecutorConfig::paper(MeasurementMode::evict_reload());
+        for cfg in [pp, pp.with_noise(noise), er, er.with_noise(noise)] {
             let mut full = opaque(cfg);
             let mut fixed = wrapped(cfg, |w, out| w.cpu.functional_state(out));
             for round in 1..=2u64 {
@@ -989,6 +985,40 @@ mod tests {
         assert_eq!(ex.cpu().runs, 3);
         assert_eq!(ex.replayed_runs(), 50);
         assert_eq!(traces, opaque(cfg).collect_htraces(&tc, &inputs).unwrap());
+    }
+
+    #[test]
+    fn fixed_point_waits_for_the_btb() {
+        // An indirect jump whose target follows the input: each run leaves
+        // its target in the BTB, so the other input mispredicts and loads
+        // the other target's line speculatively.  Pass 0 starts with an
+        // empty BTB and pass 1 with input 1's target; nothing else tells
+        // their first inputs apart (no conditional branch or call, and the
+        // loads read a zeroed sandbox, so the fill buffer stays 0).  Only
+        // the BTB keeps input 0 of pass 1 from replaying pass 0's run,
+        // which did not speculate.  At input 1 the passes agree, so pass 0
+        // and the first run of pass 1 are simulated.
+        let tc = TestCaseBuilder::new()
+            .block("entry", |b| b.jmp_indirect(Reg::Rax, vec!["low", "high"]))
+            .block("low", |b| {
+                b.load_disp(Reg::Rbx, Reg::R14, 0x80);
+                b.exit();
+            })
+            .block("high", |b| {
+                b.load_disp(Reg::Rbx, Reg::R14, 0x800);
+                b.exit();
+            })
+            .build();
+        let inputs: Vec<Input> =
+            (0..2).map(|k| input_with(&tc, |i| i.set_reg(Reg::Rax, k))).collect();
+        let noise = NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 17 };
+        let paper = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        for cfg in [paper, paper.with_noise(noise)] {
+            assert_eq!(simulated_runs(cfg, &tc, &inputs), 3);
+        }
+        let traces = executor(paper).collect_htraces(&tc, &inputs).unwrap();
+        assert!(traces[0].sets().contains(32), "the trained BTB sends input 0 to `high`");
+        assert!(traces[1].sets().contains(2), "and input 1 to `low`");
     }
 
     #[test]
@@ -1048,8 +1078,9 @@ mod tests {
         // `k` of pass 1: the state there equals the state at input `k`
         // of pass 0, so the first pass is simulated in full and pass 1 only
         // up to `k`.  A branch-free program's state repeats at pass 1's
-        // first input.  The traces — with and without noise, and of the
-        // §5.3 swapped sequences — are the full schedule's.
+        // first input.  The traces — with and without noise, of the §5.3
+        // swapped sequences, and under Evict+Reload too — are the full
+        // schedule's.
         let v1 = v1_tc();
         let direct = direct_load_tc();
         let noise = NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: 13 };
@@ -1060,12 +1091,11 @@ mod tests {
             (&v1, v1_pattern(&v1, &[i, i, i, i]), 2),
             (&v1, v1_pattern(&v1, &[o, i, i, i, i]), 4),
         ];
+        let pp = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let er = ExecutorConfig::paper(MeasurementMode::evict_reload());
         for (tc, inputs, k) in cases {
             let n = inputs.len() as u64;
-            for cfg in [
-                ExecutorConfig::paper(MeasurementMode::prime_probe()),
-                ExecutorConfig::paper(MeasurementMode::prime_probe()).with_noise(noise),
-            ] {
+            for cfg in [pp, pp.with_noise(noise), er, er.with_noise(noise)] {
                 assert_eq!(simulated_runs(cfg, tc, &inputs), n + k, "k = {k}");
 
                 let prog = DecodedProgram::decode(tc).unwrap();
@@ -1098,11 +1128,9 @@ mod tests {
         // pass 1's first input, while a snapshot that also lists the
         // primed cache's lines waits until every set the loads touch has
         // been reordered (pass 2 for one input, input 2 of pass 1 for the
-        // two sets of three).  Evict+Reload describes the whole prepared
-        // cache, but its reload leaves the ages alone, so here the next
-        // prime evicts the attacker lines in walk order and refills them
-        // in walk order: its passes repeat from pass 1's first input too.
-        // The traces are the full schedule's every time.
+        // two sets of three).  Evict+Reload prepares with the same prime
+        // and describes nothing either, so its runs repeat from pass 1's
+        // first input too.  The traces are the full schedule's every time.
         let tc = direct_load_tc();
         let cfg = ExecutorConfig::paper(MeasurementMode::prime_probe());
         let evict_reload = ExecutorConfig::paper(MeasurementMode::evict_reload());

@@ -29,8 +29,8 @@
 //! ([`CpuUnderTest::functional_state`](rvz_uarch::CpuUnderTest::functional_state)),
 //! the channel the cache it prepared
 //! ([`SideChannel::describe_prepared`](rvz_cache::SideChannel::describe_prepared);
-//! nothing for Prime+Probe, whose prime leaves every cache in one
-//! canonical state).  Once the state at an input equals the state at the
+//! nothing for Prime+Probe and Evict+Reload, whose prime leaves every cache
+//! in one canonical state).  Once the state at an input equals the state at the
 //! same input one pass earlier, the rest of that pass repeats the pass
 //! before, so the next pass starts where this one did, and every later run
 //! repeats its input's latest simulated run: its raw sample is replayed

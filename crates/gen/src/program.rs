@@ -35,12 +35,6 @@ impl ProgramGenerator {
         &self.config
     }
 
-    /// Replace the configuration (used when the diversity analysis escalates
-    /// the generation parameters).
-    pub fn set_config(&mut self, config: GeneratorConfig) {
-        self.config = config;
-    }
-
     /// Generate a test case deterministically from a seed.
     ///
     /// A configuration pinned to a [`Scenario`](crate::Scenario) returns

@@ -189,14 +189,6 @@ impl BlockBuilder {
         })
     }
 
-    /// Store an immediate: `MOV qword ptr [base + disp], imm`.
-    pub fn store_imm_disp(&mut self, base: Reg, disp: i64, imm: i64) -> &mut Self {
-        self.push(Instr::Mov {
-            dest: Operand::mem(MemOperand::base_disp(base, disp)),
-            src: Operand::imm(imm),
-        })
-    }
-
     // --- arithmetic ----------------------------------------------------------
 
     /// `ADD dst, src`.

@@ -1,7 +1,6 @@
 //! Test cases: DAGs of basic blocks plus the sandbox layout they run in.
 
 use crate::block::{BasicBlock, BlockId, Terminator};
-use crate::inst::Instr;
 use crate::sandbox::SandboxLayout;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -102,11 +101,6 @@ impl TestCase {
         self.sandbox
     }
 
-    /// Replace the sandbox layout (e.g. to enable the assist page).
-    pub fn set_sandbox(&mut self, sandbox: SandboxLayout) {
-        self.sandbox = sandbox;
-    }
-
     /// The entry block.
     pub fn entry(&self) -> &BasicBlock {
         &self.blocks[0]
@@ -151,13 +145,6 @@ impl TestCase {
             .iter()
             .map(|b| b.instrs.iter().filter(|i| i.is_variable_latency()).count())
             .sum()
-    }
-
-    /// Iterate over `(block, index, instruction)` for all body instructions.
-    pub fn iter_instrs(&self) -> impl Iterator<Item = (BlockId, usize, &Instr)> {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.instrs.iter().enumerate().map(move |(i, ins)| (b.id, i, ins)))
     }
 
     /// Check structural invariants: non-empty, dense block numbering, no
@@ -231,7 +218,7 @@ impl fmt::Display for TestCase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AluOp, Cond};
+    use crate::inst::{AluOp, Cond, Instr};
     use crate::operand::Operand;
     use crate::reg::Reg;
 

@@ -290,11 +290,6 @@ impl SeedEval {
             _ => None,
         }
     }
-
-    /// Was the seed discarded by the static pre-filter?
-    pub fn is_filtered(&self) -> bool {
-        matches!(self, SeedEval::Filtered)
-    }
 }
 
 /// Evaluate one campaign seed on a fresh [`UnitContext`]: an executor

@@ -8,8 +8,8 @@
 //!
 //! Two sections:
 //!
-//! * `matrix_throughput` — the in-process orchestrator baseline (the
-//!   criterion bench's 12-cell Table 3 slice, one timed pass each):
+//! * `matrix_throughput` — the in-process orchestrator baseline (a
+//!   12-cell Table 3 slice, one timed pass each):
 //!   sequential per-cell campaigns versus one shared matrix.
 //! * `fleet_speedup` — before/after wall-clock for a steal-enabled
 //!   two-unit job: once served by a single worker, once with a second
@@ -39,8 +39,8 @@ usage: fleet-bench [options]
   -h, --help           this text
 ";
 
-/// The criterion bench's slice, timed once per shape: 3 targets x 4
-/// contracts, budget 24, seed 11.
+/// The 12-cell slice, timed once per shape: 3 targets x 4 contracts,
+/// budget 24, seed 11.
 fn matrix_throughput() -> Json {
     const SEED: u64 = 11;
     const BUDGET: usize = 24;

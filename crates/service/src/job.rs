@@ -115,12 +115,6 @@ impl JobSpec {
         self
     }
 
-    /// Builder: set the matrix seed.
-    pub fn with_seed(mut self, seed: u64) -> JobSpec {
-        self.seed = seed;
-        self
-    }
-
     /// Builder: set the scheduling priority (higher drains first).
     pub fn with_priority(mut self, priority: i64) -> JobSpec {
         self.priority = priority;

@@ -57,7 +57,7 @@ fn served_job_is_byte_identical_to_an_in_process_matrix_run() {
     assert!(rounds >= 2, "budget 40 / round 10 must stream several round events");
     assert_eq!(cells, 3, "every cell reports exactly one cell event");
 
-    // Acceptance criterion: the served result's deterministic section is
+    // Acceptance check: the served result's deterministic section is
     // byte-identical to an in-process CampaignMatrix::run of the same seed
     // — same cells, verdicts, unit seeds, test-case counts, down to the
     // full violation reports.
