@@ -1,6 +1,7 @@
 //! Input classes, effectiveness statistics and violation detection.
 
 use rvz_executor::HTrace;
+pub use rvz_model::InputClass;
 use rvz_model::CTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -26,22 +27,6 @@ impl Hasher for ClassKeyHasher {
 
     fn write_u64(&mut self, key: u64) {
         self.0 = key;
-    }
-}
-
-/// A group of inputs that share the same contract trace (an equivalence
-/// class of contract-trace equality, §4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InputClass {
-    /// Indices (into the input vector) of the members, in priming order.
-    pub members: Vec<usize>,
-}
-
-impl InputClass {
-    /// A class is *effective* if it has at least two members; singleton
-    /// classes cannot witness a violation and are discarded (CH2).
-    pub fn is_effective(&self) -> bool {
-        self.members.len() >= 2
     }
 }
 
@@ -173,25 +158,23 @@ impl Analyzer {
     /// # Panics
     /// Panics if the two vectors have different lengths.
     pub fn check(&self, ctraces: &[CTrace], htraces: &[HTrace]) -> AnalysisResult {
+        assert_eq!(ctraces.len(), htraces.len(), "one hardware trace per contract trace");
         let classes = self.input_classes(ctraces);
-        self.check_classes(ctraces, &classes, htraces)
+        self.check_classes(&classes, htraces, |i| ctraces[i].digest())
     }
 
-    /// [`Analyzer::check`] over classes the caller already grouped with
-    /// [`Analyzer::input_classes`] from the same `ctraces`, for callers
-    /// that need the classes too.  Only a reported violation pays for its
-    /// trace's [`CTrace::digest`].
-    ///
-    /// # Panics
-    /// Panics if the two trace vectors have different lengths.
+    /// [`Analyzer::check`] over classes the caller already grouped (the
+    /// contract model's slate pass groups them without building traces):
+    /// `classes` partitions the inputs of `htraces` by contract-trace
+    /// equality, and `ctrace_digest(i)` is the [`CTrace::digest`] of input
+    /// `i`'s trace.  Only a reported violation asks for its digest.
     pub fn check_classes(
         &self,
-        ctraces: &[CTrace],
         classes: &[InputClass],
         htraces: &[HTrace],
+        ctrace_digest: impl Fn(usize) -> u64,
     ) -> AnalysisResult {
-        assert_eq!(ctraces.len(), htraces.len(), "one hardware trace per contract trace");
-        let stats = self.effectiveness(classes, ctraces.len());
+        let stats = self.effectiveness(classes, htraces.len());
         let mut violations = Vec::new();
         for class in classes.iter().filter(|c| c.is_effective()) {
             'class: for (k, &a) in class.members.iter().enumerate() {
@@ -202,7 +185,7 @@ impl Analyzer {
                             input_b: b,
                             htrace_a: htraces[a],
                             htrace_b: htraces[b],
-                            ctrace_digest: ctraces[a].digest(),
+                            ctrace_digest: ctrace_digest(a),
                         });
                         if self.first_violation_per_class {
                             break 'class;
@@ -302,7 +285,7 @@ mod tests {
             assert_eq!(v.ctrace_digest, traces[v.input_a].digest());
         }
         let classes = a.input_classes(&traces);
-        assert_eq!(a.check_classes(&traces, &classes, &htraces), r);
+        assert_eq!(a.check_classes(&classes, &htraces, |i| traces[i].digest()), r);
     }
 
     #[test]

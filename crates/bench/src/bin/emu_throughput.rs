@@ -7,20 +7,26 @@
 //! emu_throughput [--out=BENCH_emu.json] [--programs=8] [--reps=N]
 //! ```
 //!
-//! Four sections, one per execution layer (two for the model), each timing
-//! the retained reference interpreter (per-step AST walk, heap-allocated
-//! effect lists, full-state-clone speculation checkpoints) against the
-//! pre-decoded loop (dense instruction array decoded once per program,
-//! inline event buffers, delta checkpoints) over the same generated
-//! workload:
+//! Six sections, one per execution layer (three for the model), each timing
+//! two paths over the same generated workload.  All but `model_classes`
+//! and `executor` time the retained reference interpreter (per-step AST
+//! walk, heap-allocated effect lists, full-state-clone speculation
+//! checkpoints) against the pre-decoded loop (dense instruction array
+//! decoded once per program, inline event buffers, delta checkpoints):
 //!
 //! * `arch`  — the architectural runner ([`Runner`]), no speculation;
 //! * `model` — the contract model (CT-COND-BPAS with nested speculation:
 //!   the heaviest ctrace collection loop);
-//! * `model_slate` — the contract model as the campaign runs it: the
+//! * `model_slate` — the contract model's per-input slate entry: the
 //!   Table 3 slate through [`ContractModel::collect_slate_decoded`] (one
 //!   emulator per program, each speculative site explored once per
 //!   exploration key) against four independent reference walks per input;
+//! * `model_classes` — the contract model as the campaign runs it: the
+//!   Table 3 slate grouped into input classes by
+//!   [`SlateScratch::collect_in_place`] (one shared record per input, no
+//!   trace built) against the same slate's per-contract traces grouped by
+//!   [`Analyzer::input_classes`].  Its checksum folds every contract's
+//!   classes of every program once, so it does not depend on `--reps`;
 //! * `uarch` — the speculative CPU ([`SpecCpu`]) with assists enabled;
 //! * `executor` — hardware-trace collection at the paper's schedule
 //!   ([`ExecutorConfig::paper`]: 3 warm-up + 50 measured passes), through
@@ -44,7 +50,8 @@ use rvz_emu::{Fault, Runner};
 use rvz_executor::{Executor, ExecutorConfig, HTrace};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::{DecodedProgram, Input, TestCase};
-use rvz_model::{Contract, ContractModel};
+use rvz_analyzer::Analyzer;
+use rvz_model::{Contract, ContractModel, InputClass, SlateScratch};
 use rvz_uarch::{CpuUnderTest, RunOptions, RunOutcome, SpecCpu};
 use std::time::{Duration, Instant};
 
@@ -309,6 +316,103 @@ fn bench_model_slate(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bo
     (json, identical)
 }
 
+/// Fold one program's classes, contract by contract, into an
+/// order-dependent checksum.
+fn fold_classes<'a>(checksum: u64, classes: impl Iterator<Item = &'a [InputClass]>) -> u64 {
+    let mut acc = checksum;
+    for (k, contract) in classes.enumerate() {
+        for class in contract {
+            acc = (acc ^ (k as u64 + 1)).wrapping_mul(0x0100_0000_01b3);
+            for &m in &class.members {
+                acc = (acc ^ m as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    acc
+}
+
+/// Contract model, class path: the Table 3 slate grouped into input
+/// classes as the campaign groups them ([`SlateScratch::collect_in_place`]
+/// on one scratch kept across programs, without the executed-instruction
+/// record the matrix does not read) against the slate's per-contract
+/// traces ([`ContractModel::collect_slate_decoded`]) grouped by
+/// [`Analyzer::input_classes`].  Both sides run the same model passes; the
+/// difference is the per-contract trace copies, keys and execution records
+/// the class path never builds.  Every program's classes must be identical.
+fn bench_model_classes(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bool) {
+    let slate = Contract::table3_contracts();
+    let analyzer = Analyzer::new();
+    let programs: Vec<DecodedProgram> = cases
+        .iter()
+        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
+        .collect();
+    let traced = |prog: &DecodedProgram, inputs: &[Input]| -> Option<Vec<Vec<InputClass>>> {
+        let outs: Result<Vec<_>, _> =
+            ContractModel::collect_slate_decoded(&slate, prog, inputs).into_iter().collect();
+        let outs = outs.ok()?;
+        let classes = (0..slate.len()).map(|k| {
+            let traces: Vec<_> = outs.iter().map(|o| o[k].trace.clone()).collect();
+            analyzer.input_classes(&traces)
+        });
+        Some(classes.collect())
+    };
+
+    let mut identical = true;
+    let mut instructions = 0u64;
+    let mut checksum = 0u64;
+    let mut scratch = SlateScratch::default();
+    for (prog, (tc, inputs)) in programs.iter().zip(cases) {
+        let expected = traced(prog, inputs);
+        let grouped = scratch.collect_in_place(&slate, prog, inputs, false);
+        match (&expected, grouped) {
+            (Some(expected), Ok(())) => {
+                identical &= (0..slate.len()).all(|k| scratch.classes(k) == &expected[k][..]);
+                checksum = fold_classes(checksum, expected.iter().map(|c| &c[..]));
+            }
+            (None, Err(_)) => {}
+            _ => identical = false,
+        }
+        for input in inputs {
+            if let Ok(trace) = Runner::new(tc).run(input) {
+                instructions += (trace.len() * slate.len()) as u64;
+            }
+        }
+    }
+
+    let mut sink = 0usize;
+    let traces_start = Instant::now();
+    for _ in 0..reps {
+        for (prog, (_, inputs)) in programs.iter().zip(cases) {
+            if let Some(classes) = traced(prog, inputs) {
+                sink = sink.wrapping_add(classes.iter().map(Vec::len).sum::<usize>());
+            }
+        }
+    }
+    let traces = traces_start.elapsed();
+
+    let classes_start = Instant::now();
+    for _ in 0..reps {
+        for (prog, (_, inputs)) in programs.iter().zip(cases) {
+            if scratch.collect_in_place(&slate, prog, inputs, false).is_ok() {
+                sink = sink.wrapping_add((0..slate.len()).map(|k| scratch.classes(k).len()).sum());
+            }
+        }
+    }
+    let classes = classes_start.elapsed();
+    std::hint::black_box(sink);
+
+    let json = Json::obj()
+        .field("instructions", instructions * reps as u64)
+        .field("traces_ms", ms(traces))
+        .field("classes_ms", ms(classes))
+        .field("traces_instr_per_sec", (instructions * reps as u64) as f64 / traces.as_secs_f64())
+        .field("classes_instr_per_sec", (instructions * reps as u64) as f64 / classes.as_secs_f64())
+        .field("speedup", traces.as_secs_f64() / classes.as_secs_f64())
+        .field("checksum", checksum)
+        .field("contracts", slate.len() as u64);
+    (json, identical)
+}
+
 /// RAX of the state the CPU's last run ended in, folded into the checksum
 /// so the timed loops cannot be optimized away.
 fn final_rax(cpu: &SpecCpu) -> u64 {
@@ -509,6 +613,7 @@ fn main() {
     let arch_reps = reps_override.unwrap_or(400);
     let model_reps = reps_override.unwrap_or(200);
     let slate_reps = reps_override.unwrap_or(200);
+    let classes_reps = reps_override.unwrap_or(200);
     let uarch_reps = reps_override.unwrap_or(60);
     let executor_reps = reps_override.unwrap_or(20);
 
@@ -518,16 +623,19 @@ fn main() {
     let (model, model_ok) = bench_model(&cases, model_reps);
     eprintln!("emu_throughput: timing the contract model (Table 3 slate)...");
     let (model_slate, slate_ok) = bench_model_slate(&cases, slate_reps);
+    eprintln!("emu_throughput: timing the contract model (Table 3 slate, class path)...");
+    let (model_classes, classes_ok) = bench_model_classes(&cases, classes_reps);
     eprintln!("emu_throughput: timing the speculative CPU ({})...", target.cpu().name());
     let (uarch, uarch_ok) = bench_uarch(&cases, &target, uarch_reps);
     eprintln!("emu_throughput: timing the executor (paper schedule, fixed point)...");
     let (executor, executor_ok) = bench_executor(&cases, &target, executor_reps);
 
-    let identical = arch_ok && model_ok && slate_ok && uarch_ok && executor_ok;
+    let identical = arch_ok && model_ok && slate_ok && classes_ok && uarch_ok && executor_ok;
     assert!(
         identical,
-        "decoded loop diverged from the reference interpreter, or the fixed point from the \
-         full schedule (arch={arch_ok} model={model_ok} model_slate={slate_ok} uarch={uarch_ok} \
+        "decoded loop diverged from the reference interpreter, the class path from the traces, \
+         or the fixed point from the full schedule (arch={arch_ok} model={model_ok} \
+         model_slate={slate_ok} model_classes={classes_ok} uarch={uarch_ok} \
          executor={executor_ok})"
     );
 
@@ -545,12 +653,14 @@ fn main() {
                 .field("arch_reps", arch_reps as u64)
                 .field("model_reps", model_reps as u64)
                 .field("model_slate_reps", slate_reps as u64)
+                .field("model_classes_reps", classes_reps as u64)
                 .field("uarch_reps", uarch_reps as u64)
                 .field("executor_reps", executor_reps as u64),
         )
         .field("arch", arch)
         .field("model", model)
         .field("model_slate", model_slate)
+        .field("model_classes", model_classes)
         .field("uarch", uarch)
         .field("executor", executor)
         .field("verdicts_identical", identical);

@@ -1,7 +1,7 @@
 //! Basic blocks and control-flow terminators.
 
 use crate::inst::{Cond, Instr};
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -106,6 +106,15 @@ impl Terminator {
             Terminator::IndirectJmp { src, .. } => vec![*src],
             Terminator::Call { .. } | Terminator::Ret => vec![Reg::Rsp],
             _ => vec![],
+        }
+    }
+
+    /// [`Terminator::reads_regs`] as a set, built without allocating.
+    pub fn reads_set(&self) -> RegSet {
+        match self {
+            Terminator::IndirectJmp { src, .. } => RegSet::of(&[*src]),
+            Terminator::Call { .. } | Terminator::Ret => RegSet::of(&[Reg::Rsp]),
+            _ => RegSet::EMPTY,
         }
     }
 }

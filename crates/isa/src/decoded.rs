@@ -11,7 +11,8 @@
 //! of [`DecodedInstr`]s: operands lowered to [`SrcOp`]/[`DstOp`] with use
 //! widths fixed, branch targets validated, and per-instruction static
 //! metadata (register sets, flag/memory behaviour, memory operands)
-//! precomputed into inline slices.  Decoding is a pure representation change:
+//! precomputed into bitmasks and inline arrays, so decoding allocates
+//! nothing per instruction.  Decoding is a pure representation change:
 //! executing the decoded form is observably byte-identical to walking the
 //! original AST — the differential property tests in `revizor` enforce this.
 //!
@@ -97,25 +98,64 @@ pub enum DecodedTerm {
     Ret,
 }
 
+/// The memory operands `(operand, width, is_write)` of one instruction,
+/// stored inline: an instruction has at most two, so decoding one never
+/// allocates.  Dereferences to the operand slice.
+#[derive(Debug, Clone, Copy)]
+pub struct MemOps {
+    ops: [(MemOperand, Width, bool); 2],
+    len: u8,
+}
+
+impl Default for MemOps {
+    fn default() -> MemOps {
+        MemOps { ops: [(MemOperand::base(Reg::Rax), Width::Qword, false); 2], len: 0 }
+    }
+}
+
+impl std::ops::Deref for MemOps {
+    type Target = [(MemOperand, Width, bool)];
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &self.ops[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for MemOps {
+    fn eq(&self, other: &MemOps) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for MemOps {}
+
+impl Extend<(MemOperand, Width, bool)> for MemOps {
+    /// # Panics
+    /// Panics past two operands, which no instruction has.
+    fn extend<T: IntoIterator<Item = (MemOperand, Width, bool)>>(&mut self, iter: T) {
+        for op in iter {
+            self.ops[usize::from(self.len)] = op;
+            self.len += 1;
+        }
+    }
+}
+
 /// A decoded body instruction plus its precomputed static metadata.
 ///
 /// The metadata fields are computed by calling the corresponding [`Instr`]
-/// methods exactly once at decode time, so orderings (e.g. the order of
-/// `reads_regs`) are identical to the per-step AST derivation by
-/// construction.
+/// methods exactly once at decode time.  Register sets are bitmasks and
+/// memory operands are inline, so decoding allocates nothing per
+/// instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedInstr {
     /// The operation.
     pub op: DecodedOp,
     /// Index of the instruction within its basic block.
     pub index: u32,
-    /// Registers read (same order as [`Instr::reads_regs`]).
-    pub reads_regs: Box<[Reg]>,
-    /// Registers written (same order as [`Instr::writes_regs`]).
-    pub writes_regs: Box<[Reg]>,
-    /// `reads_regs` as an allocation-free bitmask.
+    /// Registers read ([`Instr::reads_regs`] as a set).
     pub reads_set: RegSet,
-    /// `writes_regs` as an allocation-free bitmask.
+    /// Registers written ([`Instr::writes_regs`] as a set).
     pub writes_set: RegSet,
     /// Does the instruction read the status flags?
     pub reads_flags: bool,
@@ -129,9 +169,8 @@ pub struct DecodedInstr {
     pub is_fence: bool,
     /// Is this a variable-latency instruction (the `VAR` class)?
     pub is_var_latency: bool,
-    /// Memory operands `(operand, width, is_write)` in the same order as
-    /// [`Instr::mem_operands`].
-    pub mem_ops: Box<[(MemOperand, Width, bool)]>,
+    /// Memory operands in the same order as [`Instr::mem_operands`].
+    pub mem_ops: MemOps,
 }
 
 /// A decoded terminator plus its precomputed static metadata.
@@ -139,9 +178,7 @@ pub struct DecodedInstr {
 pub struct DecodedTerminator {
     /// The terminator.
     pub term: DecodedTerm,
-    /// Registers read (same order as [`Terminator::reads_regs`]).
-    pub reads_regs: Box<[Reg]>,
-    /// `reads_regs` as an allocation-free bitmask.
+    /// Registers read ([`Terminator::reads_regs`] as a set).
     pub reads_set: RegSet,
     /// Does the terminator read the status flags?
     pub reads_flags: bool,
@@ -400,22 +437,20 @@ fn decode_instr(ins: &Instr, block: BlockId, index: usize) -> Result<DecodedInst
         Instr::Lfence | Instr::Mfence => DecodedOp::Fence,
         Instr::Nop => DecodedOp::Nop,
     };
-    let reads_regs = ins.reads_regs();
-    let writes_regs = ins.writes_regs();
+    let mut mem_ops = MemOps::default();
+    ins.extend_mem_operands(&mut mem_ops);
     Ok(DecodedInstr {
         op,
         index: index as u32,
-        reads_set: RegSet::of(&reads_regs),
-        writes_set: RegSet::of(&writes_regs),
-        reads_regs: reads_regs.into_boxed_slice(),
-        writes_regs: writes_regs.into_boxed_slice(),
+        reads_set: ins.reads_set(),
+        writes_set: ins.writes_set(),
         reads_flags: ins.reads_flags(),
         writes_flags: ins.writes_flags(),
         reads_mem: ins.reads_mem(),
         writes_mem: ins.writes_mem(),
         is_fence: ins.is_fence(),
         is_var_latency: ins.is_variable_latency(),
-        mem_ops: ins.mem_operands().into_boxed_slice(),
+        mem_ops,
     })
 }
 
@@ -452,11 +487,9 @@ fn decode_terminator(
         }
         Terminator::Ret => DecodedTerm::Ret,
     };
-    let reads_regs = term.reads_regs();
     Ok(DecodedTerminator {
         term: t,
-        reads_set: RegSet::of(&reads_regs),
-        reads_regs: reads_regs.into_boxed_slice(),
+        reads_set: term.reads_set(),
         reads_flags: term.reads_flags(),
     })
 }
@@ -509,8 +542,8 @@ mod tests {
             for (i, ins) in b.instrs.iter().enumerate() {
                 let d = &p.body(b.id)[i];
                 assert_eq!(d.index as usize, i);
-                assert_eq!(&*d.reads_regs, &ins.reads_regs()[..]);
-                assert_eq!(&*d.writes_regs, &ins.writes_regs()[..]);
+                assert_eq!(d.reads_set, RegSet::of(&ins.reads_regs()));
+                assert_eq!(d.writes_set, RegSet::of(&ins.writes_regs()));
                 assert_eq!(d.reads_flags, ins.reads_flags());
                 assert_eq!(d.writes_flags, ins.writes_flags());
                 assert_eq!(d.reads_mem, ins.reads_mem());
@@ -520,7 +553,7 @@ mod tests {
                 assert_eq!(&*d.mem_ops, &ins.mem_operands()[..]);
             }
             let t = p.terminator(b.id);
-            assert_eq!(&*t.reads_regs, &b.terminator.reads_regs()[..]);
+            assert_eq!(t.reads_set, RegSet::of(&b.terminator.reads_regs()));
             assert_eq!(t.reads_flags, b.terminator.reads_flags());
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::block::BlockId;
 use crate::operand::{MemOperand, Operand};
-use crate::reg::{Reg, Width};
+use crate::reg::{Reg, RegSet, Width};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -336,20 +336,30 @@ impl Instr {
     /// implicit sources such as `RAX`/`RDX` for `DIV`).
     pub fn reads_regs(&self) -> Vec<Reg> {
         let mut out = Vec::new();
+        self.extend_reads(&mut out);
+        out
+    }
+
+    /// [`Instr::reads_regs`] as a set, built without allocating.
+    pub fn reads_set(&self) -> RegSet {
+        let mut out = RegSet::EMPTY;
+        self.extend_reads(&mut out);
+        out
+    }
+
+    fn extend_reads(&self, out: &mut impl Extend<Reg>) {
         match self {
             Instr::Alu { dest, src, .. } => {
                 out.extend(src.source_regs());
                 out.extend(dest.dest_addr_regs());
-                if let Some(r) = dest.as_reg() {
-                    out.push(r);
-                }
+                out.extend(dest.as_reg());
             }
             Instr::Mov { dest, src } => {
                 out.extend(src.source_regs());
                 out.extend(dest.dest_addr_regs());
             }
             Instr::Cmov { dest, src, .. } => {
-                out.push(*dest);
+                out.extend([*dest]);
                 out.extend(src.source_regs());
             }
             Instr::Setcc { .. } => {}
@@ -360,58 +370,62 @@ impl Instr {
             Instr::Shift { dest, amount, .. } => {
                 out.extend(amount.source_regs());
                 out.extend(dest.dest_addr_regs());
-                if let Some(r) = dest.as_reg() {
-                    out.push(r);
-                }
+                out.extend(dest.as_reg());
             }
             Instr::Unary { dest, .. } => {
                 out.extend(dest.dest_addr_regs());
-                if let Some(r) = dest.as_reg() {
-                    out.push(r);
-                }
+                out.extend(dest.as_reg());
             }
             Instr::Div { src } => {
-                out.push(Reg::Rax);
-                out.push(Reg::Rdx);
+                out.extend([Reg::Rax, Reg::Rdx]);
                 out.extend(src.source_regs());
             }
             Instr::Imul { dest, src } => {
-                out.push(*dest);
+                out.extend([*dest]);
                 out.extend(src.source_regs());
             }
             Instr::Lea { addr, .. } => out.extend(addr.address_regs()),
-            Instr::Bswap { dest } => out.push(*dest),
+            Instr::Bswap { dest } => out.extend([*dest]),
             Instr::Xchg { dest, src } => {
-                out.push(*dest);
+                out.extend([*dest]);
                 out.extend(src.source_regs());
                 out.extend(src.dest_addr_regs());
             }
             Instr::Lfence | Instr::Mfence | Instr::Nop => {}
         }
-        out
     }
 
     /// Registers written by the instruction.
     pub fn writes_regs(&self) -> Vec<Reg> {
+        let mut out = Vec::new();
+        self.extend_writes(&mut out);
+        out
+    }
+
+    /// [`Instr::writes_regs`] as a set, built without allocating.
+    pub fn writes_set(&self) -> RegSet {
+        let mut out = RegSet::EMPTY;
+        self.extend_writes(&mut out);
+        out
+    }
+
+    fn extend_writes(&self, out: &mut impl Extend<Reg>) {
         match self {
             Instr::Alu { dest, .. }
             | Instr::Mov { dest, .. }
             | Instr::Shift { dest, .. }
-            | Instr::Unary { dest, .. } => dest.as_reg().into_iter().collect(),
-            Instr::Cmov { dest, .. } | Instr::Setcc { dest, .. } => vec![*dest],
-            Instr::Cmp { .. } | Instr::Test { .. } => vec![],
-            Instr::Div { .. } => vec![Reg::Rax, Reg::Rdx],
+            | Instr::Unary { dest, .. } => out.extend(dest.as_reg()),
+            Instr::Cmov { dest, .. } | Instr::Setcc { dest, .. } => out.extend([*dest]),
+            Instr::Cmp { .. } | Instr::Test { .. } => {}
+            Instr::Div { .. } => out.extend([Reg::Rax, Reg::Rdx]),
             Instr::Imul { dest, .. } | Instr::Lea { dest, .. } | Instr::Bswap { dest } => {
-                vec![*dest]
+                out.extend([*dest])
             }
             Instr::Xchg { dest, src } => {
-                let mut v = vec![*dest];
-                if let Some(r) = src.as_reg() {
-                    v.push(r);
-                }
-                v
+                out.extend([*dest]);
+                out.extend(src.as_reg());
             }
-            Instr::Lfence | Instr::Mfence | Instr::Nop => vec![],
+            Instr::Lfence | Instr::Mfence | Instr::Nop => {}
         }
     }
 
@@ -479,13 +493,17 @@ impl Instr {
     }
 
     /// Memory operands referenced by this instruction together with their
-    /// access kinds `(operand, width, is_write)`.
+    /// access kinds `(operand, width, is_write)`.  There are at most two.
     pub fn mem_operands(&self) -> Vec<(MemOperand, Width, bool)> {
         let mut out = Vec::new();
+        self.extend_mem_operands(&mut out);
+        out
+    }
+
+    /// Append [`Instr::mem_operands`] to `out`, without allocating.
+    pub fn extend_mem_operands(&self, out: &mut impl Extend<(MemOperand, Width, bool)>) {
         let mut push = |op: &Operand, write: bool| {
-            if let Some((m, w)) = op.as_mem() {
-                out.push((m, w, write));
-            }
+            out.extend(op.as_mem().map(|(m, w)| (m, w, write)));
         };
         match self {
             Instr::Alu { dest, src, .. } => {
@@ -513,7 +531,6 @@ impl Instr {
             }
             _ => {}
         }
-        out
     }
 }
 

@@ -72,7 +72,7 @@ pub use builder::TestCaseBuilder;
 pub use catalog::{InstrClass, InstrSpec, IsaSubset};
 pub use decoded::{
     DecodeError, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, DecodedTerminator, DstOp,
-    SrcOp,
+    MemOps, SrcOp,
 };
 pub use input::Input;
 pub use inst::{AluOp, Cond, Instr, ShiftOp, UnaryOp};

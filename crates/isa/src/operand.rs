@@ -167,22 +167,15 @@ impl Operand {
     }
 
     /// Registers read when this operand is used as a *source*.
-    pub fn source_regs(&self) -> Vec<Reg> {
-        match self {
-            Operand::Reg(r, _) => vec![*r],
-            Operand::Imm(_) => vec![],
-            Operand::Mem(m, _) => m.address_regs().collect(),
-        }
+    pub fn source_regs(&self) -> impl Iterator<Item = Reg> {
+        self.as_reg().into_iter().chain(self.dest_addr_regs())
     }
 
     /// Registers read when this operand is used as a *destination*
     /// (address registers for memory destinations; read-modify-write register
     /// destinations are handled at the instruction level).
-    pub fn dest_addr_regs(&self) -> Vec<Reg> {
-        match self {
-            Operand::Mem(m, _) => m.address_regs().collect(),
-            _ => vec![],
-        }
+    pub fn dest_addr_regs(&self) -> impl Iterator<Item = Reg> {
+        self.as_mem().into_iter().flat_map(|(m, _)| m.address_regs())
     }
 }
 
@@ -253,9 +246,9 @@ mod tests {
     #[test]
     fn operand_source_regs() {
         let m = Operand::mem(MemOperand::base_index(Reg::R14, Reg::Rcx));
-        assert_eq!(m.source_regs(), vec![Reg::R14, Reg::Rcx]);
-        assert_eq!(Operand::imm(1).source_regs(), Vec::<Reg>::new());
-        assert_eq!(Operand::reg(Reg::Rbx).source_regs(), vec![Reg::Rbx]);
+        assert_eq!(m.source_regs().collect::<Vec<_>>(), vec![Reg::R14, Reg::Rcx]);
+        assert_eq!(Operand::imm(1).source_regs().count(), 0);
+        assert_eq!(Operand::reg(Reg::Rbx).source_regs().collect::<Vec<_>>(), vec![Reg::Rbx]);
     }
 
     #[test]

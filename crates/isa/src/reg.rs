@@ -179,18 +179,30 @@ impl RegSet {
     }
 
     /// The registers in the set, in [`Reg::index`] order.
+    #[inline]
     pub fn iter(self) -> impl Iterator<Item = Reg> {
-        Reg::ALL.into_iter().filter(move |r| self.contains(*r))
+        let mut bits = self.bits;
+        std::iter::from_fn(move || {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (i < 16).then(|| Reg::from_index(i))
+        })
     }
 }
 
 impl FromIterator<Reg> for RegSet {
     fn from_iter<T: IntoIterator<Item = Reg>>(iter: T) -> RegSet {
         let mut s = RegSet::EMPTY;
-        for r in iter {
-            s.insert(r);
-        }
+        s.extend(iter);
         s
+    }
+}
+
+impl Extend<Reg> for RegSet {
+    fn extend<T: IntoIterator<Item = Reg>>(&mut self, iter: T) {
+        for r in iter {
+            self.insert(r);
+        }
     }
 }
 

@@ -56,6 +56,47 @@ impl Observation {
             Observation::LoadValue(a) => (3, a),
         }
     }
+
+    /// The observation's word in the piece hash: its salted value, mixed
+    /// so that every bit of it reaches the high bits.
+    pub(crate) fn piece_word(self) -> u64 {
+        let (tag, v) = self.tag_value();
+        let z = (v ^ KEY_SALT[usize::from(tag - 1)]).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^ (z >> 31)
+    }
+}
+
+/// Base of the piece hash, a polynomial in wrapping `u64` arithmetic:
+/// `H([]) = 0` and `H(s ++ [o]) = H(s) * PIECE_BASE + o.piece_word()`.  It
+/// composes, `H(a ++ b) = H(a) * PIECE_BASE^|b| + H(b)`, so the hash of a
+/// trace follows from the hashes and lengths of the pieces it is cut into,
+/// wherever the cuts fall.
+pub(crate) const PIECE_BASE: u64 = 0x2545_f491_4f6c_dd1d;
+
+/// One step of the piece hash: `H(s ++ [o])` from `h = H(s)`.
+pub(crate) fn piece_step(h: u64, o: Observation) -> u64 {
+    h.wrapping_mul(PIECE_BASE).wrapping_add(o.piece_word())
+}
+
+/// The digest of the empty trace; see [`CTrace::digest`].
+pub(crate) const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The digest of a trace that continues, after a prefix whose digest is
+/// `digest`, with `observations`.
+pub(crate) fn digest_extend(digest: u64, observations: &[Observation]) -> u64 {
+    let mut h = digest;
+    let mut mix = |b: u8| {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    };
+    for &o in observations {
+        let (tag, v) = o.tag_value();
+        mix(tag);
+        for b in v.to_le_bytes() {
+            mix(b);
+        }
+    }
+    h
 }
 
 /// One step of the class-key mix: fold in one salted observation word.
@@ -77,15 +118,6 @@ impl CTrace {
     pub fn new(observations: Vec<Observation>) -> CTrace {
         let key = class_key(&observations);
         CTrace { observations, key }
-    }
-
-    /// Rebuild the trace from the observations `fill` writes into its
-    /// cleared buffer, keeping the buffer's allocation.
-    pub(crate) fn refill<R>(&mut self, fill: impl FnOnce(&mut Vec<Observation>) -> R) -> R {
-        self.observations.clear();
-        let r = fill(&mut self.observations);
-        self.key = class_key(&self.observations);
-        r
     }
 
     /// The empty trace.
@@ -119,19 +151,7 @@ impl CTrace {
     /// `0x100_0000_01b3` (2^40 + 0x1b3).  It is kept as is because the
     /// `ctrace_digest` of stored and reported violations depends on it.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for &o in &self.observations {
-            let (tag, v) = o.tag_value();
-            mix(tag);
-            for b in v.to_le_bytes() {
-                mix(b);
-            }
-        }
-        h
+        digest_extend(DIGEST_BASIS, &self.observations)
     }
 
     /// Memory-address observations only.
@@ -143,6 +163,22 @@ impl CTrace {
                 _ => None,
             })
             .collect()
+    }
+}
+
+/// A group of inputs that share the same contract trace (an equivalence
+/// class of contract-trace equality, §4).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct InputClass {
+    /// Indices (into the input vector) of the members, in priming order.
+    pub members: Vec<usize>,
+}
+
+impl InputClass {
+    /// A class is *effective* if it has at least two members; singleton
+    /// classes cannot witness a violation and are discarded (CH2).
+    pub fn is_effective(&self) -> bool {
+        self.members.len() >= 2
     }
 }
 

@@ -58,7 +58,7 @@ pub mod ctrace;
 pub mod model;
 
 pub use contract::{Contract, ExecutionClause, ObservationClause};
-pub use ctrace::{CTrace, Observation};
+pub use ctrace::{CTrace, InputClass, Observation};
 pub use model::{
     ContractModel, ExecutedInstr, ExecutionInfo, InstrKind, MemAddrs, ModelOutput, SlateScratch,
 };

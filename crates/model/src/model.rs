@@ -1,7 +1,9 @@
 //! Contract-trace collection by instrumented emulation.
 
 use crate::contract::{Contract, ExecutionClause, ObservationClause};
-use crate::ctrace::{CTrace, Observation};
+use crate::ctrace::{
+    digest_extend, piece_step, CTrace, InputClass, Observation, DIGEST_BASIS, PIECE_BASE,
+};
 use rvz_emu::{Emulator, EventBuf, Fault, MemEvent, MemEventKind, Runner};
 use rvz_isa::{
     BlockId, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, DecodedTerminator, Input, Instr,
@@ -124,12 +126,15 @@ pub struct ExecutedInstr {
 }
 
 /// Execution metadata collected alongside the contract trace; input to the
-/// pattern-coverage analysis.
+/// pattern-coverage analysis.  The campaign's slate pass builds one only
+/// for the class members a caller reads
+/// ([`SlateScratch::class_members`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutionInfo {
     /// Architecturally executed instructions, in order.  The architectural
     /// pass is contract-independent, so the record is shared: every output
-    /// of one [`ContractModel::collect_many`] call, and every clone of an
+    /// of one [`ContractModel::collect_many`] call, every contract's class
+    /// member of one input in a [`SlateScratch`], and every clone of an
     /// info, points at the same slice.
     pub executed: Arc<[ExecutedInstr]>,
     /// Number of speculative paths explored by the execution clause.
@@ -205,10 +210,9 @@ impl ContractModel {
         prog: &DecodedProgram,
         input: &Input,
     ) -> Result<ModelOutput, Fault> {
-        let mut scratch = SlateScratch::default();
-        let mut run = SlateRun::new(std::slice::from_ref(&self.contract), prog, &mut scratch);
-        let executed = run.run(input)?;
-        Ok(run.output(0, &executed))
+        let contract = std::slice::from_ref(&self.contract);
+        let mut outputs = Self::collect_many_decoded(contract, prog, input)?;
+        Ok(outputs.pop().expect("one output per contract"))
     }
 
     /// Reference implementation of [`ContractModel::collect`] that re-walks
@@ -331,7 +335,9 @@ impl ContractModel {
         prog: &DecodedProgram,
         input: &Input,
     ) -> Result<Vec<ModelOutput>, Fault> {
-        SlateRun::new(contracts, prog, &mut SlateScratch::default()).collect(input)
+        let mut scratch = SlateScratch::default();
+        scratch.configure(contracts);
+        scratch.outputs(prog, input)
     }
 
     /// Collect a contract slate's traces for every input of one test case:
@@ -339,18 +345,18 @@ impl ContractModel {
     /// for `inputs[i]`.
     ///
     /// One emulator serves every input (re-initialized by
-    /// [`Emulator::reset`]), and the observation and segment buffers keep
-    /// the capacity the previous input grew them to.
-    /// [`SlateScratch::collect_in_place`] is the campaign's form of this
-    /// pass, on buffers kept across test cases.
+    /// [`Emulator::reset`]), and the record's arenas keep the capacity the
+    /// previous input grew them to.  [`SlateScratch::collect_in_place`] is
+    /// the campaign's form of this pass: it groups the inputs into each
+    /// contract's classes and builds no trace.
     pub fn collect_slate_decoded(
         contracts: &[Contract],
         prog: &DecodedProgram,
         inputs: &[Input],
     ) -> Vec<Result<Vec<ModelOutput>, Fault>> {
         let mut scratch = SlateScratch::default();
-        let mut run = SlateRun::new(contracts, prog, &mut scratch);
-        inputs.iter().map(|input| run.collect(input)).collect()
+        scratch.configure(contracts);
+        inputs.iter().map(|input| scratch.outputs(prog, input)).collect()
     }
 
     /// Convenience: collect only the contract trace.
@@ -501,16 +507,19 @@ struct SpecCounts {
     observations: usize,
 }
 
-/// Where one exploration's segment goes in the trace of every contract
-/// that permits its site.
+/// One exploration's segment and where it goes in the trace of every
+/// contract that permits its site.
 #[derive(Debug, Clone, Copy)]
 struct Splice {
     site: Site,
-    /// Offset in the architectural stream the segment is spliced in at.
+    /// Position in the architectural stream's arena the segment is
+    /// spliced in at.
     at: usize,
-    /// End of the segment in [`Explorer::segments`]; it starts where the
-    /// previous splice's segment ends.
+    /// The segment, `segments[start..end]` of its explorer.
+    start: usize,
     end: usize,
+    /// Piece hash of the segment, once the record's pieces are hashed.
+    hash: u64,
     counts: SpecCounts,
 }
 
@@ -525,14 +534,17 @@ struct Explorer {
     stream: usize,
     stores: bool,
     branches: bool,
-    /// Every segment of the current input, back to back.
+    /// Every input's segments, back to back.
     segments: Vec<Observation>,
+    /// Every input's splices, back to back.
     splices: Vec<Splice>,
+    /// Where each input's splices start in `splices`, then their end.
+    starts: Vec<usize>,
 }
 
 impl Explorer {
-    /// Explore the path starting at `start` into the segment buffer, to be
-    /// spliced in at offset `at` of the architectural stream.
+    /// Explore the path starting at `start` into the segment arena, to be
+    /// spliced in at position `at` of the architectural stream's arena.
     fn explore(
         &mut self,
         emu: &mut Emulator,
@@ -545,47 +557,10 @@ impl Explorer {
         let mut counts = SpecCounts::default();
         let skip_first_store = site == Site::Store;
         let (contract, segments) = (&self.contract, &mut self.segments);
+        let from = segments.len();
         explore_decoded(contract, emu, prog, start, skip_first_store, segments, &mut counts, 0, events);
-        self.splices.push(Splice { site, at, end: segments.len(), counts });
-    }
-
-    /// Write the trace of a contract with this key and execution clause
-    /// `execution` into the empty `obs`: the architectural stream with the
-    /// segments of the permitted sites spliced in, reserved at exact
-    /// length.
-    fn splice_into(
-        &self,
-        arch: &[Observation],
-        execution: ExecutionClause,
-        obs: &mut Vec<Observation>,
-    ) -> SpecCounts {
-        let permitted = |site| match site {
-            Site::Store => execution.permits_bpas(),
-            Site::Branch => execution.permits_cond(),
-        };
-        let mut len = arch.len();
-        let mut start = 0;
-        for sp in &self.splices {
-            if permitted(sp.site) {
-                len += sp.end - start;
-            }
-            start = sp.end;
-        }
-        obs.reserve_exact(len);
-        let mut counts = SpecCounts::default();
-        let (mut from, mut start) = (0, 0);
-        for sp in &self.splices {
-            if permitted(sp.site) {
-                obs.extend_from_slice(&arch[from..sp.at]);
-                obs.extend_from_slice(&self.segments[start..sp.end]);
-                from = sp.at;
-                counts.paths += sp.counts.paths;
-                counts.observations += sp.counts.observations;
-            }
-            start = sp.end;
-        }
-        obs.extend_from_slice(&arch[from..]);
-        counts
+        let end = segments.len();
+        self.splices.push(Splice { site, at, start: from, end, hash: 0, counts });
     }
 }
 
@@ -593,164 +568,454 @@ impl Explorer {
 #[derive(Debug)]
 struct Stream {
     clause: ObservationClause,
+    /// Every input's observations, back to back.
     obs: Vec<Observation>,
+    /// `prefix[j]` is the piece hash of `obs[..j]`, once the record's
+    /// pieces are hashed.
+    prefix: Vec<u64>,
+    /// Where each input's observations start in `obs`, then their end.
+    starts: Vec<usize>,
 }
 
-/// The contract model's working buffers for slate passes: the emulator,
-/// one observation stream per observation clause, the exploration segment
-/// and splice buffers, the executed-instruction record and the event
-/// scratch.
-///
-/// A scratch kept across test cases (a campaign worker holds one for its
-/// whole run) stops allocating once its buffers have grown to the largest
-/// pass.  What a pass computes never depends on what the scratch ran
-/// before: the emulator is re-initialized from each input, and every
-/// buffer is cleared before it is filled.
+/// How one slate contract reads the record: its observation clause's
+/// stream, and the segments of the sites its execution clause permits.
+#[derive(Debug, Clone, Copy)]
+struct View {
+    stream: usize,
+    explorer: Option<usize>,
+    stores: bool,
+    branches: bool,
+}
+
+impl View {
+    fn permits(self, site: Site) -> bool {
+        match site {
+            Site::Store => self.stores,
+            Site::Branch => self.branches,
+        }
+    }
+}
+
+/// A run of observations a contract trace is cut into.
+#[derive(Clone, Copy)]
+enum Piece<'a> {
+    /// A run of the stream, starting at `start` in the stream's arena.
+    Run { obs: &'a [Observation], start: usize },
+    /// A segment, with its piece hash.
+    Segment { obs: &'a [Observation], hash: u64 },
+}
+
+impl<'a> Piece<'a> {
+    fn obs(self) -> &'a [Observation] {
+        match self {
+            Piece::Run { obs, .. } | Piece::Segment { obs, .. } => obs,
+        }
+    }
+}
+
+/// The shared record of a slate pass: one entry per input in each arena,
+/// and how every slate contract reads it.
 #[derive(Debug, Default)]
-pub struct SlateScratch {
+struct Record {
     /// One stream per observation clause of the current slate.
     streams: Vec<Stream>,
     explorers: Vec<Explorer>,
-    emu: Option<Emulator>,
+    /// One view per slate contract.
+    views: Vec<View>,
+    /// Whether the pass records the executed instructions.
+    record_executed: bool,
+    /// Every input's executed instructions, back to back.
     executed: Vec<ExecutedInstr>,
+    /// Where each input's executed instructions start, then their end.
+    executed_starts: Vec<usize>,
+    /// Inputs recorded.
+    inputs: usize,
+    /// `pow[n]` is `PIECE_BASE^n`, up to the longest piece recorded.
+    pow: Vec<u64>,
+}
+
+impl Record {
+    /// Forget every input, keeping the arenas' capacity.  A fresh arena
+    /// is sized for one input of `prog`: a program counter and a memory
+    /// access per static instruction, and one executed-instruction record
+    /// per static instruction (a loop-free path's upper bound).
+    fn clear(&mut self, prog: &DecodedProgram, record_executed: bool) {
+        let static_len = prog.body_len() + prog.num_blocks();
+        for s in &mut self.streams {
+            s.obs.clear();
+            s.obs.reserve(2 * static_len);
+            s.starts.clear();
+            s.starts.push(0);
+        }
+        for e in &mut self.explorers {
+            e.segments.clear();
+            e.splices.clear();
+            e.starts.clear();
+            e.starts.push(0);
+        }
+        self.record_executed = record_executed;
+        self.executed.clear();
+        if record_executed {
+            self.executed.reserve(static_len);
+        }
+        self.executed_starts.clear();
+        self.executed_starts.push(0);
+        self.inputs = 0;
+    }
+
+    /// Drop what a faulted pass left of the input after the last recorded
+    /// one.
+    fn rollback(&mut self) {
+        for s in &mut self.streams {
+            s.obs.truncate(s.starts[self.inputs]);
+        }
+        for e in &mut self.explorers {
+            let first = e.starts[self.inputs];
+            let segments = e.splices.get(first).map_or(e.segments.len(), |sp| sp.start);
+            e.splices.truncate(first);
+            e.segments.truncate(segments);
+        }
+        self.executed.truncate(self.executed_starts[self.inputs]);
+    }
+
+    /// Close the input the last pass recorded: mark where it ends.
+    fn finish_input(&mut self) {
+        for s in &mut self.streams {
+            s.starts.push(s.obs.len());
+        }
+        for e in &mut self.explorers {
+            e.starts.push(e.splices.len());
+        }
+        self.executed_starts.push(self.executed.len());
+        self.inputs += 1;
+    }
+
+    /// Hash every piece of the record once: the prefix hashes of each
+    /// stream, and each splice's segment.
+    fn hash_pieces(&mut self) {
+        let mut longest = 0;
+        for s in &mut self.streams {
+            s.prefix.clear();
+            s.prefix.push(0);
+            let mut h = 0;
+            for &o in &s.obs {
+                h = piece_step(h, o);
+                s.prefix.push(h);
+            }
+            longest = s.starts.windows(2).map(|w| w[1] - w[0]).fold(longest, usize::max);
+        }
+        for e in &mut self.explorers {
+            for sp in &mut e.splices {
+                let segment = &e.segments[sp.start..sp.end];
+                sp.hash = segment.iter().fold(0, |h, &o| piece_step(h, o));
+                longest = longest.max(segment.len());
+            }
+        }
+        if self.pow.is_empty() {
+            self.pow.push(1);
+        }
+        while self.pow.len() <= longest {
+            let last = *self.pow.last().expect("pow starts at 1");
+            self.pow.push(last.wrapping_mul(PIECE_BASE));
+        }
+    }
+
+    /// The splices of input `i` whose segments contract `k`'s trace
+    /// splices in.
+    fn permitted(&self, k: usize, i: usize) -> impl Iterator<Item = &Splice> {
+        let view = self.views[k];
+        let splices = match view.explorer {
+            Some(e) => {
+                let e = &self.explorers[e];
+                &e.splices[e.starts[i]..e.starts[i + 1]]
+            }
+            None => &[],
+        };
+        splices.iter().filter(move |sp| view.permits(sp.site))
+    }
+
+    /// Visit the pieces of contract `k`'s trace of input `i` in order:
+    /// stream runs alternating with the segments of the permitted splices.
+    fn for_each_piece<'a>(&'a self, k: usize, i: usize, mut f: impl FnMut(Piece<'a>)) {
+        let view = self.views[k];
+        let stream = &self.streams[view.stream];
+        let segments = view.explorer.map_or(&[][..], |e| &self.explorers[e].segments);
+        let mut from = stream.starts[i];
+        for sp in self.permitted(k, i) {
+            f(Piece::Run { obs: &stream.obs[from..sp.at], start: from });
+            f(Piece::Segment { obs: &segments[sp.start..sp.end], hash: sp.hash });
+            from = sp.at;
+        }
+        f(Piece::Run { obs: &stream.obs[from..stream.starts[i + 1]], start: from });
+    }
+
+    /// Length of contract `k`'s trace of input `i`.
+    fn len(&self, k: usize, i: usize) -> usize {
+        let stream = &self.streams[self.views[k].stream];
+        let segments: usize = self.permitted(k, i).map(|sp| sp.end - sp.start).sum();
+        stream.starts[i + 1] - stream.starts[i] + segments
+    }
+
+    /// The piece hash of contract `k`'s trace of input `i`, composed from
+    /// its pieces' hashes at O(splices) cost; the pieces must be hashed.
+    fn key(&self, k: usize, i: usize) -> u64 {
+        let (prefix, pow) = (&self.streams[self.views[k].stream].prefix, &self.pow);
+        let mut key = 0u64;
+        self.for_each_piece(k, i, |p| {
+            let len = p.obs().len();
+            let hash = match p {
+                Piece::Run { start, .. } => {
+                    prefix[start + len].wrapping_sub(prefix[start].wrapping_mul(pow[len]))
+                }
+                Piece::Segment { hash, .. } => hash,
+            };
+            key = key.wrapping_mul(pow[len]).wrapping_add(hash);
+        });
+        key
+    }
+
+    /// Whether inputs `i` and `j` have equal traces under contract `k`;
+    /// `buf` is scratch for input `j`'s trace.
+    fn same(&self, k: usize, i: usize, j: usize, buf: &mut Vec<Observation>) -> bool {
+        if self.len(k, i) != self.len(k, j) {
+            return false;
+        }
+        buf.clear();
+        self.for_each_piece(k, j, |p| buf.extend_from_slice(p.obs()));
+        let (mut at, mut same) = (0, true);
+        self.for_each_piece(k, i, |p| {
+            let obs = p.obs();
+            same &= buf[at..at + obs.len()] == *obs;
+            at += obs.len();
+        });
+        same
+    }
+
+    /// Contract `k`'s trace of input `i`.
+    fn trace(&self, k: usize, i: usize) -> CTrace {
+        let mut obs = Vec::with_capacity(self.len(k, i));
+        self.for_each_piece(k, i, |p| obs.extend_from_slice(p.obs()));
+        CTrace::new(obs)
+    }
+
+    /// [`CTrace::digest`] of contract `k`'s trace of input `i`.
+    fn digest(&self, k: usize, i: usize) -> u64 {
+        let mut digest = DIGEST_BASIS;
+        self.for_each_piece(k, i, |p| digest = digest_extend(digest, p.obs()));
+        digest
+    }
+
+    /// Contract `k`'s speculative counters on input `i`.
+    fn counts(&self, k: usize, i: usize) -> SpecCounts {
+        self.permitted(k, i).fold(SpecCounts::default(), |c, sp| SpecCounts {
+            paths: c.paths + sp.counts.paths,
+            observations: c.observations + sp.counts.observations,
+        })
+    }
+
+    /// The instructions input `i` executed.
+    fn executed(&self, i: usize) -> &[ExecutedInstr] {
+        &self.executed[self.executed_starts[i]..self.executed_starts[i + 1]]
+    }
+}
+
+/// Marks an empty slot of [`SlateScratch`]'s class table.
+const NO_CLASS: u32 = u32::MAX;
+
+/// The contract model's working state for slate passes: the emulator, the
+/// shared record of a pass and each contract's input classes.
+///
+/// One pass over a test case's inputs keeps a single record per input,
+/// shared by every slate contract: the architectural observations of each
+/// observation clause, and each exploration key's segments with the
+/// positions they splice in at.  Each piece is hashed once (prefix hashes
+/// over the streams, one hash per segment, with a polynomial hash in
+/// wrapping `u64` arithmetic, which composes over concatenation), so a
+/// contract's class key is composed from only the pieces its execution
+/// clause permits, at O(splices) cost.  No contract's trace is built:
+/// classes are grouped from the keys and an exact comparison of the
+/// flattened pieces, and a trace or its digest is built only when asked
+/// for.  The executed-instruction record is kept
+/// only when the caller will read [`SlateScratch::class_members`].
+///
+/// A scratch kept across test cases (a campaign worker holds one for its
+/// whole run) stops allocating once its arenas have grown to the largest
+/// pass.  What a pass computes never depends on what the scratch ran
+/// before: the emulator is re-initialized from each input, and every arena
+/// is cleared before it is filled.
+#[derive(Debug, Default)]
+pub struct SlateScratch {
+    record: Record,
+    emu: Option<Emulator>,
     events: Events,
-    /// Buffers of an earlier slate's streams and explorers, kept for the
-    /// next slate's.
-    spare_obs: Vec<Vec<Observation>>,
-    spare_splices: Vec<Vec<Splice>>,
-    /// Each contract's traces and execution records of the last
-    /// [`SlateScratch::collect_in_place`], one per input.
-    traces: Vec<Vec<CTrace>>,
-    infos: Vec<Vec<ExecutionInfo>>,
+    /// Streams and explorers of an earlier slate, kept for the next
+    /// slate's.
+    spare_streams: Vec<Stream>,
+    spare_explorers: Vec<Explorer>,
+    /// Each contract's classes of the last pass: the first
+    /// `class_counts[k]` entries of `classes[k]`; the rest keep their
+    /// member buffers for the next pass.
+    classes: Vec<Vec<InputClass>>,
+    class_counts: Vec<usize>,
+    /// The class table of one contract's grouping: open addressing by
+    /// class key, each slot a class index or [`NO_CLASS`].
+    table: Vec<u32>,
+    /// The class key of each class of the contract being grouped.
+    class_keys: Vec<u64>,
+    /// Scratch for the trace of a class's first member.
+    trace_buf: Vec<Observation>,
+    /// Each input's shared executed-instruction record, built on first use.
+    executed: Vec<Option<Arc<[ExecutedInstr]>>>,
+    /// Give every trace class key 0, so grouping rests on the exact
+    /// comparison alone.
+    #[cfg(test)]
+    collide_keys: bool,
 }
 
 impl SlateScratch {
-    /// [`ContractModel::collect_slate_decoded`] with the outputs kept in the
-    /// scratch: afterwards [`SlateScratch::traces`]`(k)` and
-    /// [`SlateScratch::infos`]`(k)` hold contract `k`'s trace and execution
-    /// record for every input, equal to that pass's outputs.  The previous
-    /// call's traces are rebuilt in place, so a scratch reused across test
-    /// cases stops allocating trace buffers.
+    /// One slate pass over every input of a test case, grouped: afterwards
+    /// [`SlateScratch::classes`]`(k)` holds contract `k`'s input classes,
+    /// exactly as the analyzer's `Analyzer::input_classes` groups the
+    /// traces [`ContractModel::collect_slate_decoded`] returns.  With
+    /// `record_executed`, the pass also keeps what
+    /// [`SlateScratch::class_members`] reads.
     ///
     /// # Errors
-    /// The first input's fault; the kept outputs are then empty.
+    /// The first input's fault; every contract then has no classes.
     pub fn collect_in_place(
         &mut self,
         contracts: &[Contract],
         prog: &DecodedProgram,
         inputs: &[Input],
+        record_executed: bool,
     ) -> Result<(), Fault> {
-        let mut traces = std::mem::take(&mut self.traces);
-        let mut infos = std::mem::take(&mut self.infos);
-        traces.resize_with(contracts.len(), Vec::new);
-        infos.resize_with(contracts.len(), Vec::new);
-        for (t, i) in traces.iter_mut().zip(&mut infos) {
-            t.truncate(inputs.len());
-            i.clear();
+        self.configure(contracts);
+        self.record.clear(prog, record_executed);
+        for input in inputs {
+            if let Err(fault) = self.run(prog, input) {
+                self.record.clear(prog, record_executed);
+                self.group_all();
+                return Err(fault);
+            }
         }
-        let mut run = SlateRun::new(contracts, prog, self);
-        let result = run.collect_into(inputs, &mut traces, &mut infos);
-        if result.is_err() {
-            traces.iter_mut().for_each(Vec::clear);
-            infos.iter_mut().for_each(Vec::clear);
+        self.group_all();
+        Ok(())
+    }
+
+    /// Contract `k`'s input classes of the last
+    /// [`SlateScratch::collect_in_place`]: classes in order of first
+    /// appearance, members ascending.
+    pub fn classes(&self, k: usize) -> &[InputClass] {
+        &self.classes[k][..self.class_counts[k]]
+    }
+
+    /// Contract `k`'s trace of input `i` in the last
+    /// [`SlateScratch::collect_in_place`], built on demand.
+    pub fn trace(&self, k: usize, i: usize) -> CTrace {
+        self.record.trace(k, i)
+    }
+
+    /// [`CTrace::digest`] of contract `k`'s trace of input `i` in the last
+    /// [`SlateScratch::collect_in_place`], computed without building the
+    /// trace.
+    pub fn ctrace_digest(&self, k: usize, i: usize) -> u64 {
+        self.record.digest(k, i)
+    }
+
+    /// Contract `k`'s execution records of the members of its effective
+    /// classes, class by class; every contract's record of one input
+    /// shares one executed-instruction slice.
+    ///
+    /// # Panics
+    /// If the last [`SlateScratch::collect_in_place`] did not record the
+    /// executed instructions.
+    pub fn class_members(&mut self, k: usize) -> Vec<Vec<ExecutionInfo>> {
+        assert!(self.record.record_executed, "the pass did not record executed instructions");
+        let SlateScratch { record, classes, class_counts, executed, .. } = self;
+        classes[k][..class_counts[k]]
+            .iter()
+            .filter(|c| c.is_effective())
+            .map(|c| {
+                c.members
+                    .iter()
+                    .map(|&i| {
+                        let arc = executed[i].get_or_insert_with(|| record.executed(i).into());
+                        execution_info(arc, record.counts(k, i))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Lay the streams, explorers and views out for `contracts`, reusing
+    /// the buffers of the previous layout.
+    fn configure(&mut self, contracts: &[Contract]) {
+        let record = &mut self.record;
+        self.spare_streams.append(&mut record.streams);
+        self.spare_explorers.append(&mut record.explorers);
+        record.views.clear();
+        for c in contracts {
+            let stream = match record.streams.iter().position(|s| s.clause == c.observation) {
+                Some(s) => s,
+                None => {
+                    let (obs, prefix, starts) = self
+                        .spare_streams
+                        .pop()
+                        .map_or_else(Default::default, |s| (s.obs, s.prefix, s.starts));
+                    record.streams.push(Stream { clause: c.observation, obs, prefix, starts });
+                    record.streams.len() - 1
+                }
+            };
+            let explorer = ExploreKey::of(c).map(|key| {
+                let found = record
+                    .explorers
+                    .iter()
+                    .position(|e| ExploreKey::of(&e.contract) == Some(key));
+                let e = found.unwrap_or_else(|| {
+                    let (segments, splices, starts) = self
+                        .spare_explorers
+                        .pop()
+                        .map_or_else(Default::default, |e| (e.segments, e.splices, e.starts));
+                    let (contract, stores, branches) = (c.clone(), false, false);
+                    record.explorers.push(Explorer {
+                        contract,
+                        stream,
+                        stores,
+                        branches,
+                        segments,
+                        splices,
+                        starts,
+                    });
+                    record.explorers.len() - 1
+                });
+                record.explorers[e].stores |= c.execution.permits_bpas();
+                record.explorers[e].branches |= c.execution.permits_cond();
+                e
+            });
+            record.views.push(View {
+                stream,
+                explorer,
+                stores: explorer.is_some() && c.execution.permits_bpas(),
+                branches: explorer.is_some() && c.execution.permits_cond(),
+            });
         }
-        self.traces = traces;
-        self.infos = infos;
+    }
+
+    /// Record one input: one architectural execution, recorded once per
+    /// stream, and each permitted speculative site explored once per
+    /// explorer.  A faulting input leaves nothing behind.
+    fn run(&mut self, prog: &DecodedProgram, input: &Input) -> Result<(), Fault> {
+        let result = self.pass(prog, input);
+        match result {
+            Ok(()) => self.record.finish_input(),
+            Err(_) => self.record.rollback(),
+        }
         result
     }
 
-    /// Contract `k`'s traces of the last [`SlateScratch::collect_in_place`].
-    pub fn traces(&self, k: usize) -> &[CTrace] {
-        &self.traces[k]
-    }
-
-    /// Contract `k`'s execution records of the last
-    /// [`SlateScratch::collect_in_place`].
-    pub fn infos(&self, k: usize) -> &[ExecutionInfo] {
-        &self.infos[k]
-    }
-
-    /// Lay the streams and explorers out for `contracts`, reusing the
-    /// buffers of the previous layout.
-    fn configure(&mut self, contracts: &[Contract], prog: &DecodedProgram) {
-        self.spare_obs.extend(self.streams.drain(..).map(|s| s.obs));
-        for e in self.explorers.drain(..) {
-            self.spare_obs.push(e.segments);
-            self.spare_splices.push(e.splices);
-        }
-        let static_len = prog.body_len() + prog.num_blocks();
-        // Each static instruction once: a loop-free path's upper bound.
-        self.executed.reserve(static_len);
-        for c in contracts {
-            let stream = self.stream_of(c).unwrap_or_else(|| {
-                let mut obs = self.spare_obs.pop().unwrap_or_default();
-                obs.clear();
-                // A program counter and a memory access per static
-                // instruction.
-                obs.reserve(2 * static_len);
-                self.streams.push(Stream { clause: c.observation, obs });
-                self.streams.len() - 1
-            });
-            if ExploreKey::of(c).is_some() {
-                let e = self.explorer_of(c).unwrap_or_else(|| {
-                    self.explorers.push(Explorer {
-                        contract: c.clone(),
-                        stream,
-                        stores: false,
-                        branches: false,
-                        segments: self.spare_obs.pop().unwrap_or_default(),
-                        splices: self.spare_splices.pop().unwrap_or_default(),
-                    });
-                    self.explorers.len() - 1
-                });
-                self.explorers[e].stores |= c.execution.permits_bpas();
-                self.explorers[e].branches |= c.execution.permits_cond();
-            }
-        }
-    }
-
-    /// Index of the stream of `c`'s observation clause.
-    fn stream_of(&self, c: &Contract) -> Option<usize> {
-        self.streams.iter().position(|s| s.clause == c.observation)
-    }
-
-    /// Index of the explorer of `c`'s exploration key.
-    fn explorer_of(&self, c: &Contract) -> Option<usize> {
-        let key = ExploreKey::of(c)?;
-        self.explorers.iter().position(|e| ExploreKey::of(&e.contract) == Some(key))
-    }
-}
-
-/// One contract slate over one program, on a scratch laid out for it and
-/// reused across the program's inputs.
-struct SlateRun<'a> {
-    contracts: &'a [Contract],
-    prog: &'a DecodedProgram,
-    scratch: &'a mut SlateScratch,
-}
-
-impl<'a> SlateRun<'a> {
-    fn new(
-        contracts: &'a [Contract],
-        prog: &'a DecodedProgram,
-        scratch: &'a mut SlateScratch,
-    ) -> SlateRun<'a> {
-        scratch.configure(contracts, prog);
-        SlateRun { contracts, prog, scratch }
-    }
-
-    /// Every contract's output for one input.
-    fn collect(&mut self, input: &Input) -> Result<Vec<ModelOutput>, Fault> {
-        let executed = self.run(input)?;
-        Ok((0..self.contracts.len()).map(|k| self.output(k, &executed)).collect())
-    }
-
-    /// The shared pass over one input: one architectural execution,
-    /// recorded once per stream, and each permitted speculative site
-    /// explored once per explorer.  Returns the executed-instruction record.
-    fn run(&mut self, input: &Input) -> Result<Arc<[ExecutedInstr]>, Fault> {
-        let prog = self.prog;
-        let SlateScratch { streams, explorers, emu, executed, events, .. } = &mut *self.scratch;
+    fn pass(&mut self, prog: &DecodedProgram, input: &Input) -> Result<(), Fault> {
+        let SlateScratch { record, emu, events, .. } = self;
+        let Record { streams, explorers, record_executed, executed, .. } = record;
         let emu = match emu {
             Some(emu) => {
                 emu.reset(prog.sandbox(), input);
@@ -758,14 +1023,6 @@ impl<'a> SlateRun<'a> {
             }
             None => emu.insert(Emulator::new(prog.sandbox(), input)),
         };
-        for s in streams.iter_mut() {
-            s.obs.clear();
-        }
-        for e in explorers.iter_mut() {
-            e.segments.clear();
-            e.splices.clear();
-        }
-        executed.clear();
 
         let mut pos = Pos { block: BlockId::ENTRY, idx: 0 };
         let mut steps = 0usize;
@@ -793,7 +1050,9 @@ impl<'a> SlateRun<'a> {
                 let buf = &mut events.instr;
                 buf.clear();
                 emu.exec_decoded(&d.op, buf)?;
-                executed.push(ContractModel::record_decoded_instr(pos, d, buf.events()));
+                if *record_executed {
+                    executed.push(ContractModel::record_decoded_instr(pos, d, buf.events()));
+                }
                 for s in streams.iter_mut() {
                     record_mem_events(s.clause, true, buf.events(), &mut s.obs);
                 }
@@ -818,7 +1077,9 @@ impl<'a> SlateRun<'a> {
                 let term_events = &mut events.term;
                 term_events.clear();
                 let next = Runner::next_block_decoded(emu, prog, pos.block, term_events)?;
-                executed.push(ContractModel::record_decoded_terminator(pos, term, term_events));
+                if *record_executed {
+                    executed.push(ContractModel::record_decoded_terminator(pos, term, term_events));
+                }
                 for s in streams.iter_mut() {
                     record_mem_events(s.clause, true, term_events, &mut s.obs);
                 }
@@ -828,57 +1089,79 @@ impl<'a> SlateRun<'a> {
                 }
             }
         }
-        Ok(Arc::from(executed.as_slice()))
-    }
-
-    /// Every input's outputs, appended to (or, where `traces` already has
-    /// an entry, rebuilt in) each contract's `traces` and `infos`.
-    fn collect_into(
-        &mut self,
-        inputs: &[Input],
-        traces: &mut [Vec<CTrace>],
-        infos: &mut [Vec<ExecutionInfo>],
-    ) -> Result<(), Fault> {
-        for (i, input) in inputs.iter().enumerate() {
-            let executed = self.run(input)?;
-            for (k, (traces, infos)) in traces.iter_mut().zip(infos.iter_mut()).enumerate() {
-                let counts = match traces.get_mut(i) {
-                    Some(trace) => trace.refill(|obs| self.observe(k, obs)),
-                    None => {
-                        let mut obs = Vec::new();
-                        let counts = self.observe(k, &mut obs);
-                        traces.push(CTrace::new(obs));
-                        counts
-                    }
-                };
-                infos.push(execution_info(&executed, counts));
-            }
-        }
         Ok(())
     }
 
-    /// Contract `k`'s output for the input of the last [`SlateRun::run`].
-    fn output(&self, k: usize, executed: &Arc<[ExecutedInstr]>) -> ModelOutput {
-        let mut obs = Vec::new();
-        let counts = self.observe(k, &mut obs);
-        ModelOutput { trace: CTrace::new(obs), info: execution_info(executed, counts) }
+    /// Group the recorded inputs into every contract's classes.
+    fn group_all(&mut self) {
+        let (contracts, inputs) = (self.record.views.len(), self.record.inputs);
+        self.record.hash_pieces();
+        self.executed.clear();
+        self.executed.resize(inputs, None);
+        self.class_counts.clear();
+        self.class_counts.resize(contracts, 0);
+        if self.classes.len() < contracts {
+            self.classes.resize_with(contracts, Vec::new);
+        }
+        for k in 0..contracts {
+            self.group(k);
+        }
     }
 
-    /// Write contract `k`'s observations of the input of the last
-    /// [`SlateRun::run`] into the empty `obs`.
-    fn observe(&self, k: usize, obs: &mut Vec<Observation>) -> SpecCounts {
-        let c = &self.contracts[k];
-        let scratch = &*self.scratch;
-        let stream = scratch.stream_of(c).expect("every contract has a stream");
-        let stream = &scratch.streams[stream].obs;
-        match scratch.explorer_of(c) {
-            Some(e) => scratch.explorers[e].splice_into(stream, c.execution, obs),
-            None => {
-                obs.reserve_exact(stream.len());
-                obs.extend_from_slice(stream);
-                SpecCounts::default()
+    /// Group the recorded inputs into contract `k`'s classes: by class key
+    /// in an open-addressed table, and an input joins a class only if its
+    /// trace equals the class's first member's, so colliding keys still
+    /// form separate classes.
+    fn group(&mut self, k: usize) {
+        #[cfg(test)]
+        let collide_keys = self.collide_keys;
+        let SlateScratch { record, classes, class_counts, table, class_keys, trace_buf, .. } = self;
+        let classes = &mut classes[k];
+        let bits = (2 * record.inputs).next_power_of_two().max(2).trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        table.clear();
+        table.resize(mask + 1, NO_CLASS);
+        class_keys.clear();
+        let mut count = 0;
+        for i in 0..record.inputs {
+            let key = record.key(k, i);
+            #[cfg(test)]
+            let key = if collide_keys { 0 } else { key };
+            let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize;
+            loop {
+                let c = table[slot] as usize;
+                if table[slot] == NO_CLASS {
+                    table[slot] = count as u32;
+                    class_keys.push(key);
+                    match classes.get_mut(count) {
+                        Some(class) => class.members.clear(),
+                        None => classes.push(InputClass { members: Vec::new() }),
+                    }
+                    classes[count].members.push(i);
+                    count += 1;
+                    break;
+                }
+                if class_keys[c] == key && record.same(k, i, classes[c].members[0], trace_buf) {
+                    classes[c].members.push(i);
+                    break;
+                }
+                slot = (slot + 1) & mask;
             }
         }
+        class_counts[k] = count;
+    }
+
+    /// Record `input` alone and build every slate contract's output.
+    fn outputs(&mut self, prog: &DecodedProgram, input: &Input) -> Result<Vec<ModelOutput>, Fault> {
+        self.record.clear(prog, true);
+        self.run(prog, input)?;
+        let record = &self.record;
+        let executed: Arc<[ExecutedInstr]> = record.executed(0).into();
+        let outputs = (0..record.views.len()).map(|k| ModelOutput {
+            trace: record.trace(k, 0),
+            info: execution_info(&executed, record.counts(k, 0)),
+        });
+        Ok(outputs.collect())
     }
 }
 
@@ -1504,6 +1787,141 @@ mod tests {
         let slate = [Contract::ct_bpas(), Contract::ct_bpas()];
         let outs = ContractModel::collect_many(&slate, &tc, &input).unwrap();
         assert_eq!(outs[0], outs[1]);
+    }
+
+    /// Inputs with repeats, so that classes have several members: `x` and
+    /// `y` as in Figure 1, and for the store-bypass gadget a stale value
+    /// and a stored value that follow them.
+    fn figure1_inputs(tc: &TestCase) -> Vec<Input> {
+        [(0x100, 20), (0x100, 5), (0x40, 0x80), (0x100, 20), (0x40, 0xc0), (0x100, 5), (0x80, 3)]
+            .map(|(x, y)| {
+                let mut input = input_xy(tc, x, y);
+                input.write_mem_u64(0, x << 2);
+                input.set_reg(Reg::Rdx, y << 6);
+                input
+            })
+            .into()
+    }
+
+    /// Group traces by equality, first appearance first.
+    fn naive_classes(traces: &[CTrace]) -> Vec<InputClass> {
+        let mut classes: Vec<InputClass> = Vec::new();
+        for (i, t) in traces.iter().enumerate() {
+            match classes.iter_mut().find(|c| traces[c.members[0]] == *t) {
+                Some(c) => c.members.push(i),
+                None => classes.push(InputClass { members: vec![i] }),
+            }
+        }
+        classes
+    }
+
+    /// The slate pass's classes, traces and digests against the traces
+    /// [`ContractModel::collect_slate_decoded`] materializes.
+    fn assert_classes_match_traces(scratch: &mut SlateScratch) {
+        let contracts = [
+            Contract::ct_seq(),
+            Contract::ct_bpas(),
+            Contract::ct_cond(),
+            Contract::ct_cond_bpas(),
+            Contract::arch_seq(),
+            Contract::mem_cond().with_nesting(true),
+            Contract::ct_cond_no_spec_store(),
+        ];
+        for tc in [figure1(), bpas_gadget()] {
+            let inputs = figure1_inputs(&tc);
+            let prog = DecodedProgram::decode(&tc).unwrap();
+            scratch.collect_in_place(&contracts, &prog, &inputs, false).unwrap();
+            let outs = ContractModel::collect_slate_decoded(&contracts, &prog, &inputs);
+            for (k, c) in contracts.iter().enumerate() {
+                let traces: Vec<CTrace> =
+                    outs.iter().map(|o| o.as_ref().unwrap()[k].trace.clone()).collect();
+                assert_eq!(scratch.classes(k), &naive_classes(&traces)[..], "{}", c.name());
+                for (i, t) in traces.iter().enumerate() {
+                    assert_eq!(&scratch.trace(k, i), t);
+                    assert_eq!(scratch.ctrace_digest(k, i), t.digest());
+                }
+            }
+            assert!((0..contracts.len()).any(|k| scratch.classes(k).len() > 1));
+            assert!((0..contracts.len()).any(|k| scratch.classes(k)[0].is_effective()));
+        }
+    }
+
+    #[test]
+    fn slate_classes_group_the_materialized_traces() {
+        assert_classes_match_traces(&mut SlateScratch::default());
+    }
+
+    #[test]
+    fn colliding_class_keys_still_split_into_classes() {
+        // Every class key is 0, so every input probes the same slot and
+        // only the exact comparison tells the classes apart.
+        assert_classes_match_traces(&mut SlateScratch { collide_keys: true, ..Default::default() });
+    }
+
+    /// Record one input by hand: its architectural stream, and segments
+    /// spliced in at offsets of that stream.
+    fn record_input(scratch: &mut SlateScratch, stream: &[Observation], splices: &[(usize, &[Observation])]) {
+        let record = &mut scratch.record;
+        let base = record.streams[0].obs.len();
+        record.streams[0].obs.extend_from_slice(stream);
+        let e = &mut record.explorers[0];
+        for &(at, segment) in splices {
+            let start = e.segments.len();
+            e.segments.extend_from_slice(segment);
+            let end = e.segments.len();
+            let counts = SpecCounts::default();
+            e.splices.push(Splice { site: Site::Branch, at: base + at, start, end, hash: 0, counts });
+        }
+        record.finish_input();
+    }
+
+    #[test]
+    fn equal_traces_spliced_at_different_positions_share_a_class() {
+        let (a, b, c) = (Observation::MemAddr(0x10), Observation::Pc(0x20), Observation::MemAddr(0x30));
+        let mut scratch = SlateScratch::default();
+        scratch.configure(&[Contract::mem_cond()]);
+        scratch.record.clear(&DecodedProgram::decode(&figure1()).unwrap(), false);
+        // Inputs 0 to 3 all flatten to [a, b, c]; input 4 to [a, c, b].
+        record_input(&mut scratch, &[a, b], &[(2, &[c])]);
+        record_input(&mut scratch, &[a, c], &[(1, &[b])]);
+        record_input(&mut scratch, &[a, b, c], &[]);
+        record_input(&mut scratch, &[], &[(0, &[a]), (0, &[]), (0, &[b, c])]);
+        record_input(&mut scratch, &[a, b], &[(1, &[c])]);
+        scratch.group_all();
+        let key = scratch.record.key(0, 0);
+        assert!((1..4).all(|i| scratch.record.key(0, i) == key));
+        assert_ne!(scratch.record.key(0, 4), key);
+        let classes: Vec<&[usize]> = scratch.classes(0).iter().map(|c| &c.members[..]).collect();
+        assert_eq!(classes, [&[0, 1, 2, 3][..], &[4]]);
+        assert_eq!(scratch.trace(0, 3), CTrace::new(vec![a, b, c]));
+        assert_eq!(scratch.trace(0, 4), CTrace::new(vec![a, c, b]));
+        assert_eq!(scratch.ctrace_digest(0, 1), CTrace::new(vec![a, b, c]).digest());
+    }
+
+    #[test]
+    fn class_members_share_each_inputs_executed_record() {
+        let contracts = Contract::table3_contracts();
+        let tc = figure1();
+        let inputs = figure1_inputs(&tc);
+        let prog = DecodedProgram::decode(&tc).unwrap();
+        let mut scratch = SlateScratch::default();
+        scratch.collect_in_place(&contracts, &prog, &inputs, true).unwrap();
+        let outs = ContractModel::collect_slate_decoded(&contracts, &prog, &inputs);
+        let mut shared: Vec<Option<Arc<[ExecutedInstr]>>> = vec![None; inputs.len()];
+        for k in 0..contracts.len() {
+            let members = scratch.class_members(k);
+            let effective = scratch.classes(k).iter().filter(|c| c.is_effective());
+            assert_eq!(effective.clone().count(), members.len());
+            for (class, infos) in effective.zip(&members) {
+                assert_eq!(class.members.len(), infos.len());
+                for (&i, info) in class.members.iter().zip(infos) {
+                    assert_eq!(info, &outs[i].as_ref().unwrap()[k].info);
+                    let first = shared[i].get_or_insert_with(|| Arc::clone(&info.executed));
+                    assert!(Arc::ptr_eq(first, &info.executed));
+                }
+            }
+        }
+        assert!(shared.iter().any(Option::is_some));
     }
 
     #[test]

@@ -11,11 +11,19 @@
 //! cost across the whole slate:
 //!
 //! ```text
-//!               ┌── SlateScratch::collect_in_place ──► ctraces per contract ────────┐
-//!  test case ───┤     (one pass per test case: shared arch + exploration)           ├─► per-contract
+//!               ┌── SlateScratch::collect_in_place ──► input classes per contract ──┐
+//!  test case ───┤     (one pass per test case: one shared record per input)         ├─► per-contract
 //!  + inputs     └── Executor::collect_htraces ───────────► htraces (shared) ───────┘   analysis +
 //!                                                                                       filters
 //! ```
+//!
+//! The contract model emits classes, not traces: each input's pass is
+//! recorded once, and a contract's classes are grouped from the pieces of
+//! that record its clauses permit.  A trace is built only where something
+//! reads it: the digest of a reported violation's trace, computed from the
+//! record, and the §5.4 nesting re-check.  The executed-instruction records
+//! behind [`ContractOutcome::class_members`] are built only for the
+//! contracts a caller asks for ([`ClassMembers`]).
 //!
 //! Per-contract verdicts are independent of the slate's composition: the
 //! §5.3 swap check re-measures from a [noise checkpoint] taken right after
@@ -104,8 +112,34 @@ pub struct ContractOutcome {
     /// Violations discarded by the nested-speculation re-check (§5.4).
     pub discarded_by_nesting: usize,
     /// Execution metadata of the effective input classes, for the diversity
-    /// analysis (§5.6).
+    /// analysis (§5.6); empty unless the evaluation's [`ClassMembers`]
+    /// asked for this contract's.
     pub class_members: Vec<Vec<ExecutionInfo>>,
+}
+
+/// Which contracts' [`ContractOutcome::class_members`] an evaluation
+/// builds.  Nothing else of an outcome depends on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClassMembers {
+    /// Every contract's: what [`evaluate_slate`], [`evaluate_seed`] and
+    /// [`UnitContext::evaluate`] return.
+    All,
+    /// Only the slate's last contract's (the campaign matrix's coverage
+    /// probe, with escalation on).
+    Last,
+    /// None: every outcome's `class_members` is empty.
+    None,
+}
+
+impl ClassMembers {
+    /// Whether contract `k` of a slate of `n` gets its members.
+    fn includes(self, k: usize, n: usize) -> bool {
+        match self {
+            ClassMembers::All => true,
+            ClassMembers::Last => k + 1 == n,
+            ClassMembers::None => false,
+        }
+    }
 }
 
 /// Evaluate one test case against a slate of contracts, collecting the
@@ -128,10 +162,12 @@ pub fn evaluate_slate<C: CpuUnderTest>(
     inputs: &[Input],
 ) -> Result<Vec<ContractOutcome>, Fault> {
     let mut model = SlateScratch::default();
-    evaluate_slate_in(&mut model, executor, analyzer, checks, contracts, tc, inputs, false)
+    let members = ClassMembers::All;
+    evaluate_slate_in(&mut model, executor, analyzer, checks, contracts, tc, inputs, false, members)
 }
 
-/// [`evaluate_slate`] with the contract model's buffers in `model`.
+/// [`evaluate_slate`] with the contract model's buffers in `model`,
+/// building the class members `members` asks for.
 ///
 /// With `skip_unread`, a test case in which no contract puts two inputs in
 /// one class collects no hardware traces (see the module docs).  Only a
@@ -147,23 +183,24 @@ fn evaluate_slate_in<C: CpuUnderTest>(
     tc: &TestCase,
     inputs: &[Input],
     skip_unread: bool,
+    members: ClassMembers,
 ) -> Result<Vec<ContractOutcome>, Fault> {
     // Decode once; the program is reused by every model pass, the baseline
     // hardware collection and both false-positive filters below.
     let prog =
         DecodedProgram::decode(tc).unwrap_or_else(|e| panic!("malformed test case: {e}"));
 
-    // Contract traces: one model pass per test case — one emulator, one
+    // Input classes: one model pass per test case — one emulator, one
     // architectural pass per input, and each speculative site explored
     // once for every contract that shares its exploration key.
-    model.collect_in_place(contracts, &prog, inputs)?;
-
-    let classes: Vec<Vec<InputClass>> =
-        (0..contracts.len()).map(|k| analyzer.input_classes(model.traces(k))).collect();
+    let n = contracts.len();
+    let record_executed = (0..n).any(|k| members.includes(k, n));
+    model.collect_in_place(contracts, &prog, inputs, record_executed)?;
 
     // Hardware traces: collected once for the whole slate, unless no
     // contract would read one.
-    let unread = skip_unread && !classes.iter().flatten().any(InputClass::is_effective);
+    let unread =
+        skip_unread && !(0..n).flat_map(|k| model.classes(k)).any(InputClass::is_effective);
     let htraces = if unread {
         vec![HTrace::empty(); inputs.len()]
     } else {
@@ -174,18 +211,14 @@ fn evaluate_slate_in<C: CpuUnderTest>(
     let noise_mark = executor.noise_checkpoint();
 
     let mut outcomes = Vec::with_capacity(contracts.len());
-    for ((k, contract), classes) in contracts.iter().enumerate().zip(classes) {
+    for (k, contract) in contracts.iter().enumerate() {
         executor.restore_noise_checkpoint(&noise_mark);
-        let (ctraces, infos) = (model.traces(k), model.infos(k));
-        let analysis = analyzer.check_classes(ctraces, &classes, &htraces);
-
         // Execution metadata grouped by effective input class, for the
-        // diversity analysis (each clone shares the input's record).
-        let class_members: Vec<Vec<ExecutionInfo>> = classes
-            .iter()
-            .filter(|c| c.is_effective())
-            .map(|c| c.members.iter().map(|&i| infos[i].clone()).collect())
-            .collect();
+        // diversity analysis.
+        let class_members =
+            if members.includes(k, n) { model.class_members(k) } else { Vec::new() };
+        let analysis =
+            analyzer.check_classes(model.classes(k), &htraces, |i| model.ctrace_digest(k, i));
 
         let mut discarded_as_artifact = 0;
         let mut discarded_by_nesting = 0;
@@ -357,6 +390,21 @@ impl<C: CpuUnderTest + Clone> UnitContext<C> {
     /// # Panics
     /// If `group` is not an index of the context's CPUs.
     pub fn evaluate(&mut self, group: usize, spec: &SlateSpec, seed: u64) -> SeedEval {
+        self.evaluate_with(group, spec, seed, ClassMembers::All)
+    }
+
+    /// [`UnitContext::evaluate`], building only the class members
+    /// `members` asks for; every other field of the unit is the same.
+    ///
+    /// # Panics
+    /// If `group` is not an index of the context's CPUs.
+    pub fn evaluate_with(
+        &mut self,
+        group: usize,
+        spec: &SlateSpec,
+        seed: u64,
+        members: ClassMembers,
+    ) -> SeedEval {
         let generator = ProgramGenerator::new(spec.generator.clone());
         let tc = generator.generate(seed);
         if spec.speculation_filter {
@@ -388,8 +436,11 @@ impl<C: CpuUnderTest + Clone> UnitContext<C> {
         let (model, analyzer, checks) = (&mut self.model, &self.analyzer, spec.checks);
         // The unit's noise stream was reseeded above, so an unread
         // collection may be skipped.
-        let contracts = &spec.contracts;
-        match evaluate_slate_in(model, executor, analyzer, checks, contracts, &tc, &inputs, true) {
+        let (contracts, skip_unread) = (&spec.contracts, true);
+        let outcomes = evaluate_slate_in(
+            model, executor, analyzer, checks, contracts, &tc, &inputs, skip_unread, members,
+        );
+        match outcomes {
             Ok(outcomes) => SeedEval::Measured(Box::new(SlateUnit { seed, tc, inputs, outcomes })),
             // Malformed test case; skipped (never happens for generated code).
             Err(_) => {
@@ -549,8 +600,9 @@ mod tests {
 
     /// One resident context over an interleaved seed stream of three
     /// targets (two CPUs, Prime+Probe and Prime+Probe+Assist): every unit
-    /// equals a fresh `evaluate_seed` of the same seed.  `noise` sets the
-    /// repetitions and the synthetic noise.
+    /// equals a fresh `evaluate_seed` of the same seed, and its reduced
+    /// evaluations equal it without the class members they leave out.
+    /// `noise` sets the repetitions and the synthetic noise.
     fn assert_resident_context_matches_fresh_evaluations(noise: Option<(usize, NoiseConfig)>) {
         let targets = [Target::target1(), Target::target5(), Target::target7()];
         let specs: Vec<SlateSpec> = targets
@@ -574,6 +626,21 @@ mod tests {
         let mut rechecked = 0;
         let units = seeds.iter().flat_map(|&seed| (0..3).map(move |group| (seed, group)));
         for (i, (seed, group)) in units.enumerate() {
+            // The reduced evaluations a matrix unit runs differ only in
+            // the class members they leave out.
+            for members in [ClassMembers::Last, ClassMembers::None] {
+                let reduced = context.evaluate_with(group, &specs[group], seed, members);
+                let mut full = context.evaluate(group, &specs[group], seed);
+                if let SeedEval::Measured(unit) = &mut full {
+                    let n = unit.outcomes.len();
+                    for (k, outcome) in unit.outcomes.iter_mut().enumerate() {
+                        if !members.includes(k, n) {
+                            outcome.class_members.clear();
+                        }
+                    }
+                }
+                assert_eq!(reduced, full, "target {}, seed {seed}, {members:?}", targets[group].id);
+            }
             let resident = context.evaluate(group, &specs[group], seed);
             let fresh = evaluate_seed(&cpus[group], &specs[group], seed);
             assert_eq!(resident, fresh, "target {}, seed {seed}", targets[group].id);

@@ -90,7 +90,7 @@
 //! [`campaign::evaluate_slate`]: crate::campaign::evaluate_slate
 
 use crate::campaign::{
-    CellEvent, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateChecks, SlateSpec,
+    CellEvent, ClassMembers, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateChecks, SlateSpec,
     SlateUnit, UnitContext,
 };
 use crate::classify::{classify, VulnClass};
@@ -1184,7 +1184,9 @@ impl Job for UnitJob {
 
     fn run(&self, context: &mut UnitContext<SpecCpu>, unit: Unit) -> (UnitResult, Duration) {
         let t0 = Instant::now();
-        let eval = context.evaluate(unit.group, &unit.spec, unit.seed);
+        // Build only the class members the reduction keeps.
+        let members = if self.escalation { ClassMembers::Last } else { ClassMembers::None };
+        let eval = context.evaluate_with(unit.group, &unit.spec, unit.seed, members);
         (UnitResult::reduce(eval, self.escalation, context), t0.elapsed())
     }
 }

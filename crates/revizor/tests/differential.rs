@@ -9,7 +9,9 @@
 //! fault outcomes and final architectural state — including nested
 //! speculation and microcode assists.  Contract slates run through the
 //! per-test-case model entry, whose shared exploration and reused emulator
-//! must match the reference walk of every contract alone.  The executor
+//! must match the reference walk of every contract alone, and through the
+//! campaign's class path, whose classes must equal the analyzer's grouping
+//! of those traces and respect the contract lattice.  The executor
 //! around `SpecCpu` stops simulating at its schedule's fixed point, while
 //! the reference CPU cannot describe its state and simulates every run:
 //! their traces must match too, on every catalog target, at the
@@ -21,6 +23,7 @@
 
 use proptest::prelude::*;
 use revizor::targets::Target;
+use rvz_analyzer::Analyzer;
 use rvz_cache::Cache;
 use rvz_emu::{Fault, Runner};
 use rvz_executor::{Executor, ExecutorConfig, NoiseConfig};
@@ -82,26 +85,78 @@ fn mixed_slate() -> Vec<Contract> {
     ]
 }
 
+/// Whether the contract lattice orders `c1`'s classes inside `c2`'s: `c1`
+/// is at least as permissive as `c2` (it observes and speculates at least
+/// as much), and their speculation parameters agree where `c2` explores at
+/// all.  `at_least_as_permissive_as` orders the clauses only, so two
+/// contracts that differ in window, nesting or speculative-store exposure
+/// are not comparable.
+fn lattice_ordered(c1: &Contract, c2: &Contract) -> bool {
+    let explores = |c: &Contract| c.execution != ExecutionClause::Seq && c.speculation_window > 0;
+    c1.at_least_as_permissive_as(c2)
+        && (!explores(c2)
+            || (c1.speculation_window == c2.speculation_window
+                && c1.nested_speculation == c2.nested_speculation
+                && c1.expose_speculative_stores == c2.expose_speculative_stores))
+}
+
 /// Contract slates through the per-test-case entry: output `i` must equal
 /// every contract's reference walk on input `i` (traces, both speculative
 /// counters, faults), and a fresh single-input run — so the emulator reused
 /// across inputs carries nothing over.  One scratch kept across slates of
 /// different shapes, as a campaign worker keeps it across test cases, must
-/// rebuild the same outputs in place.
+/// group the inputs into the classes `Analyzer::input_classes` makes of
+/// those traces, build every trace, digest and class member on demand
+/// equal to the materialized ones, and order its classes as the contract
+/// lattice does: a more permissive contract's class lies inside one class
+/// of every less permissive contract.
 fn check_slates(tc: &TestCase, inputs: &[Input]) -> Result<(), String> {
     let prog = rvz_isa::DecodedProgram::decode(tc).expect("test programs decode");
+    let analyzer = Analyzer::new();
     let mut scratch = SlateScratch::default();
     for slate in [mixed_slate(), Contract::table3_contracts(), mixed_slate()] {
         let outs: Result<Vec<_>, _> =
             ContractModel::collect_slate_decoded(&slate, &prog, inputs).into_iter().collect();
-        let kept = scratch.collect_in_place(&slate, &prog, inputs);
+        let kept = scratch.collect_in_place(&slate, &prog, inputs, true);
         prop_assert_eq!(kept.as_ref().err(), outs.as_ref().err());
-        let Ok(outs) = outs else { continue };
+        let Ok(outs) = outs else {
+            prop_assert!((0..slate.len()).all(|k| scratch.classes(k).is_empty()));
+            continue;
+        };
+        let mut classes = Vec::new();
         for k in 0..slate.len() {
             let traces: Vec<_> = outs.iter().map(|o| o[k].trace.clone()).collect();
-            let infos: Vec<_> = outs.iter().map(|o| o[k].info.clone()).collect();
-            prop_assert_eq!(scratch.traces(k), &traces[..]);
-            prop_assert_eq!(scratch.infos(k), &infos[..]);
+            let expected = analyzer.input_classes(&traces);
+            prop_assert!(scratch.classes(k) == &expected[..], "{} classes differ", slate[k].name());
+            for (i, trace) in traces.iter().enumerate() {
+                prop_assert_eq!(&scratch.trace(k, i), trace);
+                prop_assert_eq!(scratch.ctrace_digest(k, i), trace.digest());
+            }
+            let members: Vec<Vec<_>> = expected
+                .iter()
+                .filter(|c| c.is_effective())
+                .map(|c| c.members.iter().map(|&i| outs[i][k].info.clone()).collect())
+                .collect();
+            prop_assert_eq!(scratch.class_members(k), members);
+            classes.push(expected);
+        }
+        for (a, c1) in slate.iter().enumerate() {
+            for (b, c2) in slate.iter().enumerate() {
+                if a == b || !lattice_ordered(c1, c2) {
+                    continue;
+                }
+                for class in &classes[a] {
+                    let first = class.members[0];
+                    let outer = classes[b].iter().find(|c| c.members.contains(&first));
+                    let outer = outer.expect("every input is in a class");
+                    prop_assert!(
+                        class.members.iter().all(|m| outer.members.contains(m)),
+                        "a {} class splits across {} classes",
+                        c1.name(),
+                        c2.name()
+                    );
+                }
+            }
         }
     }
     for slate in [Contract::table3_contracts(), mixed_slate()] {

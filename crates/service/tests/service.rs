@@ -542,9 +542,10 @@ fn cancelled_job_stops_emitting_and_its_spool_record_survives_restart() {
         .expect("service starts");
     let addr = handle.local_addr().expect("TCP front-end attached");
 
-    // A long-running job (target 1 exhausts its budget of 200).
+    // A long-running job (target 1 exhausts its budget of 2000): long
+    // enough that it is still running when the cancel below arrives.
     let running = handle
-        .submit(JobSpec::new(7).with_budget(200).add_cell(1, "CT-SEQ"))
+        .submit(JobSpec::new(7).with_budget(2000).add_cell(1, "CT-SEQ"))
         .expect("job accepted");
     // A queued job behind it cancels immediately.
     let queued = handle
@@ -598,7 +599,7 @@ fn cancelled_job_stops_emitting_and_its_spool_record_survives_restart() {
     let units = record.units.as_ref().expect("unit records kept");
     let checkpoint = units[0].checkpoint.as_ref().expect("stopping checkpoint kept");
     assert!(checkpoint.groups[0].next_index > 0, "stopped mid-stream, not at 0");
-    assert!(checkpoint.groups[0].next_index < 200, "stopped before the budget");
+    assert!(checkpoint.groups[0].next_index < 2000, "stopped before the budget");
 
     // …and a restarted server keeps both jobs terminally cancelled: no
     // resume, no further events.

@@ -8,7 +8,7 @@ use crate::CpuUnderTest;
 use rvz_cache::{Cache, CacheConfig};
 use rvz_emu::{ArchState, Emulator, EventBuf, Fault, MemEventKind};
 use rvz_isa::{
-    BlockId, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, Input, Instr, Reg,
+    BlockId, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, Input, Instr, Reg, RegSet,
     SandboxLayout, SrcOp, Terminator, TestCase, Width,
 };
 use serde::{Deserialize, Serialize};
@@ -251,7 +251,7 @@ impl SpecCpu {
                     // until the squash arrives.
                     break 'path;
                 }
-                let issue = timing.issue_cycle(&instr.reads_regs(), instr.reads_flags());
+                let issue = timing.issue_cycle(RegSet::of(&instr.reads_regs()), instr.reads_flags());
                 if issue > squash_cycle {
                     break 'path;
                 }
@@ -283,20 +283,20 @@ impl SpecCpu {
                     }
                 }
                 let latency = op_latency + self.mem_latency(load_hit);
-                timing.retire(issue, latency, &instr.writes_regs(), instr.writes_flags());
+                timing.retire(issue, latency, RegSet::of(&instr.writes_regs()), instr.writes_flags());
                 ctx.outcome.transient_instructions += 1;
                 fuel -= 1;
                 pos.idx += 1;
             } else {
                 // Speculative control flow follows the predictors.
                 let issue = timing.issue_cycle(
-                    &block.terminator.reads_regs(),
+                    RegSet::of(&block.terminator.reads_regs()),
                     block.terminator.reads_flags(),
                 );
                 if issue > squash_cycle {
                     break 'path;
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 ctx.outcome.transient_instructions += 1;
                 fuel -= 1;
                 let next = match &block.terminator {
@@ -430,7 +430,7 @@ impl SpecCpu {
             ctx.outcome.executed_instructions += 1;
             return Ok(());
         }
-        let issue = timing.issue_cycle(&instr.reads_regs(), instr.reads_flags());
+        let issue = timing.issue_cycle(RegSet::of(&instr.reads_regs()), instr.reads_flags());
 
         // Value-injection speculation (V4 / MDS / LVI) triggered by loads.
         if let Some((inj, squash, kind)) = self.injection_trigger(emu, tc, ctx, instr, issue) {
@@ -495,7 +495,7 @@ impl SpecCpu {
         }
 
         let latency = op_latency + self.mem_latency(load_hit);
-        timing.retire(issue, latency, &instr.writes_regs(), instr.writes_flags());
+        timing.retire(issue, latency, RegSet::of(&instr.writes_regs()), instr.writes_flags());
         let _ = pending_stores;
         ctx.outcome.executed_instructions += 1;
         Ok(())
@@ -514,13 +514,13 @@ impl SpecCpu {
         let block = tc.block(pos.block).expect("valid block");
         let term = &block.terminator;
         let site = pos.block.index();
-        let issue = timing.issue_cycle(&term.reads_regs(), term.reads_flags());
+        let issue = timing.issue_cycle(RegSet::of(&term.reads_regs()), term.reads_flags());
         ctx.outcome.executed_instructions += 1;
 
         let next = match term {
             Terminator::Exit => None,
             Terminator::Jmp { target } => {
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(*target)
             }
             Terminator::CondJmp { cond, taken, not_taken } => {
@@ -542,7 +542,7 @@ impl SpecCpu {
                         1,
                     );
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(if actual { *taken } else { *not_taken })
             }
             Terminator::IndirectJmp { src, table } => {
@@ -557,7 +557,7 @@ impl SpecCpu {
                         self.speculate(emu, timing, ctx, tc, Pos { block: p, idx: 0 }, None, squash, 1);
                     }
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(actual)
             }
             Terminator::Call { target, return_to } => {
@@ -565,7 +565,7 @@ impl SpecCpu {
                 self.touch_cache(ev.addr);
                 self.fill_buffer = ev.value;
                 self.rsb.push(*return_to);
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(*target)
             }
             Terminator::Ret => {
@@ -580,7 +580,7 @@ impl SpecCpu {
                         self.speculate(emu, timing, ctx, tc, Pos { block: p, idx: 0 }, None, squash, 1);
                     }
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(actual)
             }
         };
@@ -632,7 +632,7 @@ impl SpecCpu {
                     // until the squash arrives.
                     break 'path;
                 }
-                let issue = timing.issue_cycle(&d.reads_regs, d.reads_flags);
+                let issue = timing.issue_cycle(d.reads_set, d.reads_flags);
                 if issue > squash_cycle {
                     break 'path;
                 }
@@ -664,18 +664,18 @@ impl SpecCpu {
                     }
                 }
                 let latency = op_latency + self.mem_latency(load_hit);
-                timing.retire(issue, latency, &d.writes_regs, d.writes_flags);
+                timing.retire(issue, latency, d.writes_set, d.writes_flags);
                 ctx.outcome.transient_instructions += 1;
                 fuel -= 1;
                 pos.idx += 1;
             } else {
                 // Speculative control flow follows the predictors.
                 let term = prog.terminator(pos.block);
-                let issue = timing.issue_cycle(&term.reads_regs, term.reads_flags);
+                let issue = timing.issue_cycle(term.reads_set, term.reads_flags);
                 if issue > squash_cycle {
                     break 'path;
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 ctx.outcome.transient_instructions += 1;
                 fuel -= 1;
                 let next = match &term.term {
@@ -812,7 +812,7 @@ impl SpecCpu {
             ctx.outcome.executed_instructions += 1;
             return Ok(());
         }
-        let issue = timing.issue_cycle(&d.reads_regs, d.reads_flags);
+        let issue = timing.issue_cycle(d.reads_set, d.reads_flags);
 
         // Value-injection speculation (V4 / MDS / LVI) triggered by loads.
         if let Some((inj, squash, kind)) = self.injection_trigger_decoded(emu, prog, ctx, d, issue)
@@ -878,7 +878,7 @@ impl SpecCpu {
         }
 
         let latency = op_latency + self.mem_latency(load_hit);
-        timing.retire(issue, latency, &d.writes_regs, d.writes_flags);
+        timing.retire(issue, latency, d.writes_set, d.writes_flags);
         ctx.outcome.executed_instructions += 1;
         Ok(())
     }
@@ -894,13 +894,13 @@ impl SpecCpu {
     ) -> Result<Option<BlockId>, Fault> {
         let term = prog.terminator(pos.block);
         let site = pos.block.index();
-        let issue = timing.issue_cycle(&term.reads_regs, term.reads_flags);
+        let issue = timing.issue_cycle(term.reads_set, term.reads_flags);
         ctx.outcome.executed_instructions += 1;
 
         let next = match &term.term {
             DecodedTerm::Exit => None,
             DecodedTerm::Jmp { target } => {
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(*target)
             }
             DecodedTerm::CondJmp { cond, taken, not_taken } => {
@@ -922,7 +922,7 @@ impl SpecCpu {
                         1,
                     );
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(if actual { *taken } else { *not_taken })
             }
             DecodedTerm::IndirectJmp { src, table } => {
@@ -946,7 +946,7 @@ impl SpecCpu {
                         );
                     }
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(actual)
             }
             DecodedTerm::Call { target, return_to } => {
@@ -954,7 +954,7 @@ impl SpecCpu {
                 self.touch_cache(ev.addr);
                 self.fill_buffer = ev.value;
                 self.rsb.push(*return_to);
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(*target)
             }
             DecodedTerm::Ret => {
@@ -978,7 +978,7 @@ impl SpecCpu {
                         );
                     }
                 }
-                timing.retire(issue, 1, &[], false);
+                timing.retire(issue, 1, RegSet::EMPTY, false);
                 Some(actual)
             }
         };

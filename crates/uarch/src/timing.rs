@@ -8,7 +8,7 @@
 //! the squash, and whether a dependent load can issue inside that window
 //! (§6.3, Figure 5).
 
-use rvz_isa::Reg;
+use rvz_isa::{Reg, RegSet};
 use serde::{Deserialize, Serialize};
 
 /// Scoreboard of register/flag readiness plus the current issue cycle.
@@ -45,18 +45,13 @@ impl Timing {
         self.reg_ready[r.index()] = cycle;
     }
 
-    /// Mark the flags as becoming ready at `cycle`.
-    pub fn set_flags_ready(&mut self, cycle: u64) {
-        self.flags_ready = cycle;
-    }
-
     /// Earliest cycle at which an instruction reading `sources` (and the
     /// flags if `reads_flags`) can issue, assuming one instruction issues
     /// per cycle.
-    pub fn issue_cycle(&self, sources: &[Reg], reads_flags: bool) -> u64 {
+    pub fn issue_cycle(&self, sources: RegSet, reads_flags: bool) -> u64 {
         let mut ready = self.cycle + 1;
-        for r in sources {
-            ready = ready.max(self.reg_ready(*r));
+        for r in sources.iter() {
+            ready = ready.max(self.reg_ready(r));
         }
         if reads_flags {
             ready = ready.max(self.flags_ready);
@@ -77,12 +72,12 @@ impl Timing {
         &mut self,
         issue: u64,
         latency: u64,
-        dests: &[Reg],
+        dests: RegSet,
         writes_flags: bool,
     ) -> u64 {
         let done = issue + latency;
-        for r in dests {
-            self.set_reg_ready(*r, done);
+        for r in dests.iter() {
+            self.set_reg_ready(r, done);
         }
         if writes_flags {
             self.flags_ready = done;
@@ -124,40 +119,40 @@ mod tests {
     #[test]
     fn independent_instructions_issue_back_to_back() {
         let mut t = Timing::new();
-        let i1 = t.issue_cycle(&[], false);
-        t.retire(i1, 1, &[Reg::Rax], true);
-        let i2 = t.issue_cycle(&[], false);
+        let i1 = t.issue_cycle(RegSet::EMPTY, false);
+        t.retire(i1, 1, RegSet::of(&[Reg::Rax]), true);
+        let i2 = t.issue_cycle(RegSet::EMPTY, false);
         assert_eq!(i2, i1 + 1);
     }
 
     #[test]
     fn dependent_instruction_waits_for_source() {
         let mut t = Timing::new();
-        let i1 = t.issue_cycle(&[], false);
-        let done = t.retire(i1, 40, &[Reg::Rax], false); // slow load into RAX
-        let i2 = t.issue_cycle(&[Reg::Rax], false);
+        let i1 = t.issue_cycle(RegSet::EMPTY, false);
+        let done = t.retire(i1, 40, RegSet::of(&[Reg::Rax]), false); // slow load into RAX
+        let i2 = t.issue_cycle(RegSet::of(&[Reg::Rax]), false);
         assert_eq!(i2, done);
-        let i3 = t.issue_cycle(&[Reg::Rbx], false);
+        let i3 = t.issue_cycle(RegSet::of(&[Reg::Rbx]), false);
         assert!(i3 < i2, "independent instruction need not wait");
     }
 
     #[test]
     fn flags_dependency_tracked() {
         let mut t = Timing::new();
-        let i1 = t.issue_cycle(&[], false);
-        t.retire(i1, 12, &[], true); // e.g. a CMP fed by a slow value
-        let br = t.issue_cycle(&[], true);
+        let i1 = t.issue_cycle(RegSet::EMPTY, false);
+        t.retire(i1, 12, RegSet::EMPTY, true); // e.g. a CMP fed by a slow value
+        let br = t.issue_cycle(RegSet::EMPTY, true);
         assert_eq!(br, i1 + 12);
     }
 
     #[test]
     fn serialize_waits_for_everything() {
         let mut t = Timing::new();
-        let i1 = t.issue_cycle(&[], false);
-        t.retire(i1, 100, &[Reg::Rcx], false);
+        let i1 = t.issue_cycle(RegSet::EMPTY, false);
+        t.retire(i1, 100, RegSet::of(&[Reg::Rcx]), false);
         t.barrier();
         assert!(t.cycle() >= i1 + 100);
-        let next = t.issue_cycle(&[], false);
+        let next = t.issue_cycle(RegSet::EMPTY, false);
         assert!(next > i1 + 100);
     }
 
@@ -173,10 +168,10 @@ mod tests {
     #[test]
     fn clone_is_an_independent_checkpoint() {
         let mut t = Timing::new();
-        let i = t.issue_cycle(&[], false);
-        t.retire(i, 5, &[Reg::Rax], false);
+        let i = t.issue_cycle(RegSet::EMPTY, false);
+        t.retire(i, 5, RegSet::of(&[Reg::Rax]), false);
         let snapshot = t.clone();
-        t.retire(10, 5, &[Reg::Rbx], false);
+        t.retire(10, 5, RegSet::of(&[Reg::Rbx]), false);
         assert_ne!(t, snapshot);
         assert_eq!(snapshot.reg_ready(Reg::Rbx), 0);
     }
