@@ -28,8 +28,9 @@ pub struct ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// The paper's configuration: 50 repetitions, a few warm-up rounds,
-    /// one-off traces discarded.
+    /// The paper's configuration (§5.3): 3 warm-up passes, 50 repetitions,
+    /// one-off traces discarded.  Past the schedule's fixed point the extra
+    /// passes are replays, so without noise they cost almost nothing.
     pub fn paper(mode: MeasurementMode) -> ExecutorConfig {
         ExecutorConfig {
             mode,
@@ -130,6 +131,39 @@ impl MeasurementSession {
             checkpoints: Vec::new(),
             scratch: Vec::new(),
         }
+    }
+
+    /// End a noise-free collection at its fixed point, reached at run
+    /// `input` of `pass`, of `passes` passes whose first `warmup` are not
+    /// recorded: every remaining run of the schedule would replay its
+    /// input's raw sample, so append each input's sample for its remaining
+    /// measured passes and return how many runs that skips.
+    ///
+    /// An input appends at most `outlier_min_count` copies (at least one),
+    /// and [`merge_sorting`] still merges the full schedule's trace:
+    /// - it keeps a sample exactly when its count reaches the threshold,
+    ///   and a capped sample's count still reaches it;
+    /// - the threshold (`outlier_min_count` once there are that many
+    ///   samples) is unchanged, because a cap applies only when at least
+    ///   that many copies remain;
+    /// - the most-frequent fallback runs only when no sample reaches the
+    ///   threshold, and then nothing was capped.
+    fn finish_replay(
+        &mut self,
+        warmup: usize,
+        passes: usize,
+        pass: usize,
+        input: usize,
+        outlier_min_count: usize,
+    ) -> u64 {
+        let cap = outlier_min_count.max(1);
+        for (j, (samples, &raw)) in self.samples.iter_mut().zip(&self.raw).enumerate() {
+            // The first pass in which input `j` has yet to run.
+            let next = if j < input { pass + 1 } else { pass };
+            let measured = passes - next.max(warmup);
+            samples.extend(std::iter::repeat_n(raw, measured.min(cap)));
+        }
+        ((passes - pass) * self.raw.len() - input) as u64
     }
 
     /// Clear the sample buffers for a fresh collection over `inputs` inputs,
@@ -381,7 +415,8 @@ impl<C: CpuUnderTest> Executor<C> {
     /// the rest of the schedule.  The noise draws stay per (pass, input) in
     /// schedule order, so the samples — noisy or not — are exactly those of
     /// the full schedule.  A CPU that cannot describe its state runs every
-    /// pass.
+    /// pass.  Without noise a replayed run draws nothing, so the fixed point
+    /// ends the collection ([`MeasurementSession::finish_replay`]).
     fn collect_into_session(
         &mut self,
         session: &mut MeasurementSession,
@@ -414,6 +449,12 @@ impl<C: CpuUnderTest> Executor<C> {
                         replaying = described && pass > 0 && *previous == session.scratch;
                         checking = described && !replaying;
                         std::mem::swap(previous, &mut session.scratch);
+                        if replaying && !self.config.noise.is_enabled() {
+                            let min_count = self.config.outlier_min_count;
+                            self.replayed_runs +=
+                                session.finish_replay(warmup, passes, pass, i, min_count);
+                            return Ok(());
+                        }
                     }
                 }
                 if replaying {
@@ -1115,6 +1156,48 @@ mod tests {
                     );
                 }
                 assert!(fixed.replayed_runs() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn noise_free_fixed_point_ends_the_collection() {
+        // Without noise the fixed point ends the collection: the runs it
+        // skips count as replayed, and each input's remaining samples are
+        // capped at the outlier threshold.  The traces, of the §5.3 swapped
+        // sequences too, are the full schedule's under the paper's 3 + 50
+        // and a 1 + 2 schedule, at thresholds of 1, 2 and 3.
+        let v1 = v1_tc();
+        let direct = direct_load_tc();
+        let (o, i) = (true, false);
+        let cases = [
+            (&v1, v1_priming_inputs(&v1)),
+            (&v1, v1_pattern(&v1, &[o, i, i, i, i])),
+            (&direct, loads_from(&direct, &[0x80, 0x800, 0x80])),
+        ];
+        let paper = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let short = ExecutorConfig { warmup_rounds: 1, ..paper.with_repetitions(2) };
+        for base in [paper, short] {
+            for outlier_min_count in [1, 2, 3] {
+                let cfg = ExecutorConfig { outlier_min_count, ..base };
+                for (tc, inputs) in &cases {
+                    let prog = DecodedProgram::decode(tc).unwrap();
+                    let scheduled = ((cfg.warmup_rounds + cfg.repetitions) * inputs.len()) as u64;
+                    let mut fixed = wrapped(cfg, |w, out| w.cpu.functional_state(out));
+                    let mut full = opaque(cfg);
+                    for swap in [None, Some((0, inputs.len() - 1))] {
+                        let traces = |ex: &mut Executor<Wrapped>| {
+                            let session = ex.collect(&prog, inputs, swap).unwrap();
+                            let merge = |s: &mut Vec<SetVector>| merge_sorting(s, outlier_min_count);
+                            session.samples.iter_mut().map(merge).collect::<Vec<_>>()
+                        };
+                        let (runs, replayed) = (fixed.cpu().runs, fixed.replayed_runs());
+                        assert_eq!(traces(&mut fixed), traces(&mut full), "{cfg:?}, swap {swap:?}");
+                        let simulated = fixed.cpu().runs - runs;
+                        assert!(simulated < scheduled, "the fixed point is reached");
+                        assert_eq!(fixed.replayed_runs() - replayed, scheduled - simulated);
+                    }
+                }
             }
         }
     }

@@ -39,7 +39,8 @@
 //! snapshot only with the same checkpoint of the immediately preceding
 //! pass, whose samples are the ones kept and which ran in full.  Noise is
 //! still drawn per pass and input, so the traces are exactly those of the
-//! full schedule.  A CPU that cannot describe its state simulates every
+//! full schedule; without noise nothing is drawn, and the fixed point ends
+//! the collection.  A CPU that cannot describe its state simulates every
 //! run.
 //!
 //! Measurements run inside a reusable session: the side channel (with its

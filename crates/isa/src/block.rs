@@ -74,15 +74,18 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Blocks that this terminator may transfer control to (statically).
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Exit | Terminator::Ret => vec![],
-            Terminator::Jmp { target } => vec![*target],
-            Terminator::CondJmp { taken, not_taken, .. } => vec![*taken, *not_taken],
-            Terminator::IndirectJmp { table, .. } => table.clone(),
-            Terminator::Call { target, return_to } => vec![*target, *return_to],
-        }
+    /// Blocks that this terminator may transfer control to (statically),
+    /// without allocating: decode-time validation walks them for every
+    /// generated test case.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (pair, table): ([Option<BlockId>; 2], &[BlockId]) = match self {
+            Terminator::Exit | Terminator::Ret => ([None, None], &[]),
+            Terminator::Jmp { target } => ([Some(*target), None], &[]),
+            Terminator::CondJmp { taken, not_taken, .. } => ([Some(*taken), Some(*not_taken)], &[]),
+            Terminator::IndirectJmp { table, .. } => ([None, None], table),
+            Terminator::Call { target, return_to } => ([Some(*target), Some(*return_to)], &[]),
+        };
+        pair.into_iter().flatten().chain(table.iter().copied())
     }
 
     /// Is this a conditional branch (the `CB` instruction class)?
@@ -205,7 +208,7 @@ mod tests {
     #[test]
     fn terminator_successors() {
         let t = Terminator::CondJmp { cond: Cond::Ns, taken: BlockId(1), not_taken: BlockId(2) };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
         assert!(t.is_conditional());
         assert!(t.reads_flags());
         assert!(!t.is_indirect());
@@ -213,15 +216,17 @@ mod tests {
         let t = Terminator::IndirectJmp { src: Reg::Rax, table: vec![BlockId(1), BlockId(3)] };
         assert!(t.is_indirect());
         assert_eq!(t.reads_regs(), vec![Reg::Rax]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), vec![BlockId(1), BlockId(3)]);
 
-        assert!(Terminator::Exit.successors().is_empty());
+        assert_eq!(Terminator::Exit.successors().count(), 0);
+        assert_eq!(Terminator::Ret.successors().count(), 0);
         assert!(Terminator::Ret.is_indirect());
     }
 
     #[test]
     fn call_successors_include_return_block() {
         let t = Terminator::Call { target: BlockId(5), return_to: BlockId(2) };
-        assert_eq!(t.successors(), vec![BlockId(5), BlockId(2)]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), vec![BlockId(5), BlockId(2)]);
         assert_eq!(t.reads_regs(), vec![Reg::Rsp]);
     }
 

@@ -187,9 +187,7 @@ impl TestCase {
                 continue;
             }
             if let Some(block) = self.block(b) {
-                for s in block.terminator.successors() {
-                    stack.push(s);
-                }
+                stack.extend(block.terminator.successors());
             }
         }
         seen

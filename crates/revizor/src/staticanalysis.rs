@@ -397,7 +397,7 @@ fn spec_reach(tc: &TestCase) -> Vec<bool> {
             let term = &block.terminator;
             reach[b] = term.is_conditional()
                 || term.is_indirect()
-                || term.successors().iter().any(|s| s.index() < n && reach[s.index()]);
+                || term.successors().any(|s| s.index() < n && reach[s.index()]);
         }
     }
     reach

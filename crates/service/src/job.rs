@@ -72,6 +72,23 @@ impl JobSpec {
     pub const MAX_PARALLELISM: usize = 64;
     /// Largest `round_size`.
     pub const MAX_ROUND_SIZE: usize = 1000;
+    /// The fields of the spec's JSON document, as [`JobSpec::to_json`]
+    /// writes them.
+    const FIELDS: [&'static str; 13] = [
+        "tenant",
+        "seed",
+        "budget",
+        "round_size",
+        "parallelism",
+        "inputs_per_test_case",
+        "repetitions",
+        "basic_blocks",
+        "instructions",
+        "branch_then_load_bias",
+        "escalation",
+        "priority",
+        "cells",
+    ];
 
     /// A job with the default matrix parameters and no cells.
     pub fn new(seed: u64) -> JobSpec {
@@ -219,11 +236,18 @@ impl JobSpec {
 
     /// Deserialize a spec.  Only `seed` and `cells` are required; every
     /// other field falls back to the [`JobSpec::new`] default, so
-    /// hand-written submissions stay short.
+    /// hand-written submissions stay short.  A field the spec does not
+    /// have is refused rather than ignored: a misspelled one would
+    /// otherwise run the job with a default the client never asked for.
     ///
     /// # Errors
-    /// Returns a message for missing/ill-typed fields.
+    /// Returns a message for missing, ill-typed or unknown fields.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
+        if let Json::Obj(fields) = v {
+            if let Some((key, _)) = fields.iter().find(|(k, _)| !Self::FIELDS.contains(&k.as_str())) {
+                return Err(format!("spec has an unknown field `{key}`"));
+            }
+        }
         let seed = v
             .get("seed")
             .and_then(Json::as_u64)
@@ -312,6 +336,19 @@ mod tests {
             let doc = owned.to_json().render();
             assert_eq!(JobSpec::from_json(&parse(&doc).unwrap()).unwrap(), owned);
         }
+    }
+
+    #[test]
+    fn unknown_fields_are_refused_by_name() {
+        for key in ["budegt", "reps"] {
+            let doc = format!(r#"{{"seed": 3, "{key}": 50, "cells": []}}"#);
+            let err = JobSpec::from_json(&parse(&doc).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{err}");
+        }
+        // Every field `to_json` writes is one `from_json` reads.
+        let doc = JobSpec::table3(1).with_tenant("acme").to_json();
+        let Json::Obj(fields) = &doc else { panic!("a spec is an object") };
+        assert_eq!(fields.len(), JobSpec::FIELDS.len());
     }
 
     #[test]

@@ -247,6 +247,37 @@ fn garbage_frames_do_not_stall_the_reactor() {
     handle.shutdown();
 }
 
+/// A submit whose spec carries a field the spec does not have, such as a
+/// misspelled one, is refused with the field's name instead of running the
+/// job with defaults the client never asked for.
+#[test]
+fn submits_with_unknown_spec_fields_are_refused_by_name() {
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 1,
+        spool: None,
+        listen: Some("127.0.0.1:0".to_string()),
+        worker_listen: None,
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let addr = handle.local_addr().expect("TCP front-end attached");
+    let stream = TcpStream::connect(addr).expect("raw client connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for key in ["budegt", "reps"] {
+        let frame = format!(
+            r#"{{"op":"submit","spec":{{"seed":3,"{key}":2,"cells":[{{"target":1,"contract":"CT-SEQ"}}]}}}}"#
+        );
+        (&stream).write_all(format!("{frame}\n").as_bytes()).expect("write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("server responds");
+        let response = parse(line.trim_end()).expect("responses are valid JSON");
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false), "{key}");
+        let error = response.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.contains(&format!("`{key}`")), "{error}");
+    }
+    handle.shutdown();
+}
+
 /// The coordinator's worker port drops peers that do not speak the
 /// protocol instead of stalling on them.
 #[test]
