@@ -9,7 +9,6 @@
 use revizor::orchestrator::CampaignMatrix;
 use revizor::targets::Target;
 use revizor::{gadgets, FuzzerConfig, Postprocessor, Revizor};
-use rvz_executor::ExecutorConfig;
 use rvz_gen::{GeneratorConfig, ProgramGenerator, Scenario};
 use rvz_model::Contract;
 
@@ -37,8 +36,7 @@ fn main() {
         .run();
     match &report.cells[0].violation {
         Some(v) => {
-            let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-                .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));
+            let config = FuzzerConfig::for_target(&target, Contract::ct_seq());
             let mut fuzzer = Revizor::new(target.cpu(), config).with_target(target.clone());
             let minimized = Postprocessor::new().minimize(&mut fuzzer, &v.test_case, &v.inputs);
             println!("{}", minimized.test_case.to_asm());

@@ -25,7 +25,6 @@ fn main() {
         .with_generator_size(2, 8)
         .with_branch_then_load_bias(false)
         .with_inputs_per_test_case(50)
-        .with_repetitions(3)
         .with_escalation(true)
         .add_cell(target.clone(), Contract::ct_seq());
     let mut run = matrix.start();

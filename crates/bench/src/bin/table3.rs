@@ -153,8 +153,9 @@ fn print_table(report: &MatrixReport, zoo: bool) {
         println!(
             "Zoo rows (Targets 9-13) have no paper counterpart and are excluded from the \
              agreement count; Targets 11-12 are expected to violate every contract \
-             (no CT contract models indirect-jump or return speculation), Target 13 is \
-             the deliberate compliant cell."
+             (no CT contract models indirect-jump or return speculation); Target 13 \
+             (TAGE) leaks V1 only where TAGE still mispredicts after warm-up, so it \
+             violates CT-SEQ and CT-BPAS and complies with the CT-COND contracts."
         );
     }
 }

@@ -782,7 +782,6 @@ mod tests {
     use revizor::orchestrator::CampaignMatrix;
     use revizor::targets::Target;
     use revizor::{FuzzerConfig, Revizor};
-    use rvz_executor::ExecutorConfig;
     use rvz_isa::builder::TestCaseBuilder;
 
     /// A campaign report with a real V1 violation (Target 5 × CT-SEQ).
@@ -817,8 +816,7 @@ mod tests {
         let decoded = violation_report_from_json(&parse(&doc).unwrap()).unwrap();
 
         let target = Target::target5();
-        let config = FuzzerConfig::for_target(&target, decoded.contract.clone())
-            .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));
+        let config = FuzzerConfig::for_target(&target, decoded.contract.clone());
         let mut fuzzer = Revizor::new(target.cpu(), config).with_target(target.clone());
         let outcome = fuzzer.test_with_inputs(&decoded.test_case, &decoded.inputs).unwrap();
         let confirmed = outcome.confirmed_violation.expect("violation must replay");

@@ -30,12 +30,38 @@ pub struct ExecutorConfig {
 impl ExecutorConfig {
     /// The paper's configuration (§5.3): 3 warm-up passes, 50 repetitions,
     /// one-off traces discarded.  Past the schedule's fixed point the extra
-    /// passes are replays, so without noise they cost almost nothing.
+    /// passes are replays, so without noise they cost almost nothing.  No
+    /// campaign measures with it (see [`ExecutorConfig::campaign`]); only
+    /// `emu_throughput`'s executor section measures its cost.
     pub fn paper(mode: MeasurementMode) -> ExecutorConfig {
         ExecutorConfig {
             mode,
             repetitions: 50,
             warmup_rounds: 3,
+            outlier_min_count: 2,
+            noise: NoiseConfig::none(),
+        }
+    }
+
+    /// The campaign's schedule: 1 warm-up pass, 2 repetitions, one-off
+    /// traces discarded, no noise.  Every `CampaignMatrix` collection
+    /// measures with it, and a reported violation replays under it.
+    ///
+    /// It departs from §5.3's 3 + 50 on purpose.  The paper warms up and
+    /// repeats to beat noise on real silicon; the simulator's collections
+    /// are noise-free, so the extra passes only train the predictors.  On
+    /// the TAGE targets (zoo targets 9 and 13) that training removes real
+    /// leaks: for every CT-SEQ violation they confirm under this schedule,
+    /// its two inputs show different Prime+Probe footprints when both run
+    /// from one cloned state at some measured run of the pair (a contract
+    /// violation in Guarnieri et al.'s sense), while after 3 warm-up passes
+    /// TAGE stops mispredicting there and the leak no longer shows.
+    /// `crates/revizor/tests/fork.rs` checks the first half of that claim.
+    pub fn campaign(mode: MeasurementMode) -> ExecutorConfig {
+        ExecutorConfig {
+            mode,
+            repetitions: 2,
+            warmup_rounds: 1,
             outlier_min_count: 2,
             noise: NoiseConfig::none(),
         }
@@ -63,12 +89,6 @@ impl ExecutorConfig {
     pub fn with_repetitions(mut self, repetitions: usize) -> ExecutorConfig {
         self.repetitions = repetitions.max(1);
         self
-    }
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig::fast(MeasurementMode::prime_probe())
     }
 }
 

@@ -65,13 +65,15 @@ pub enum Scenario {
     /// A predictor-state-dependent leak: an architecturally invisible
     /// branch (both arms target the same block) records the input's class
     /// in the global history, and a later branch on the *same* predicate is
-    /// perfectly predictable from that history.  A history-capable
-    /// direction predictor (`PredictorConfig::tage()`, or a history-mixing
-    /// bimodal) learns the correlation during warm-up and stays compliant;
-    /// the history-*free* default bimodal keeps mispredicting as the
-    /// priming inputs flip the direction, transiently leaking an
-    /// input-derived address through the wrong arm.  The leak exists or
-    /// vanishes purely as a function of predictor state.
+    /// perfectly predictable from that history.  The history-*free*
+    /// default bimodal keeps mispredicting as the priming inputs flip the
+    /// direction, transiently leaking an input-derived address through the
+    /// wrong arm.  A history-capable direction predictor
+    /// (`PredictorConfig::tage()`, or a history-mixing bimodal) learns the
+    /// correlation during warm-up on most input streams, so it leaks far
+    /// later, but not never: after one warm-up pass some streams still
+    /// mispredict.  The leak exists or vanishes purely as a function of
+    /// predictor state.
     PredictorStateLeak,
 }
 
@@ -398,14 +400,16 @@ pub fn deep_rsb_chain(depth: usize) -> TestCase {
 /// global history register.  The `victim` block then branches on the *same*
 /// predicate: its direction is perfectly determined by the history bit the
 /// feeder just recorded, so a history-capable predictor (TAGE, or a
-/// history-mixing bimodal) learns it during the warm-up pass and never
-/// mispredicts again.  The history-*free* default bimodal sees only a
+/// history-mixing bimodal) can learn it during the warm-up pass.  The
+/// history-*free* default bimodal sees only a
 /// direction stream that keeps flipping with the priming inputs' RAX
 /// classes and keeps mispredicting — transiently running the wrong arm,
 /// whose load address derives from RBX.  Inputs of the no-load arm's class
 /// share one contract trace under CT-SEQ whatever their RBX, so two
-/// mispredicted inputs with different RBX violate the contract; swapping in
-/// a predictor that consumes the history makes the same cell compliant.
+/// mispredicted inputs with different RBX violate the contract.  A
+/// predictor that consumes the history removes the leak on most input
+/// streams, not all: a TAGE that has seen one warm-up pass still
+/// mispredicts on some, so the same cell violates CT-SEQ, only later.
 /// The leak's existence is a function of predictor state alone.
 pub fn predictor_state_leak() -> TestCase {
     TestCaseBuilder::new()

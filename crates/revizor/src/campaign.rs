@@ -529,7 +529,7 @@ mod tests {
             generator: rvz_gen::GeneratorConfig::for_subset(target.isa)
                 .with_basic_blocks(4)
                 .with_instructions(14),
-            executor: ExecutorConfig::fast(target.mode).with_repetitions(2),
+            executor: ExecutorConfig::campaign(target.mode),
             checks: SlateChecks::all(),
             contracts,
             speculation_filter: false,
@@ -673,9 +673,9 @@ mod tests {
     fn resident_context_matches_fresh_evaluations_under_synthetic_noise() {
         let noise = NoiseConfig { one_off_probability: 0.1, smi_probability: 0.05, seed: 23 };
         // The settings of `slate_outcomes_match_under_synthetic_noise`, and
-        // the matrix's 2 repetitions, where a one-off sample survives the
-        // merge: only there does a unit that drew from another unit's
-        // noise stream change its result.
+        // the campaign schedule's 2 repetitions, where a one-off sample
+        // survives the merge: only there does a unit that drew from another
+        // unit's noise stream change its result.
         for repetitions in [5, 2] {
             assert_resident_context_matches_fresh_evaluations(Some((repetitions, noise)));
         }

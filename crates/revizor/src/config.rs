@@ -22,12 +22,14 @@ pub struct FuzzerConfig {
 
 impl FuzzerConfig {
     /// Configuration for one of the paper's targets (Table 2) against a
-    /// contract, with the paper's initial generator parameters.
+    /// contract, with the paper's initial generator parameters and the
+    /// campaign's measurement schedule ([`ExecutorConfig::campaign`]), so a
+    /// matrix violation replays under the schedule that found it.
     pub fn for_target(target: &Target, contract: Contract) -> FuzzerConfig {
         FuzzerConfig {
             contract,
             generator: GeneratorConfig::for_subset(target.isa),
-            executor: ExecutorConfig::fast(target.mode),
+            executor: ExecutorConfig::campaign(target.mode),
         }
     }
 
@@ -60,7 +62,7 @@ mod tests {
         let t = Target::target5();
         let c = FuzzerConfig::for_target(&t, Contract::ct_seq());
         assert_eq!(c.generator.isa, IsaSubset::AR_MEM_CB);
-        assert_eq!(c.executor.mode, t.mode);
+        assert_eq!(c.executor, ExecutorConfig::campaign(t.mode));
         assert_eq!(c.contract, Contract::ct_seq());
     }
 

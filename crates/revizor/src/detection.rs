@@ -91,7 +91,7 @@ pub fn inputs_to_violation_slate(
     seed: u64,
     max_inputs: usize,
 ) -> Vec<Option<usize>> {
-    let mut executor = Executor::new(target.cpu(), ExecutorConfig::fast(target.mode).with_repetitions(2));
+    let mut executor = Executor::new(target.cpu(), ExecutorConfig::campaign(target.mode));
     let analyzer = Analyzer::new();
     let gen = InputGenerator::new(2);
     let mut results: Vec<Option<usize>> = vec![None; contracts.len()];

@@ -15,7 +15,7 @@ use rvz_executor::Executor;
 use rvz_gen::InputGenerator;
 use rvz_isa::{Input, TestCase};
 use rvz_model::Contract;
-use rvz_uarch::{CpuUnderTest, SpecCpu};
+use rvz_uarch::CpuUnderTest;
 
 /// The result of testing one test case with one input batch.
 #[derive(Debug, Clone)]
@@ -77,14 +77,6 @@ pub struct Revizor<C: CpuUnderTest> {
     input_gen: InputGenerator,
     executor: Executor<C>,
     analyzer: Analyzer,
-}
-
-impl Revizor<SpecCpu> {
-    /// Convenience constructor for one of the paper's targets.
-    pub fn for_target(target: &Target, contract: Contract) -> Revizor<SpecCpu> {
-        let config = FuzzerConfig::for_target(target, contract);
-        Revizor::new(target.cpu(), config).with_target(target.clone())
-    }
 }
 
 impl<C: CpuUnderTest> Revizor<C> {
@@ -167,10 +159,11 @@ mod tests {
     use crate::orchestrator::{CampaignMatrix, CellReport, GroupProgress};
     use rvz_executor::{ExecutorConfig, NoiseConfig};
     use rvz_gen::ProgramGenerator;
+    use rvz_uarch::SpecCpu;
 
     /// A one-cell campaign with the matrix's detection-tuned defaults (4
-    /// basic blocks, 14 instructions, 20 inputs, 2 repetitions): the cell's
-    /// report and its group's final progress.
+    /// basic blocks, 14 instructions, 20 inputs, the campaign schedule):
+    /// the cell's report and its group's final progress.
     fn campaign(
         target: &Target,
         contract: Contract,
@@ -225,7 +218,7 @@ mod tests {
     #[test]
     fn handwritten_v1_gadget_detected_quickly() {
         let target = Target::target5();
-        let mut r = harness(&target, ExecutorConfig::fast(target.mode).with_repetitions(2));
+        let mut r = harness(&target, ExecutorConfig::campaign(target.mode));
         let outcome = r.test_case(&gadgets::spectre_v1(), 7).unwrap();
         assert!(outcome.confirmed_violation.is_some(), "handwritten V1 gadget must violate CT-SEQ");
     }

@@ -170,14 +170,12 @@ mod tests {
     use crate::config::FuzzerConfig;
     use crate::gadgets;
     use crate::targets::Target;
-    use rvz_executor::ExecutorConfig;
     use rvz_gen::InputGenerator;
     use rvz_model::Contract;
 
     fn v1_fuzzer() -> Revizor<rvz_uarch::SpecCpu> {
         let target = Target::target5();
-        let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-            .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));
+        let config = FuzzerConfig::for_target(&target, Contract::ct_seq());
         Revizor::new(target.cpu(), config).with_target(target)
     }
 

@@ -264,10 +264,10 @@ pub struct MatrixCheckpoint {
     /// Whether diversity escalation was enabled (validated on resume).
     pub escalation: bool,
     /// Digest of everything else the stream depends on — generator size,
-    /// inputs per test case, repetitions, placement bias and the full
-    /// (target, contract) cell list (validated on resume; resuming under a
-    /// different configuration would silently break the byte-identical
-    /// guarantee).
+    /// inputs per test case, placement bias, the speculation pre-filter and
+    /// the full (target, contract) cell list (validated on resume; resuming
+    /// under a different configuration would silently break the
+    /// byte-identical guarantee).
     pub config_digest: u64,
     /// The finished-cell records, indexed like [`CampaignMatrix::cells`]:
     /// `Some` for cells that already finished (found a violation), written
@@ -338,7 +338,6 @@ pub struct CampaignMatrix {
     round_size: usize,
     parallelism: usize,
     inputs_per_test_case: usize,
-    repetitions: usize,
     basic_blocks: usize,
     instructions: usize,
     branch_then_load_bias: bool,
@@ -349,9 +348,10 @@ pub struct CampaignMatrix {
 impl CampaignMatrix {
     /// An empty matrix.  The defaults mirror the detection harnesses of
     /// §6.5: mid-campaign generator parameters (4 basic blocks, 14
-    /// instructions, 20 inputs per test case), fast executor settings
-    /// (2 repetitions), a budget of 200 test cases per cell group, rounds
-    /// of 10, a single worker thread, and no diversity escalation.
+    /// instructions, 20 inputs per test case), a budget of 200 test cases
+    /// per cell group, rounds of 10, a single worker thread, and no
+    /// diversity escalation.  Every collection measures with
+    /// [`ExecutorConfig::campaign`].
     pub fn new(seed: u64) -> CampaignMatrix {
         CampaignMatrix {
             cells: Vec::new(),
@@ -360,7 +360,6 @@ impl CampaignMatrix {
             round_size: 10,
             parallelism: 1,
             inputs_per_test_case: 20,
-            repetitions: 2,
             basic_blocks: 4,
             instructions: 14,
             branch_then_load_bias: true,
@@ -443,12 +442,6 @@ impl CampaignMatrix {
         self
     }
 
-    /// Builder: measurement repetitions per input sequence.
-    pub fn with_repetitions(mut self, repetitions: usize) -> CampaignMatrix {
-        self.repetitions = repetitions.max(1);
-        self
-    }
-
     /// Builder: generator size parameters (basic blocks, instructions).
     pub fn with_generator_size(mut self, basic_blocks: usize, instructions: usize) -> CampaignMatrix {
         self.basic_blocks = basic_blocks.max(1);
@@ -497,23 +490,18 @@ impl CampaignMatrix {
     }
 
     /// Digest of the verdict-relevant configuration beyond
-    /// seed/budget/round size: the measurement and generator parameters and
-    /// the exact cell list.  A checkpoint only resumes on a matrix with the
-    /// same digest.
+    /// seed/budget/round size: the generator parameters, the speculation
+    /// pre-filter and the exact cell list.  A checkpoint only resumes on a
+    /// matrix with the same digest.
     fn config_digest(&self) -> u64 {
         let mut desc = format!(
             "{}|{}|{}|{}|{}",
             self.inputs_per_test_case,
-            self.repetitions,
             self.basic_blocks,
             self.instructions,
             self.branch_then_load_bias,
+            self.speculation_filter,
         );
-        // Appended only when enabled so checkpoints taken before the filter
-        // existed keep their digest.
-        if self.speculation_filter {
-            desc.push_str("|speculation_filter");
-        }
         for cell in &self.cells {
             use std::fmt::Write;
             let _ = write!(
@@ -583,7 +571,7 @@ impl CampaignMatrix {
         }
         SlateSpec {
             generator: group.generator.clone(),
-            executor: ExecutorConfig::fast(group.target.mode).with_repetitions(self.repetitions),
+            executor: ExecutorConfig::campaign(group.target.mode),
             checks: SlateChecks::all(),
             contracts,
             speculation_filter: self.speculation_filter,
@@ -1651,7 +1639,6 @@ mod tests {
         // the configuration digest must catch each.
         assert!(small_matrix(1).with_generator_size(5, 14).resume(&snapshot).is_err());
         assert!(small_matrix(1).with_inputs_per_test_case(10).resume(&snapshot).is_err());
-        assert!(small_matrix(1).with_repetitions(3).resume(&snapshot).is_err());
         // The pre-filter changes which seeds are measured, so an
         // unfiltered checkpoint must not resume on a filtering matrix.
         assert!(small_matrix(1).with_speculation_filter(true).resume(&snapshot).is_err());

@@ -210,12 +210,13 @@ impl Target {
             6 => Some("V1-var"),
             7 => Some("MDS"),
             8 => Some("LVI-Null"),
-            9 | 10 => Some("V1"),
+            // Target 13's TAGE tracks the history-correlated branch on
+            // most input streams but not all: after one warm-up pass it
+            // still mispredicts on some, and that leak is V1 (CT-SEQ and
+            // CT-BPAS are found; the CT-COND contracts permit it).
+            9 | 10 | 13 => Some("V1"),
             11 => Some("V2-BTB"),
             12 => Some("V5-ret"),
-            // Target 13 is the zoo's negative cell: TAGE tracks the
-            // history-correlated branch, so no violation is expected.
-            13 => None,
             _ => None,
         }
     }
@@ -290,6 +291,7 @@ mod tests {
         assert_eq!(Target::target5().expected_vulnerability(), Some("V1"));
         assert_eq!(Target::target7().expected_vulnerability(), Some("MDS"));
         assert_eq!(Target::target8().expected_vulnerability(), Some("LVI-Null"));
+        assert_eq!(Target::target13().expected_vulnerability(), Some("V1"));
     }
 
     #[test]

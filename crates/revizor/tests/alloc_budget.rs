@@ -87,7 +87,7 @@ fn seeds() -> impl Iterator<Item = u64> {
 fn spec(target: &Target) -> SlateSpec {
     SlateSpec {
         generator: CampaignMatrix::new(0).base_generator(target),
-        executor: ExecutorConfig::fast(target.mode).with_repetitions(2),
+        executor: ExecutorConfig::campaign(target.mode),
         checks: SlateChecks::all(),
         contracts: Contract::table3_contracts(),
         speculation_filter: false,

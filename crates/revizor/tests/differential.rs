@@ -356,7 +356,7 @@ proptest! {
         swapped[swap_i] = inputs[swap_j].clone();
         let noise =
             NoiseConfig { one_off_probability: 0.2, smi_probability: 0.1, seed: input_seed };
-        let campaign = ExecutorConfig::fast(target.mode).with_repetitions(2);
+        let campaign = ExecutorConfig::campaign(target.mode);
         let paper = ExecutorConfig::paper(target.mode);
         for cfg in [campaign, campaign.with_noise(noise), paper, paper.with_noise(noise)] {
             let mut dec_ex = Executor::new(target.cpu(), cfg);

@@ -34,7 +34,7 @@ fn table3_units_simulate_a_pinned_number_of_runs() {
     let (mut scheduled, mut simulated) = (0, 0);
     for target in Target::all() {
         let generator = matrix.base_generator(&target);
-        let config = ExecutorConfig::fast(target.mode).with_repetitions(2);
+        let config = ExecutorConfig::campaign(target.mode);
         let passes = (config.warmup_rounds + config.repetitions) as u64;
         let mut executor = Executor::new(target.cpu(), config);
         let mut target_scheduled = 0;

@@ -17,11 +17,16 @@
 //! Flags: `--target=N` (repeatable via `--targets=5,6`), `--contracts=A,B`
 //! (default `CT-SEQ`), `--seed`, `--budget`, `--round-size`,
 //! `--parallelism`, `--priority` (higher starts first on a saturated
-//! service), `--inputs` (inputs per test case), `--reps` (measurement
-//! repetitions), `--escalation`, `--table3`, `--token=TOK` (client
-//! token, required by servers running with `--token-file`).  With
-//! `--wait` the job's events stream to stderr and the result JSON is
-//! printed to stdout.
+//! service), `--inputs` (inputs per test case), `--escalation`,
+//! `--table3`, `--token=TOK` (client token, required by servers running
+//! with `--token-file`).  With `--wait` the job's events stream to stderr
+//! and the result JSON is printed to stdout.  Every job measures with the
+//! campaign's one schedule (`ExecutorConfig::campaign`), so there is no
+//! repetition flag.
+//!
+//! An argument that is none of these flags is refused before connecting:
+//! the exit code is 2 and the message names it, so a misspelled or retired
+//! flag never runs a job with a default the caller did not ask for.
 //!
 //! If the server dies mid-`--wait`, the exit code is 3 and the job id is
 //! printed: the job is spooled server-side and resumes on the next server
@@ -31,12 +36,48 @@ use rvz_bench::json::Json;
 use rvz_bench::{flag_from_args, flag_value_from_args};
 use rvz_service::{Client, JobSpec, WatchError};
 
+/// The flags that take a `=value`.
+const VALUE_FLAGS: [&str; 14] = [
+    "--addr",
+    "--token",
+    "--status",
+    "--result",
+    "--cancel",
+    "--seed",
+    "--target",
+    "--targets",
+    "--contracts",
+    "--budget",
+    "--round-size",
+    "--parallelism",
+    "--priority",
+    "--inputs",
+];
+/// The flags that stand alone.
+const SWITCHES: [&str; 3] = ["--table3", "--escalation", "--wait"];
+
 fn fail(message: &str) -> ! {
     eprintln!("revizor-submit: {message}");
     std::process::exit(1)
 }
 
+/// The first argument that is not one of the flags above, if any, up to
+/// its `=`.
+fn unknown_flag() -> Option<String> {
+    std::env::args().skip(1).find_map(|arg| {
+        let (name, known) = match arg.split_once('=') {
+            Some((name, _)) => (name, VALUE_FLAGS.contains(&name)),
+            None => (arg.as_str(), SWITCHES.contains(&arg.as_str())),
+        };
+        (!known).then(|| name.to_string())
+    })
+}
+
 fn main() {
+    if let Some(flag) = unknown_flag() {
+        eprintln!("revizor-submit: unknown flag `{flag}`");
+        std::process::exit(2);
+    }
     let addr =
         flag_value_from_args::<String>("--addr").unwrap_or_else(|| "127.0.0.1:15790".to_string());
     let mut client = match Client::connect(&addr) {
@@ -118,9 +159,6 @@ fn main() {
     }
     if let Some(inputs) = flag_value_from_args::<usize>("--inputs") {
         spec.inputs_per_test_case = inputs;
-    }
-    if let Some(reps) = flag_value_from_args::<usize>("--reps") {
-        spec.repetitions = reps;
     }
     if flag_from_args("--escalation") {
         spec.escalation = true;

@@ -26,8 +26,6 @@ pub struct JobSpec {
     pub parallelism: usize,
     /// Inputs generated per test case.
     pub inputs_per_test_case: usize,
-    /// Measurement repetitions per input sequence.
-    pub repetitions: usize,
     /// Generator basic-block count.
     pub basic_blocks: usize,
     /// Generator instruction count.
@@ -64,8 +62,6 @@ impl JobSpec {
     /// Largest `inputs_per_test_case`: the ceiling
     /// `GeneratorConfig::escalate` stops at.
     pub const MAX_INPUTS_PER_TEST_CASE: usize = 200;
-    /// Largest `repetitions` (the paper repeats each measurement 50 times).
-    pub const MAX_REPETITIONS: usize = 1000;
     /// Largest `parallelism`: a unit's matrix run evaluates work units on
     /// up to this many threads, its own and `parallelism − 1` persistent
     /// helpers.
@@ -74,14 +70,13 @@ impl JobSpec {
     pub const MAX_ROUND_SIZE: usize = 1000;
     /// The fields of the spec's JSON document, as [`JobSpec::to_json`]
     /// writes them.
-    const FIELDS: [&'static str; 13] = [
+    const FIELDS: [&'static str; 12] = [
         "tenant",
         "seed",
         "budget",
         "round_size",
         "parallelism",
         "inputs_per_test_case",
-        "repetitions",
         "basic_blocks",
         "instructions",
         "branch_then_load_bias",
@@ -98,7 +93,6 @@ impl JobSpec {
             round_size: 10,
             parallelism: 1,
             inputs_per_test_case: 20,
-            repetitions: 2,
             basic_blocks: 4,
             instructions: 14,
             branch_then_load_bias: true,
@@ -176,7 +170,6 @@ impl JobSpec {
             ("round_size", self.round_size, Self::MAX_ROUND_SIZE),
             ("parallelism", self.parallelism, Self::MAX_PARALLELISM),
             ("inputs_per_test_case", self.inputs_per_test_case, Self::MAX_INPUTS_PER_TEST_CASE),
-            ("repetitions", self.repetitions, Self::MAX_REPETITIONS),
             ("basic_blocks", self.basic_blocks, Self::MAX_BASIC_BLOCKS),
             ("instructions", self.instructions, Self::MAX_INSTRUCTIONS),
         ];
@@ -189,7 +182,6 @@ impl JobSpec {
             .with_round_size(self.round_size)
             .with_parallelism(self.parallelism)
             .with_inputs_per_test_case(self.inputs_per_test_case)
-            .with_repetitions(self.repetitions)
             .with_generator_size(self.basic_blocks, self.instructions)
             .with_branch_then_load_bias(self.branch_then_load_bias)
             .with_escalation(self.escalation);
@@ -225,7 +217,6 @@ impl JobSpec {
             .field("round_size", self.round_size)
             .field("parallelism", self.parallelism)
             .field("inputs_per_test_case", self.inputs_per_test_case)
-            .field("repetitions", self.repetitions)
             .field("basic_blocks", self.basic_blocks)
             .field("instructions", self.instructions)
             .field("branch_then_load_bias", self.branch_then_load_bias)
@@ -267,7 +258,6 @@ impl JobSpec {
         spec.parallelism = usize_field("parallelism", spec.parallelism)?;
         spec.inputs_per_test_case =
             usize_field("inputs_per_test_case", spec.inputs_per_test_case)?;
-        spec.repetitions = usize_field("repetitions", spec.repetitions)?;
         spec.basic_blocks = usize_field("basic_blocks", spec.basic_blocks)?;
         spec.instructions = usize_field("instructions", spec.instructions)?;
         let bool_field = |key: &str, default: bool| -> Result<bool, String> {
@@ -340,7 +330,8 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_refused_by_name() {
-        for key in ["budegt", "reps"] {
+        // A retired field (`repetitions`) is refused like a misspelled one.
+        for key in ["budegt", "reps", "repetitions"] {
             let doc = format!(r#"{{"seed": 3, "{key}": 50, "cells": []}}"#);
             let err = JobSpec::from_json(&parse(&doc).unwrap()).unwrap_err();
             assert!(err.contains(&format!("`{key}`")), "{err}");

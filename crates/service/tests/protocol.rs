@@ -32,7 +32,6 @@ fn spec_from(seed: u64, priority: i64, knobs: u64, cells: &[(u8, u64)]) -> JobSp
     spec.round_size = ((knobs >> 16) & 0xFF) as usize;
     spec.parallelism = ((knobs >> 24) & 0x7) as usize;
     spec.inputs_per_test_case = ((knobs >> 27) & 0x3F) as usize;
-    spec.repetitions = ((knobs >> 33) & 0xF) as usize;
     spec.basic_blocks = ((knobs >> 37) & 0xF) as usize;
     spec.instructions = ((knobs >> 41) & 0x3F) as usize;
     spec.branch_then_load_bias = knobs & (1 << 47) != 0;
@@ -263,7 +262,7 @@ fn submits_with_unknown_spec_fields_are_refused_by_name() {
     let addr = handle.local_addr().expect("TCP front-end attached");
     let stream = TcpStream::connect(addr).expect("raw client connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    for key in ["budegt", "reps"] {
+    for key in ["budegt", "reps", "repetitions"] {
         let frame = format!(
             r#"{{"op":"submit","spec":{{"seed":3,"{key}":2,"cells":[{{"target":1,"contract":"CT-SEQ"}}]}}}}"#
         );

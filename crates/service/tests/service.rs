@@ -658,13 +658,12 @@ fn oversized_specs_are_rejected_with_their_bound() {
     })
     .expect("service starts");
     type Field = fn(&mut JobSpec) -> &mut usize;
-    let fields: [(&str, usize, Field); 6] = [
+    let fields: [(&str, usize, Field); 5] = [
         ("basic_blocks", JobSpec::MAX_BASIC_BLOCKS, |s| &mut s.basic_blocks),
         ("instructions", JobSpec::MAX_INSTRUCTIONS, |s| &mut s.instructions),
         ("inputs_per_test_case", JobSpec::MAX_INPUTS_PER_TEST_CASE, |s| {
             &mut s.inputs_per_test_case
         }),
-        ("repetitions", JobSpec::MAX_REPETITIONS, |s| &mut s.repetitions),
         ("parallelism", JobSpec::MAX_PARALLELISM, |s| &mut s.parallelism),
         ("round_size", JobSpec::MAX_ROUND_SIZE, |s| &mut s.round_size),
     ];

@@ -11,8 +11,10 @@ fn main() {
     println!("Fuzzing {target}");
     println!("Contract under test: CT-SEQ (speculation may expose nothing)\n");
 
-    // A one-cell campaign matrix with the detection-tuned defaults: 4 basic
-    // blocks, 14 instructions, 20 inputs per test case, 2 repetitions.
+    // A one-cell campaign matrix with the detection-tuned defaults (4 basic
+    // blocks, 14 instructions, 20 inputs per test case), measured with the
+    // campaign's schedule, `ExecutorConfig::campaign`: 1 warm-up pass and 2
+    // repetitions per input sequence.
     let report = CampaignMatrix::new(7)
         .with_budget(200)
         .add_cell(target.clone(), Contract::ct_seq())

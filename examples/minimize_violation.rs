@@ -8,8 +8,7 @@ use revizor_suite::prelude::*;
 
 fn main() {
     let target = Target::target5();
-    let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-        .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));
+    let config = FuzzerConfig::for_target(&target, Contract::ct_seq());
     let mut fuzzer = Revizor::new(target.cpu(), config).with_target(target.clone());
 
     let gadget = gadgets::spectre_v1();

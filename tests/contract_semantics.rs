@@ -78,8 +78,7 @@ fn speculative_cpu_violates_ct_seq_but_not_ct_cond_on_the_v1_gadget() {
     let tc = gadgets::spectre_v1();
     let target = Target::target5();
     let mk_fuzzer = |contract: Contract| {
-        let config = FuzzerConfig::for_target(&target, contract)
-            .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));
+        let config = FuzzerConfig::for_target(&target, contract);
         Revizor::new(target.cpu(), config).with_target(target.clone())
     };
     let inputs = InputGenerator::new(2).generate(&tc, 11, 30);

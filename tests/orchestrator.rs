@@ -120,8 +120,7 @@ fn matrix_violation_replays_through_the_sequential_api() {
     let v = cell.violation.as_ref().expect("V1 found within 40 test cases");
 
     let target = Target::target5();
-    let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-        .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));
+    let config = FuzzerConfig::for_target(&target, Contract::ct_seq());
     let mut fuzzer = Revizor::new(target.cpu(), config).with_target(target.clone());
     let outcome = fuzzer.test_with_inputs(&v.test_case, &v.inputs).unwrap();
     let confirmed = outcome.confirmed_violation.expect("violation must replay");
@@ -150,10 +149,8 @@ fn every_reported_violation_reproduces_from_its_report() {
         let generator = matrix.base_generator(&cell.target);
         let tc = ProgramGenerator::new(generator.clone()).generate(v.test_case_seed);
         assert_eq!(tc, v.test_case, "{label}: the seed regenerates the test case");
-        // The matrix measures with 2 repetitions per input sequence.
         let config = FuzzerConfig::for_target(&cell.target, cell.contract.clone())
-            .with_generator(generator)
-            .with_executor(ExecutorConfig::fast(cell.target.mode).with_repetitions(2));
+            .with_generator(generator);
         let mut harness = Revizor::new(cell.target.cpu(), config).with_target(cell.target.clone());
         let outcome = harness.test_case(&tc, v.test_case_seed).unwrap();
         assert_eq!(outcome.inputs, v.inputs, "{label}");

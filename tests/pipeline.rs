@@ -84,8 +84,7 @@ fn minimizer_shrinks_a_generated_counterexample() {
         .run();
     let violation = report.cells[0].violation.clone().expect("campaign must find a violation");
 
-    let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-        .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));
+    let config = FuzzerConfig::for_target(&target, Contract::ct_seq());
     let mut fuzzer = Revizor::new(target.cpu(), config).with_target(target.clone());
 
     let original_len = violation.test_case.instruction_count();
