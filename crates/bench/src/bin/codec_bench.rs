@@ -3,9 +3,7 @@
 //! decode at least 5x faster than the JSON codec, and frames at least 3x
 //! smaller — on a real payload, not a synthetic one.
 //!
-//! ```text
-//! codec_bench [--out=BENCH_codec.json] [--iters=N]
-//! ```
+//! Usage: `codec_bench [--out=PATH] [--iters=N]` (see `--help`).
 //!
 //! The payload is the one that has both codecs: the CT-SEQ V1 violation
 //! report of a real campaign run, counterexample and traces included (the
@@ -20,20 +18,16 @@ use revizor::orchestrator::CampaignMatrix;
 use revizor::fuzzer::ViolationReport;
 use revizor::targets::Target;
 use rvz_bench::binfmt::{violation_report_from_binary, violation_report_to_binary};
+use rvz_bench::cli::{self, Flag};
 use rvz_bench::json::{parse, Json};
 use rvz_bench::report::{violation_report_from_json, violation_report_to_json};
-use rvz_bench::{flag_from_args, flag_value_from_args};
 use rvz_model::Contract;
 use std::time::Instant;
 
-const HELP: &str = "codec-bench: write the binary-vs-JSON codec comparison to BENCH_codec.json
-
-usage: codec_bench [options]
-
-  --out=PATH   output file (default BENCH_codec.json)
-  --iters=N    timing iterations per codec (default 200)
-  -h, --help   this text
-";
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("out", "PATH", "output file (default BENCH_codec.json)"),
+    Flag::value::<usize>("iters", "N", "timing iterations per codec (default 200)"),
+];
 
 /// Floors the binary format promises; the process exits non-zero when a
 /// measured ratio falls below them.
@@ -59,13 +53,9 @@ fn v1_violation() -> ViolationReport {
 }
 
 fn main() {
-    if flag_from_args("--help") || flag_from_args("-h") {
-        print!("{HELP}");
-        return;
-    }
-    let out = flag_value_from_args::<String>("--out")
-        .unwrap_or_else(|| "BENCH_codec.json".to_string());
-    let iters = flag_value_from_args::<usize>("--iters").unwrap_or(200);
+    let args = cli::parse(FLAGS);
+    let out = args.get("out").unwrap_or_else(|| "BENCH_codec.json".to_string());
+    let iters = args.get("iters").unwrap_or(200);
 
     eprintln!("codec-bench: generating the V1 report...");
     let report = v1_violation();

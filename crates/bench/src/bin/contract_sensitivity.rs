@@ -13,15 +13,21 @@
 //! checked against CT-SEQ and ARCH-SEQ together, halving the measurement
 //! cost relative to per-contract runs while reporting identical input
 //! counts.
+//!
+//! Usage: `cargo run --release -p rvz-bench --bin contract_sensitivity -- [--budget=N]`,
+//! where the budget is the most inputs tried per seed.
 
 use revizor::detection::first_violations_over_seeds;
 use revizor::gadgets;
 use revizor::targets::Target;
-use rvz_bench::{budget_from_args, row};
+use rvz_bench::cli::{self, Flag};
+use rvz_bench::{budget_flag, row};
 use rvz_model::Contract;
 
+const FLAGS: &[Flag] = &[budget_flag("most inputs per seed (default 150)")];
+
 fn main() {
-    let max_inputs = budget_from_args(150);
+    let max_inputs = cli::parse(FLAGS).get("budget").unwrap_or(150);
     let target = Target::target5();
     println!("Contract sensitivity (Figure 6 / §6.6), target: {target}");
     println!();

@@ -3,9 +3,8 @@
 //! `fleet-bench` / `BENCH_fleet.json`) so future changes can track the
 //! interpreter's throughput without parsing README prose.
 //!
-//! ```text
-//! emu_throughput [--out=BENCH_emu.json] [--programs=8] [--reps=N]
-//! ```
+//! Usage: `emu_throughput [--out=PATH] [--programs=N] [--reps=N]` (see
+//! `--help`).
 //!
 //! Six sections, one per execution layer (three for the model), each timing
 //! two paths over the same generated workload.  All but `model_classes`
@@ -44,7 +43,7 @@
 //! in-binary.  A speedup that changes verdicts is a bug, not a result.
 
 use rvz_bench::json::Json;
-use rvz_bench::{flag_from_args, flag_value_from_args};
+use rvz_bench::cli::{self, Flag};
 use rvz_cache::Cache;
 use rvz_emu::{Fault, Runner};
 use rvz_executor::{Executor, ExecutorConfig, HTrace};
@@ -55,15 +54,11 @@ use rvz_model::{Contract, ContractModel, InputClass, SlateScratch};
 use rvz_uarch::{CpuUnderTest, RunOptions, RunOutcome, SpecCpu};
 use std::time::{Duration, Instant};
 
-const HELP: &str = "emu_throughput: write the emulator inner-loop perf trajectory to BENCH_emu.json
-
-usage: emu_throughput [options]
-
-  --out=PATH       output file (default BENCH_emu.json)
-  --programs=N     generated programs per section (default 8)
-  --reps=N         timed repetitions of the whole workload (default: per-section)
-  -h, --help       this text
-";
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("out", "PATH", "output file (default BENCH_emu.json)"),
+    Flag::value::<usize>("programs", "N", "generated programs per section (default 8)"),
+    Flag::value::<usize>("reps", "N", "timed repetitions of the workload (default: per section)"),
+];
 
 /// Number of inputs per generated program.
 const INPUTS: usize = 8;
@@ -81,9 +76,8 @@ const MODEL_SLATE_CHECKSUM: u64 = 10435782227142906620;
 /// The generated workload: programs from the target-8 row (full instruction
 /// set, conditional branches, store bypass, microcode assists) so every
 /// speculation mechanism is on the timed path.
-fn workload() -> (Vec<(TestCase, Vec<Input>)>, revizor::targets::Target) {
+fn workload(programs: usize) -> (Vec<(TestCase, Vec<Input>)>, revizor::targets::Target) {
     let target = revizor::targets::Target::target8();
-    let programs = flag_value_from_args::<usize>("--programs").unwrap_or(PROGRAMS);
     let generator = ProgramGenerator::new(
         GeneratorConfig::for_subset(target.isa)
             .with_basic_blocks(BLOCKS)
@@ -101,6 +95,11 @@ fn workload() -> (Vec<(TestCase, Vec<Input>)>, revizor::targets::Target) {
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Decode every generated program: the decoded side's one-time cost.
+fn decode_all(cases: &[(TestCase, Vec<Input>)]) -> Vec<DecodedProgram> {
+    cases.iter().map(|(tc, _)| DecodedProgram::decode(tc).expect("programs decode")).collect()
 }
 
 /// One section's timings rendered the same way as `BENCH_fleet.json`'s
@@ -167,10 +166,7 @@ fn bench_arch(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bool) {
     let trace_start = Instant::now();
     // Decode charged here, once per program — exactly how the executor and
     // campaign pay for it (decoded once, reused across reps and inputs).
-    let programs: Vec<DecodedProgram> = cases
-        .iter()
-        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
-        .collect();
+    let programs = decode_all(cases);
     for _ in 0..reps {
         for (prog, (_, inputs)) in programs.iter().zip(cases) {
             for input in inputs {
@@ -230,10 +226,7 @@ fn bench_model(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bool) {
     let reference = reference_start.elapsed();
 
     let decoded_start = Instant::now();
-    let programs: Vec<DecodedProgram> = cases
-        .iter()
-        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
-        .collect();
+    let programs = decode_all(cases);
     for _ in 0..reps {
         for (prog, (_, inputs)) in programs.iter().zip(cases) {
             for input in inputs {
@@ -293,10 +286,7 @@ fn bench_model_slate(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bo
     let reference = reference_start.elapsed();
 
     let decoded_start = Instant::now();
-    let programs: Vec<DecodedProgram> = cases
-        .iter()
-        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
-        .collect();
+    let programs = decode_all(cases);
     for _ in 0..reps {
         for (prog, (_, inputs)) in programs.iter().zip(cases) {
             for outs in ContractModel::collect_slate_decoded(&slate, prog, inputs).iter().flatten()
@@ -342,10 +332,7 @@ fn fold_classes<'a>(checksum: u64, classes: impl Iterator<Item = &'a [InputClass
 fn bench_model_classes(cases: &[(TestCase, Vec<Input>)], reps: usize) -> (Json, bool) {
     let slate = Contract::table3_contracts();
     let analyzer = Analyzer::new();
-    let programs: Vec<DecodedProgram> = cases
-        .iter()
-        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
-        .collect();
+    let programs = decode_all(cases);
     let traced = |prog: &DecodedProgram, inputs: &[Input]| -> Option<Vec<Vec<InputClass>>> {
         let outs: Result<Vec<_>, _> =
             ContractModel::collect_slate_decoded(&slate, prog, inputs).into_iter().collect();
@@ -476,10 +463,7 @@ fn bench_uarch(
 
     let mut cpu = target.cpu();
     let decoded_start = Instant::now();
-    let programs: Vec<DecodedProgram> = cases
-        .iter()
-        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
-        .collect();
+    let programs = decode_all(cases);
     for _ in 0..reps {
         for (prog, (_, inputs)) in programs.iter().zip(cases) {
             cpu.reset_uarch();
@@ -562,10 +546,7 @@ fn bench_executor(
     let cfg = ExecutorConfig::paper(target.mode);
     let passes = (cfg.warmup_rounds + cfg.repetitions) as u64;
     let scheduled: u64 = cases.iter().map(|(_, inputs)| passes * inputs.len() as u64).sum();
-    let programs: Vec<DecodedProgram> = cases
-        .iter()
-        .map(|(tc, _)| DecodedProgram::decode(tc).expect("generated programs decode"))
-        .collect();
+    let programs = decode_all(cases);
 
     let mut identical = true;
     let mut checksum = 0u64;
@@ -596,15 +577,11 @@ fn bench_executor(
 }
 
 fn main() {
-    if flag_from_args("--help") || flag_from_args("-h") {
-        print!("{HELP}");
-        return;
-    }
-    let out =
-        flag_value_from_args::<String>("--out").unwrap_or_else(|| "BENCH_emu.json".to_string());
-    let reps_override = flag_value_from_args::<usize>("--reps");
+    let args = cli::parse(FLAGS);
+    let out = args.get("out").unwrap_or_else(|| "BENCH_emu.json".to_string());
+    let reps_override = args.get::<usize>("reps");
 
-    let (cases, target) = workload();
+    let (cases, target) = workload(args.get("programs").unwrap_or(PROGRAMS));
     let programs = cases.len();
 
     // Per-section repetition counts sized so each timed pass is long enough

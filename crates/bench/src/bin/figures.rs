@@ -13,6 +13,7 @@ use rvz_gen::{GeneratorConfig, ProgramGenerator, Scenario};
 use rvz_model::Contract;
 
 fn main() {
+    rvz_bench::cli::parse(&[]);
     // --- Figure 3: a random test case -----------------------------------
     let generator = ProgramGenerator::new(
         GeneratorConfig::paper_initial().with_basic_blocks(3).with_instructions(10),

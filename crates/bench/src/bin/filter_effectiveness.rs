@@ -3,7 +3,7 @@
 //! passes) until the first CT-SEQ violation — or until the budget runs out
 //! on non-violating targets — with the filter off and on.
 //!
-//! Usage: `cargo run --release -p rvz-bench --bin filter_effectiveness [budget]`
+//! Usage: `cargo run --release -p rvz-bench --bin filter_effectiveness -- [--budget=N]`
 //!
 //! Both runs share the same matrix seed, so the filter-on run sees the
 //! exact same test-case stream and (soundness) reports the exact same first
@@ -11,11 +11,14 @@
 
 use revizor::orchestrator::CampaignMatrix;
 use revizor::targets::Target;
-use rvz_bench::{budget_from_args, row};
+use rvz_bench::cli::{self, Flag};
+use rvz_bench::{budget_flag, row};
 use rvz_model::Contract;
 
+const FLAGS: &[Flag] = &[budget_flag("test cases per target (default 60)")];
+
 fn main() {
-    let budget = budget_from_args(60);
+    let budget = cli::parse(FLAGS).get("budget").unwrap_or(60);
     let seed = 7;
 
     println!("Static pre-filter effectiveness (budget {budget} test cases per target, seed {seed})");

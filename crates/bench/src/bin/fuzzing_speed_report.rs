@@ -1,7 +1,7 @@
 //! Regenerates the §6.5 fuzzing-speed measurement: how many test cases per
 //! hour Revizor processes in a configuration that does not find violations.
 //!
-//! Usage: `cargo run --release -p rvz-bench --bin fuzzing_speed_report [test cases]`
+//! Usage: `cargo run --release -p rvz-bench --bin fuzzing_speed_report -- [--budget=N]`
 //!
 //! Exits nonzero if the compliant cell (Target 1 × CT-SEQ) reports a
 //! violation.
@@ -9,11 +9,13 @@
 use revizor::campaign::NoopObserver;
 use revizor::orchestrator::CampaignMatrix;
 use revizor::targets::Target;
-use rvz_bench::budget_from_args;
+use rvz_bench::{budget_flag, cli::{self, Flag}};
 use rvz_model::Contract;
 
+const FLAGS: &[Flag] = &[budget_flag("test cases to fuzz (default 200)")];
+
 fn main() {
-    let test_cases = budget_from_args(200);
+    let test_cases = cli::parse(FLAGS).get("budget").unwrap_or(200);
     // Target 1 (AR only) never violates CT-SEQ, so the whole budget is spent
     // fuzzing — the same setup the paper uses to measure throughput.  The
     // campaign starts from the paper's initial generator parameters

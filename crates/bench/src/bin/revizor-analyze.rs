@@ -2,86 +2,70 @@
 //! analysis: speculation sources, tainted-address transmitters, the
 //! speculation window and the gadget classification.
 //!
-//! Usage:
-//!
-//! ```text
-//! revizor-analyze <report.json>        analyze a report — either a bare
-//!                                      ViolationReport or a job result /
-//!                                      `table3 --json` document whose
-//!                                      cells embed `violation` objects
-//! revizor-analyze --export-demo <out>  write a small deterministic V1
-//!                                      counterexample report (for smoke
-//!                                      tests and as an input example)
-//! ```
+//! Usage: `revizor-analyze --report=PATH` analyzes a report: either a bare
+//! `ViolationReport` or a job result / `table3 --json` document whose cells
+//! embed `violation` objects.  `revizor-analyze --export-demo=PATH` writes a
+//! small deterministic V1 counterexample report (for smoke tests and as an
+//! input example).
 
 use revizor::fuzzer::ViolationReport;
 use revizor::orchestrator::CampaignMatrix;
 use revizor::staticanalysis::{self, TaintReport};
 use revizor::targets::Target;
+use rvz_bench::cli::{self, Flag};
 use rvz_bench::json::{self, Json};
 use rvz_bench::report::{violation_report_from_json, violation_report_to_json};
 use rvz_model::Contract;
 use std::process::ExitCode;
 
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("report", "PATH", "analyze the violation reports in this JSON document"),
+    Flag::value::<String>("export-demo", "PATH", "write a demo V1 counterexample report here"),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [flag, path] if flag == "--export-demo" => export_demo(path),
-        [path] => analyze_file(path),
-        _ => {
-            eprintln!("usage: revizor-analyze <report.json> | revizor-analyze --export-demo <out>");
-            ExitCode::FAILURE
-        }
+    let args = cli::parse(FLAGS);
+    let outcome = match (args.get::<String>("report"), args.get::<String>("export-demo")) {
+        (Some(path), None) => analyze_file(&path),
+        (None, Some(path)) => export_demo(&path),
+        _ => cli::refuse("pass exactly one of --report=PATH and --export-demo=PATH"),
+    };
+    if let Err(e) = outcome {
+        eprintln!("revizor-analyze: {e}");
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }
 
 /// Fuzz Target 5 against CT-SEQ with a tiny deterministic budget and write
 /// the first counterexample as a bare `ViolationReport` document.
-fn export_demo(path: &str) -> ExitCode {
+fn export_demo(path: &str) -> Result<(), String> {
     let report = CampaignMatrix::new(7)
         .with_budget(60)
         .add_cell(Target::target5(), Contract::ct_seq())
         .run();
-    let Some(violation) = report.cells.into_iter().next().and_then(|c| c.violation) else {
-        eprintln!("demo campaign found no violation — seed drifted?");
-        return ExitCode::FAILURE;
-    };
+    let violation = report.cells.into_iter().next().and_then(|c| c.violation);
+    let violation = violation.ok_or("demo campaign found no violation — seed drifted?")?;
     let doc = violation_report_to_json(&violation).render_pretty();
-    if let Err(e) = std::fs::write(path, doc) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("wrote demo ViolationReport to {path}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn analyze_file(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{path} is not JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn analyze_file(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path} is not JSON: {e}"))?;
     let reports = collect_reports(&doc);
     if reports.is_empty() {
-        eprintln!(
+        return Err(format!(
             "{path} contains no decodable ViolationReport (expected a bare report \
              or a document with a `cells` array embedding `violation` objects)"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     for (label, report) in &reports {
         print_analysis(label, report);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Every decodable violation report in the document: the document itself

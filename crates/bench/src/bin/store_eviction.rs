@@ -12,16 +12,22 @@
 //! CT-COND-NO-SPEC-STORE together.  Plain CT-COND is the built-in control —
 //! it permits speculative-store leakage, so it must stay quiet on both CPUs,
 //! and the slate provides that column for free.
+//!
+//! Usage: `cargo run --release -p rvz-bench --bin store_eviction -- [--budget=N]`,
+//! where the budget is the most inputs tried per seed.
 
 use revizor::detection::first_violations_over_seeds;
 use revizor::gadgets;
 use revizor::targets::Target;
-use rvz_bench::{budget_from_args, row};
+use rvz_bench::cli::{self, Flag};
+use rvz_bench::{budget_flag, row};
 use rvz_executor::MeasurementMode;
 use rvz_model::Contract;
 
+const FLAGS: &[Flag] = &[budget_flag("most inputs per seed (default 150)")];
+
 fn main() {
-    let max_inputs = budget_from_args(150);
+    let max_inputs = cli::parse(FLAGS).get("budget").unwrap_or(150);
     let contracts = vec![Contract::ct_cond(), Contract::ct_cond_no_spec_store()];
     println!(
         "Speculative store eviction (§6.4), contracts: {} (control) / {}",

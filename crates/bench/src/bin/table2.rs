@@ -9,6 +9,7 @@ use revizor::orchestrator::CampaignMatrix;
 use rvz_bench::row;
 
 fn main() {
+    rvz_bench::cli::parse(&[]);
     println!("Table 2: Description of the experimental setups (1-8 paper, 9-13 predictor zoo)");
     println!();
     let widths = [10, 28, 12, 22, 14, 20, 22];

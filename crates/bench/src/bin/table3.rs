@@ -1,7 +1,8 @@
 //! Regenerates Table 3: detected contract violations for every target and
 //! every CT-* contract.
 //!
-//! Usage: `cargo run --release -p rvz-bench --bin table3 [budget] [--json] [--threads=N] [--filter] [--zoo]`
+//! Usage: `cargo run --release -p rvz-bench --bin table3 -- [--budget=N] [--json]
+//! [--threads=N] [--filter] [--zoo]`
 //!
 //! `--filter` enables the static speculation pre-filter: test cases that
 //! provably cannot leak are discarded after generation, before any model
@@ -32,8 +33,17 @@
 use revizor::campaign::{CellEvent, ProgressObserver};
 use revizor::orchestrator::{CampaignMatrix, MatrixReport};
 use revizor::targets::Target;
-use rvz_bench::{budget_from_args, flag_from_args, flag_value_from_args, fmt_duration, matrix_report_json, row};
+use rvz_bench::cli::{self, Flag};
+use rvz_bench::{budget_flag, fmt_duration, matrix_report_json, row, Threads, THREADS};
 use rvz_model::Contract;
+
+const FLAGS: &[Flag] = &[
+    budget_flag("test cases per cell group (default 300)"),
+    Flag::switch("json", "print the report as JSON instead of the table"),
+    THREADS,
+    Flag::switch("filter", "discard provably leak-free test cases before measurement"),
+    Flag::switch("zoo", "add the predictor-zoo targets 9-13 (52 cells)"),
+];
 
 /// Streams one stderr line per finished cell, so long runs show progress.
 struct LiveStatus;
@@ -59,11 +69,12 @@ fn main() {
     // Budget 300 with matrix seed 30 reproduces 30/32 cells of the paper's
     // Table 3 (measured; only the two rare V1-var cells of Target 6 are
     // missing — the paper's artifact flags exactly those as hard).
-    let budget = budget_from_args(300);
-    let json_mode = flag_from_args("--json");
-    let filter = flag_from_args("--filter");
-    let zoo = flag_from_args("--zoo");
-    let threads = flag_value_from_args::<usize>("--threads").unwrap_or(1);
+    let args = cli::parse(FLAGS);
+    let budget = args.get("budget").unwrap_or(300);
+    let json_mode = args.has("json");
+    let filter = args.has("filter");
+    let zoo = args.has("zoo");
+    let threads = args.get("threads").map_or(1, |Threads(n)| n);
 
     if !json_mode {
         println!("Table 3: testing results (budget: {budget} test cases per cell group)");

@@ -2,7 +2,8 @@
 //! targets that exhibit violations (Targets 2, 5, 7, 8), for different
 //! amounts of contract-permitted leakage.
 //!
-//! Usage: `cargo run --release -p rvz-bench --bin table4 [samples per cell] [--threads=N]`
+//! Usage: `cargo run --release -p rvz-bench --bin table4 -- [--budget=N] [--threads=N]`,
+//! where the budget is the number of samples per cell.
 //!
 //! Each sample runs the whole 10-cell grid (3 leakage rows x 4 targets,
 //! minus the paper's two N/A cells) as **one** [`CampaignMatrix`] on the
@@ -15,13 +16,17 @@
 
 use revizor::orchestrator::CampaignMatrix;
 use revizor::targets::Target;
-use rvz_bench::{budget_from_args, flag_value_from_args, fmt_duration, row};
+use rvz_bench::cli::{self, Flag};
+use rvz_bench::{budget_flag, fmt_duration, row, Threads, THREADS};
 use rvz_model::Contract;
 use std::time::Duration;
 
+const FLAGS: &[Flag] = &[budget_flag("samples per cell (default 5)"), THREADS];
+
 fn main() {
-    let samples = budget_from_args(5);
-    let threads = flag_value_from_args::<usize>("--threads").unwrap_or(1);
+    let args = cli::parse(FLAGS);
+    let samples = args.get("budget").unwrap_or(5);
+    let threads = args.get("threads").map_or(1, |Threads(n)| n);
     let max_test_cases = 300;
     println!("Table 4: detection time (mean over {samples} runs, coefficient of variation in parentheses)");
     println!();

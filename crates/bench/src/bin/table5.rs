@@ -1,7 +1,8 @@
 //! Regenerates Table 5: the number of random inputs needed to surface a
 //! violation on handwritten test cases of known vulnerabilities.
 //!
-//! Usage: `cargo run --release -p rvz-bench --bin table5 [seeds per gadget] [--threads=N]`
+//! Usage: `cargo run --release -p rvz-bench --bin table5 -- [--budget=N] [--threads=N]`,
+//! where the budget is the number of matrix seeds per gadget.
 //!
 //! Each sample runs all seven gadgets as **one** scenario-pinned
 //! [`CampaignMatrix`] on the shared worker pool: every cell's generator is
@@ -15,14 +16,18 @@
 
 use revizor::orchestrator::CampaignMatrix;
 use revizor::targets::Target;
-use rvz_bench::{budget_from_args, flag_value_from_args, row};
+use rvz_bench::cli::{self, Flag};
+use rvz_bench::{budget_flag, row, Threads, THREADS};
 use rvz_executor::MeasurementMode;
 use rvz_gen::Scenario;
 use rvz_model::Contract;
 
+const FLAGS: &[Flag] = &[budget_flag("matrix seeds per gadget (default 10)"), THREADS];
+
 fn main() {
-    let samples = budget_from_args(10);
-    let threads = flag_value_from_args::<usize>("--threads").unwrap_or(1);
+    let args = cli::parse(FLAGS);
+    let samples = args.get("budget").unwrap_or(10);
+    let threads = args.get("threads").map_or(1, |Threads(n)| n);
     let max_units = 25; // test-case evaluations (6-input batches) per cell
     println!("Table 5: detection of known vulnerabilities on handwritten test cases");
     println!("  (#inputs = mean number of random inputs executed until a CT-SEQ violation,");

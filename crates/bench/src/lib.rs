@@ -3,7 +3,7 @@
 //! Benchmark and experiment-regeneration harness.
 //!
 //! Every table and figure of the paper's evaluation has a regeneration
-//! target here (see `DESIGN.md` for the full index):
+//! target here:
 //!
 //! | Paper artefact | Binary (`cargo run --release -p rvz-bench --bin <name>`) |
 //! |---|---|
@@ -20,48 +20,46 @@
 //! its reference interpreter, `BENCH_emu.json`) and by the `perfbench`
 //! package outside the workspace (end to end and per pipeline stage).
 //!
-//! The table binaries accept an optional budget argument (test cases per
-//! cell / samples per row) so that quick smoke runs and longer, more
-//! paper-like runs use the same code.
+//! Every binary of the workspace reads its command line through [`cli`]:
+//! `--name` switches and `--name=value` flags from one table per binary,
+//! listed by `--help`; anything else exits 2 naming the argument.  The
+//! table binaries take their budget as `--budget=N`.
 
 pub mod binfmt;
+pub mod cli;
 pub mod json;
 pub mod report;
 
 use json::Json;
 use report::effectiveness_stats_to_json;
-use revizor::orchestrator::MatrixReport;
+use cli::Flag;
+use revizor::orchestrator::{CampaignMatrix, MatrixReport};
+use std::str::FromStr;
 use std::time::Duration;
 
-/// Parse the first positional numeric CLI argument as a budget, with a
-/// default.  The table binaries take flags exclusively in `--name` /
-/// `--name=value` form (see [`flag_value_from_args`]), so everything
-/// starting with `--` is skipped — a flag's value can never be mistaken
-/// for the budget.
-pub fn budget_from_args(default: usize) -> usize {
-    budget_from(std::env::args().skip(1), default)
+/// The table binaries' `--budget=N` row; `help` says what the budget counts.
+pub const fn budget_flag(help: &'static str) -> Flag {
+    Flag::value::<usize>("budget", "N", help)
 }
 
-/// Testable core of [`budget_from_args`].
-fn budget_from(args: impl IntoIterator<Item = String>, default: usize) -> usize {
-    args.into_iter()
-        .filter(|arg| !arg.starts_with("--"))
-        .find_map(|arg| arg.parse().ok())
-        .unwrap_or(default)
-}
+/// The matrix tables' `--threads=N` row.
+pub const THREADS: Flag =
+    Flag::value::<Threads>("threads", "N", "threads, the calling one included (default 1)");
 
-/// Is a `--flag` present on the command line?
-pub fn flag_from_args(flag: &str) -> bool {
-    std::env::args().skip(1).any(|a| a == flag)
-}
+/// A `--threads` value: at most [`CampaignMatrix::MAX_PARALLELISM`].
+pub struct Threads(pub usize);
 
-/// The parsed value of a `--name=value` flag, if present and parseable.
-pub fn flag_value_from_args<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::args().skip(1).find_map(|arg| {
-        arg.strip_prefix(name)
-            .and_then(|rest| rest.strip_prefix('='))
-            .and_then(|value| value.parse().ok())
-    })
+impl FromStr for Threads {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Threads, String> {
+        match s.parse::<usize>().map_err(|e| e.to_string())? {
+            n if n > CampaignMatrix::MAX_PARALLELISM => {
+                Err(format!("above the bound {}", CampaignMatrix::MAX_PARALLELISM))
+            }
+            n => Ok(Threads(n)),
+        }
+    }
 }
 
 /// The machine-readable form of a matrix run (the `table3 --json` output):
@@ -152,23 +150,5 @@ mod tests {
     fn row_formatting() {
         let r = row(&["a".into(), "bb".into()], &[3, 4]);
         assert_eq!(r, "a   | bb  ");
-    }
-
-    #[test]
-    fn default_budget_used_without_args() {
-        assert_eq!(budget_from_args(42), 42);
-    }
-
-    #[test]
-    fn budget_parsing_skips_flags() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(budget_from(args(&["120"]), 42), 120);
-        assert_eq!(budget_from(args(&["--json", "120"]), 42), 120);
-        assert_eq!(budget_from(args(&["120", "--json"]), 42), 120);
-        // A flag's value (`--name=value` form) is never read as the budget.
-        assert_eq!(budget_from(args(&["--threads=4"]), 42), 42);
-        assert_eq!(budget_from(args(&["--json", "--threads=4"]), 42), 42);
-        assert_eq!(budget_from(args(&["--threads=4", "120"]), 42), 120);
-        assert_eq!(budget_from(args(&["garbage"]), 42), 42);
     }
 }

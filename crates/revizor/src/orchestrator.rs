@@ -346,6 +346,13 @@ pub struct CampaignMatrix {
 }
 
 impl CampaignMatrix {
+    /// Largest parallelism a caller may ask for: a run evaluates work
+    /// units on up to this many threads, its own and `parallelism − 1`
+    /// persistent helpers.  [`Self::with_parallelism`] does not clamp;
+    /// the entry points that take a thread count from outside (a submitted
+    /// job, a table binary's `--threads`) refuse anything above it.
+    pub const MAX_PARALLELISM: usize = 64;
+
     /// An empty matrix.  The defaults mirror the detection harnesses of
     /// §6.5: mid-campaign generator parameters (4 basic blocks, 14
     /// instructions, 20 inputs per test case), a budget of 200 test cases

@@ -2,9 +2,7 @@
 //! fleet, written to `BENCH_fleet.json` so future changes can track
 //! throughput without parsing README prose.
 //!
-//! ```text
-//! fleet-bench [--out=BENCH_fleet.json] [--wave-delay-ms=40]
-//! ```
+//! Usage: `fleet-bench [--out=PATH] [--wave-delay-ms=MS]` (see `--help`).
 //!
 //! Two sections:
 //!
@@ -25,19 +23,15 @@ use revizor::orchestrator::CampaignMatrix;
 use revizor::targets::Target;
 use rvz_bench::json::Json;
 use rvz_bench::report::matrix_cells_json;
-use rvz_bench::{flag_from_args, flag_value_from_args};
+use rvz_bench::cli::{self, Flag};
 use rvz_model::Contract;
 use rvz_service::{FaultAction, FaultHook, JobSpec, ServiceConfig, ServiceHandle, Worker, WorkerConfig};
 use std::time::{Duration, Instant};
 
-const HELP: &str = "fleet-bench: write the elastic-fleet perf trajectory to BENCH_fleet.json
-
-usage: fleet-bench [options]
-
-  --out=PATH           output file (default BENCH_fleet.json)
-  --wave-delay-ms=MS   per-wave stall of the modelled slow hosts (default 40)
-  -h, --help           this text
-";
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("out", "PATH", "output file (default BENCH_fleet.json)"),
+    Flag::value::<u64>("wave-delay-ms", "MS", "per-wave stall of the slow hosts (default 40)"),
+];
 
 /// The 12-cell slice, timed once per shape: 3 targets x 4 contracts,
 /// budget 24, seed 11.
@@ -153,14 +147,9 @@ fn fleet_speedup(wave_delay: Duration) -> Json {
 }
 
 fn main() {
-    if flag_from_args("--help") || flag_from_args("-h") {
-        print!("{HELP}");
-        return;
-    }
-    let out = flag_value_from_args::<String>("--out")
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
-    let wave_delay =
-        Duration::from_millis(flag_value_from_args::<u64>("--wave-delay-ms").unwrap_or(40));
+    let args = cli::parse(FLAGS);
+    let out = args.get("out").unwrap_or_else(|| "BENCH_fleet.json".to_string());
+    let wave_delay = Duration::from_millis(args.get("wave-delay-ms").unwrap_or(40));
 
     eprintln!("fleet-bench: timing the in-process matrix slice...");
     let throughput = matrix_throughput();

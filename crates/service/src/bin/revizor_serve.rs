@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! revizor-serve [--addr=127.0.0.1:15790] [--spool=DIR] [--shards=N]
-//!               [--coordinator] [--fleet-addr=127.0.0.1:15791] [--steal-after=SECS]
+//!               [--fleet-addr=127.0.0.1:15791] [--steal-after=SECS]
 //!               [--watermark=N]
 //! ```
 //!
@@ -20,15 +20,15 @@
 //!   `<token> <tenant>` pair per line (`#` comments and blank lines
 //!   ignored).  Jobs are stamped with the submitting tenant, and
 //!   `list`/`status`/`result`/`watch`/`cancel` only see the caller's
-//!   own jobs.  Without the flag the server is open (no auth).
+//!   own jobs.  Without the flag the server is open (no auth).  The
+//!   startup line says which: `auth: FILE` or `auth: open`.
 //! * `--shards` — in-process worker threads.  Every job is split into
 //!   one work unit per target group, and each worker leases one unit at
 //!   a time from the one shared queue (highest priority first, FIFO
 //!   within a priority), so a job's units run on several workers at
 //!   once.  Every wave's checkpoint is spooled.
-//! * `--coordinator` / `--fleet-addr` — **fleet mode**: listen for
-//!   `revizor-worker` hosts (on `--fleet-addr`, default
-//!   `127.0.0.1:15791`) instead of running in-process workers.  Workers
+//! * `--fleet-addr` — **fleet mode**: listen for `revizor-worker` hosts
+//!   on this address instead of running in-process workers.  Workers
 //!   register at runtime and *lease* relocatable work units (one per
 //!   target group of a job); checkpoints are replicated into the spool
 //!   after every wave, and the coordinator steals units back from slow
@@ -49,71 +49,44 @@
 //! TCP client.  The fleet protocol (JSON control lines, binary grant and
 //! checkpoint frames) is documented in `rvz_service::coordinator`.
 
-use rvz_bench::{flag_from_args, flag_value_from_args};
+use rvz_bench::cli::{self, Flag};
 use rvz_service::{ServiceConfig, ServiceHandle};
 use std::path::PathBuf;
 use std::time::Duration;
 
-const HELP: &str = "revizor-serve: serve Revizor fuzzing campaigns over TCP
-
-usage: revizor-serve [options]
-
-  --addr=HOST:PORT        client listen address (default 127.0.0.1:15790)
-  --spool=DIR             durable job state; restarts resume unfinished jobs
-  --spool-retain=N        keep at most N terminal job records, pruning the
-                          oldest (default: keep all)
-  --store=DIR             indexed violation store, queryable with
-                          revizor-query (default: no indexing)
-  --token-file=FILE       require per-client tokens: one `<token> <tenant>`
-                          per line; clients pass --token and only see their
-                          tenant's jobs (default: open, no auth)
-  --shards=N              in-process workers, each leasing one work unit (one
-                          target group of a job) at a time (default 2;
-                          ignored in fleet mode)
-  --coordinator           fleet mode on the default fleet address
-  --fleet-addr=HOST:PORT  fleet mode: revizor-worker hosts register here at
-                          runtime and lease relocatable work units
-                          (default 127.0.0.1:15791)
-  --worker-timeout=SECS   silence budget before a worker's unit is requeued
-                          (default 120)
-  --steal-after=SECS      stall budget before a leased unit is stolen for an
-                          idle worker (default 30)
-  --watermark=N           queued-unit backlog at which `submit` defers with a
-                          retry-after hint (default 1024)
-  -h, --help              this text
-";
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("addr", "HOST:PORT", "client listen address (default 127.0.0.1:15790)"),
+    Flag::value::<PathBuf>("spool", "DIR", "durable job state; restarts resume unfinished jobs"),
+    Flag::value::<usize>("spool-retain", "N", "keep at most N finished job records (default: all)"),
+    Flag::value::<PathBuf>("store", "DIR", "violation store, queried by revizor-query"),
+    Flag::value::<PathBuf>("token-file", "FILE", "`<token> <tenant>` lines (default: open)"),
+    Flag::value::<usize>("shards", "N", "in-process workers (default 2; not in fleet mode)"),
+    Flag::value::<String>("fleet-addr", "HOST:PORT", "fleet mode: workers register here"),
+    Flag::value::<u64>("worker-timeout", "SECS", "silence before a unit is requeued (default 120)"),
+    Flag::value::<u64>("steal-after", "SECS", "stall before a leased unit is stolen (default 30)"),
+    Flag::value::<usize>("watermark", "N", "unit backlog at which submit defers (default 1024)"),
+];
 
 fn main() {
-    if flag_from_args("--help") || flag_from_args("-h") {
-        print!("{HELP}");
-        return;
-    }
-    let addr =
-        flag_value_from_args::<String>("--addr").unwrap_or_else(|| "127.0.0.1:15790".to_string());
-    let spool = flag_value_from_args::<String>("--spool").map(PathBuf::from);
-    let shards = flag_value_from_args::<usize>("--shards").unwrap_or(2);
-    let worker_listen = flag_value_from_args::<String>("--fleet-addr")
-        .or_else(|| flag_from_args("--coordinator").then(|| "127.0.0.1:15791".to_string()));
-
-    let mut config = ServiceConfig {
+    let args = cli::parse(FLAGS);
+    let shards = args.get("shards").unwrap_or(2);
+    let base = ServiceConfig::default();
+    let config = ServiceConfig {
         shards,
-        spool: spool.clone(),
-        spool_retain: flag_value_from_args::<usize>("--spool-retain"),
-        store: flag_value_from_args::<String>("--store").map(PathBuf::from),
-        token_file: flag_value_from_args::<String>("--token-file").map(PathBuf::from),
-        listen: Some(addr),
-        worker_listen,
-        ..ServiceConfig::default()
+        spool: args.get("spool"),
+        spool_retain: args.get("spool-retain"),
+        store: args.get("store"),
+        token_file: args.get("token-file"),
+        listen: Some(args.get("addr").unwrap_or_else(|| "127.0.0.1:15790".to_string())),
+        worker_listen: args.get("fleet-addr"),
+        worker_timeout: args.get("worker-timeout").map_or(base.worker_timeout, Duration::from_secs),
+        steal_after: args.get("steal-after").map_or(base.steal_after, Duration::from_secs),
+        queue_watermark: args.get("watermark").unwrap_or(base.queue_watermark),
     };
-    if let Some(secs) = flag_value_from_args::<u64>("--worker-timeout") {
-        config.worker_timeout = Duration::from_secs(secs);
-    }
-    if let Some(secs) = flag_value_from_args::<u64>("--steal-after") {
-        config.steal_after = Duration::from_secs(secs);
-    }
-    if let Some(watermark) = flag_value_from_args::<usize>("--watermark") {
-        config.queue_watermark = watermark;
-    }
+    let shown = |path: &Option<PathBuf>, none: &str| {
+        path.as_deref().map_or(none.to_string(), |p| p.display().to_string())
+    };
+    let (spool, auth) = (shown(&config.spool, "none"), shown(&config.token_file, "open"));
     let handle = match ServiceHandle::start(config) {
         Ok(handle) => handle,
         Err(e) => {
@@ -126,10 +99,7 @@ fn main() {
         Some(fleet_addr) => format!("fleet coordinator; workers register on {fleet_addr}"),
         None => format!("{shards} in-process worker{}", if shards == 1 { "" } else { "s" }),
     };
-    eprintln!(
-        "revizor-serve: listening on {bound} ({backend}, spool: {})",
-        spool.as_deref().map(|p| p.display().to_string()).unwrap_or_else(|| "none".to_string()),
-    );
+    eprintln!("revizor-serve: listening on {bound} ({backend}, spool: {spool}, auth: {auth})");
     let resumed = handle.core().list();
     if !resumed.is_empty() {
         eprintln!("revizor-serve: {} job(s) loaded from the spool", resumed.len());

@@ -14,163 +14,112 @@
 //! revizor-submit --addr=127.0.0.1:15790 --cancel=JOBID
 //! ```
 //!
-//! Flags: `--target=N` (repeatable via `--targets=5,6`), `--contracts=A,B`
-//! (default `CT-SEQ`), `--seed`, `--budget`, `--round-size`,
-//! `--parallelism`, `--priority` (higher starts first on a saturated
-//! service), `--inputs` (inputs per test case), `--escalation`,
-//! `--table3`, `--token=TOK` (client token, required by servers running
-//! with `--token-file`).  With `--wait` the job's events stream to stderr
-//! and the result JSON is printed to stdout.  Every job measures with the
-//! campaign's one schedule (`ExecutorConfig::campaign`), so there is no
-//! repetition flag.
-//!
-//! An argument that is none of these flags is refused before connecting:
-//! the exit code is 2 and the message names it, so a misspelled or retired
-//! flag never runs a job with a default the caller did not ask for.
+//! `--help` lists the flags.  `--target=N` and `--targets=N,M` add each
+//! target's cells, one per contract of `--contracts` (default `CT-SEQ`).
+//! With `--wait` the job's events stream to stderr and the result JSON is
+//! printed to stdout.  Every job measures with the campaign's one schedule
+//! (`ExecutorConfig::campaign`), so there is no repetition flag.
 //!
 //! If the server dies mid-`--wait`, the exit code is 3 and the job id is
 //! printed: the job is spooled server-side and resumes on the next server
 //! start — re-query it with `--result=JOBID`.
 
+use rvz_bench::cli::{self, Args, Flag, List};
 use rvz_bench::json::Json;
-use rvz_bench::{flag_from_args, flag_value_from_args};
 use rvz_service::{Client, JobSpec, WatchError};
 
-/// The flags that take a `=value`.
-const VALUE_FLAGS: [&str; 14] = [
-    "--addr",
-    "--token",
-    "--status",
-    "--result",
-    "--cancel",
-    "--seed",
-    "--target",
-    "--targets",
-    "--contracts",
-    "--budget",
-    "--round-size",
-    "--parallelism",
-    "--priority",
-    "--inputs",
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("addr", "HOST:PORT", "server address (default 127.0.0.1:15790)"),
+    Flag::value::<String>("token", "TOKEN", "client token, for servers run with --token-file"),
+    Flag::value::<String>("status", "JOB", "print a job's status"),
+    Flag::value::<String>("result", "JOB", "print a job's result, or {\"done\":false}"),
+    Flag::value::<String>("cancel", "JOB", "cancel a job"),
+    Flag::switch("table3", "submit the full Table 3 matrix"),
+    Flag::value::<u8>("target", "N", "submit the cells of target N"),
+    Flag::value::<List<u8>>("targets", "N,M", "submit the cells of several targets"),
+    Flag::value::<List<String>>("contracts", "A,B", "each target's contracts (default CT-SEQ)"),
+    Flag::value::<u64>("seed", "N", "matrix seed (default 7)"),
+    Flag::value::<usize>("budget", "N", "test cases per cell group"),
+    Flag::value::<usize>("round-size", "N", "test cases per scheduling round"),
+    Flag::value::<usize>("parallelism", "N", "threads of each work unit's matrix run"),
+    Flag::value::<i64>("priority", "N", "higher starts first on a saturated service"),
+    Flag::value::<usize>("inputs", "N", "inputs per test case"),
+    Flag::switch("escalation", "escalate the generator at round boundaries"),
+    Flag::switch("wait", "stream the job's events to stderr, then print its result"),
 ];
-/// The flags that stand alone.
-const SWITCHES: [&str; 3] = ["--table3", "--escalation", "--wait"];
 
 fn fail(message: &str) -> ! {
     eprintln!("revizor-submit: {message}");
     std::process::exit(1)
 }
 
-/// The first argument that is not one of the flags above, if any, up to
-/// its `=`.
-fn unknown_flag() -> Option<String> {
-    std::env::args().skip(1).find_map(|arg| {
-        let (name, known) = match arg.split_once('=') {
-            Some((name, _)) => (name, VALUE_FLAGS.contains(&name)),
-            None => (arg.as_str(), SWITCHES.contains(&arg.as_str())),
-        };
-        (!known).then(|| name.to_string())
-    })
-}
-
-fn main() {
-    if let Some(flag) = unknown_flag() {
-        eprintln!("revizor-submit: unknown flag `{flag}`");
-        std::process::exit(2);
-    }
-    let addr =
-        flag_value_from_args::<String>("--addr").unwrap_or_else(|| "127.0.0.1:15790".to_string());
-    let mut client = match Client::connect(&addr) {
-        Ok(client) => client,
-        Err(e) => fail(&format!("cannot connect to {addr}: {e}")),
-    };
-    if let Some(token) = flag_value_from_args::<String>("--token") {
-        client = client.with_token(&token);
-    }
-
-    // Query modes.
-    if let Some(job) = flag_value_from_args::<String>("--status") {
-        match client.status(&job) {
-            Ok(status) => println!("{}", status.render_pretty()),
-            Err(e) => fail(&e),
-        }
-        return;
-    }
-    if let Some(job) = flag_value_from_args::<String>("--result") {
-        match client.result(&job) {
-            Ok(Some(result)) => println!("{}", result.render_pretty()),
-            Ok(None) => println!("{}", Json::obj().field("done", false).render()),
-            Err(e) => fail(&e),
-        }
-        return;
-    }
-    if let Some(job) = flag_value_from_args::<String>("--cancel") {
-        match client.cancel(&job) {
-            Ok(state) => {
-                eprintln!("revizor-submit: job {job}: {state}");
-                println!("{}", Json::obj().field("job", job.as_str()).field("state", state).render());
-            }
-            Err(e) => fail(&e),
-        }
-        return;
-    }
-
-    // Submission mode.
-    let seed = flag_value_from_args::<u64>("--seed").unwrap_or(7);
-    let mut spec = if flag_from_args("--table3") {
+/// The job the flags describe; `None` without `--table3` or a target.
+fn job_spec(args: &Args) -> Option<JobSpec> {
+    let seed = args.get("seed").unwrap_or(7);
+    let mut spec = if args.has("table3") {
         JobSpec::table3(seed)
     } else {
-        let mut targets: Vec<u8> = Vec::new();
-        if let Some(t) = flag_value_from_args::<u8>("--target") {
-            targets.push(t);
-        }
-        if let Some(list) = flag_value_from_args::<String>("--targets") {
-            for part in list.split(',') {
-                match part.trim().parse::<u8>() {
-                    Ok(t) => targets.push(t),
-                    Err(_) => fail(&format!("bad target `{part}` in --targets")),
-                }
-            }
-        }
+        let mut targets: Vec<u8> = args.get("target").into_iter().collect();
+        targets.extend(args.get::<List<u8>>("targets").map_or(vec![], |List(t)| t));
         if targets.is_empty() {
-            fail("nothing to submit: pass --target=N / --targets=…, or --table3");
+            return None;
         }
-        let contracts = flag_value_from_args::<String>("--contracts")
-            .unwrap_or_else(|| "CT-SEQ".to_string());
+        let List(contracts) = args.get("contracts").unwrap_or(List(vec!["CT-SEQ".to_string()]));
         let mut spec = JobSpec::new(seed);
-        for target in &targets {
-            for contract in contracts.split(',') {
-                spec = spec.add_cell(*target, contract.trim());
+        for target in targets {
+            for contract in &contracts {
+                spec = spec.add_cell(target, contract);
             }
         }
         spec
     };
-    if let Some(budget) = flag_value_from_args::<usize>("--budget") {
-        spec.budget = budget;
+    spec.budget = args.get("budget").unwrap_or(spec.budget);
+    spec.round_size = args.get("round-size").unwrap_or(spec.round_size);
+    spec.parallelism = args.get("parallelism").unwrap_or(spec.parallelism);
+    spec.priority = args.get("priority").unwrap_or(spec.priority);
+    spec.inputs_per_test_case = args.get("inputs").unwrap_or(spec.inputs_per_test_case);
+    spec.escalation |= args.has("escalation");
+    Some(spec)
+}
+
+fn main() {
+    let args = cli::parse(FLAGS);
+    let spec = job_spec(&args);
+    if spec.is_none() && !["status", "result", "cancel"].iter().any(|query| args.has(query)) {
+        cli::refuse("nothing to submit: pass --target=N, --targets=N,M or --table3");
     }
-    if let Some(round_size) = flag_value_from_args::<usize>("--round-size") {
-        spec.round_size = round_size;
-    }
-    if let Some(parallelism) = flag_value_from_args::<usize>("--parallelism") {
-        spec.parallelism = parallelism;
-    }
-    if let Some(priority) = flag_value_from_args::<i64>("--priority") {
-        spec.priority = priority;
-    }
-    if let Some(inputs) = flag_value_from_args::<usize>("--inputs") {
-        spec.inputs_per_test_case = inputs;
-    }
-    if flag_from_args("--escalation") {
-        spec.escalation = true;
+    let addr = args.get("addr").unwrap_or_else(|| "127.0.0.1:15790".to_string());
+    let mut client =
+        Client::connect(&addr).unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
+    if let Some(token) = args.get::<String>("token") {
+        client = client.with_token(&token);
     }
 
-    let job = match client.submit(&spec) {
-        Ok(job) => job,
-        Err(e) => fail(&e),
-    };
+    // Query modes.
+    if let Some(job) = args.get::<String>("status") {
+        println!("{}", client.status(&job).unwrap_or_else(|e| fail(&e)).render_pretty());
+        return;
+    }
+    if let Some(job) = args.get::<String>("result") {
+        match client.result(&job).unwrap_or_else(|e| fail(&e)) {
+            Some(result) => println!("{}", result.render_pretty()),
+            None => println!("{}", Json::obj().field("done", false).render()),
+        }
+        return;
+    }
+    if let Some(job) = args.get::<String>("cancel") {
+        let state = client.cancel(&job).unwrap_or_else(|e| fail(&e));
+        eprintln!("revizor-submit: job {job}: {state}");
+        println!("{}", Json::obj().field("job", job.as_str()).field("state", state).render());
+        return;
+    }
+
+    // Submission mode.
+    let spec = spec.expect("no query, so the flags describe a job");
+    let job = client.submit(&spec).unwrap_or_else(|e| fail(&e));
     eprintln!("revizor-submit: job {job} submitted ({} cells)", spec.cells.len());
 
-    if !flag_from_args("--wait") {
+    if !args.has("wait") {
         println!("{job}");
         return;
     }

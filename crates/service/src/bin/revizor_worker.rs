@@ -6,13 +6,8 @@
 //! revizor-worker --coordinator=127.0.0.1:15791 [--name=w1] [--retry-secs=30]
 //! ```
 //!
-//! * `--coordinator` — the coordinator's **fleet** port (not the client
-//!   port).
-//! * `--name` — the name this worker registers under (default:
-//!   `worker-<pid>`); it shows up in per-unit `status` placement.
-//! * `--retry-secs` — how long to keep retrying a failed connect before
-//!   exiting (default 30; lets workers start before the coordinator and
-//!   ride out coordinator restarts).
+//! `--coordinator` is the coordinator's **fleet** port, not its client
+//! port; `--help` lists the other flags.
 //!
 //! Checkpoints travel as binary frames in both directions; control
 //! frames are JSON lines (see `rvz_service::coordinator`).
@@ -25,35 +20,26 @@
 //! unit back and the verdicts come out byte-identical.  Run as many
 //! workers as you have machines.
 
-use rvz_bench::{flag_from_args, flag_value_from_args};
+use rvz_bench::cli::{self, Flag};
 use rvz_service::{Worker, WorkerConfig};
 use std::time::Duration;
 
-const HELP: &str = "revizor-worker: a fleet worker host for revizor-serve
-
-usage: revizor-worker --coordinator=HOST:PORT [options]
-
-  --coordinator=HOST:PORT the coordinator's fleet port (revizor-serve
-                          --fleet-addr), where workers register at runtime
-  --name=NAME             registration name (default worker-<pid>)
-  --retry-secs=SECS       connect retry window (default 30)
-  -h, --help              this text
-";
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("coordinator", "HOST:PORT", "the coordinator's fleet port (required)"),
+    Flag::value::<String>("name", "NAME", "registration name (default worker-<pid>)"),
+    Flag::value::<u64>("retry-secs", "SECS", "connect retry window (default 30)"),
+];
 
 fn main() {
-    if flag_from_args("--help") || flag_from_args("-h") {
-        print!("{HELP}");
-        return;
-    }
-    let Some(coordinator) = flag_value_from_args::<String>("--coordinator") else {
-        eprintln!("revizor-worker: pass --coordinator=HOST:PORT (the coordinator's fleet port)");
-        std::process::exit(2);
+    let args = cli::parse(FLAGS);
+    let Some(coordinator) = args.get::<String>("coordinator") else {
+        cli::refuse("pass --coordinator=HOST:PORT (the coordinator's fleet port)");
     };
     let mut config = WorkerConfig::new(coordinator);
-    if let Some(name) = flag_value_from_args::<String>("--name") {
+    if let Some(name) = args.get("name") {
         config.name = name;
     }
-    if let Some(secs) = flag_value_from_args::<u64>("--retry-secs") {
+    if let Some(secs) = args.get("retry-secs") {
         config.retry_for = Duration::from_secs(secs);
     }
     eprintln!(

@@ -62,10 +62,6 @@ impl JobSpec {
     /// Largest `inputs_per_test_case`: the ceiling
     /// `GeneratorConfig::escalate` stops at.
     pub const MAX_INPUTS_PER_TEST_CASE: usize = 200;
-    /// Largest `parallelism`: a unit's matrix run evaluates work units on
-    /// up to this many threads, its own and `parallelism − 1` persistent
-    /// helpers.
-    pub const MAX_PARALLELISM: usize = 64;
     /// Largest `round_size`.
     pub const MAX_ROUND_SIZE: usize = 1000;
     /// The fields of the spec's JSON document, as [`JobSpec::to_json`]
@@ -168,7 +164,7 @@ impl JobSpec {
     pub fn to_matrix(&self) -> Result<CampaignMatrix, String> {
         let bounds = [
             ("round_size", self.round_size, Self::MAX_ROUND_SIZE),
-            ("parallelism", self.parallelism, Self::MAX_PARALLELISM),
+            ("parallelism", self.parallelism, CampaignMatrix::MAX_PARALLELISM),
             ("inputs_per_test_case", self.inputs_per_test_case, Self::MAX_INPUTS_PER_TEST_CASE),
             ("basic_blocks", self.basic_blocks, Self::MAX_BASIC_BLOCKS),
             ("instructions", self.instructions, Self::MAX_INSTRUCTIONS),

@@ -3,6 +3,7 @@
 //! client isolation, multi-host dispatch, job priorities, cancellation
 //! and the server-gone watch error.
 
+use revizor::orchestrator::CampaignMatrix;
 use rvz_bench::json::Json;
 use rvz_bench::report::matrix_cells_json;
 use rvz_service::{
@@ -664,7 +665,7 @@ fn oversized_specs_are_rejected_with_their_bound() {
         ("inputs_per_test_case", JobSpec::MAX_INPUTS_PER_TEST_CASE, |s| {
             &mut s.inputs_per_test_case
         }),
-        ("parallelism", JobSpec::MAX_PARALLELISM, |s| &mut s.parallelism),
+        ("parallelism", CampaignMatrix::MAX_PARALLELISM, |s| &mut s.parallelism),
         ("round_size", JobSpec::MAX_ROUND_SIZE, |s| &mut s.round_size),
     ];
     for (name, bound, field) in fields {

@@ -24,53 +24,20 @@
 //! Examples: all V4 hits on target 3 is `--class=V4 --target=3`; anything
 //! new since yesterday's sweep is `--since-job=sweep-42`.
 
+use rvz_bench::cli::{self, Flag};
 use rvz_bench::json::Json;
-use rvz_bench::{flag_from_args, flag_value_from_args};
 use rvz_store::{MergedEntry, Store};
 
-const HELP: &str = "revizor-query: query the indexed violation store
-
-usage: revizor-query --store=DIR [filters]
-
-  --store=DIR        the store directory (revizor-serve --store)
-  --class=LABEL      filter by gadget class (V1, V1.1, V2, V4, V5-ret, ...)
-  --target=N         filter by Table 2 target id
-  --contract=NAME    filter by contract name (e.g. CT-SEQ)
-  --vuln=CLASS       filter by vulnerability class label
-  --mnemonic=M       filter by program mnemonic (lowercase; jmp/jcc for branches)
-  --since-job=JOB    only gadgets first observed after JOB's last entry
-  --json             machine-readable output
-  -h, --help         this text
-";
-
-fn matches(m: &MergedEntry) -> bool {
-    if let Some(class) = flag_value_from_args::<String>("--class") {
-        if m.entry.class != class {
-            return false;
-        }
-    }
-    if let Some(target) = flag_value_from_args::<u8>("--target") {
-        if m.entry.target != target {
-            return false;
-        }
-    }
-    if let Some(contract) = flag_value_from_args::<String>("--contract") {
-        if m.entry.contract != contract {
-            return false;
-        }
-    }
-    if let Some(vuln) = flag_value_from_args::<String>("--vuln") {
-        if m.entry.vulnerability != vuln {
-            return false;
-        }
-    }
-    if let Some(mnemonic) = flag_value_from_args::<String>("--mnemonic") {
-        if !m.entry.mnemonics.contains(&mnemonic) {
-            return false;
-        }
-    }
-    true
-}
+const FLAGS: &[Flag] = &[
+    Flag::value::<String>("store", "DIR", "the store directory (revizor-serve --store; required)"),
+    Flag::value::<String>("class", "LABEL", "filter by gadget class (V1, V4, V5-ret, ...)"),
+    Flag::value::<u8>("target", "N", "filter by Table 2 target id"),
+    Flag::value::<String>("contract", "NAME", "filter by contract name (e.g. CT-SEQ)"),
+    Flag::value::<String>("vuln", "CLASS", "filter by vulnerability class label"),
+    Flag::value::<String>("mnemonic", "M", "filter by program mnemonic (lowercase; jmp/jcc)"),
+    Flag::value::<String>("since-job", "JOB", "only gadgets first observed after JOB's last entry"),
+    Flag::switch("json", "machine-readable output"),
+];
 
 fn merged_json(m: &MergedEntry) -> Json {
     Json::obj()
@@ -89,13 +56,20 @@ fn merged_json(m: &MergedEntry) -> Json {
 }
 
 fn main() {
-    if flag_from_args("--help") || flag_from_args("-h") {
-        print!("{HELP}");
-        return;
-    }
-    let Some(dir) = flag_value_from_args::<String>("--store") else {
-        eprintln!("revizor-query: pass --store=DIR (the directory revizor-serve --store writes)");
-        std::process::exit(2);
+    let args = cli::parse(FLAGS);
+    let (class, target) = (args.get::<String>("class"), args.get::<u8>("target"));
+    let (contract, vuln) = (args.get::<String>("contract"), args.get::<String>("vuln"));
+    let mnemonic = args.get::<String>("mnemonic");
+    let matches = |m: &&MergedEntry| {
+        let e = &m.entry;
+        class.as_ref().is_none_or(|class| e.class == *class)
+            && target.is_none_or(|target| e.target == target)
+            && contract.as_ref().is_none_or(|contract| e.contract == *contract)
+            && vuln.as_ref().is_none_or(|vuln| e.vulnerability == *vuln)
+            && mnemonic.as_ref().is_none_or(|mnemonic| e.mnemonics.contains(mnemonic))
+    };
+    let Some(dir) = args.get::<String>("store") else {
+        cli::refuse("pass --store=DIR (the directory revizor-serve --store writes)");
     };
     let store = match Store::open(&dir) {
         Ok(store) => store,
@@ -104,7 +78,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let merged = match flag_value_from_args::<String>("--since-job") {
+    let merged = match args.get::<String>("since-job") {
         Some(job) => store.new_since(&job),
         None => store.merged(),
     };
@@ -115,9 +89,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let rows: Vec<&MergedEntry> = merged.iter().filter(|m| matches(m)).collect();
+    let rows: Vec<&MergedEntry> = merged.iter().filter(matches).collect();
 
-    if flag_from_args("--json") {
+    if args.has("json") {
         let doc = Json::obj()
             .field("gadgets", Json::Arr(rows.iter().map(|m| merged_json(m)).collect()))
             .field("distinct", rows.len() as u64)

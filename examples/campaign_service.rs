@@ -9,8 +9,8 @@
 //!
 //! The same jobs can be served over TCP: start `revizor-serve` and submit
 //! with `revizor-submit` (see the README's "Campaign service" section);
-//! for real multi-host serving start `revizor-serve --coordinator` plus
-//! one `revizor-worker` per machine.
+//! for real multi-host serving start `revizor-serve --fleet-addr=HOST:PORT`
+//! plus one `revizor-worker` per machine.
 
 use revizor_suite::bench::report::matrix_cells_json;
 use revizor_suite::prelude::*;

@@ -3,12 +3,15 @@
 //! low-entropy input generator creates colliding contract traces
 //! ("effective inputs").
 //!
-//! Run with: `cargo run --release --example generate_testcase [seed]`
+//! Run with: `cargo run --release --example generate_testcase -- [--seed=N]`
 
+use revizor_suite::bench::cli::{self, Flag};
 use revizor_suite::prelude::*;
 
+const FLAGS: &[Flag] = &[Flag::value::<u64>("seed", "N", "generator seed (default 2022)")];
+
 fn main() {
-    let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2022);
+    let seed = cli::parse(FLAGS).get("seed").unwrap_or(2022);
 
     for isa in [IsaSubset::AR, IsaSubset::AR_MEM, IsaSubset::AR_MEM_CB, IsaSubset::AR_MEM_CB_VAR] {
         let config = GeneratorConfig::for_subset(isa).with_basic_blocks(3).with_instructions(10);
